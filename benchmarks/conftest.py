@@ -41,7 +41,7 @@ BENCH_SCHEDULE_FILE = (Path(__file__).resolve().parent.parent
                        / "BENCH_schedule.json")
 
 #: Machine-readable ATPG perf trajectory: written by test_bench_atpg.py
-#: (word-matrix grading engine vs the retained seed reference pipeline),
+#: (packed fault×pattern grading vs the retained seed reference pipeline),
 #: consumed by the perf smoke test and by ``repro bench --stage atpg``.
 BENCH_ATPG_FILE = (Path(__file__).resolve().parent.parent
                    / "BENCH_atpg.json")

@@ -2,7 +2,7 @@
 
 Re-runs the complete ATPG pipeline (random phase, PODEM top-up, reverse
 compaction) of every suite circuit with both grading engines — the
-vectorized word-matrix ``"matrix"`` engine and the seed-equivalent big-int
+packed fault×pattern ``"matrix"`` engine and the seed-equivalent big-int
 ``"reference"`` pipeline — checks they produce identical test sets and
 fault ledgers, and persists the machine-readable timing trajectory to
 ``BENCH_atpg.json`` at the repository root (see EXPERIMENTS.md).  The perf

@@ -82,7 +82,7 @@ def test_stuck_at_fault_grading(benchmark):
 
 def test_podem_generation(benchmark):
     circuit = _circuit()
-    podem = Podem(circuit, seed=0)
+    podem = Podem(circuit)
     targets = [StuckAtFault(s, v)
                for s in fault_sites(circuit)[:12] for v in (0, 1)]
 

@@ -277,7 +277,7 @@ def cross_check_testability(circuit: Circuit, faults, *,
     """
     from repro.atpg.podem import Podem
 
-    podem = Podem(circuit, seed=seed)
+    podem = Podem(circuit)
     dalg = DAlgorithm(circuit, seed=seed)
     agree = podem_miss = dalg_miss = aborted = 0
     for fault in faults:

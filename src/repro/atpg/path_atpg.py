@@ -130,7 +130,7 @@ def generate_path_tests(circuit: Circuit, *, k_per_endpoint: int = 2,
                         verify: bool = True) -> PathAtpgResult:
     """Sensitize the K longest paths into each (or given) endpoint."""
     rng = random.Random(seed)
-    podem = Podem(circuit, seed=seed)
+    podem = Podem(circuit)
     sim = WaveformSimulator(circuit) if verify else None
     targets = (endpoints if endpoints is not None
                else sorted({op.gate for op in circuit.observation_points()}))

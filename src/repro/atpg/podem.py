@@ -14,7 +14,6 @@ test, which only needs to establish the initial value at the fault site.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.faults.models import StuckAtFault
@@ -43,54 +42,67 @@ class Aborted(Exception):
 
 
 class Podem:
-    """PODEM engine bound to one finalized circuit."""
+    """PODEM engine bound to one finalized circuit.
 
-    def __init__(self, circuit: Circuit, *, max_backtracks: int = 512,
-                 seed: int = 0) -> None:
+    The engine is deterministic and history-free: every public call starts
+    from (and returns to) the all-X idle state, so the same query always
+    yields the same assignment and :attr:`stats`.
+    """
+
+    def __init__(self, circuit: Circuit, *, max_backtracks: int = 512) -> None:
         if not circuit.is_finalized:
             raise ValueError("circuit must be finalized before ATPG")
         self.circuit = circuit
         self.max_backtracks = max_backtracks
-        self._rng = random.Random(seed)
-        self._order = [i for i in circuit.topo_order
-                       if GateKind.is_combinational(circuit.gates[i].kind)]
         self._sources = circuit.sources()
         self._source_set = set(self._sources)
-        self._obs_gates = sorted({op.gate
-                                  for op in circuit.observation_points()})
-        self._obs_set = set(self._obs_gates)
         self.stats = PodemStats()
-        # Incremental implication state: persistent good-machine values,
-        # flattened per-gate (kind, fanin, combinational fanout) tables, a
-        # scratch scheduled-bitmap, and memoized per-site cone plans /
-        # in-cone observation gates for the fault-effect passes.
-        self._good = self._fresh_values()
-        self._plans: dict[int, list[tuple[int, str, tuple[int, ...]]]] = {}
-        self._obs_cone: dict[int, list[int]] = {}
-        self._touched = bytearray(len(circuit.gates))
         gates = circuit.gates
+        n = len(gates)
+        comb = [GateKind.is_combinational(g.kind) for g in gates]
+        # Per-gate flat tables read on every implication step: kind, fanin,
+        # combinational fanout, level, and source / observation /
+        # inverting flags.
         self._gk = [g.kind for g in gates]
         self._gf = [g.fanin for g in gates]
         self._gfo = [
-            sorted({v for v, _pin in circuit.fanouts(i)
-                    if GateKind.is_combinational(gates[v].kind)})
-            for i in range(len(gates))
+            sorted({v for v, _pin in circuit.fanouts(i) if comb[v]})
+            for i in range(n)
         ]
+        self._lvl = [circuit.level(i) for i in range(n)]
+        self._is_src = bytearray(n)
+        for i in self._sources:
+            self._is_src[i] = 1
+        self._is_obs = bytearray(n)
+        for op in circuit.observation_points():
+            self._is_obs[op.gate] = 1
+        self._inv = bytearray(g.kind in _INVERTING for g in gates)
+        # Persistent good-machine values (all X between calls), memoized
+        # per-site cone plans / in-cone observation gates for the
+        # fault-effect passes, and the most recent generation region.
+        self._good = self._fresh_values()
+        self._plans: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        self._obs_cone: dict[int, list[int]] = {}
+        self._last_region: tuple[int, frozenset[int]] = (-1, frozenset())
+        # Implication region: 1 = the gate may be implied, 2 = scheduled
+        # in the running pass, 0 = outside the region of the current call
+        # (its value is never read, so it is never updated).
+        self._mark = bytearray(n)
         # Levelized event queues: level = 1 + max fanin level, so scanning
         # buckets in ascending level order is a valid topological schedule
         # with plain list appends instead of heap operations.
-        self._lvl = [circuit.level(i) for i in range(len(gates))]
         self._buckets: list[list[int]] = [
             [] for _ in range(circuit.depth + 1)]
         # Ternary truth tables up to arity 4, indexed radix-3
-        # (((a*3 + b)*3 + c)*3 + d); shared per (kind, arity).  Wider gates
-        # fall back to `eval_ternary`.
+        # (((a*3 + b)*3 + c)*3 + d) and shared per (kind, arity).  ``_ar``
+        # is the table arity; 0 marks sources and wider gates, which fall
+        # back to `eval_ternary`.
         table_memo: dict[tuple[str, int], tuple[int, ...]] = {}
-        self._tab: list[tuple[int, ...] | None] = []
+        self._tab: list[tuple[int, ...] | None] = [None] * n
+        self._ar = [0] * n
         for g in gates:
             arity = len(g.fanin)
-            if not GateKind.is_combinational(g.kind) or arity > 4:
-                self._tab.append(None)
+            if not comb[g.index] or arity > 4:
                 continue
             key = (g.kind, arity)
             tab = table_memo.get(key)
@@ -100,7 +112,8 @@ class Podem:
                     values = [v + [x] for v in values for x in (0, 1, X)]
                 tab = tuple(eval_ternary(g.kind, v) for v in values)
                 table_memo[key] = tab
-            self._tab.append(tab)
+            self._tab[g.index] = tab
+            self._ar[g.index] = arity
 
     def _fresh_values(self) -> list[int]:
         values = [X] * len(self.circuit.gates)
@@ -111,23 +124,116 @@ class Podem:
                 values[g.index] = 1
         return values
 
-    def _plan_of(self, site: int) -> list[tuple[int, str, tuple[int, ...]]]:
-        """Topo-ordered ``(gate, kind, fanin)`` rows of ``site``'s cone."""
+    def _plan_of(self, site: int) -> list[tuple[int, tuple[int, ...]]]:
+        """Topo-ordered ``(gate, fanin)`` rows of ``site``'s cone."""
         plan = self._plans.get(site)
         if plan is None:
-            gates = self.circuit.gates
-            plan = [(i, gates[i].kind, gates[i].fanin)
-                    for i in self.circuit.cone_schedule(site)]
+            gf = self._gf
+            plan = [(i, gf[i]) for i in self.circuit.cone_schedule(site)]
             self._plans[site] = plan
         return plan
 
-    def _set_source(self, src: int, value: int) -> list[tuple[int, int]]:
-        """Assign (or clear, with X) a source and re-imply its cone.
+    # ------------------------------------------------------------------
+    # Implication regions
+    # ------------------------------------------------------------------
+    def _site_region(self, site: int) -> frozenset[int]:
+        """Gates whose values a search for a fault at ``site`` reads.
+
+        The fanin closure of the site gate and its fanout cone: the union
+        of the fanin cones of the cone's sinks (gates without
+        combinational fanout), since every cone gate feeds some sink.
+        Fanin-closed, so implication restricted to it is exact.
+        """
+        last_site, region = self._last_region
+        if last_site != site:
+            circuit = self.circuit
+            gfo = self._gfo
+            sinks = [g for g in (site, *circuit.cone_schedule(site))
+                     if not gfo[g]]
+            region = frozenset().union(
+                *(circuit.fanin_cone(g) for g in sinks))
+            self._last_region = (site, region)
+        return region
+
+    def _enter(self, region) -> None:
+        mark = self._mark
+        for g in region:
+            mark[g] = 1
+
+    def _leave(self, region) -> None:
+        mark = self._mark
+        for g in region:
+            mark[g] = 0
+
+    # ------------------------------------------------------------------
+    # Implication
+    # ------------------------------------------------------------------
+    def _imply(self, values: list[int], root: int,
+               log: list[tuple[int, int]]) -> None:
+        """Re-imply ``values`` downstream of a change at ``root``.
 
         Event-driven selective trace: gates are scheduled through the
-        fanout adjacency and popped in topological order (heap on topo
-        position), so only the region whose values actually change is
-        visited — not the whole fanout cone of the source.
+        fanout adjacency and popped level by level, so only the gates whose
+        values actually change are visited — and only inside the current
+        region (a gate outside it is never read, so it is never
+        scheduled).  Every changed gate is recorded in ``log`` as
+        ``(gate, previous value)``.
+        """
+        gk, gf, gfo, tab, ar, lvl = (self._gk, self._gf, self._gfo,
+                                     self._tab, self._ar, self._lvl)
+        mark = self._mark
+        buckets = self._buckets
+        dirty: list[int] = []
+        lo = len(buckets)
+        hi = 0
+        for v in gfo[root]:
+            if mark[v] == 1:
+                mark[v] = 2
+                dirty.append(v)
+                level = lvl[v]
+                buckets[level].append(v)
+                if level > hi:
+                    hi = level
+                if level < lo:
+                    lo = level
+        lv = lo
+        while lv <= hi:
+            bucket = buckets[lv]
+            if bucket:
+                for idx in bucket:
+                    n = ar[idx]
+                    f = gf[idx]
+                    if n == 2:
+                        new = tab[idx][values[f[0]] * 3 + values[f[1]]]
+                    elif n == 1:
+                        new = tab[idx][values[f[0]]]
+                    elif n == 3:
+                        new = tab[idx][(values[f[0]] * 3 + values[f[1]]) * 3
+                                       + values[f[2]]]
+                    elif n == 4:
+                        new = tab[idx][((values[f[0]] * 3 + values[f[1]]) * 3
+                                        + values[f[2]]) * 3 + values[f[3]]]
+                    else:
+                        new = eval_ternary(gk[idx], [values[s] for s in f])
+                    old = values[idx]
+                    if new != old:
+                        log.append((idx, old))
+                        values[idx] = new
+                        for v in gfo[idx]:
+                            if mark[v] == 1:
+                                mark[v] = 2
+                                dirty.append(v)
+                                level = lvl[v]
+                                buckets[level].append(v)
+                                if level > hi:
+                                    hi = level
+                bucket.clear()
+            lv += 1
+        for i in dirty:
+            mark[i] = 1
+
+    def _set_source(self, src: int, value: int) -> list[tuple[int, int]]:
+        """Assign (or clear, with X) a source and re-imply its fanout.
 
         Returns the undo log — ``(gate, previous value)`` for every gate
         that changed — so chronological backtracking can restore the exact
@@ -138,56 +244,7 @@ class Podem:
             return []
         log = [(src, good[src])]
         good[src] = value
-        gk, gf, gfo, tab, lvl = (self._gk, self._gf, self._gfo, self._tab,
-                                 self._lvl)
-        sched = self._touched
-        buckets = self._buckets
-        dirty: list[int] = []
-        hi = 0
-        for v in gfo[src]:
-            sched[v] = 1
-            dirty.append(v)
-            level = lvl[v]
-            buckets[level].append(v)
-            if level > hi:
-                hi = level
-        lv = 0
-        while lv <= hi:
-            bucket = buckets[lv]
-            if bucket:
-                for idx in bucket:
-                    f = gf[idx]
-                    t = tab[idx]
-                    if t is None:
-                        new = eval_ternary(gk[idx], [good[s] for s in f])
-                    else:
-                        n = len(f)
-                        if n == 2:
-                            new = t[good[f[0]] * 3 + good[f[1]]]
-                        elif n == 1:
-                            new = t[good[f[0]]]
-                        elif n == 3:
-                            new = t[(good[f[0]] * 3 + good[f[1]]) * 3
-                                    + good[f[2]]]
-                        else:
-                            new = t[((good[f[0]] * 3 + good[f[1]]) * 3
-                                     + good[f[2]]) * 3 + good[f[3]]]
-                    old = good[idx]
-                    if new != old:
-                        log.append((idx, old))
-                        good[idx] = new
-                        for v in gfo[idx]:
-                            if not sched[v]:
-                                sched[v] = 1
-                                dirty.append(v)
-                                level = lvl[v]
-                                buckets[level].append(v)
-                                if level > hi:
-                                    hi = level
-                bucket.clear()
-            lv += 1
-        for i in dirty:
-            sched[i] = 0
+        self._imply(good, src, log)
         return log
 
     def _undo(self, log: list[tuple[int, int]]) -> None:
@@ -207,17 +264,22 @@ class Podem:
         :attr:`stats` ``.aborted`` to distinguish the two.
         """
         self.stats = PodemStats()
-        self._reset()
+        site = fault.site
+        site_gate = site.gate
+        sig = site.signal_gate(self.circuit)
+        region = self._site_region(site_gate)
+        self._enter(region)
         assignment: dict[int, int] = {}
         # (source, value, flipped, undo log)
         stack: list[tuple[int, int, bool, list[tuple[int, int]]]] = []
         try:
             while True:
                 good = self._good
-                faulty = self._faulty(fault)
-                if self._detected(good, faulty, fault.site.gate):
+                faulty = self._faulty(site_gate, site.pin, fault.value)
+                if self._detected(good, faulty, site_gate):
                     return dict(assignment)
-                objective = self._objective(good, faulty, fault)
+                objective = self._objective(good, faulty, site_gate, sig,
+                                            fault.value)
                 if objective is None:
                     self._backtrack(assignment, stack)
                     continue
@@ -236,6 +298,7 @@ class Podem:
             return None
         finally:
             self._unwind(stack)
+            self._leave(region)
 
     def justify_all(self, objectives: list[tuple[int, int]]
                     ) -> dict[int, int] | None:
@@ -257,7 +320,9 @@ class Podem:
                 assignment[gate] = value
             else:
                 pending.append((gate, value))
-        self._reset()
+        region = frozenset().union(
+            *(self.circuit.fanin_cone(g) for g, _v in pending))
+        self._enter(region)
         base_logs = [self._set_source(src, val)
                      for src, val in assignment.items()]
         stack: list[tuple[int, int, bool, list[tuple[int, int]]]] = []
@@ -288,6 +353,7 @@ class Podem:
             self._unwind(stack)
             for log in reversed(base_logs):
                 self._undo(log)
+            self._leave(region)
 
     def justify(self, gate: int, value: int) -> dict[int, int] | None:
         """Find a source assignment making ``gate``'s output equal ``value``.
@@ -298,7 +364,8 @@ class Podem:
         self.stats = PodemStats()
         if gate in self._source_set:
             return {gate: value}
-        self._reset()
+        region = self.circuit.fanin_cone(gate)
+        self._enter(region)
         assignment: dict[int, int] = {}
         stack: list[tuple[int, int, bool, list[tuple[int, int]]]] = []
         try:
@@ -324,85 +391,28 @@ class Podem:
             return None
         finally:
             self._unwind(stack)
+            self._leave(region)
 
     # ------------------------------------------------------------------
     # Simulation
     # ------------------------------------------------------------------
-    def _reset(self) -> None:
-        """Clear all source assignments (start of a generation attempt)."""
-        for src in self._sources:
-            if self._good[src] != X and GateKind.is_source(
-                    self.circuit.gates[src].kind):
-                g = self.circuit.gates[src]
-                if g.kind in (GateKind.CONST0, GateKind.CONST1):
-                    continue
-                self._set_source(src, X)
+    def _faulty(self, site_gate: int, pin: int, value: int) -> list[int]:
+        """Faulty-machine values derived from the current good values.
 
-    def _faulty(self, fault: StuckAtFault) -> list[int]:
-        """Faulty-machine values derived from the current good values."""
-        circuit = self.circuit
+        Only the site gate and its fanout cone can differ from the good
+        machine, and the cone lies inside the region, so the same
+        region-restricted implication yields every value the search reads.
+        """
         good = self._good
         faulty = list(good)
-        site = fault.site
-        g = circuit.gates[site.gate]
-        if site.is_output_pin:
-            faulty[site.gate] = fault.value
+        if pin < 0:
+            faulty[site_gate] = value
         else:
-            ins = [faulty[s] for s in g.fanin]
-            ins[site.pin] = fault.value
-            faulty[site.gate] = eval_ternary(g.kind, ins)
-        if faulty[site.gate] == good[site.gate]:
-            return faulty
-        # Same event-driven trace as `_set_source`: only gates downstream
-        # of an actual value change can differ from the good machine.
-        gk, gf, gfo, tab, lvl = (self._gk, self._gf, self._gfo, self._tab,
-                                 self._lvl)
-        sched = self._touched
-        buckets = self._buckets
-        dirty: list[int] = []
-        hi = 0
-        for v in gfo[site.gate]:
-            sched[v] = 1
-            dirty.append(v)
-            level = lvl[v]
-            buckets[level].append(v)
-            if level > hi:
-                hi = level
-        lv = 0
-        while lv <= hi:
-            bucket = buckets[lv]
-            if bucket:
-                for idx in bucket:
-                    f = gf[idx]
-                    t = tab[idx]
-                    if t is None:
-                        new = eval_ternary(gk[idx], [faulty[s] for s in f])
-                    else:
-                        n = len(f)
-                        if n == 2:
-                            new = t[faulty[f[0]] * 3 + faulty[f[1]]]
-                        elif n == 1:
-                            new = t[faulty[f[0]]]
-                        elif n == 3:
-                            new = t[(faulty[f[0]] * 3 + faulty[f[1]]) * 3
-                                    + faulty[f[2]]]
-                        else:
-                            new = t[((faulty[f[0]] * 3 + faulty[f[1]]) * 3
-                                     + faulty[f[2]]) * 3 + faulty[f[3]]]
-                    if new != faulty[idx]:
-                        faulty[idx] = new
-                        for v in gfo[idx]:
-                            if not sched[v]:
-                                sched[v] = 1
-                                dirty.append(v)
-                                level = lvl[v]
-                                buckets[level].append(v)
-                                if level > hi:
-                                    hi = level
-                bucket.clear()
-            lv += 1
-        for i in dirty:
-            sched[i] = 0
+            ins = [good[s] for s in self._gf[site_gate]]
+            ins[pin] = value
+            faulty[site_gate] = eval_ternary(self._gk[site_gate], ins)
+        if faulty[site_gate] != good[site_gate]:
+            self._imply(faulty, site_gate, [])
         return faulty
 
     # ------------------------------------------------------------------
@@ -414,10 +424,10 @@ class Podem:
         points) — everywhere else ``good == faulty`` by construction."""
         cached = self._obs_cone.get(site_gate)
         if cached is None:
-            obs = self._obs_set
+            obs = self._is_obs
             cached = [i for i in (site_gate,
                                   *self.circuit.cone_schedule(site_gate))
-                      if i in obs]
+                      if obs[i]]
             self._obs_cone[site_gate] = cached
         return cached
 
@@ -426,32 +436,24 @@ class Podem:
         return any(good[o] != X and faulty[o] != X and good[o] != faulty[o]
                    for o in self._obs_in_cone(site_gate))
 
-    def _site_pin_value(self, good: list[int], fault: StuckAtFault) -> int:
-        """Good-machine value at the faulted pin."""
-        return good[fault.site.signal_gate(self.circuit)]
+    def _objective(self, good: list[int], faulty: list[int], site_gate: int,
+                   sig: int, stuck: int) -> tuple[int, int] | None:
+        """Next (gate, value) objective, or None to trigger backtracking.
 
-    def _objective(self, good: list[int], faulty: list[int],
-                   fault: StuckAtFault) -> tuple[int, int] | None:
-        """Next (gate, value) objective, or None to trigger backtracking."""
-        site_val = self._site_pin_value(good, fault)
-        activation = 1 - fault.value
-        if site_val == fault.value:
+        ``sig`` is the gate driving the faulted pin and ``stuck`` the
+        stuck-at value.
+        """
+        site_val = good[sig]
+        if site_val == stuck:
             return None  # activation conflict
         if site_val == X:
-            return (fault.site.signal_gate(self.circuit), activation)
+            return (sig, 1 - stuck)
         # The fault effect first materializes at the site gate itself; as
         # long as its good/faulty outputs are not both specified, no D-value
         # exists on any net and the frontier below cannot see the fault.
         # Objective: sensitise the site gate by fixing an X side-input.
-        site_gate = fault.site.gate
         if good[site_gate] == X or faulty[site_gate] == X:
-            g = self.circuit.gates[site_gate]
-            ctrl = controlling_value(g.kind)
-            noncontrolling = 1 - ctrl if ctrl is not None else 1
-            for pin, src in enumerate(g.fanin):
-                if good[src] == X:
-                    return (src, noncontrolling)
-            return None
+            return self._side_input(site_gate, good)
         if good[site_gate] == faulty[site_gate]:
             return None  # effect masked at the site gate itself
         frontier = self._d_frontier(good, faulty, site_gate)
@@ -463,14 +465,21 @@ class Podem:
         # trying the others: a frontier gate may have no free side input
         # (its faulty output is X through a partially-specified D chain)
         # while another is still sensitizable.
-        for gate_idx in sorted(frontier,
-                               key=lambda i: -self.circuit.level(i)):
-            g = self.circuit.gates[gate_idx]
-            ctrl = controlling_value(g.kind)
-            noncontrolling = 1 - ctrl if ctrl is not None else 1
-            for pin, src in enumerate(g.fanin):
-                if good[src] == X:
-                    return (src, noncontrolling)
+        lvl = self._lvl
+        for gate_idx in sorted(frontier, key=lambda i: -lvl[i]):
+            objective = self._side_input(gate_idx, good)
+            if objective is not None:
+                return objective
+        return None
+
+    def _side_input(self, gate: int, good: list[int]
+                    ) -> tuple[int, int] | None:
+        """First X fanin of ``gate`` with its non-controlling value."""
+        ctrl = controlling_value(self._gk[gate])
+        noncontrolling = 1 - ctrl if ctrl is not None else 1
+        for src in self._gf[gate]:
+            if good[src] == X:
+                return (src, noncontrolling)
         return None
 
     def _d_frontier(self, good: list[int], faulty: list[int],
@@ -482,7 +491,7 @@ class Podem:
         whole circuit — same members, same order as the full-circuit sweep.
         """
         out: list[int] = []
-        for idx, _kind, fanin in self._plan_of(site_gate):
+        for idx, fanin in self._plan_of(site_gate):
             if good[idx] != X and faulty[idx] != X:
                 continue
             for s in fanin:
@@ -495,17 +504,16 @@ class Podem:
                        faulty: list[int]) -> bool:
         """Check some frontier gate reaches an observation point through
         X-valued gates (necessary condition for future propagation)."""
+        obs = self._is_obs
+        gfo = self._gfo
         seen: set[int] = set()
         stack = list(frontier)
         while stack:
             u = stack.pop()
-            if u in self._obs_set:
+            if obs[u]:
                 return True
-            for v, _pin in self.circuit.fanouts(u):
+            for v in gfo[u]:
                 if v in seen:
-                    continue
-                vg = self.circuit.gates[v]
-                if not GateKind.is_combinational(vg.kind):
                     continue
                 if good[v] == X or faulty[v] == X:
                     seen.add(v)
@@ -522,25 +530,25 @@ class Podem:
         cubes may still succeed).
         """
         gate, value = objective
+        is_src, inv, gf, lvl = self._is_src, self._inv, self._gf, self._lvl
+        limit = len(gf) + 1
         guard = 0
-        while gate not in self._source_set:
+        while not is_src[gate]:
             guard += 1
-            if guard > len(self.circuit.gates) + 1:
+            if guard > limit:
                 return None  # defensive: should not happen on a DAG
-            g = self.circuit.gates[gate]
-            if g.kind in _INVERTING:
+            if inv[gate]:
                 value = 1 - value
-            x_pins = [s for s in g.fanin if good[s] == X]
+            x_pins = [s for s in gf[gate] if good[s] == X]
             if not x_pins:
                 # The objective is already implied; restart from any X source
                 # in the fanin cone to make progress.
-                cone = self.circuit.fanin_cone(gate)
-                free = [s for s in cone
-                        if s in self._source_set and good[s] == X]
+                free = [s for s in self.circuit.fanin_cone(gate)
+                        if is_src[s] and good[s] == X]
                 if not free:
                     return None
                 return (min(free), value)
-            gate = min(x_pins, key=lambda s: self.circuit.level(s))
+            gate = min(x_pins, key=lvl.__getitem__)
         return (gate, value)
 
     def _backtrack(self, assignment: dict[int, int],

@@ -18,15 +18,20 @@ Detection criterion (gross-delay / enhanced-scan model): pattern pair
 ``(v1, v2)`` detects transition fault φ iff ``v1`` sets the site to the
 initial value and ``v2`` detects the corresponding stuck-at fault.
 
-Engines: fault grading runs on the word-matrix engine of
-:class:`BitParallelSimulator` by default (``engine="matrix"``: vectorized
-levelized evaluation, activation pre-screening, cone-sharing fault
-batches, and a deterministic phase that packs each new pattern exactly
-once and drops faults incrementally).  The seed pipeline is retained
-verbatim as ``engine="reference"`` — both produce bit-identical per-fault
-detect masks and identical compacted test sets (guarded by
-``tests/test_transition_golden.py``), and the reference is the before-side
-of the persistent ``BENCH_atpg.json`` baseline.
+Engines: fault grading runs on the packed fault×pattern kernel of
+:class:`BitParallelSimulator` by default (``engine="matrix"``): the
+fault-free launch/capture words come from one big-int sweep, only
+activated faults whose forced value changes their site enter the kernel,
+and chunks of them are simulated side by side in one Python int per
+:data:`~repro.simulation.parallel_sim.CHUNK_BITS`
+(:func:`_transition_masks`).  The random phase, the deterministic phase's
+per-pattern fault dropping and compaction all grade through it; faults
+are addressed by their position in one integer-ranked list, so no phase
+sorts or searches fault objects.  The seed pipeline is retained verbatim
+as ``engine="reference"`` — both produce bit-identical per-fault detect
+masks and identical compacted test sets (guarded by
+``tests/test_transition_golden.py`` and the fixture pin
+``tests/test_atpg_golden.py``).
 """
 
 from __future__ import annotations
@@ -34,9 +39,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import Callable, NamedTuple, Sequence
 
 from repro.atpg.compaction import reverse_order_drop
 from repro.atpg.patterns import PatternPair, TestSet
@@ -45,11 +48,7 @@ from repro.faults.models import TransitionFault
 from repro.faults.universe import fault_sites
 from repro.netlist.circuit import Circuit
 from repro.simulation.logic import X
-from repro.simulation.parallel_sim import (
-    BitParallelSimulator,
-    mask_row,
-    row_to_mask,
-)
+from repro.simulation.parallel_sim import BitParallelSimulator
 from repro.utils.profiling import StageTimer
 
 #: Recognized values of the ``engine`` parameter.
@@ -94,33 +93,67 @@ def transition_fault_list(circuit: Circuit) -> list[TransitionFault]:
     return out
 
 
-def _transition_masks(circuit: Circuit, sim: BitParallelSimulator,
-                      good_launch: np.ndarray, good_capture: np.ndarray,
-                      faults: Sequence[TransitionFault],
-                      width: int) -> dict[TransitionFault, int]:
-    """Matrix-engine grading against prepacked fault-free matrices.
+class _FaultRows(NamedTuple):
+    """Flat per-fault grading rows, aligned with a fault list.
 
-    Activation words are read directly from the launch matrix (one gather
-    for all faults); only activated faults enter the batched stuck-at
-    propagation.
+    ``signal`` is the gate driving the fault site (whose launch value
+    activates the fault), ``stuck`` the capture stuck-at value — equal to
+    the launch value a transition test must set — and ``sites`` the
+    ``(gate, pin, stuck)`` triples of the packed stuck-at kernel.
     """
-    n = len(faults)
-    if n == 0:
-        return {}
-    mrow = mask_row(width)
-    sig = np.fromiter((f.site.signal_gate(circuit) for f in faults),
-                      dtype=np.intp, count=n)
-    act = good_launch[sig].copy()
-    falling = np.fromiter((f.launch_value == 1 for f in faults),
-                          dtype=bool, count=n)
-    act[~falling] ^= mrow  # slow-to-rise activates where v1 is 0
-    to_grade = np.flatnonzero(act.any(axis=1))
-    det = np.zeros_like(act)
-    if to_grade.size:
-        det[to_grade] = sim.stuck_at_detect_words(
-            good_capture, [faults[i].as_stuck_at() for i in to_grade], width)
-    act &= det
-    return {f: row_to_mask(act[i]) for i, f in enumerate(faults)}
+
+    signal: list[int]
+    stuck: list[int]
+    sites: list[tuple[int, int, int]]
+
+
+def _fault_rows(circuit: Circuit,
+                faults: Sequence[TransitionFault]) -> _FaultRows:
+    gates = circuit.gates
+    signal: list[int] = []
+    stuck: list[int] = []
+    sites: list[tuple[int, int, int]] = []
+    for f in faults:
+        gate, pin = f.site.gate, f.site.pin
+        value = f.launch_value
+        signal.append(gate if pin < 0 else gates[gate].fanin[pin])
+        stuck.append(value)
+        sites.append((gate, pin, value))
+    return _FaultRows(signal, stuck, sites)
+
+
+def _rank_key(circuit: Circuit) -> Callable[[TransitionFault], int]:
+    """Integer sort key ordering faults exactly like their dataclass order
+    ``(site.gate, site.pin, slow_to_rise)``."""
+    span = max((g.arity for g in circuit.gates), default=0) + 1
+    return lambda f: (((f.site.gate * span + f.site.pin + 1) << 1)
+                      | f.slow_to_rise)
+
+
+def _transition_masks(sim: BitParallelSimulator, good_launch: list[int],
+                      good_capture: list[int], rows: _FaultRows,
+                      idx: Sequence[int], width: int) -> list[int]:
+    """Detect masks of the faults ``idx`` (positions in ``rows``).
+
+    A transition fault is activated where the launch vector sets its site
+    to the launch value; the packed stuck-at kernel grades the capture
+    vector against those activation masks.
+    """
+    mask = (1 << width) - 1
+    signal, stuck, sites = rows
+    care = [good_launch[signal[j]] if stuck[j]
+            else mask ^ good_launch[signal[j]] for j in idx]
+    return sim.stuck_at_detect_masks(good_capture, [sites[j] for j in idx],
+                                     width, care)
+
+
+def _grade(sim: BitParallelSimulator, patterns: Sequence[PatternPair],
+           rows: _FaultRows, idx: Sequence[int]) -> list[int]:
+    """Detect masks of the faults ``idx`` under fully-specified pairs."""
+    launch, width = sim.pack_vectors([p.launch for p in patterns])
+    capture, _ = sim.pack_vectors([p.capture for p in patterns])
+    return _transition_masks(sim, sim.simulate(launch, width),
+                             sim.simulate(capture, width), rows, idx, width)
 
 
 def _detect_masks_matrix(circuit: Circuit, sim: BitParallelSimulator,
@@ -129,12 +162,9 @@ def _detect_masks_matrix(circuit: Circuit, sim: BitParallelSimulator,
     filled = test_set.filled(seed=seed)
     if not len(filled):
         return {f: 0 for f in faults}
-    launch_m, width = sim.pack_vectors_words([p.launch for p in filled])
-    capture_m, _ = sim.pack_vectors_words([p.capture for p in filled])
-    good_launch = sim.simulate_words(launch_m, width)
-    good_capture = sim.simulate_words(capture_m, width)
-    return _transition_masks(circuit, sim, good_launch, good_capture,
-                             faults, width)
+    masks = _grade(sim, filled.patterns, _fault_rows(circuit, faults),
+                   range(len(faults)))
+    return dict(zip(faults, masks))
 
 
 def _detect_masks_reference(circuit: Circuit, sim: BitParallelSimulator,
@@ -173,8 +203,8 @@ def detect_masks(circuit: Circuit, sim: BitParallelSimulator,
     """Per-fault bitmask of detecting patterns (bit p ↔ pattern p).
 
     Both engines return bit-identical masks; ``"matrix"`` grades all faults
-    through the vectorized word-matrix kernels, ``"reference"`` keeps the
-    seed per-fault big-int walk.
+    through the packed fault×pattern kernel, ``"reference"`` keeps the seed
+    per-fault big-int walk.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -182,23 +212,6 @@ def detect_masks(circuit: Circuit, sim: BitParallelSimulator,
         return _detect_masks_reference(circuit, sim, test_set, faults,
                                        seed=seed)
     return _detect_masks_matrix(circuit, sim, test_set, faults, seed=seed)
-
-
-def _grade_pair(circuit: Circuit, sim: BitParallelSimulator,
-                pair: PatternPair, faults: Sequence[TransitionFault]
-                ) -> dict[TransitionFault, int]:
-    """Grade one fully-specified pattern pair (deterministic phase).
-
-    Packs the pair directly — no single-pattern :class:`TestSet`, no
-    redundant re-fill, no re-sorted fault list — and reuses the batched
-    matrix grading.
-    """
-    launch_m, width = sim.pack_vectors_words([pair.launch])
-    capture_m, _ = sim.pack_vectors_words([pair.capture])
-    good_launch = sim.simulate_words(launch_m, width)
-    good_capture = sim.simulate_words(capture_m, width)
-    return _transition_masks(circuit, sim, good_launch, good_capture,
-                             faults, width)
 
 
 def generate_transition_tests(
@@ -216,8 +229,8 @@ def generate_transition_tests(
 ) -> AtpgResult:
     """Generate a compacted transition-fault pattern-pair set.
 
-    ``engine`` selects the fault-grading kernels (``"matrix"`` — vectorized
-    word-matrix engine with an incremental deterministic phase — or
+    ``engine`` selects the fault-grading kernels (``"matrix"`` — the packed
+    fault×pattern kernel with an incremental deterministic phase — or
     ``"reference"`` — the retained seed pipeline); results are identical.
     ``timer`` collects the per-stage wall-clock split (``random`` /
     ``podem`` / ``grade`` / ``compact``).
@@ -228,9 +241,13 @@ def generate_transition_tests(
     fault_list = faults if faults is not None else transition_fault_list(circuit)
     sim = BitParallelSimulator(circuit)
     width = len(circuit.sources())
+    rank = _rank_key(circuit)
+    # Faults in their sorted order, addressed by position from here on.
+    ranked = sorted(set(fault_list), key=rank)
+    rows = _fault_rows(circuit, ranked)
 
     test_set = TestSet(circuit)
-    undetected: set[TransitionFault] = set(fault_list)
+    undetected = list(range(len(ranked)))  # ascending = sorted order
     detected: set[TransitionFault] = set()
 
     # ------------------------------------------------------------------
@@ -246,23 +263,29 @@ def generate_transition_tests(
                 tuple(rng.randint(0, 1) for _ in range(width)),
                 tuple(rng.randint(0, 1) for _ in range(width)))
             for _ in range(random_batch)))
-        masks = detect_masks(circuit, sim, batch, sorted(undetected),
-                             seed=seed, engine=engine)
+        if engine == "reference":
+            by_fault = _detect_masks_reference(
+                circuit, sim, batch, [ranked[i] for i in undetected],
+                seed=seed)
+            masks = [by_fault[ranked[i]] for i in undetected]
+        else:
+            masks = _grade(sim, batch.patterns, rows, undetected)
         useful_bits = 0
-        newly: set[TransitionFault] = set()
-        for f, m in masks.items():
+        still: list[int] = []
+        for i, m in zip(undetected, masks):
             if m:
-                newly.add(f)
+                detected.add(ranked[i])
                 useful_bits |= m & (-m)  # keep the first detecting pattern
-        if not newly:
+            else:
+                still.append(i)
+        if not useful_bits:
             stale += 1
             continue
         stale = 0
         for p in range(len(batch)):
             if useful_bits >> p & 1:
                 test_set.append(batch[p])
-        detected |= newly
-        undetected -= newly
+        undetected = still
     if timer is not None:
         timer.add("random", time.perf_counter() - t0)
 
@@ -271,14 +294,14 @@ def generate_transition_tests(
     # ------------------------------------------------------------------
     result = AtpgResult(test_set=test_set, faults=list(fault_list),
                         detected=detected)
-    podem = Podem(circuit, max_backtracks=max_backtracks, seed=seed)
+    podem = Podem(circuit, max_backtracks=max_backtracks)
     sources = circuit.sources()
     if engine == "reference":
-        _phase2_reference(circuit, sim, podem, sources, rng, undetected,
-                          result, seed=seed)
+        _phase2_reference(circuit, sim, podem, sources, rng,
+                          {ranked[i] for i in undetected}, result, seed=seed)
     else:
-        _phase2_incremental(circuit, sim, podem, sources, rng, undetected,
-                            result, timer=timer)
+        _phase2_incremental(sim, podem, sources, rng, ranked, rows,
+                            undetected, result, timer=timer)
 
     # ------------------------------------------------------------------
     # Phase 3: static compaction (reverse-order fault dropping)
@@ -287,7 +310,7 @@ def generate_transition_tests(
     if compact and len(test_set) > 1:
         t0 = time.perf_counter() if timer is not None else 0.0
         masks = detect_masks(circuit, sim, test_set,
-                             sorted(result.detected), seed=seed,
+                             sorted(result.detected, key=rank), seed=seed,
                              engine=engine)
         kept = reverse_order_drop(len(test_set), masks.values())
         result.test_set = test_set.subset(kept)
@@ -297,45 +320,35 @@ def generate_transition_tests(
     return result
 
 
-def _phase2_incremental(circuit: Circuit, sim: BitParallelSimulator,
-                        podem: Podem, sources: list[int],
-                        rng: random.Random,
-                        undetected: set[TransitionFault],
-                        result: AtpgResult, *,
+def _phase2_incremental(sim: BitParallelSimulator, podem: Podem,
+                        sources: list[int], rng: random.Random,
+                        ranked: list[TransitionFault], rows: _FaultRows,
+                        undetected: list[int], result: AtpgResult, *,
                         timer: StageTimer | None) -> None:
-    """Deterministic phase on the matrix engine.
+    """Deterministic phase on the packed kernel.
 
-    The fault list is sorted once; each new pattern is packed exactly once
-    and graded against the still-undetected faults through the activation
-    pre-screen and cone-sharing batches.  Drops are applied incrementally
-    to the ``alive`` list instead of re-sorting ``remaining`` per pattern
-    — the seed's O(|F|²·log|F|) resort/regrade loop becomes O(|F|·|P_det|)
-    list filtering plus the (pre-screened) grading itself.
+    ``undetected`` holds positions in ``ranked`` in ascending (sorted)
+    order.  Each new pattern is packed exactly once and graded against the
+    still-open faults; a settled fault is flagged in ``settled`` and
+    filtered out of ``alive`` before the next grading, instead of being
+    searched for in a list of fault objects.
     """
     test_set = result.test_set
-    worklist = sorted(undetected)
-    remaining = set(undetected)
-    alive = list(worklist)  # invariant: worklist order, alive == remaining
-    for f in worklist:
-        if f not in remaining:
+    signal, stuck, _sites = rows
+    settled = bytearray(len(ranked))
+    alive = list(undetected)
+    for i in undetected:
+        if settled[i]:
             continue  # dropped by an earlier deterministic pattern
+        f = ranked[i]
         t0 = time.perf_counter() if timer is not None else 0.0
         capture_assign = podem.generate(f.as_stuck_at())
-        if capture_assign is None:
-            (result.aborted if podem.stats.aborted
-             else result.untestable).add(f)
-            remaining.discard(f)
-            alive.remove(f)
-            if timer is not None:
-                timer.add("podem", time.perf_counter() - t0)
-            continue
-        launch_assign = podem.justify(f.site.signal_gate(circuit),
-                                      f.launch_value)
+        launch_assign = (None if capture_assign is None
+                         else podem.justify(signal[i], stuck[i]))
         if launch_assign is None:
             (result.aborted if podem.stats.aborted
              else result.untestable).add(f)
-            remaining.discard(f)
-            alive.remove(f)
+            settled[i] = 1
             if timer is not None:
                 timer.add("podem", time.perf_counter() - t0)
             continue
@@ -345,23 +358,23 @@ def _phase2_incremental(circuit: Circuit, sim: BitParallelSimulator,
         if timer is not None:
             t1 = time.perf_counter()
             timer.add("podem", t1 - t0)
-        # Fault dropping: grade the new pattern against *all* remaining
-        # faults so later PODEM calls are skipped for collaterally
-        # detected ones.
-        masks = _grade_pair(circuit, sim, pair, alive)
+        # Fault dropping: grade the new pattern against *all* open faults
+        # so later PODEM calls are skipped for collaterally detected ones.
+        # Every fault sorted before ``f`` is settled, so ``alive[0]`` is f.
+        alive = [j for j in alive if not settled[j]]
+        masks = _grade(sim, (pair,), rows, alive)
         if timer is not None:
             timer.add("grade", time.perf_counter() - t1)
-        if masks[f]:
+        if masks[0]:
             test_set.append(pair)
-            dropped = {g for g, m in masks.items() if m}
-            result.detected |= dropped
-            remaining -= dropped
-            alive = [g for g in alive if g not in dropped]
+            for j, m in zip(alive, masks):
+                if m:
+                    settled[j] = 1
+                    result.detected.add(ranked[j])
         else:
             # Random fill spoiled the sensitization; treat as aborted.
             result.aborted.add(f)
-            remaining.discard(f)
-            alive.remove(f)
+            settled[i] = 1
 
 
 def _phase2_reference(circuit: Circuit, sim: BitParallelSimulator,

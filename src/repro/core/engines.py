@@ -130,7 +130,7 @@ def _fleet_adapter(engine_name: str) -> Callable[..., Any]:
 def _build_default_registry() -> EngineRegistry:
     reg = EngineRegistry()
     reg.register("atpg", "matrix", _atpg_adapter("matrix"), default=True,
-                 doc="vectorized word-matrix fault grading (PR 4)")
+                 doc="packed fault×pattern big-int grading kernel")
     reg.register("atpg", "reference", _atpg_adapter("reference"),
                  doc="seed big-int grading pipeline, kept for cross-checks")
     reg.register("simulation", "wordwave",

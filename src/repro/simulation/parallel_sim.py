@@ -2,36 +2,40 @@
 
 Packs one test pattern per bit, so a single topological sweep evaluates
 *all* patterns of a test set at once.  Used by the ATPG for random-pattern
-fault grading, fault dropping and static compaction — the classic
-single-fault-propagation scheme: the fault-free words are computed once,
-then each fault forces its site and re-evaluates only its fanout cone.
+fault grading, fault dropping and static compaction.
 
-Two engines share one :class:`BitParallelSimulator` instance:
+Two representations share one :class:`BitParallelSimulator` instance:
 
-* the **reference** engine (the seed implementation, retained verbatim for
-  golden-equivalence testing and perf baselining) carries the packed
-  patterns as arbitrary-width Python integers and re-evaluates one gate at
-  a time (:meth:`simulate`, :meth:`stuck_at_detect_mask`);
-* the **word-matrix** engine holds a ``(gates × W)`` ``uint64`` matrix
+* **big-int words** — the packed patterns of a gate as one arbitrary-width
+  Python integer (:meth:`pack_vectors`, :meth:`simulate`).  Stuck-at
+  grading runs on these, either one fault at a time
+  (:meth:`stuck_at_detect_mask`, the seed's single-fault propagation) or
+  through the *packed fault×pattern kernel*
+  (:meth:`stuck_at_detect_masks`): candidate faults are sorted by site
+  position and laid side by side in one Python int per chunk of
+  :data:`CHUNK_BITS` bits, each fault in its own byte-aligned block of
+  pattern bits.  The fault-free words are replicated into every block by a
+  repunit multiply, each fault's site is forced by set/clear masks on its
+  own block, and one sweep over the union of the chunk's fanout cones
+  evaluates every fault against every pattern at once.  Bitwise gate
+  operations never carry between bits, so the blocks are independent
+  single-fault simulations;
+* the **word-matrix** — a ``(gates × W)`` ``uint64`` matrix
   (``W = ceil(patterns / 64)`` words, same little-endian word convention as
-  :mod:`repro.utils.bitset`) and evaluates the circuit in *levelized
-  per-kind batches* — one vectorized numpy reduction per (level, kind,
-  arity) group instead of one Python call per gate
-  (:meth:`pack_vectors_words`, :meth:`simulate_words`).  Single-fault
-  propagation grades faults in *cone-sharing batches*
-  (:meth:`stuck_at_detect_words`): a batch of faults is carried as extra
-  matrix columns, their memoized cone schedules
-  (:meth:`Circuit.cone_schedule`) are merged, and one sweep over the merged
-  schedule re-evaluates every column at once.  Evaluating a gate outside a
-  particular fault's cone is harmless — its fanin equal the fault-free
-  words, so the result does too — which is what makes the sharing sound.
+  :mod:`repro.utils.bitset`) evaluated in *levelized per-kind batches*,
+  one vectorized numpy reduction per (level, kind, arity) group
+  (:meth:`pack_vectors_words`, :meth:`simulate_words`); the fault-free
+  sweep of the wordwave timing simulator.
 
-Both engines produce bit-identical detect masks (guarded by
+All paths produce bit-identical values and detect masks (guarded by
 ``tests/test_parallel_sim_matrix.py`` and the ATPG golden tests).
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from heapq import heappop, heappush
+from operator import and_, or_, xor
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,6 +45,12 @@ from repro.netlist.circuit import Circuit, GateKind
 
 #: Bits per packed word of the matrix engine.
 WORD_BITS = 64
+
+#: Bits per Python int of one packed fault×pattern grading chunk.  Large
+#: enough that the per-gate interpreter overhead of a sweep is spread over
+#: thousands of fault×pattern bits, small enough that a chunk's faults stay
+#: close together in the circuit (short union cone).
+CHUNK_BITS = 2 ** 14
 
 _FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -52,6 +62,19 @@ _KIND_KERNELS = {
     GateKind.NOR: (np.bitwise_or, True),
     GateKind.XOR: (np.bitwise_xor, False),
     GateKind.XNOR: (np.bitwise_xor, True),
+    GateKind.BUF: (None, False),
+    GateKind.NOT: (None, True),
+}
+
+
+#: Gate kind → (big-int reduction operator or None for unary, invert).
+_INT_OPS = {
+    GateKind.AND: (and_, False),
+    GateKind.NAND: (and_, True),
+    GateKind.OR: (or_, False),
+    GateKind.NOR: (or_, True),
+    GateKind.XOR: (xor, False),
+    GateKind.XNOR: (xor, True),
     GateKind.BUF: (None, False),
     GateKind.NOT: (None, True),
 }
@@ -112,12 +135,36 @@ class BitParallelSimulator:
                        if GateKind.is_combinational(circuit.gates[i].kind)]
         self._obs_gates = sorted({op.gate
                                   for op in circuit.observation_points()})
-        # Matrix-engine structures, built lazily on first use.
+        # Big-int and matrix-engine structures, built lazily on first use.
+        self._plan: list[tuple] | None = None
         self._level_batches: list[tuple] | None = None
-        self._gate_kernels: list[tuple | None] | None = None
         self._sources_np: np.ndarray | None = None
         self._const1_np: np.ndarray | None = None
-        self._obs_np: np.ndarray | None = None
+
+    def _build_int_plan(self) -> None:
+        """Big-int plan: ``(gate, operator, invert, fanin)`` per
+        combinational gate in topological order, each gate's position in
+        it, the positions of its combinational fanout, and observation
+        flags (the grading kernel's heap keys and detect points)."""
+        circuit = self.circuit
+        n = len(circuit.gates)
+        plan = []
+        plan_pos = [-1] * n  # -1: a source, never evaluated
+        for pos, idx in enumerate(self._order):
+            g = circuit.gates[idx]
+            op, invert = _INT_OPS[g.kind]
+            plan.append((idx, op, invert, g.fanin))
+            plan_pos[idx] = pos
+        fanout_pos: list[set[int]] = [set() for _ in range(n)]
+        for idx, _op, _invert, fanin in plan:
+            for s in fanin:
+                fanout_pos[s].add(plan_pos[idx])
+        self._plan_pos = plan_pos
+        self._fanout_pos = [sorted(f) for f in fanout_pos]
+        self._is_obs = bytearray(n)
+        for idx in self._obs_gates:
+            self._is_obs[idx] = 1
+        self._plan = plan
 
     # ------------------------------------------------------------------
     # Fault-free simulation (reference engine: Python big-int words)
@@ -135,10 +182,17 @@ class BitParallelSimulator:
         for g in self.circuit.gates:
             if g.kind == GateKind.CONST1:
                 words[g.index] = mask
-        for idx in self._order:
-            g = self.circuit.gates[idx]
-            words[idx] = _eval_word(
-                g.kind, [words[s] for s in g.fanin], mask)
+        if self._plan is None:
+            self._build_int_plan()
+        get = words.__getitem__
+        for idx, op, invert, fanin in self._plan:
+            if op is None:
+                w = words[fanin[0]]
+            elif len(fanin) == 2:
+                w = op(words[fanin[0]], words[fanin[1]])
+            else:
+                w = reduce(op, map(get, fanin))
+            words[idx] = w ^ mask if invert else w
         return words
 
     def activity_words(self, source_toggle_words: Mapping[int, int],
@@ -255,18 +309,11 @@ class BitParallelSimulator:
             fanin = np.asarray([circuit.gates[i].fanin for i in idxs],
                                dtype=np.intp)
             batches.append((op, invert, out_idx, fanin))
-        kernels: list[tuple | None] = [None] * len(circuit.gates)
-        for idx in self._order:
-            g = circuit.gates[idx]
-            op, invert = _KIND_KERNELS[g.kind]
-            kernels[idx] = (op, invert, np.asarray(g.fanin, dtype=np.intp))
         self._level_batches = batches
-        self._gate_kernels = kernels
         self._sources_np = np.asarray(self.circuit.sources(), dtype=np.intp)
         self._const1_np = np.asarray(
             [g.index for g in circuit.gates if g.kind == GateKind.CONST1],
             dtype=np.intp)
-        self._obs_np = np.asarray(self._obs_gates, dtype=np.intp)
 
     def pack_vectors_words(self, vectors: Sequence[Sequence[int]]
                            ) -> tuple[np.ndarray, int]:
@@ -319,98 +366,135 @@ class BitParallelSimulator:
             matrix[out_idx] = vals
         return matrix
 
-    def _forced_site_row(self, good: np.ndarray, fault: StuckAtFault,
-                         mrow: np.ndarray) -> np.ndarray:
-        """Faulty ``(W,)`` word at the fault's site gate output."""
-        site = fault.site
-        forced = mrow if fault.value else np.zeros_like(mrow)
-        if site.is_output_pin:
-            return forced
-        g = self.circuit.gates[site.gate]
-        ins = [good[s] for s in g.fanin]
-        ins[site.pin] = forced
-        op, invert = _KIND_KERNELS[g.kind]
-        row = ins[0].copy() if op is None else op.reduce(np.stack(ins), axis=0)
-        return (row ^ mrow) if invert else row
+    # ------------------------------------------------------------------
+    # Packed fault×pattern grading (big-int words)
+    # ------------------------------------------------------------------
+    def stuck_at_detect_masks(self, good: Sequence[int],
+                              sites: Sequence[tuple[int, int, int]],
+                              width: int,
+                              care: Sequence[int] | None = None) -> list[int]:
+        """Detect masks of many stuck-at faults in one packed kernel.
 
-    def _grade_batch(self, good: np.ndarray,
-                     faults: Sequence[StuckAtFault], width: int,
-                     out: np.ndarray, out_rows: Sequence[int]) -> None:
-        """Single-fault propagation of one cone-sharing batch.
+        ``good`` is the fault-free word list from :meth:`simulate`;
+        ``sites`` holds one ``(gate, pin, stuck value)`` triple per fault
+        at a combinational gate (pin ``-1`` is the output pin, as in
+        :class:`FaultSite`).  The
+        optional ``care`` masks are ANDed into the result per fault (the
+        activation of a transition fault).  Returns one mask per site,
+        bit-identical to :meth:`stuck_at_detect_mask` (ANDed with care).
 
-        Every fault of the batch occupies one column of a ``(gates, B, W)``
-        faulty matrix initialized to the fault-free words; the merged cone
-        schedule is swept once, evaluating all columns per gate.  A column
-        whose fault's cone does not contain the gate re-evaluates to the
-        fault-free word, so over-evaluation cannot corrupt it; site gates
-        are re-forced after evaluation in case they sit inside another
-        batch member's cone.
+        Only *candidates* are simulated: faults with a nonzero care mask
+        whose forced value changes the site output under some cared-for
+        pattern — every other fault detects nothing.
         """
-        circuit = self.circuit
-        mrow = mask_row(width)
-        site_rows = []
-        active: list[int] = []
-        for b, f in enumerate(faults):
-            row = self._forced_site_row(good, f, mrow)
-            if bool(np.any(row != good[f.site.gate])):
-                active.append(b)
-                site_rows.append(row)
-            # else: the forced value never changes the site signal — the
-            # detect row stays zero (pre-filled by the caller).
-        if not active:
-            return
-        b_n = len(active)
-        faulty = np.repeat(good[:, None, :], b_n, axis=1)
-        forced_at: dict[int, list[tuple[int, np.ndarray]]] = {}
-        cone_union: set[int] = set()
-        for col, b in enumerate(active):
-            site_gate = faults[b].site.gate
-            faulty[site_gate, col] = site_rows[col]
-            forced_at.setdefault(site_gate, []).append((col, site_rows[col]))
-            cone_union.update(circuit.cone_schedule(site_gate))
-        pos = circuit.topo_positions
-        kernels = self._gate_kernels
-        for idx in sorted(cone_union, key=pos.__getitem__):
-            op, invert, fanin = kernels[idx]
-            if op is None:
-                vals = faulty[fanin[0]].copy()
-            else:
-                vals = op.reduce(faulty[fanin], axis=0)
-            if invert:
-                vals ^= mrow
-            refor = forced_at.get(idx)
-            if refor is not None:
-                for col, row in refor:
-                    vals[col] = row
-            faulty[idx] = vals
-        obs = self._obs_np
-        if obs.size:
-            diff = faulty[obs] ^ good[obs][:, None, :]
-            det = np.bitwise_or.reduce(diff, axis=0)
-            for col, b in enumerate(active):
-                out[out_rows[b]] = det[col]
-
-    def stuck_at_detect_words(self, good: np.ndarray,
-                              faults: Sequence[StuckAtFault], width: int,
-                              *, batch: int = 64) -> np.ndarray:
-        """Per-fault ``(len(faults), W)`` detect words, batched grading.
-
-        ``good`` is the fault-free matrix from :meth:`simulate_words`.
-        Faults are sorted by the topological position of their site so each
-        batch shares (and each merged schedule stays close to) one fanout
-        region; rows of the result stay in input order and are bit-
-        identical to :meth:`stuck_at_detect_mask`.
-        """
-        if self._level_batches is None:
-            self._build_matrix_plan()
-        out = np.zeros((len(faults), good.shape[1]), dtype=np.uint64)
-        if not len(faults) or width == 0:
+        n = len(sites)
+        out = [0] * n
+        if not n or width <= 0:
             return out
-        pos = self.circuit.topo_positions
-        order = sorted(range(len(faults)),
-                       key=lambda i: (pos[faults[i].site.gate], i))
-        for lo in range(0, len(order), batch):
-            chunk = order[lo:lo + batch]
-            self._grade_batch(good, [faults[i] for i in chunk], width,
-                              out, chunk)
+        mask = (1 << width) - 1
+        if self._plan is None:
+            self._build_int_plan()
+        plan, plan_pos = self._plan, self._plan_pos
+        candidates: list[tuple[int, int]] = []
+        for i, (gate, pin, value) in enumerate(sites):
+            if plan_pos[gate] < 0:
+                raise ValueError(f"fault site {gate} is not a "
+                                 "combinational gate")
+            c = mask if care is None else care[i]
+            if not c:
+                continue
+            forced = mask if value else 0
+            if pin >= 0:
+                _idx, op, invert, fanin = plan[plan_pos[gate]]
+                if not (good[fanin[pin]] ^ forced) & c:
+                    continue  # the pin already carries the forced value
+                ins = [good[s] for s in fanin]
+                ins[pin] = forced
+                forced = reduce(op, ins) if op is not None else ins[0]
+                if invert:
+                    forced ^= mask
+            if (forced ^ good[gate]) & c:
+                candidates.append((plan_pos[gate], i))
+        if not candidates:
+            return out
+        candidates.sort()
+        block = (width + 7) >> 3  # bytes per fault
+        per_chunk = max(1, CHUNK_BITS // (block * 8))
+        for lo in range(0, len(candidates), per_chunk):
+            chunk = [i for _pos, i in candidates[lo:lo + per_chunk]]
+            det = self._sweep_chunk(good, [sites[i] for i in chunk], mask,
+                                    block)
+            if care is not None:
+                det &= int.from_bytes(b"".join(
+                    care[i].to_bytes(block, "little") for i in chunk),
+                    "little")
+            raw = det.to_bytes(block * len(chunk), "little")
+            for k, i in enumerate(chunk):
+                out[i] = int.from_bytes(raw[k * block:(k + 1) * block],
+                                        "little")
         return out
+
+    def _sweep_chunk(self, good: Sequence[int],
+                     sites: Sequence[tuple[int, int, int]], mask: int,
+                     block: int) -> int:
+        """Packed detect word of one chunk (fault ``k`` in block ``k``).
+
+        Every gate's fault-free word is replicated into all blocks by a
+        multiply with the repunit ``Σ 2**(8·block·k)``; each site is forced
+        by set/clear masks confined to its own block (input pins before
+        the gate evaluates, output pins after).  The sweep visits gates in
+        topological order through a heap of plan positions, seeded with
+        the sites; a gate whose result differs from its replicated
+        fault-free word schedules its fanout, so the sweep covers exactly
+        the union of the chunk's live cones, once.
+        """
+        bits = block * 8
+        rep = int.from_bytes((b"\x01" + bytes(block - 1)) * len(sites),
+                             "little")
+        full = mask * rep
+        # gate → [clear, set] output masks; gate → {pin: [clear, set]}.
+        out_force: dict[int, list[int]] = {}
+        pin_force: dict[int, dict[int, list[int]]] = {}
+        for k, (gate, pin, value) in enumerate(sites):
+            if pin < 0:
+                slot = out_force.setdefault(gate, [0, 0])
+            else:
+                slot = pin_force.setdefault(gate, {}).setdefault(pin, [0, 0])
+            slot[value] |= mask << (k * bits)
+        # The chunk's word of every gate read so far: replicated
+        # fault-free, or faulty where it differs.
+        words: dict[int, int] = {}
+        is_obs = self._is_obs
+        det = 0
+        plan, fanout_pos = self._plan, self._fanout_pos
+        plan_pos = self._plan_pos
+        heap = sorted({plan_pos[gate] for gate, _pin, _value in sites})
+        queued = set(heap)
+        while heap:
+            idx, op, invert, fanin = plan[heappop(heap)]
+            ins = []
+            for s in fanin:
+                w = words.get(s)
+                if w is None:
+                    w = words[s] = good[s] * rep
+                ins.append(w)
+            pins = pin_force.get(idx)
+            if pins is not None:
+                for pin, (clear, set_) in pins.items():
+                    ins[pin] = (ins[pin] & ~clear) | set_
+            w = reduce(op, ins) if op is not None else ins[0]
+            if invert:
+                w ^= full
+            outs = out_force.get(idx)
+            if outs is not None:
+                w = (w & ~outs[0]) | outs[1]
+            ref = good[idx] * rep
+            words[idx] = w
+            if w != ref:
+                if is_obs[idx]:
+                    det |= w ^ ref
+                for q in fanout_pos[idx]:
+                    if q not in queued:
+                        queued.add(q)
+                        heappush(heap, q)
+        return det

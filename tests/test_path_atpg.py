@@ -23,7 +23,7 @@ def chain():
 
 class TestJustifyAll:
     def test_multiple_objectives_satisfied(self, c17):
-        podem = Podem(c17, seed=0)
+        podem = Podem(c17)
         n10, n16 = c17.index_of("N10"), c17.index_of("N16")
         assignment = podem.justify_all([(n10, 0), (n16, 1)])
         assert assignment is not None
@@ -38,13 +38,13 @@ class TestJustifyAll:
         assert good[n10] == 0 and good[n16] == 1
 
     def test_conflicting_objectives_fail(self, chain):
-        podem = Podem(chain, seed=0)
+        podem = Podem(chain)
         g1, g2 = chain.index_of("g1"), chain.index_of("g2")
         # g2 buffers g1: demanding opposite values is unsatisfiable.
         assert podem.justify_all([(g1, 1), (g2, 0)]) is None
 
     def test_source_objectives_direct(self, chain):
-        podem = Podem(chain, seed=0)
+        podem = Podem(chain)
         a = chain.index_of("a")
         assert podem.justify_all([(a, 1)]) == {a: 1}
         g1 = chain.index_of("g1")
@@ -52,7 +52,7 @@ class TestJustifyAll:
         assert out == {a: 1}
 
     def test_contradictory_source_values(self, chain):
-        podem = Podem(chain, seed=0)
+        podem = Podem(chain)
         a = chain.index_of("a")
         assert podem.justify_all([(a, 1), (a, 0)]) is None
 

@@ -1,6 +1,6 @@
 """Golden equivalence: matrix ATPG engine vs the retained seed reference.
 
-The rebuilt word-matrix grading engine (``engine="matrix"``) must be a
+The packed fault×pattern grading engine (``engine="matrix"``) must be a
 pure performance change: bit-identical per-fault detect masks and an
 identical compacted test set, fault ledger and coverage for every circuit
 and seed.  These tests pin that contract (the benchmark in

@@ -17,7 +17,7 @@ import time
 
 from conftest import _PROFILE, BENCH_ATPG_FILE, write_artifact
 
-from repro.core.engines import ENGINES
+from repro.atpg.transition import generate_transition_tests
 from repro.netlist.circuit import GateKind
 from repro.utils.profiling import StageTimer
 
@@ -43,9 +43,9 @@ _ATPG_SEED = 7  # must match SuiteRunConfig.atpg_seed / FlowConfig.atpg_seed
 
 
 def _run_engine(circuit, engine, timer=None):
-    fn = ENGINES.resolve("atpg", engine).fn
     t0 = time.perf_counter()
-    atpg = fn(circuit, seed=_ATPG_SEED, timer=timer)
+    atpg = generate_transition_tests(circuit, seed=_ATPG_SEED, engine=engine,
+                                     timer=timer)
     return atpg, time.perf_counter() - t0
 
 

@@ -20,7 +20,7 @@ import time
 from conftest import _PROFILE, BENCH_DETECTION_FILE, write_artifact
 
 from repro.core.config import FlowConfig
-from repro.core.engines import ENGINES
+from repro.faults.detection import compute_detection_data
 from repro.netlist.circuit import GateKind
 from repro.utils.profiling import StageTimer
 
@@ -70,10 +70,10 @@ def _detection_workload(res):
 
 
 def _run_engine(res, engine, timer=None):
-    fn = ENGINES.resolve("simulation", engine).fn
     t0 = time.perf_counter()
-    data = fn(res.circuit, res.data.faults, res.test_set,
-              timer=timer, **_detection_workload(res))
+    data = compute_detection_data(res.circuit, res.data.faults, res.test_set,
+                                  engine=engine, timer=timer,
+                                  **_detection_workload(res))
     return data, time.perf_counter() - t0
 
 
@@ -234,9 +234,9 @@ def test_detection_large_circuit_benchmark(benchmark, results_dir):
     circuit, faults, patterns, kwargs = _large_workload()
 
     def _run(engine, fault_list):
-        fn = ENGINES.resolve("simulation", engine).fn
         t0 = time.perf_counter()
-        data = fn(circuit, fault_list, patterns, **kwargs)
+        data = compute_detection_data(circuit, fault_list, patterns,
+                                      engine=engine, **kwargs)
         return data, time.perf_counter() - t0
 
     measured: dict[str, float] = {}

@@ -20,9 +20,9 @@ import time
 
 from conftest import _PROFILE, BENCH_SCHEDULE_FILE, write_artifact
 
-from repro.core.engines import ENGINES
 from repro.scheduling.baselines import conventional_targets
 from repro.scheduling.reference import optimize_schedule_reference
+from repro.scheduling.schedule import optimize_schedule
 from repro.utils.profiling import StageTimer
 
 #: Schedule-stage wall clock of the seed (frozenset) scheduler, measured
@@ -69,13 +69,13 @@ def _clear_schedule_caches(data):
 
 
 def _run_bitset(res, timer=None):
-    fn = ENGINES.resolve("schedule", "bitset").fn
     _clear_schedule_caches(res.data)
     out = {}
     t0 = time.perf_counter()
     for label, targets, configs, solver, cov in _workload(res):
-        out[label] = fn(res.data, targets, res.clock, configs, solver=solver,
-                        coverage=cov, timer=timer)
+        out[label] = optimize_schedule(res.data, targets, res.clock, configs,
+                                       solver=solver, coverage=cov,
+                                       timer=timer)
     return out, time.perf_counter() - t0
 
 

@@ -489,7 +489,7 @@ def simulate_fleet_vectorized(circuit: Circuit, spec: ScenarioSpec,
     )
 
 
-#: Engine-name dispatch used by the registry adapter and the CLI.
+#: Engine-name dispatch of :func:`simulate_fleet` and the shard workers.
 FLEET_ENGINES = {
     "reference": simulate_fleet_reference,
     "vectorized": simulate_fleet_vectorized,

@@ -41,7 +41,7 @@ Examples::
     python -m repro fig3 s13207
     python -m repro aging s27 --marginal 2
     python -m repro suite --profile synth --count 40 --workers 4
-    python -m repro resched s9234 --alerts alerts.json --engine incremental
+    python -m repro resched s9234 --alerts alerts.json
     python -m repro serve --port 8732
     python -m repro submit job.json --wait
     python -m repro generate demo.bench --gates 200 --ffs 32
@@ -258,8 +258,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
     job = FleetJob(circuit=args.circuit, scenario=spec,
-                   devices=args.devices, engine=args.engine,
-                   jobs=args.jobs)
+                   devices=args.devices, jobs=args.jobs)
     outcome = _run_job(job, store=None if args.no_cache else ENV_STORE)
     study = outcome.value
     summary = study.summary()
@@ -268,7 +267,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         return 0
     m = summary["metrics"]
     print(f"fleet: {study.circuit}  devices={study.devices}  "
-          f"engine={study.engine}  scenario={spec.fingerprint()}")
+          f"scenario={spec.fingerprint()}")
     print(f"failed={m['failed']}  detected={m['detected']}  "
           f"missed={m['missed']}  false_alarms={m['false_alarms']}  "
           f"infant={summary['distributions']['infant_devices']}")
@@ -345,7 +344,6 @@ def cmd_resched(args: argparse.Namespace) -> int:
             monitor_fraction=args.monitor_fraction,
             pattern_cap=args.pattern_cap,
             atpg_seed=args.seed,
-            engine=args.engine,
             alerts=(ReschedJob.alerts_from_deltas(
                 _load_alert_stream(args.alerts)) if args.alerts else ()),
             scenario=(ScenarioSpec.load(args.scenario)
@@ -360,7 +358,6 @@ def cmd_resched(args: argparse.Namespace) -> int:
     events = outcome.payload["events"]
     summary = outcome.payload["summary"]
     print(f"resched: {initial['circuit']}  "
-          f"engine={initial['engine']}  "
           f"alerts={initial['alerts']}  "
           f"targets={initial['targets']}  "
           f"initial: freqs={initial['frequencies']} "
@@ -485,7 +482,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _bench_detection_engines(res) -> dict[str, float]:
-    """Best-of-two wall clock of every registered simulation engine."""
+    """Best-of-two wall clock of every detection engine."""
     import time
 
     from repro.faults.detection import compute_detection_data
@@ -676,8 +673,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "suite": (root / "BENCH_suite.json", None),
         "service": (root / "BENCH_service.json", None),
     }
-    # The detection workload is the engine registry's "simulation" stage;
-    # accept either spelling.
+    # The detection workload is the pipeline's "simulation" stage; accept
+    # either spelling.
     stage_arg = "detection" if args.stage == "simulation" else args.stage
     if stage_arg != "all":
         if stage_arg not in stages:
@@ -885,9 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--jobs", type=int, default=1,
                          help="worker processes sharding the population "
                               "(results are bit-identical to --jobs 1)")
-    p_fleet.add_argument("--engine", default=None,
-                         choices=("reference", "vectorized"),
-                         help="fleet engine (default: registry default)")
     p_fleet.add_argument("--seed", type=int, default=None,
                          help="override the scenario's population seed")
     p_fleet.add_argument("--json", action="store_true",
@@ -934,9 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_resched.add_argument("--scenario", metavar="FILE.json", default=None,
                            help="ScenarioSpec JSON driving the synthetic "
                                 "alert generator (ignored with --alerts)")
-    p_resched.add_argument("--engine", default=None,
-                           help="resched engine: incremental (default) or "
-                                "cold (full re-solve baseline)")
     p_resched.add_argument("--max-gates", type=int, default=1,
                            help="alert granularity: gates per synthetic "
                                 "alert event (default 1)")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engines import ENGINES
 from repro.monitors.insertion import DEFAULT_COVERAGE_FRACTION
 from repro.monitors.monitor import PAPER_DELAY_FRACTIONS
 from repro.scheduling.setcover import DEFAULT_TIME_LIMIT_S
@@ -21,11 +20,6 @@ class FlowConfig:
     f_nom``, monitors on 25 % of the pseudo-primary outputs with delay
     elements {0.05, 0.1, 0.15, 1/3}·clk, fault size δ = 6σ with σ = 20 % of
     the nominal gate delay.
-
-    Engine selection is per pipeline stage through ``engines`` — a tuple of
-    ``(stage, engine)`` pairs validated against
-    :data:`repro.core.engines.ENGINES` and normalized in
-    ``__post_init__`` to one entry per engine-bearing stage.
     """
 
     #: Maximum FAST frequency as a multiple of f_nom.
@@ -52,10 +46,6 @@ class FlowConfig:
     #: Worker processes for the per-period step-2 cover solves
     #: (1 = in-process; results are identical either way).
     schedule_jobs: int = 1
-    #: Per-stage engine selection, e.g. ``(("atpg", "reference"),)``.
-    #: Unlisted stages use their registry default; normalized to one sorted
-    #: ``(stage, engine)`` pair per engine-bearing stage.
-    engines: tuple[tuple[str, str], ...] = ()
     #: Coverage targets for Table III style relaxed schedules.
     coverage_targets: tuple[float, ...] = field(default=(0.99, 0.98, 0.95, 0.90))
 
@@ -72,21 +62,3 @@ class FlowConfig:
             raise ValueError("schedule_jobs must be >= 1")
         if any(not 0.0 < c <= 1.0 for c in self.coverage_targets):
             raise ValueError("coverage targets must lie in (0, 1]")
-
-        selected = {}
-        for stage, name in self.engines:
-            if stage in selected and selected[stage] != name:
-                raise ValueError(f"conflicting engines for stage {stage!r}")
-            selected[stage] = name
-        resolved = {stage: ENGINES.resolve(stage, name).name
-                    for stage, name in selected.items()}
-        for stage in ENGINES.stages():
-            resolved.setdefault(stage, ENGINES.default(stage))
-        self.engines = tuple(sorted(resolved.items()))
-
-    def engine_for(self, stage: str) -> str:
-        """Selected engine name for ``stage`` (registry default if unset)."""
-        for name, engine in self.engines:
-            if name == stage:
-                return engine
-        return ENGINES.default(stage)

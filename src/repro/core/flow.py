@@ -200,7 +200,6 @@ class HdfTestFlow:
         if test_set is None:
             note("transition-fault ATPG")
             atpg = generate_transition_tests(self.circuit, seed=cfg.atpg_seed,
-                                             engine=cfg.engine_for("atpg"),
                                              timer=timer)
             test_set = atpg.test_set
         if cfg.pattern_cap is not None and len(test_set) > cfg.pattern_cap:
@@ -216,7 +215,6 @@ class HdfTestFlow:
             monitored_gates=placement.monitored_gates,
             inertial=cfg.inertial_ps,
             jobs=cfg.simulation_jobs,
-            engine=cfg.engine_for("simulation"),
             timer=timer)
 
         # -- Step 5: classification / target faults -----------------------

@@ -8,7 +8,7 @@ keyed by a Merkle-style content hash::
 
     key(stage) = sha256(stage name, stage CACHE_VERSION,
                         circuit content hash,
-                        stage semantic config fields (+ engine selection),
+                        stage semantic config fields,
                         {dep: key(dep) for dep in stage.deps})
 
 so a key changes exactly when the stage itself, its configuration, the

@@ -11,8 +11,8 @@ cache-keying path.  This module collapses them into one typed layer:
   (:meth:`JobSpec.to_dict` / :meth:`JobSpec.from_dict`), schema
   validation raising :class:`SpecError` with actionable messages, and a
   canonical :meth:`JobSpec.fingerprint` — sha256 over sorted-key compact
-  JSON, the same hashing discipline the stage cache keys artifacts with
-  (:mod:`repro.experiments.artifact_cache`).
+  JSON, the same hashing discipline the pipeline keys stage artifacts
+  with (:meth:`repro.core.pipeline.Pipeline.stage_keys`).
 * :class:`ScenarioSpec` / :class:`VariationSpec` (previously
   ``repro.aging.scenario``, which now re-exports from here) describe
   everything random or physical about a lifetime study and ride inside
@@ -20,8 +20,8 @@ cache-keying path.  This module collapses them into one typed layer:
 
 Fingerprints cover only *semantic* fields: knobs that cannot change the
 result (worker counts, execution substrate) are declared per class in
-``NON_SEMANTIC`` and excluded, mirroring the runner cache's
-``_NON_SEMANTIC_FIELDS``.  Two submissions with equal fingerprints are
+``NON_SEMANTIC`` and excluded, just as the stage keys leave out
+``FlowConfig``'s worker counts.  Two submissions with equal fingerprints are
 therefore interchangeable — the property the service orchestrator's
 dedupe relies on (:mod:`repro.service.orchestrator`).
 
@@ -39,8 +39,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, ClassVar, Mapping
-
-from repro.core.engines import ENGINES
 
 #: Bumped when the canonical serialisation of any spec changes meaning,
 #: so stale fingerprints can never alias fresh ones.
@@ -288,37 +286,6 @@ class JobSpec:
             {"version": SPEC_VERSION, "spec": self.semantic_dict()})
 
 
-def _check_engines(pairs: Any, *, stages: tuple[str, ...] | None = None
-                   ) -> tuple[tuple[str, str], ...]:
-    """Validate/normalize explicit ``(stage, engine)`` selections."""
-    seen: dict[str, str] = {}
-    for item in pairs:
-        try:
-            stage, name = item
-        except (TypeError, ValueError):
-            raise SpecError(f"engines entries must be (stage, engine) "
-                            f"pairs, got {item!r}") from None
-        if stages is not None and stage not in stages:
-            raise SpecError(f"engine selection for stage {stage!r} not "
-                            f"allowed here (stages: {', '.join(stages)})")
-        try:
-            resolved = ENGINES.resolve(stage, name).name
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
-        if seen.get(stage, resolved) != resolved:
-            raise SpecError(f"conflicting engines for stage {stage!r}")
-        seen[stage] = resolved
-    return tuple(sorted(seen.items()))
-
-
-def _check_resched_engine(name: str | None) -> None:
-    if name is not None:
-        try:
-            ENGINES.resolve("resched", name)
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
-
-
 @dataclass(frozen=True)
 class FlowJob(JobSpec):
     """One complete HDF test flow on one circuit.
@@ -334,10 +301,6 @@ class FlowJob(JobSpec):
     monitor_fraction: float = 0.25
     pattern_cap: int | None = None
     atpg_seed: int = 7
-    #: Explicit per-stage engine overrides; unlisted stages keep their
-    #: registry defaults (engine outputs are pinned bit-identical, but
-    #: selection is part of the stage-cache key, hence semantic).
-    engines: tuple[tuple[str, str], ...] = ()
     with_schedules: bool = True
     with_coverage_schedules: bool = False
 
@@ -350,14 +313,6 @@ class FlowJob(JobSpec):
             raise SpecError("monitor_fraction must lie in [0, 1]")
         if self.pattern_cap is not None and self.pattern_cap < 1:
             raise SpecError("pattern_cap must be positive when given")
-        object.__setattr__(self, "engines", _check_engines(self.engines))
-
-    @classmethod
-    def _coerce(cls, payload: dict) -> dict:
-        if "engines" in payload and payload["engines"] is not None:
-            payload["engines"] = tuple(
-                tuple(p) for p in payload["engines"])
-        return payload
 
     def flow_config(self, *, simulation_jobs: int = 1,
                     schedule_jobs: int = 1):
@@ -369,7 +324,6 @@ class FlowJob(JobSpec):
             monitor_fraction=self.monitor_fraction,
             pattern_cap=self.pattern_cap,
             atpg_seed=self.atpg_seed,
-            engines=self.engines,
             simulation_jobs=simulation_jobs,
             schedule_jobs=schedule_jobs,
         )
@@ -472,9 +426,6 @@ class FleetJob(JobSpec):
     circuit: str = ""
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
     devices: int = 1024
-    #: Fleet engine name (None = registry default).  Selection is part
-    #: of the aging stage's cache key, hence semantic.
-    engine: str | None = None
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -484,11 +435,6 @@ class FleetJob(JobSpec):
             raise SpecError("devices must be >= 1")
         if self.jobs < 1:
             raise SpecError("jobs must be >= 1")
-        if self.engine is not None:
-            try:
-                ENGINES.resolve("aging", self.engine)
-            except ValueError as exc:
-                raise SpecError(str(exc)) from exc
 
     @classmethod
     def _coerce(cls, payload: dict) -> dict:
@@ -515,7 +461,7 @@ def _canonical_alerts(alerts: Any) -> tuple[tuple[tuple[int, float], ...],
 
 @dataclass(frozen=True)
 class ReschedJob(JobSpec):
-    """One in-field alert-stream replay through the resched engine.
+    """One in-field alert-stream replay through the warm re-solver.
 
     ``alerts`` is an explicit stream — ordered events, each a tuple of
     sorted ``(gate, shift_ps)`` pairs (the canonical form of
@@ -531,8 +477,6 @@ class ReschedJob(JobSpec):
     monitor_fraction: float = 0.25
     pattern_cap: int | None = None
     atpg_seed: int = 7
-    #: Resched engine name (None = registry default).
-    engine: str | None = None
     alerts: tuple[tuple[tuple[int, float], ...], ...] = ()
     scenario: ScenarioSpec | None = None
     #: Synthetic-generator granularity: gates per alert event.
@@ -549,7 +493,6 @@ class ReschedJob(JobSpec):
             raise SpecError("pattern_cap must be positive when given")
         if self.max_gates < 1:
             raise SpecError("max_gates must be >= 1")
-        _check_resched_engine(self.engine)
         object.__setattr__(self, "alerts",
                            _canonical_alerts(self.alerts))
 

@@ -14,31 +14,36 @@ Stage DAG (deps point left)::
     atpg ─────────────────────^              sta ────────^
     (sta, atpg also feed simulation; sta feeds classify/schedule)
 
-Engine-bearing stages (``atpg``, ``simulation``, ``schedule``) resolve
-their implementation through :data:`repro.core.engines.ENGINES` using the
-per-stage selection in ``FlowConfig.engines``.
+Each stage calls its one production implementation directly; the
+retained twins (reference ATPG and detection, the per-device fleet loop)
+are test oracles reached through the functions' own ``engine=``
+parameters, never through the flow.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.aging.fleet import FleetResult, fleet_setup, sample_population
+from repro.aging.fleet import (
+    FleetResult,
+    fleet_setup,
+    sample_population,
+    simulate_fleet_vectorized,
+)
 from repro.aging.prediction import FleetPredictions, predict_fleet
 from repro.aging.scenario import ScenarioSpec
 from repro.atpg.patterns import TestSet
-from repro.atpg.transition import AtpgResult
+from repro.atpg.transition import AtpgResult, generate_transition_tests
 from repro.core.config import FlowConfig
-from repro.core.engines import ENGINES, EngineRegistry
 from repro.faults.classify import (
     FaultClassification,
     StructuralFilterResult,
     classify_faults,
     structural_prefilter,
 )
-from repro.faults.detection import DetectionData
+from repro.faults.detection import DetectionData, compute_detection_data
 from repro.faults.models import SmallDelayFault
 from repro.faults.universe import small_delay_fault_universe
 from repro.monitors.insertion import MonitorPlacement, insert_monitors
@@ -64,7 +69,7 @@ class StageContext:
 
     circuit: Circuit
     config: FlowConfig
-    #: Externally supplied pattern set (bypasses the ATPG engine).
+    #: Externally supplied pattern set (bypasses the ATPG).
     test_set: TestSet | None = None
     with_schedules: bool = True
     with_coverage_schedules: bool = False
@@ -80,11 +85,6 @@ class StageContext:
     timer: StageTimer | None = None
     #: Progress callback (the flow's ``progress=`` argument).
     note: Callable[[str], None] = lambda _msg: None
-    registry: EngineRegistry = field(default_factory=lambda: ENGINES)
-
-    def engine(self, stage: str):
-        """Resolved engine adapter for ``stage`` per the flow config."""
-        return self.registry.resolve(stage, self.config.engine_for(stage))
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +181,6 @@ class Stage:
             if isinstance(value, tuple):
                 value = list(value)
             out[name] = value
-        if self.name in ctx.registry.stages():
-            out["engine"] = ctx.config.engine_for(self.name)
         return out
 
 
@@ -245,8 +243,8 @@ class AtpgStage(Stage):
         test_set = ctx.test_set
         if test_set is None:
             ctx.note("transition-fault ATPG")
-            atpg = ctx.engine(self.name).fn(ctx.circuit, seed=cfg.atpg_seed,
-                                            timer=ctx.timer)
+            atpg = generate_transition_tests(ctx.circuit, seed=cfg.atpg_seed,
+                                             timer=ctx.timer)
             test_set = atpg.test_set
         if cfg.pattern_cap is not None and len(test_set) > cfg.pattern_cap:
             test_set = test_set.subset(range(cfg.pattern_cap))
@@ -282,7 +280,7 @@ class SimulationStage(Stage):
         patterns: PatternsArtifact = inputs["atpg"]
         ctx.note(f"fault simulation ({len(faults.faults)} faults x "
                  f"{len(patterns.test_set)} patterns)")
-        data = ctx.engine(self.name).fn(
+        data = compute_detection_data(
             ctx.circuit, faults.faults, patterns.test_set,
             horizon=timing.clock.t_nom,
             monitored_gates=timing.placement.monitored_gates,
@@ -356,9 +354,9 @@ class AgingStage(Stage):
     """Fleet-scale Monte Carlo lifetime evaluation (not in the Fig. 4 flow).
 
     Consumes the cached ``sta`` artifact (clock, monitor placement) and
-    runs the configured fleet engine over a sampled device population;
+    runs the vectorized fleet kernel over a sampled device population;
     keyed by the scenario fingerprint and device count so repeated sweeps
-    over engines or analysis settings replay from the cache.
+    over analysis settings replay from the cache.
     """
 
     name = "aging"
@@ -384,8 +382,8 @@ class AgingStage(Stage):
             ctx.circuit, spec, clock_period=period,
             config_delays=tuple(configs),
             monitored_gates=timing.placement.monitored_gates)
-        result = ctx.engine(self.name).fn(ctx.circuit, spec, population,
-                                          setup=setup, jobs=ctx.fleet_jobs)
+        result = simulate_fleet_vectorized(ctx.circuit, spec, population,
+                                           setup=setup, jobs=ctx.fleet_jobs)
         predictions = predict_fleet(result)
         return FleetArtifact(result=result, predictions=predictions,
                              metrics=predictions.metrics())

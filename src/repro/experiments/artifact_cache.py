@@ -7,9 +7,9 @@ disk at **stage** granularity: the :class:`~repro.core.pipeline.Pipeline`
 keys every stage by a Merkle-style content hash of
 
 * the circuit content hash,
-* the stage's semantic config fields (including its engine selection) —
-  worker-count knobs (``simulation_jobs`` / ``schedule_jobs``) are
-  deliberately excluded, results are bit-identical for any job count,
+* the stage's semantic config fields — worker-count knobs
+  (``simulation_jobs`` / ``schedule_jobs``) are deliberately excluded,
+  results are bit-identical for any job count,
 * the keys of its upstream stages, and
 * the stage's own ``CACHE_VERSION``,
 
@@ -29,28 +29,22 @@ Environment knobs:
 
 Writes are atomic (temp file + ``os.replace``) so concurrent workers of the
 parallel suite runner can share one directory safely; loads tolerate
-corrupt/truncated entries by treating them as misses.
+corrupt/truncated entries by treating them as misses.  Entries are
+pickles, so the store must live in a local, user-owned directory: loading
+an entry runs whatever code its bytes name.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import pickle
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 from typing import Any
-
-from repro.core.config import FlowConfig
 
 #: Global salt over every stage entry — bump on cross-cutting semantic
 #: changes (per-stage changes should bump the stage's own CACHE_VERSION).
 CACHE_VERSION = 2
-
-#: FlowConfig fields excluded from flow keys: they cannot change the result.
-_NON_SEMANTIC_FIELDS = frozenset({"simulation_jobs", "schedule_jobs"})
 
 
 def cache_enabled() -> bool:
@@ -67,44 +61,19 @@ def default_cache_dir() -> Path:
     return Path(__file__).resolve().parents[3] / ".repro_cache"
 
 
-def config_fingerprint(config: FlowConfig) -> dict[str, Any]:
-    """JSON-serializable view of the semantically relevant config fields."""
-    out: dict[str, Any] = {}
-    for f in fields(config):
-        if f.name in _NON_SEMANTIC_FIELDS:
-            continue
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = [list(v) if isinstance(v, tuple) else v for v in value]
-        out[f.name] = value
-    return out
+class StageCache:
+    """The per-stage content-addressed store the pipeline plugs into.
 
-
-def flow_key(circuit_name: str, scale: float, config: FlowConfig,
-             *, with_schedules: bool, with_coverage_schedules: bool) -> str:
-    """Stable hex digest identifying one whole-flow execution.
-
-    Stage artifacts are keyed by the pipeline's content hashes, not by
-    this; it remains the coarse identity used for in-process bookkeeping
-    and external tooling.
+    One pickle per entry, written atomically.  Entries live under a
+    ``v<CACHE_VERSION>`` namespace of the cache directory, so bumping the
+    global salt orphans (rather than corrupts) every pre-existing entry.
+    Keys are the pipeline's Merkle-style stage hashes
+    (:meth:`repro.core.pipeline.Pipeline.stage_keys`).
     """
-    payload = {
-        "version": CACHE_VERSION,
-        "circuit": circuit_name,
-        "scale": scale,
-        "config": config_fingerprint(config),
-        "with_schedules": with_schedules,
-        "with_coverage_schedules": with_coverage_schedules,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-class ArtifactCache:
-    """Pickle-per-entry artifact store with atomic writes."""
 
     def __init__(self, root: Path | str | None = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
+        base = Path(root) if root is not None else default_cache_dir()
+        self.root = base / f"v{CACHE_VERSION}"
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key[:2]}" / f"{key}.pkl"
@@ -126,13 +95,17 @@ class ArtifactCache:
             pass
 
     def load(self, key: str) -> Any | None:
-        """Return the stored object, or None on miss/corruption."""
+        """Return the stored object, or None on miss/corruption.
+
+        A corrupt pickle can raise nearly any exception type (a flipped
+        length byte gives ``OverflowError`` or ``MemoryError``, a flipped
+        opcode ``TypeError``), so every ``Exception`` counts as a miss.
+        """
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
                 return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
+        except Exception:
             return None
 
     def store(self, key: str, obj: Any) -> None:
@@ -156,17 +129,3 @@ class ArtifactCache:
             # Read-only filesystems / quota: caching is an optimization,
             # never a hard failure.
             pass
-
-
-class StageCache(ArtifactCache):
-    """The per-stage content-addressed store the pipeline plugs into.
-
-    Entries live under a ``v<CACHE_VERSION>`` namespace of the cache
-    directory, so bumping the global salt orphans (rather than corrupts)
-    every pre-existing entry.  Keys are the pipeline's Merkle-style stage
-    hashes (:meth:`repro.core.pipeline.Pipeline.stage_keys`).
-    """
-
-    def __init__(self, root: Path | str | None = None) -> None:
-        base = Path(root) if root is not None else default_cache_dir()
-        super().__init__(base / f"v{CACHE_VERSION}")

@@ -6,9 +6,8 @@ prediction lead time and mispredict rate distribute across a shipped
 fleet, and how the infant-mortality sub-population differs from the
 wear-out bulk.  The study runs as a two-stage pipeline (``sta`` →
 ``aging``) through the per-stage artifact cache, so repeated sweeps over
-device counts, engines or analysis settings reuse the timing artifacts,
-and an identical (circuit, scenario, devices, engine) run replays
-entirely from cache.
+device counts or analysis settings reuse the timing artifacts, and an
+identical (circuit, scenario, devices) run replays entirely from cache.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class FleetStudy:
 
     circuit: str
     devices: int
-    engine: str
     artifact: FleetArtifact
     meta: dict[str, Any] = field(default_factory=dict)
 
@@ -45,7 +43,6 @@ class FleetStudy:
         return {
             "circuit": self.circuit,
             "devices": self.devices,
-            "engine": self.engine,
             "metrics": self.artifact.metrics,
             "distributions": fleet_distributions(self.artifact),
             "stage_seconds": {
@@ -96,22 +93,16 @@ def fleet_distributions(artifact: FleetArtifact) -> dict[str, Any]:
 def run_fleet_study(circuit: Circuit, *,
                     spec: ScenarioSpec | None = None,
                     devices: int = 1024,
-                    engine: str | None = None,
                     jobs: int = 1,
                     config: FlowConfig | None = None,
                     cache: StageCache | None = None,
                     use_cache: bool | None = None) -> FleetStudy:
     """Run (or replay from cache) one fleet Monte Carlo study.
 
-    ``engine`` overrides the registry selection (``vectorized`` default);
     ``jobs`` shards the population over worker processes (bit-identical);
     ``use_cache`` defaults to the ``REPRO_FLOW_CACHE`` environment toggle.
     """
-    cfg = config or FlowConfig()
-    if engine is not None:
-        others = tuple((s, e) for s, e in cfg.engines if s != "aging")
-        cfg = FlowConfig(engines=others + (("aging", engine),))
-    ctx = StageContext(circuit=circuit, config=cfg,
+    ctx = StageContext(circuit=circuit, config=config or FlowConfig(),
                        fleet_spec=spec, fleet_devices=devices,
                        fleet_jobs=jobs)
     if use_cache is None:
@@ -122,7 +113,6 @@ def run_fleet_study(circuit: Circuit, *,
     artifacts, meta = pipeline.run(ctx, cache=store)
     artifact: FleetArtifact = artifacts["aging"]
     return FleetStudy(circuit=circuit.name, devices=devices,
-                      engine=cfg.engine_for("aging"),
                       artifact=artifact, meta=meta)
 
 
@@ -142,7 +132,6 @@ def bench_fleet_spec() -> ScenarioSpec:
 
 def bench_fleet_seconds(circuit: Circuit, *,
                         devices: int = BENCH_FLEET_DEVICES,
-                        engine: str = "vectorized",
                         repeats: int = 2) -> float:
     """Best-of-``repeats`` uncached wall clock of the fleet workload."""
     import time
@@ -151,6 +140,6 @@ def bench_fleet_seconds(circuit: Circuit, *,
     for _ in range(repeats):
         t0 = time.perf_counter()
         run_fleet_study(circuit, spec=bench_fleet_spec(), devices=devices,
-                        engine=engine, use_cache=False)
+                        use_cache=False)
         best = min(best, time.perf_counter() - t0)
     return best

@@ -1,4 +1,4 @@
-"""Alert-burst replay harness for the rescheduling engines.
+"""Alert-burst replay harness for the warm and cold alert re-solvers.
 
 One replay drives two independent :class:`ScheduleState`s over the same
 deterministic alert stream — the ``incremental`` engine against the
@@ -91,17 +91,19 @@ def alert_stream_for_state(circuit, state, *,
         gates=state.gate_faults.keys())
 
 
-def replay_alert_events(state, alerts, engine, *,
+def replay_alert_events(state, alerts, solve, *,
                         progress=None) -> tuple[list[dict], dict]:
-    """Replay ``alerts`` against one state with one resched engine.
+    """Replay ``alerts`` against one state through ``solve``.
 
     The CLI/service replay loop (``repro resched`` and the facade's
-    resched executor share it): returns the per-alert event records and
-    the latency summary.  ``progress`` receives each event as it lands.
+    resched executor share it): ``solve`` is :func:`apply_alert` or a
+    function with its signature (tests pass :func:`apply_alert_cold`).
+    Returns the per-alert event records and the latency summary;
+    ``progress`` receives each event as it lands.
     """
     events: list[dict] = []
     for k, delta in enumerate(alerts):
-        out = engine.fn(state, delta)
+        out = solve(state, delta)
         sched = out.schedule
         path = out.fast_path or out.stats.get("step1_path", "?")
         event = {

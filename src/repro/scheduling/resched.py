@@ -852,13 +852,6 @@ def apply_alert_cold(state: ScheduleState,
     return ReschedOutcome(schedule, time.perf_counter() - t0, None, stats)
 
 
-#: Engine table consumed by the ``resched`` EngineRegistry stage.
-RESCHED_ENGINES = {
-    "incremental": apply_alert,
-    "cold": apply_alert_cold,
-}
-
-
 def prepare_state_for_result(result, *, solver: Solver = "ilp",
                              time_limit: float = DEFAULT_TIME_LIMIT_S
                              ) -> ScheduleState:
@@ -891,7 +884,6 @@ __all__ = [
     "AlertDelta",
     "ReschedOutcome",
     "ScheduleState",
-    "RESCHED_ENGINES",
     "apply_alert",
     "apply_alert_cold",
     "cold_schedule_result",

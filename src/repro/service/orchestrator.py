@@ -210,8 +210,7 @@ def _execute_fleet(job: FleetJob, store, recompute_from, progress,
 
     circuit = resolve_circuit(job.circuit)
     study = run_fleet_study(circuit, spec=job.scenario,
-                            devices=job.devices, engine=job.engine,
-                            jobs=job.jobs, cache=store,
+                            devices=job.devices, jobs=job.jobs, cache=store,
                             use_cache=store is not None)
     _emit_stage_events(study.meta, progress)
     payload = {
@@ -224,7 +223,6 @@ def _execute_fleet(job: FleetJob, store, recompute_from, progress,
 
 def _execute_resched(job: ReschedJob, store, recompute_from, progress,
                      timer, options) -> tuple[Any, dict, dict, str]:
-    from repro.core.engines import ENGINES
     from repro.core.flow import HdfTestFlow
     from repro.experiments.resched import (
         ALERT_CHECKPOINTS,
@@ -232,9 +230,11 @@ def _execute_resched(job: ReschedJob, store, recompute_from, progress,
         alert_stream_for_state,
         replay_alert_events,
     )
-    from repro.scheduling.resched import prepare_state_for_result
+    from repro.scheduling.resched import (
+        apply_alert,
+        prepare_state_for_result,
+    )
 
-    engine = ENGINES.resolve("resched", job.engine)
     circuit = resolve_circuit(job.circuit)
     result = HdfTestFlow(circuit, job.flow_config()).run(
         with_schedules=False, progress=_note(progress), timer=timer,
@@ -249,16 +249,15 @@ def _execute_resched(job: ReschedJob, store, recompute_from, progress,
             checkpoints=ALERT_CHECKPOINTS, max_gates=job.max_gates)
     base = state.schedule
     initial = {
-        "circuit": circuit.name, "engine": engine.name,
-        "alerts": len(alerts), "targets": len(state.targets),
+        "circuit": circuit.name, "alerts": len(alerts), "targets": len(state.targets),
         "frequencies": base.num_frequencies,
         "entries": base.num_entries, "covered": len(base.covered),
     }
     events, summary = replay_alert_events(
-        state, alerts, engine,
+        state, alerts, apply_alert,
         progress=(lambda ev: progress({"event": "alert", **ev}))
         if progress is not None else None)
-    summary = {"circuit": circuit.name, "engine": engine.name, **summary}
+    summary = {"circuit": circuit.name, **summary}
     payload = {"initial": initial, "events": events, "summary": summary}
     value = {"state": state, "alerts": alerts, **payload}
     return value, payload, result.meta, _meta_cache_status(result.meta,

@@ -1,54 +1,20 @@
-"""Tests for the persistent on-disk flow-artifact cache."""
+"""Tests for the persistent on-disk stage-artifact store."""
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from pathlib import Path
 
-from repro.core.config import FlowConfig
 from repro.experiments.artifact_cache import (
     CACHE_VERSION,
-    ArtifactCache,
     StageCache,
     cache_enabled,
-    config_fingerprint,
     default_cache_dir,
-    flow_key,
 )
 
-
-def _key(**overrides):
-    kwargs = dict(circuit_name="s27", scale=1.0, config=FlowConfig(),
-                  with_schedules=True, with_coverage_schedules=False)
-    kwargs.update(overrides)
-    name = kwargs.pop("circuit_name")
-    scale = kwargs.pop("scale")
-    config = kwargs.pop("config")
-    return flow_key(name, scale, config, **kwargs)
-
-
-class TestFlowKey:
-    def test_deterministic(self):
-        assert _key() == _key()
-
-    def test_job_counts_do_not_change_key(self):
-        assert _key(config=FlowConfig(simulation_jobs=8,
-                                      schedule_jobs=4)) == _key()
-
-    def test_semantic_fields_change_key(self):
-        assert _key(config=FlowConfig(atpg_seed=9)) != _key()
-        assert _key(config=FlowConfig(
-            engines=(("atpg", "reference"),))) != _key()
-        assert _key(scale=0.5) != _key()
-        assert _key(circuit_name="c17") != _key()
-        assert _key(with_schedules=False) != _key()
-        assert _key(with_coverage_schedules=True) != _key()
-
-    def test_fingerprint_excludes_job_knobs(self):
-        fp = config_fingerprint(FlowConfig(simulation_jobs=8))
-        assert "simulation_jobs" not in fp
-        assert "schedule_jobs" not in fp
-        assert ["atpg", "matrix"] in fp["engines"]
-        assert ["simulation", "wordwave"] in fp["engines"]
+#: A stage key has the shape of the pipeline's sha256 hex digests.
+KEY = hashlib.sha256(b"s27/simulation").hexdigest()
 
 
 class TestEnvironment:
@@ -71,35 +37,32 @@ class TestEnvironment:
 
 class TestArtifactCache:
     def test_roundtrip(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = _key()
-        assert cache.load(key) is None
-        cache.store(key, {"rows": [1, 2, 3]})
-        assert cache.load(key) == {"rows": [1, 2, 3]}
+        cache = StageCache(tmp_path)
+        assert cache.load(KEY) is None
+        cache.store(KEY, {"rows": [1, 2, 3]})
+        assert cache.load(KEY) == {"rows": [1, 2, 3]}
 
     def test_entries_are_sharded_by_prefix(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = _key()
-        cache.store(key, "payload")
-        assert (tmp_path / key[:2] / f"{key}.pkl").exists()
+        cache = StageCache(tmp_path)
+        cache.store(KEY, "payload")
+        assert (cache.root / KEY[:2] / f"{KEY}.pkl").exists()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        key = _key()
-        cache.store(key, "payload")
-        (tmp_path / key[:2] / f"{key}.pkl").write_bytes(b"\x80garbage")
-        assert cache.load(key) is None
+        cache = StageCache(tmp_path)
+        cache.store(KEY, "payload")
+        (cache.root / KEY[:2] / f"{KEY}.pkl").write_bytes(b"\x80garbage")
+        assert cache.load(KEY) is None
 
     def test_store_is_best_effort(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
-        cache = ArtifactCache(target / "sub")  # mkdir will fail
-        cache.store(_key(), "payload")  # must not raise
-        assert cache.load(_key()) is None
+        cache = StageCache(target / "sub")  # mkdir will fail
+        cache.store(KEY, "payload")  # must not raise
+        assert cache.load(KEY) is None
 
     def test_no_stray_tmp_files_after_store(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cache.store(_key(), list(range(100)))
+        cache = StageCache(tmp_path)
+        cache.store(KEY, list(range(100)))
         leftovers = [p for p in tmp_path.rglob("*.tmp")]
         assert leftovers == []
 
@@ -108,16 +71,16 @@ class TestStageCache:
     def test_namespaced_by_global_version(self, tmp_path):
         cache = StageCache(tmp_path)
         assert cache.root == tmp_path / f"v{CACHE_VERSION}"
-        key = _key()
-        cache.store(key, "artifact")
-        assert (tmp_path / f"v{CACHE_VERSION}" / key[:2]
-                / f"{key}.pkl").exists()
-        assert cache.load(key) == "artifact"
+        cache.store(KEY, "artifact")
+        assert (tmp_path / f"v{CACHE_VERSION}" / KEY[:2]
+                / f"{KEY}.pkl").exists()
+        assert cache.load(KEY) == "artifact"
 
     def test_version_bump_orphans_old_entries(self, tmp_path):
-        key = _key()
-        ArtifactCache(tmp_path / "v0").store(key, "stale")
-        assert StageCache(tmp_path).load(key) is None
+        stale = tmp_path / "v0" / KEY[:2] / f"{KEY}.pkl"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(pickle.dumps("stale"))
+        assert StageCache(tmp_path).load(KEY) is None
 
     def test_default_root_follows_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))

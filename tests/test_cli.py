@@ -196,25 +196,24 @@ class TestFleetCommands:
         args = build_parser().parse_args(["fleet", "s27"])
         assert args.devices == 1024
         assert args.jobs == 1
-        assert args.engine is None
+        assert not hasattr(args, "engine")
         assert args.scenario is None
 
     def test_fleet_summary(self, capsys):
         rc = main(["fleet", "s27", "--devices", "64", "--no-cache"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "engine=vectorized" in out
+        assert "devices=64" in out
         assert "detection_rate=" in out
         assert "Fleet distributions" in out
         assert "wearout_failure_time" in out
 
-    def test_fleet_json_and_engine(self, capsys):
+    def test_fleet_json(self, capsys):
         import json
         rc = main(["fleet", "s27", "--devices", "32", "--json",
-                   "--engine", "reference", "--no-cache"])
+                   "--no-cache"])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["engine"] == "reference"
         assert data["devices"] == 32
         assert data["metrics"]["devices"] == 32
 

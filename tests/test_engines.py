@@ -1,4 +1,4 @@
-"""Tests for the engine registry and per-stage engine selection."""
+"""Removed ``FlowConfig`` engine keywords stay removed."""
 
 from __future__ import annotations
 
@@ -7,84 +7,6 @@ import warnings
 import pytest
 
 from repro.core.config import FlowConfig
-from repro.core.engines import ENGINES, EngineRegistry
-
-
-class TestRegistry:
-    def test_default_registry_contents(self):
-        assert ENGINES.stages() == ("aging", "atpg", "resched",
-                                    "schedule", "simulation")
-        assert ENGINES.names("atpg") == ("matrix", "reference")
-        assert ENGINES.names("simulation") == (
-            "incremental", "reference", "wordwave")
-        assert ENGINES.names("aging") == ("reference", "vectorized")
-        assert ENGINES.names("resched") == ("cold", "incremental")
-        assert ENGINES.default("atpg") == "matrix"
-        assert ENGINES.default("simulation") == "wordwave"
-        assert ENGINES.default("schedule") == "bitset"
-        assert ENGINES.default("aging") == "vectorized"
-        assert ENGINES.default("resched") == "incremental"
-
-    def test_resolve_default_and_named(self):
-        assert ENGINES.resolve("atpg").name == "matrix"
-        assert ENGINES.resolve("atpg", "reference").name == "reference"
-
-    def test_resolve_unknown_engine_lists_alternatives(self):
-        with pytest.raises(ValueError,
-                           match=r"registered: matrix, reference"):
-            ENGINES.resolve("atpg", "quantum")
-
-    def test_unknown_stage_lists_stages(self):
-        with pytest.raises(ValueError,
-                           match="aging, atpg, resched, schedule, "
-                                 "simulation"):
-            ENGINES.resolve("frobnicate")
-
-    def test_duplicate_registration_rejected(self):
-        reg = EngineRegistry()
-        reg.register("s", "a", lambda: None)
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register("s", "a", lambda: None)
-
-    def test_first_registration_is_implicit_default(self):
-        reg = EngineRegistry()
-        reg.register("s", "a", lambda: None)
-        reg.register("s", "b", lambda: None)
-        assert reg.default("s") == "a"
-        reg2 = EngineRegistry()
-        reg2.register("s", "a", lambda: None)
-        reg2.register("s", "b", lambda: None, default=True)
-        assert reg2.default("s") == "b"
-
-
-class TestFlowConfigSelection:
-    def test_defaults_normalized(self):
-        cfg = FlowConfig()
-        assert cfg.engines == (("aging", "vectorized"), ("atpg", "matrix"),
-                               ("resched", "incremental"),
-                               ("schedule", "bitset"),
-                               ("simulation", "wordwave"))
-        assert cfg.engine_for("atpg") == "matrix"
-        assert cfg.engine_for("simulation") == "wordwave"
-        assert cfg.engine_for("aging") == "vectorized"
-        assert cfg.engine_for("resched") == "incremental"
-
-    def test_explicit_selection(self):
-        cfg = FlowConfig(engines=(("atpg", "reference"),))
-        assert cfg.engine_for("atpg") == "reference"
-        assert cfg.engine_for("simulation") == "wordwave"  # default kept
-
-    def test_unknown_engine_rejected_with_alternatives(self):
-        with pytest.raises(ValueError, match="registered: matrix, reference"):
-            FlowConfig(engines=(("atpg", "quantum"),))
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError, match="stages with engines"):
-            FlowConfig(engines=(("routing", "fast"),))
-
-    def test_conflicting_selection_rejected(self):
-        with pytest.raises(ValueError, match="conflicting engines"):
-            FlowConfig(engines=(("atpg", "matrix"), ("atpg", "reference")))
 
 
 class TestShimsRemoved:

@@ -154,16 +154,14 @@ class TestFleetStudy:
                               replay.artifact.result.slack)
         assert first.artifact.metrics == replay.artifact.metrics
 
-    def test_engine_override_reuses_sta(self, s27, tmp_path):
+    def test_device_override_reuses_sta(self, s27, tmp_path):
         cache = StageCache(tmp_path)
-        vec = run_fleet_study(s27, spec=SPEC, devices=48, cache=cache,
-                              engine="vectorized")
-        ref = run_fleet_study(s27, spec=SPEC, devices=48, cache=cache,
-                              engine="reference")
-        assert ref.meta["stages"]["sta"]["cache"] == "hit"
-        assert ref.meta["stages"]["aging"]["cache"] == "miss"
-        assert np.array_equal(vec.artifact.result.slack,
-                              ref.artifact.result.slack)
+        small = run_fleet_study(s27, spec=SPEC, devices=48, cache=cache)
+        large = run_fleet_study(s27, spec=SPEC, devices=64, cache=cache)
+        assert large.meta["stages"]["sta"]["cache"] == "hit"
+        assert large.meta["stages"]["aging"]["cache"] == "miss"
+        assert small.artifact.result.slack.shape[0] == 48
+        assert large.artifact.result.slack.shape[0] == 64
 
     def test_summary_shape(self, s27):
         study = run_fleet_study(s27, spec=SPEC, devices=32, use_cache=False)

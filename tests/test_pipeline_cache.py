@@ -34,9 +34,7 @@ SEMANTIC_CASES = [
     ({"structural_prefilter": False}, "faults"),
     ({"atpg_seed": 11}, "atpg"),
     ({"pattern_cap": 5}, "atpg"),
-    ({"engines": (("atpg", "reference"),)}, "atpg"),
     ({"inertial_ps": 7.0}, "simulation"),
-    ({"engines": (("simulation", "reference"),)}, "simulation"),
     ({"ilp_time_limit": 1.0}, "schedule"),
     ({"coverage_targets": (0.9,)}, "schedule"),
 ]
@@ -128,16 +126,30 @@ class TestCachedRuns:
             assert stages[name]["cache"] == "hit", name
         assert stages["schedule"]["cache"] == "miss"
 
+    #: Corrupt entries, each raising a different error type when
+    #: unpickled: a truncated pickle (``UnpicklingError``), a length field
+    #: flipped to 2**64-1 (``OverflowError``) and an int where the REDUCE
+    #: opcode expects a callable (``TypeError``).
+    CORRUPT_PAYLOADS = (
+        b"\x80truncated-pickle",
+        b"\x80\x05\x96" + b"\xff" * 8 + b".",
+        b"\x80\x04K\x01)R.",
+    )
+
     def test_corrupted_entry_recomputes_and_repairs(self, s27, cache):
         first = HdfTestFlow(s27).run(cache=cache)
         key = first.meta["keys"]["simulation"]
-        cache._path(key).write_bytes(b"\x80truncated-pickle")
-        res = HdfTestFlow(s27).run(cache=cache)
-        stages = res.meta["stages"]
-        assert stages["simulation"]["cache"] == "miss"
-        for name in ("sta", "faults", "atpg", "classify", "schedule"):
-            assert stages[name]["cache"] == "hit", name
-        assert res.data.ranges == first.data.ranges
+        for payload in self.CORRUPT_PAYLOADS:
+            cache._path(key).write_bytes(payload)
+            assert cache.load(key) is None, payload
+            res = HdfTestFlow(s27).run(cache=cache)
+            stages = res.meta["stages"]
+            assert stages["simulation"]["cache"] == "miss", payload
+            for name in ("sta", "faults", "atpg", "classify", "schedule"):
+                assert stages[name]["cache"] == "hit", (name, payload)
+            assert res.data.ranges == first.data.ranges
+            # The recompute rewrote the entry in place.
+            assert type(cache.load(key)).__name__ == "DetectionArtifact"
         # The repaired entry serves the next run.
         assert HdfTestFlow(s27).run(
             cache=cache).meta["stages"]["simulation"]["cache"] == "hit"

@@ -2,20 +2,16 @@
 
 ``HdfTestFlow.run_monolith`` retains the pre-pipeline flow body verbatim;
 these tests pin ``HdfTestFlow.run`` (the staged execution) against it on
-the embedded s27 and a seeded synthetic circuit, for both the default
-(matrix ATPG / incremental simulation) and the reference engines.
+the embedded s27 and a seeded synthetic circuit.  The reference ATPG and
+detection twins are pinned to the production paths by
+``test_transition_golden.py``, ``test_detection_golden.py`` and
+``test_wordwave_golden.py``.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.circuits.generators import CircuitProfile, generate_circuit
 from repro.core import FlowConfig, HdfTestFlow
-
-DEFAULT_ENGINES = ()
-REFERENCE_ENGINES = (("atpg", "reference"), ("simulation", "reference"))
-
 
 def _synthetic():
     return generate_circuit(CircuitProfile(
@@ -53,18 +49,16 @@ def _assert_bit_identical(staged, golden):
         assert staged.table2_row() == golden.table2_row()
 
 
-@pytest.mark.parametrize("engines", [DEFAULT_ENGINES, REFERENCE_ENGINES],
-                         ids=["default-engines", "reference-engines"])
 class TestParity:
-    def test_s27(self, s27, engines):
-        cfg = FlowConfig(engines=engines)
+    def test_s27(self, s27):
+        cfg = FlowConfig()
         staged = HdfTestFlow(s27, cfg).run()
         golden = HdfTestFlow(s27, cfg).run_monolith()
         _assert_bit_identical(staged, golden)
 
-    def test_seeded_synthetic(self, engines):
+    def test_seeded_synthetic(self):
         circuit = _synthetic()
-        cfg = FlowConfig(engines=engines, pattern_cap=12)
+        cfg = FlowConfig(pattern_cap=12)
         staged = HdfTestFlow(circuit, cfg).run()
         golden = HdfTestFlow(circuit, cfg).run_monolith()
         _assert_bit_identical(staged, golden)

@@ -249,31 +249,6 @@ class TestScenarioStream:
         assert len(stream) == len(spec.checkpoints)
 
 
-class TestEngineRegistry:
-    def test_resched_stage_registered(self):
-        from repro.core.engines import ENGINES
-
-        assert "resched" in ENGINES.stages()
-        assert ENGINES.default("resched") == "incremental"
-        assert ENGINES.names("resched") == ("cold", "incremental")
-
-    def test_unknown_engine_lists_alternatives(self):
-        from repro.core.engines import ENGINES
-
-        with pytest.raises(ValueError, match="cold, incremental"):
-            ENGINES.resolve("resched", "nope")
-
-    def test_adapters_dispatch(self, flow_result_s27):
-        from repro.core.engines import ENGINES
-
-        state = prepare_state_for_result(flow_result_s27)
-        delta = AlertDelta.from_mapping(
-            {next(iter(state.gate_faults)): 1.0})
-        out = ENGINES.resolve("resched", "incremental").fn(state, delta)
-        assert out.cost == ENGINES.resolve("resched", "cold").fn(
-            state, AlertDelta(shifts=())).cost
-
-
 class TestReplayHarness:
     def test_replay_result_records_and_agrees(self, flow_result_small):
         from repro.experiments.resched import (
@@ -291,6 +266,21 @@ class TestReplayHarness:
         totals = aggregate_totals([replay])
         assert totals["alerts"] == replay.alerts
         assert totals["cost_equal"] is True
+
+    def test_replay_alert_events_takes_the_solve_function(
+            self, flow_result_s27):
+        from repro.experiments.resched import replay_alert_events
+
+        warm = prepare_state_for_result(flow_result_s27)
+        cold = prepare_state_for_result(flow_result_s27)
+        alerts = [AlertDelta.from_mapping({g: 1.0})
+                  for g in sorted(warm.gate_faults)[:3]]
+        events_warm, summary = replay_alert_events(warm, alerts, apply_alert)
+        events_cold, _ = replay_alert_events(cold, alerts, apply_alert_cold)
+        assert summary["alerts"] == len(alerts)
+        keys = ("gates", "frequencies", "entries", "covered")
+        assert [[e[k] for k in keys] for e in events_warm] == \
+            [[e[k] for k in keys] for e in events_cold]
 
 
 class TestCli:
@@ -312,16 +302,7 @@ class TestCli:
         assert main(["resched", "s27", "--json", "--no-cache"]) == 0
         payload = json.loads(
             capsys.readouterr().out.split("\n", 1)[1])
-        assert payload["summary"]["engine"] == "incremental"
         assert len(payload["events"]) == payload["summary"]["alerts"]
-
-    def test_resched_unknown_engine_lists_registered(self, capsys):
-        from repro.cli import main
-
-        assert main(["resched", "s27", "--engine", "bogus",
-                     "--no-cache"]) == 2
-        err = capsys.readouterr().err
-        assert "cold, incremental" in err
 
     def test_bench_unknown_stage_lists_all(self, capsys):
         from repro.cli import main

@@ -30,13 +30,12 @@ from repro.core.spec import (
 
 def example_jobs() -> dict[str, object]:
     return {
-        "flow": FlowJob(circuit="s27", fast_ratio=2.5, pattern_cap=9,
-                        engines=(("atpg", "reference"),)),
+        "flow": FlowJob(circuit="s27", fast_ratio=2.5, pattern_cap=9),
         "suite": SuiteJob(names=("s27", "c17"), scale=0.6, workers=2,
                           sharded=True),
-        "fleet": FleetJob(circuit="s27", devices=64, engine="reference",
-                          jobs=2, scenario=ScenarioSpec(seed=3)),
-        "resched": ReschedJob(circuit="s27", engine="cold",
+        "fleet": FleetJob(circuit="s27", devices=64, jobs=2,
+                          scenario=ScenarioSpec(seed=3)),
+        "resched": ReschedJob(circuit="s27",
                               alerts=(((13, 2.0),), ((13, 0.5), (16, 1.0))),
                               max_gates=2),
     }
@@ -103,7 +102,6 @@ class TestFingerprint:
         ("flow", {"monitor_fraction": 0.5}),
         ("flow", {"pattern_cap": 4}),
         ("flow", {"atpg_seed": 11}),
-        ("flow", {"engines": ()}),
         ("flow", {"with_schedules": False}),
         ("flow", {"with_coverage_schedules": True}),
         ("suite", {"names": ("s27",)}),
@@ -114,10 +112,8 @@ class TestFingerprint:
         ("suite", {"atpg_seed": 11}),
         ("fleet", {"circuit": "c17"}),
         ("fleet", {"devices": 128}),
-        ("fleet", {"engine": "vectorized"}),
         ("fleet", {"scenario": ScenarioSpec(seed=4)}),
         ("resched", {"circuit": "c17"}),
-        ("resched", {"engine": "incremental"}),
         ("resched", {"alerts": (((13, 2.0),),)}),
         ("resched", {"scenario": ScenarioSpec()}),
         ("resched", {"max_gates": 1}),
@@ -156,10 +152,16 @@ class TestFingerprint:
 
 class TestValidation:
     def test_unknown_field_lists_known(self):
-        with pytest.raises(SpecError, match=r"unknown flow job field\(s\): "
-                                            r"frobnicate"):
-            job_from_dict({"kind": "flow", "circuit": "s27",
-                           "frobnicate": 1})
+        # The retired engine selections are unknown fields like any other.
+        for kind, field_, value in (
+                ("flow", "frobnicate", 1),
+                ("flow", "engines", [["atpg", "reference"]]),
+                ("resched", "engine", "cold")):
+            with pytest.raises(SpecError,
+                               match=rf"unknown {kind} job field\(s\): "
+                                     rf"{field_} \(known fields: "):
+                job_from_dict({"kind": kind, "circuit": "s27",
+                               field_: value})
 
     def test_missing_kind_lists_kinds(self):
         with pytest.raises(SpecError,
@@ -185,15 +187,6 @@ class TestValidation:
     def test_empty_circuit_rejected(self):
         with pytest.raises(SpecError, match="non-empty 'circuit'"):
             FlowJob(circuit="")
-
-    def test_bad_engine_lists_registered(self):
-        with pytest.raises(SpecError, match="registered: cold, incremental"):
-            ReschedJob(circuit="s27", engine="quantum")
-        with pytest.raises(SpecError,
-                           match="registered: reference, vectorized"):
-            FleetJob(circuit="s27", engine="quantum")
-        with pytest.raises(SpecError, match="registered: matrix, reference"):
-            FlowJob(circuit="s27", engines=(("atpg", "quantum"),))
 
     def test_malformed_alerts_rejected(self):
         with pytest.raises(SpecError, match=r"alert #0"):

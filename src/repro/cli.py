@@ -23,10 +23,6 @@ Subcommands:
 * ``submit``  — send a declarative job document (``{"kind": "flow",
   ...}``, see :mod:`repro.core.spec`) to a running service.
 * ``generate``— emit a synthetic benchmark circuit as ``.bench``.
-* ``bench``   — re-measure the perf-baseline workloads and print current
-  vs committed (``BENCH_detection.json`` / ``BENCH_schedule.json`` /
-  ``BENCH_atpg.json`` / ``BENCH_resched.json`` / ``BENCH_suite.json`` /
-  ``BENCH_service.json``) deltas.
 
 The ``flow``/``tables``/``fleet``/``resched``/``suite`` verbs all build
 a typed :mod:`repro.core.spec` job and execute it through
@@ -45,7 +41,6 @@ Examples::
     python -m repro serve --port 8732
     python -m repro submit job.json --wait
     python -m repro generate demo.bench --gates 200 --ffs 32
-    python -m repro bench --stage atpg
 """
 
 from __future__ import annotations
@@ -142,6 +137,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
     result = outcome.value
     if args.verbose:
         _print_stage_meta(result.meta)
+        memo = result.data._sched_cache.stats()
+        print("  [memo] " + " ".join(f"{k}={v}" for k, v in memo.items()),
+              file=sys.stderr)
     print(format_table([result.table1_row()], title="HDF coverage"))
     print(format_table([result.table2_row()], title="Schedule optimization"))
     prop = result.schedules["prop"]
@@ -481,328 +479,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_detection_engines(res) -> dict[str, float]:
-    """Best-of-two wall clock of every detection engine."""
-    import time
-
-    from repro.faults.detection import compute_detection_data
-
-    out: dict[str, float] = {}
-    for engine in ("reference", "incremental", "wordwave"):
-        best = float("inf")
-        for _ in range(2):   # warm-up + measured (plan/cone caches fill once)
-            t0 = time.perf_counter()
-            compute_detection_data(
-                res.circuit, res.data.faults, res.test_set,
-                horizon=res.clock.t_nom,
-                monitored_gates=res.placement.monitored_gates,
-                inertial=FlowConfig().inertial_ps,
-                engine=engine)
-            best = min(best, time.perf_counter() - t0)
-        out[engine] = best
-    return out
-
-
-def _bench_detection_current(res) -> float:
-    return _bench_detection_engines(res)["wordwave"]
-
-
-def _bench_schedule_current(res) -> float:
-    import time
-
-    from repro.scheduling.baselines import conventional_targets
-    from repro.scheduling.schedule import optimize_schedule
-
-    cls_ = res.classification
-    jobs = [(conventional_targets(cls_), None, "ilp", 1.0),
-            (cls_.target, res.configs, "greedy", 1.0),
-            (cls_.target, res.configs, "ilp", 1.0),
-            (cls_.target, res.configs, "ilp", 0.95),
-            (cls_.target, res.configs, "ilp", 0.90)]
-    best = float("inf")
-    for _ in range(2):
-        res.data._sched_cache.clear()
-        res.data._det_range.clear()
-        t0 = time.perf_counter()
-        for targets, configs, solver, cov in jobs:
-            optimize_schedule(res.data, targets, res.clock, configs,
-                              solver=solver, coverage=cov)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _bench_atpg_current(res) -> float:
-    import time
-
-    from repro.atpg.transition import generate_transition_tests
-
-    best = float("inf")
-    for _ in range(2):       # warm-up + measured (cone caches fill once)
-        t0 = time.perf_counter()
-        generate_transition_tests(res.circuit, seed=FlowConfig().atpg_seed,
-                                  engine="matrix")
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _bench_resched_current(res) -> float:
-    """Incremental alert-burst replay seconds (the committed workload)."""
-    from repro.experiments.resched import replay_result
-
-    replay = replay_result(res)
-    if not replay.cost_equal:
-        print(f"warning: incremental schedules diverged from cold on "
-              f"{res.circuit.name}", file=sys.stderr)
-    return replay.total_s
-
-
-def _bench_fleet_current(name: str) -> float:
-    """Re-time the committed fleet workload for one circuit name.
-
-    Unlike the other bench stages this does not need flow results — the
-    fleet workload is the ``sta -> aging`` pipeline itself, uncached.
-    """
-    from repro.experiments.fleet import bench_fleet_seconds
-
-    return bench_fleet_seconds(_load_circuit(name))
-
-
-def _bench_suite_rows(baseline: dict) -> list[dict]:
-    """Re-measure the committed sharded-suite smoke matrix (real flows).
-
-    Each worker count replays the committed synthetic smoke suite on a
-    fresh throwaway stage store, so the measurement is always a cold
-    sharded run — comparable to the committed numbers.
-    """
-    import tempfile
-
-    from repro.experiments.artifact_cache import StageCache
-    from repro.experiments.runner import SuiteRunConfig
-    from repro.experiments.shard import run_suite_sharded
-
-    smoke = baseline.get("smoke")
-    if not smoke:
-        print("warning: BENCH_suite.json has no 'smoke' section; "
-              "re-run benchmarks/test_bench_suite.py", file=sys.stderr)
-        return []
-    cfg = SuiteRunConfig(names=tuple(smoke["names"]),
-                         scale=smoke.get("scale", 1.0),
-                         with_schedules=False)
-    rows = []
-    for w_str, committed in sorted(smoke["workers"].items(),
-                                   key=lambda kv: int(kv[0])):
-        with tempfile.TemporaryDirectory() as td:
-            report = run_suite_sharded(cfg, workers=int(w_str),
-                                       store=StageCache(td))
-        rows.append({
-            "stage": "suite", "circuit": f"smoke w={w_str}",
-            "committed_s": f"{committed:.3f}",
-            "current_s": f"{report.wall_s:.3f}",
-            "delta_percent": round(
-                100.0 * (report.wall_s - committed) / committed, 1),
-        })
-    return rows
-
-
-def _bench_service_rows(baseline: dict) -> list[dict]:
-    """Re-measure the committed service workload (cold + cached replay).
-
-    Runs the committed job document cold on a throwaway stage store,
-    then re-submits it: every stage hits, so the replay latency is the
-    interactive dedupe path measured by
-    ``benchmarks/test_bench_service.py``.
-    """
-    import tempfile
-    import time
-
-    from repro.core.spec import job_from_dict
-    from repro.experiments.artifact_cache import StageCache
-    from repro.service.orchestrator import run_job
-
-    document = baseline.get("job")
-    if not document:
-        print("warning: BENCH_service.json has no 'job' section; "
-              "re-run benchmarks/test_bench_service.py", file=sys.stderr)
-        return []
-    job = job_from_dict(document)
-    repeats = max(1, int(baseline.get("repeats", 5)))
-    with tempfile.TemporaryDirectory() as td:
-        store = StageCache(td)
-        t0 = time.perf_counter()
-        run_job(job, store=store)
-        cold_s = time.perf_counter() - t0
-        lat = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            outcome = run_job(job, store=store)
-            lat.append(time.perf_counter() - t0)
-            if outcome.cache != "hit":
-                print(f"warning: service replay was {outcome.cache!r}, "
-                      f"not a stage-store hit", file=sys.stderr)
-        lat.sort()
-    hit_s = lat[len(lat) // 2]
-    committed_hit_s = baseline["hit_median_ms"] / 1000.0
-    return [
-        {"stage": "service", "circuit": f"{job.kind}:cold",
-         "committed_s": f"{baseline['cold_s']:.4f}",
-         "current_s": f"{cold_s:.4f}",
-         "delta_percent": round(
-             100.0 * (cold_s - baseline["cold_s"])
-             / baseline["cold_s"], 1)},
-        {"stage": "service", "circuit": f"{job.kind}:hit",
-         "committed_s": f"{committed_hit_s:.4f}",
-         "current_s": f"{hit_s:.4f}",
-         "delta_percent": round(
-             100.0 * (hit_s - committed_hit_s) / committed_hit_s, 1)},
-    ]
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.experiments.reporting import format_table
-    from repro.experiments.runner import SuiteRunConfig, run_suite
-
-    root = args.root or Path(__file__).resolve().parents[2]
-    stages = {
-        "detection": (root / "BENCH_detection.json", _bench_detection_current),
-        "schedule": (root / "BENCH_schedule.json", _bench_schedule_current),
-        "atpg": (root / "BENCH_atpg.json", _bench_atpg_current),
-        "fleet": (root / "BENCH_fleet.json", _bench_fleet_current),
-        "resched": (root / "BENCH_resched.json", _bench_resched_current),
-        "suite": (root / "BENCH_suite.json", None),
-        "service": (root / "BENCH_service.json", None),
-    }
-    # The detection workload is the pipeline's "simulation" stage; accept
-    # either spelling.
-    stage_arg = "detection" if args.stage == "simulation" else args.stage
-    if stage_arg != "all":
-        if stage_arg not in stages:
-            known = ", ".join(stages)
-            print(f"error: unknown bench stage {args.stage!r} "
-                  f"(registered stages: {known})", file=sys.stderr)
-            return 2
-        stages = {stage_arg: stages[stage_arg]}
-
-    rows = []
-    engine_rows = []
-    cache_rows: dict[str, dict] = {}
-    memo_sources: dict[str, object] = {}
-    seen_results: set[int] = set()
-
-    def _tally(results) -> None:
-        # Per-pipeline-stage wall clock and cache hit/miss counters,
-        # aggregated across the suite replays backing the measurements.
-        for name, res in results.items():
-            memo_sources.setdefault(name, res)
-            if id(res) in seen_results:
-                continue
-            seen_results.add(id(res))
-            meta = getattr(res, "meta", None) or {}
-            for sname, info in meta.get("stages", {}).items():
-                row = cache_rows.setdefault(sname, {
-                    "stage": sname, "hits": 0, "misses": 0, "seconds": 0.0})
-                row["seconds"] += info.get("seconds", 0.0)
-                if info.get("cache") == "hit":
-                    row["hits"] += 1
-                elif info.get("cache") == "miss":
-                    row["misses"] += 1
-    for stage, (path, measure) in stages.items():
-        if not path.exists():
-            print(f"warning: no committed {path.name}; "
-                  f"run the benchmarks first", file=sys.stderr)
-            continue
-        baseline = json.loads(path.read_text())
-        if baseline.get("profile") != "quick":
-            print(f"warning: {path.name} was recorded with profile "
-                  f"{baseline.get('profile')!r}, not 'quick'; deltas are "
-                  f"not comparable", file=sys.stderr)
-        if stage in ("suite", "service"):
-            # These baselines have their own schemas (workers-keyed
-            # smoke matrix / committed job document) — re-measure them
-            # instead of the per-circuit loop below.
-            rows.extend(_bench_suite_rows(baseline) if stage == "suite"
-                        else _bench_service_rows(baseline))
-            continue
-        names = tuple(baseline["circuits"])
-        if stage != "fleet":
-            # The fleet workload is a standalone pipeline; every other
-            # stage re-measures against the suite's cached flow results.
-            results = run_suite(SuiteRunConfig.quick(names=names,
-                                                     with_schedules=False))
-            _tally(results)
-        committed_total = current_total = 0.0
-        for name in names:
-            committed = baseline["circuits"][name]["total_s"]
-            if stage == "fleet":
-                current = measure(name)
-            elif stage == "detection":
-                engines = _bench_detection_engines(results[name])
-                current = engines["wordwave"]
-                engine_rows.append({
-                    "circuit": name,
-                    "reference_s": f"{engines['reference']:.3f}",
-                    "incremental_s": f"{engines['incremental']:.3f}",
-                    "wordwave_s": f"{engines['wordwave']:.3f}",
-                    "speedup_vs_ref": round(
-                        engines["reference"] / engines["wordwave"], 2),
-                    "speedup_vs_inc": round(
-                        engines["incremental"] / engines["wordwave"], 2),
-                })
-            else:
-                current = measure(results[name])
-            committed_total += committed
-            current_total += current
-            rows.append({
-                "stage": stage, "circuit": name,
-                "committed_s": f"{committed:.3f}",
-                "current_s": f"{current:.3f}",
-                "delta_percent": round(
-                    100.0 * (current - committed) / committed, 1),
-            })
-        rows.append({
-            "stage": stage, "circuit": "total",
-            "committed_s": f"{committed_total:.3f}",
-            "current_s": f"{current_total:.3f}",
-            "delta_percent": round(
-                100.0 * (current_total - committed_total) / committed_total,
-                1),
-        })
-    if not rows:
-        return 1
-    print(format_table(rows, title="Perf baselines: current vs committed"))
-    if engine_rows:
-        print(format_table(
-            engine_rows,
-            title="Simulation engines: reference vs incremental vs wordwave"))
-    if cache_rows:
-        stage_rows = [{"stage": r["stage"], "hits": r["hits"],
-                       "misses": r["misses"],
-                       "seconds": f"{r['seconds']:.3f}"}
-                      for r in cache_rows.values()]
-        print(format_table(stage_rows,
-                           title="Stage cache (suite replay)"))
-    if memo_sources:
-        # Read after the measurements: the schedule/resched workloads are
-        # what exercise the DetectionData schedule-candidate memo.
-        memo_rows = []
-        for name, res in sorted(memo_sources.items()):
-            data = getattr(res, "data", None)
-            if data is None:        # stubbed results in unit tests
-                continue
-            memo_rows.append({"circuit": name, **data._sched_cache.stats()})
-        if memo_rows:
-            totals = {"circuit": "total"}
-            for key in ("hits", "misses", "evictions", "size"):
-                totals[key] = sum(r[key] for r in memo_rows)
-            totals["maxsize"] = memo_rows[0]["maxsize"]
-            memo_rows.append(totals)
-            print(format_table(
-                memo_rows,
-                title="Schedule memo (DetectionData._sched_cache)"))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -975,19 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--depth", type=int, default=10)
     p_gen.add_argument("--seed", type=int, default=1)
     p_gen.set_defaults(func=cmd_generate)
-
-    p_bench = sub.add_parser(
-        "bench", help="re-measure perf baselines and print deltas")
-    p_bench.add_argument("--stage", default="all",
-                         help="bench workload to re-measure: all, detection "
-                              "(alias: simulation, adds the per-engine "
-                              "delta table), schedule, atpg, fleet, "
-                              "resched, suite or service (unknown names "
-                              "are rejected with the registered list)")
-    p_bench.add_argument("--root", type=Path, default=None,
-                         help="directory holding the BENCH_*.json baselines "
-                              "(default: the repo root)")
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -19,7 +19,7 @@ finished stage.
 
 Observability: ``run`` returns a ``meta`` dict with per-stage wall clock
 and cache hit/miss status; the flow surfaces it as ``FlowResult.meta``
-and ``repro bench`` aggregates the counters across a suite replay.
+and ``repro flow --verbose`` prints it.
 """
 
 from __future__ import annotations

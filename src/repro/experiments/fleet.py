@@ -114,32 +114,3 @@ def run_fleet_study(circuit: Circuit, *,
     artifact: FleetArtifact = artifacts["aging"]
     return FleetStudy(circuit=circuit.name, devices=devices,
                       artifact=artifact, meta=meta)
-
-
-# ----------------------------------------------------------------------
-# Quick-profile perf workload (shared by ``repro bench --stage fleet``
-# and ``benchmarks/test_bench_fleet.py`` so committed baselines and CLI
-# re-measurements time the exact same thing)
-# ----------------------------------------------------------------------
-BENCH_FLEET_DEVICES = 4096
-BENCH_FLEET_SEED = 42
-
-
-def bench_fleet_spec() -> ScenarioSpec:
-    """The pinned scenario behind ``BENCH_fleet.json``."""
-    return ScenarioSpec(seed=BENCH_FLEET_SEED)
-
-
-def bench_fleet_seconds(circuit: Circuit, *,
-                        devices: int = BENCH_FLEET_DEVICES,
-                        repeats: int = 2) -> float:
-    """Best-of-``repeats`` uncached wall clock of the fleet workload."""
-    import time
-
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        run_fleet_study(circuit, spec=bench_fleet_spec(), devices=devices,
-                        use_cache=False)
-        best = min(best, time.perf_counter() - t0)
-    return best

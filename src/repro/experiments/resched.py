@@ -4,10 +4,8 @@ One replay drives two independent :class:`ScheduleState`s over the same
 deterministic alert stream — the ``incremental`` engine against the
 ``cold`` full-recompute baseline — records per-alert latencies and
 re-solve paths, and asserts the schedules stay cost-equal alert by
-alert.  ``benchmarks/test_bench_resched.py`` persists the aggregate to
-``BENCH_resched.json``; ``repro bench --stage resched`` and the
-``pytest -m perf`` guard in ``tests/test_perf_smoke.py`` replay the same
-workload against the committed numbers.
+alert.  The ``pytest -m perf`` guard in ``tests/test_perf_smoke.py``
+replays this workload over the quick suite live.
 
 Workload shape: single-gate alerts (``max_gates=1`` — one programmable
 delay monitor raises one alert) on a densified checkpoint grid (42
@@ -155,38 +153,3 @@ def replay_result(res, *, spec: ScenarioSpec = DEFAULT_SPEC,
                 or out_inc.schedule.covered != out_cold.schedule.covered):
             replay.cost_equal = False
     return replay
-
-
-def replay_record(replay: ReschedReplay, res) -> dict:
-    """JSON record of one replay for ``BENCH_resched.json``."""
-    return {
-        "gates": len(res.circuit.gates),
-        "faults": len(res.data.faults),
-        "targets": len(res.classification.target),
-        "alerts": replay.alerts,
-        "prep_s": replay.prep_s,
-        "median_ms": round(replay.median_ms, 3),
-        "max_ms": round(replay.max_ms, 3),
-        "total_s": round(replay.total_s, 4),
-        "cold_total_s": round(replay.cold_total_s, 4),
-        "speedup": round(replay.speedup, 2),
-        "paths": dict(sorted(replay.paths.items())),
-        "cost_equal": replay.cost_equal,
-    }
-
-
-def aggregate_totals(replays) -> dict:
-    """Aggregate metrics across circuits (sums race sums, not medians)."""
-    replays = list(replays)
-    lat = sorted(s for r in replays for s in r.latencies_s)
-    inc = sum(r.total_s for r in replays)
-    cold = sum(r.cold_total_s for r in replays)
-    return {
-        "alerts": sum(r.alerts for r in replays),
-        "incremental_s": round(inc, 4),
-        "cold_s": round(cold, 4),
-        "speedup": round(cold / inc, 2) if inc else 0.0,
-        "median_ms": round(1000.0 * median(lat), 3) if lat else 0.0,
-        "max_ms": round(1000.0 * max(lat), 3) if lat else 0.0,
-        "cost_equal": all(r.cost_equal for r in replays),
-    }

@@ -33,9 +33,8 @@ coordination substrate for any number of independent worker processes:
 
 ``run_suite_sharded`` is the public entry point (surfaced as ``repro
 suite --workers N``); ``timed_plan``/``run_plan`` drive the same
-scheduler with simulated-duration units, which is how
-``BENCH_suite.json`` measures scheduler scaling independently of the
-recording host's core count.
+scheduler with simulated-duration units, which is how the perf guard
+measures scheduler scaling independently of the host's core count.
 
 Environment knobs: ``REPRO_CLAIM_TTL`` (stale-claim age in seconds,
 default 30; heartbeats refresh at TTL/4, so it bounds how long a killed
@@ -227,9 +226,8 @@ def suite_timed_specs(count: int, *,
     Per-circuit cost tracks the structural size of the deterministic
     synthetic entries (gates x patterns), split across stages by
     :data:`STAGE_COST_WEIGHTS` and normalized so the serial total is
-    ``serial_s``.  This is the workload behind ``BENCH_suite.json``'s
-    scaling curve — shared between the benchmark that records it and the
-    perf smoke test that re-measures it.
+    ``serial_s``.  This is the workload of the suite scaling guard in
+    ``tests/test_perf_smoke.py``.
     """
     entries = synthetic_suite(count)
     raw = {e.name: float(e.gates) * max(1, e.patterns) for e in entries}

@@ -24,8 +24,7 @@ interval extraction all vectorized across (fault, pattern) instances.  The
 with the change-driven cone-schedule fault simulator
 (:meth:`WaveformSimulator.simulate_fault`) and doubles as the fallback for
 workloads outside the array kernels' envelope.  The seed ``"reference"``
-engine is retained for golden-equivalence testing and as the before-side of
-the persistent perf baseline (``BENCH_detection.json``); all three produce
+engine is retained for golden-equivalence testing; all three produce
 bit-identical :class:`DetectionData`.
 """
 
@@ -99,7 +98,7 @@ class DetectionData:
     #: and relaxed-coverage schedules all share one candidate set.  Bounded:
     #: distinct candidate-set keys (different target sets, windows, prune
     #: policies) used to accumulate without limit; the LRU keeps the most
-    #: recent ones and counts hits/misses for ``repro bench``.
+    #: recent ones and counts hits/misses for ``repro flow --verbose``.
     _sched_cache: LruCache = field(
         default_factory=lambda: LruCache(maxsize=SCHED_CACHE_SIZE),
         repr=False)

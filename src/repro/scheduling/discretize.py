@@ -21,8 +21,7 @@ midpoints, located with two ``searchsorted`` calls and OR-ed into the
 matrix as a slice — no per-(fault, segment) membership tests.  Merging and
 dominance pruning are word-wise vector operations on the same matrix.  The
 seed per-segment ``frozenset`` construction is retained verbatim in
-:mod:`repro.scheduling.reference` for golden-equivalence testing and as the
-before-side of the persistent ``BENCH_schedule.json`` perf baseline.
+:mod:`repro.scheduling.reference` for golden-equivalence testing.
 """
 
 from __future__ import annotations

@@ -2,15 +2,11 @@
 
 This module preserves the PR-1-era scheduler — per-segment ``frozenset``
 discretization, frozenset dominance pruning, set-based greedy covering and
-the unreduced ILP — exactly as it shipped, for two purposes:
-
-* **golden equivalence**: ``tests/test_schedule_golden.py`` asserts the
-  bitset pipeline (:mod:`repro.scheduling.discretize`,
-  :mod:`repro.scheduling.schedule`) selects identical period sets and
-  entry counts on s27 / c17 / synthetic circuits,
-* **perf baselining**: ``benchmarks/test_bench_schedule.py`` times this
-  implementation as the before-side of ``BENCH_schedule.json``, mirroring
-  the ``engine="reference"`` convention of the fault-simulation engine.
+the unreduced ILP — exactly as it shipped, for golden equivalence:
+``tests/test_schedule_golden.py`` asserts the bitset pipeline
+(:mod:`repro.scheduling.discretize`, :mod:`repro.scheduling.schedule`)
+selects identical period sets and entry counts on s27 / c17 / synthetic
+circuits.
 
 Do not optimize this module; it is the measurement yardstick.
 """

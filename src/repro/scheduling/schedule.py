@@ -29,9 +29,9 @@ Performance structure (the bitset pipeline):
 
 ``timer`` collects the per-stage wall-clock split (``target_ranges`` /
 ``discretize`` / ``step1`` / ``step2``, plus ``presolve`` nested inside
-``step1``) that ``BENCH_schedule.json`` persists.  The seed pipeline
-survives verbatim in :mod:`repro.scheduling.reference` for golden
-equivalence and perf baselining.
+``step1``) that ``bench/run.py`` reports as per-layer times.  The seed
+pipeline survives verbatim in :mod:`repro.scheduling.reference` for
+golden equivalence.
 """
 
 from __future__ import annotations

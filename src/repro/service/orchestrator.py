@@ -14,8 +14,8 @@ Two layers:
   identical in-flight job is joined (the follower resolves when the
   primary finishes, marked ``cache="dedup"``), and a repeat submission
   after completion re-executes through the stage store, where every
-  stage hits — the interactive (< 50 ms class) replay path measured in
-  ``BENCH_service.json``.  Worker tasks fan CPU work out via a thread
+  stage hits — the interactive (< 50 ms class) replay path guarded by
+  ``tests/test_perf_smoke.py``.  Worker tasks fan CPU work out via a thread
   executor; suite jobs additionally fork over the shard
   ``ClaimBoard`` substrate.  Progress events (queued / started /
   per-stage timings from the ``StageTimer``-backed pipeline meta /

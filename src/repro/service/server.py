@@ -3,7 +3,9 @@
 Endpoints (all JSON):
 
 * ``POST /jobs``              — submit a job document (``{"kind": ...}``);
-  returns ``202`` with the job id, fingerprint and dedup target.
+  returns ``202`` with the job id, fingerprint and dedup target, ``400``
+  for a bad ``Content-Length`` or a body that is not UTF-8 JSON, and
+  ``413`` for a body over :data:`MAX_BODY_BYTES`.
 * ``GET  /jobs``              — list all submissions.
 * ``GET  /jobs/<id>``         — status (state, cache, seconds, error).
 * ``GET  /jobs/<id>/result``  — the result payload once terminal
@@ -33,6 +35,10 @@ from repro.core.spec import SpecError, job_from_dict
 from repro.service.orchestrator import ENV_STORE, Orchestrator
 
 DEFAULT_PORT = 8732
+
+#: Largest accepted ``POST /jobs`` body; a longer one is answered ``413``
+#: before any of it is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 class HdfService:
@@ -124,6 +130,28 @@ def _make_handler(service: HdfService):
                 self._error(404, f"unknown job id {job_id!r}")
             return record
 
+        def _read_body(self) -> bytes | None:
+            """The request body, or ``None`` once a 400/413 is sent.
+
+            A rejected request closes the connection: its body, if any,
+            is left unread, so the stream cannot carry another request.
+            """
+            header = self.headers.get("Content-Length")
+            try:
+                length = int(header)
+            except (TypeError, ValueError):
+                length = -1
+            if length < 0:
+                self.close_connection = True
+                self._error(400, f"invalid Content-Length {header!r}")
+                return None
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                self._error(413, f"request body of {length} bytes exceeds "
+                                 f"{MAX_BODY_BYTES}")
+                return None
+            return self.rfile.read(length)
+
         def log_message(self, fmt: str, *args) -> None:
             pass  # keep stdout/stderr for the serve banner only
 
@@ -169,17 +197,19 @@ def _make_handler(service: HdfService):
         def do_POST(self) -> None:  # noqa: N802 (http.server API)
             parts = [p for p in self.path.split("/") if p]
             if parts == ["jobs"]:
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length)
+                raw = self._read_body()
+                if raw is None:
+                    return
                 try:
-                    document = json.loads(raw or b"null")
+                    document = json.loads(raw.decode("utf-8") or "null")
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    self._error(400, f"request body is not UTF-8 "
+                                     f"JSON: {exc}")
+                    return
+                try:
                     response = service.submit(document)
                 except SpecError as exc:
                     self._error(400, str(exc))
-                    return
-                except json.JSONDecodeError as exc:
-                    self._error(400, f"request body is not valid "
-                                     f"JSON: {exc}")
                     return
                 self._json(202, response)
             elif (len(parts) == 3 and parts[0] == "jobs"

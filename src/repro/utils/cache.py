@@ -5,8 +5,8 @@ ranges + discretized candidate sets on :class:`DetectionData`, solved
 step-2 covers in the rescheduling engine) keyed by potentially unbounded
 tuples — every distinct ``(targets, configs, window)`` query used to grow
 the dict forever.  :class:`LruCache` bounds those memos to the most
-recently used entries and counts hits/misses/evictions so ``repro bench``
-can show how well the memoization works on a given workload.
+recently used entries and counts hits/misses/evictions so ``repro flow
+--verbose`` can show how well the memoization works on a given workload.
 
 Deliberately minimal: not thread-safe (all users are per-process,
 per-object memos), no TTL, plain ``OrderedDict`` recency bookkeeping.

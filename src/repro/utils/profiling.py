@@ -2,9 +2,9 @@
 
 A :class:`StageTimer` accumulates elapsed seconds (and hit counts) under
 named stages.  The fault-simulation engine feeds it the per-stage split —
-``pregrade`` / ``base_sim`` / ``faulty_sim`` / ``intervals`` — and the
-benchmark suite persists the result to ``BENCH_detection.json`` so every PR
-leaves a machine-readable perf trajectory behind (see EXPERIMENTS.md).
+``pregrade`` / ``base_sim`` / ``faulty_sim`` / ``intervals`` — and
+``bench/run.py`` reports the splits as per-layer times (see
+``bench/README.md``).
 
 Nested :meth:`StageTimer.stage` contexts are tracked hierarchically: an
 inner block is credited under the path key ``outer/inner`` and its elapsed

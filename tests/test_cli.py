@@ -31,6 +31,18 @@ class TestCommands:
         assert "Schedule optimization" in out
         assert "pattern #" in out
 
+    def test_flow_verbose_prints_stages_and_memo(self, capsys):
+        assert main(["flow", "s27", "--verbose", "--no-cache"]) == 0
+        err = capsys.readouterr().err
+        for stage in ("sta", "faults", "atpg", "simulation", "classify",
+                      "schedule"):
+            assert f"[stage] {stage} " in err, stage
+        memo = [line for line in err.splitlines() if "[memo]" in line]
+        assert len(memo) == 1
+        assert err.rindex("[stage]") < err.index("[memo]")
+        for key in ("hits", "misses", "evictions", "size", "maxsize"):
+            assert f" {key}=" in memo[0], key
+
     def test_flow_on_bench_file(self, tmp_path, capsys, s27):
         from repro.netlist.bench import save_bench
         path = tmp_path / "mine.bench"
@@ -86,55 +98,6 @@ class TestCommands:
         assert "Table III" in out
         assert "F_99" in out
 
-    def test_bench_missing_baselines(self, tmp_path, capsys):
-        rc = main(["bench", "--root", str(tmp_path)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "BENCH_detection.json" in err
-        assert "BENCH_schedule.json" in err
-
-    def test_bench_table(self, tmp_path, monkeypatch, capsys):
-        # Synthetic baselines + stubbed measurement keep this test fast;
-        # the real workloads are exercised by benchmarks/ and pytest -m perf.
-        import json
-
-        import repro.cli as cli
-        import repro.experiments.runner as runner
-
-        baseline = {"profile": "quick",
-                    "circuits": {"s9234": {"total_s": 0.1},
-                                 "s13207": {"total_s": 0.2}}}
-        (tmp_path / "BENCH_detection.json").write_text(json.dumps(baseline))
-        (tmp_path / "BENCH_schedule.json").write_text(json.dumps(baseline))
-        monkeypatch.setattr(runner, "run_suite",
-                            lambda cfg: {n: object() for n in cfg.names})
-        monkeypatch.setattr(
-            cli, "_bench_detection_engines",
-            lambda res: {"reference": 0.6, "incremental": 0.3,
-                         "wordwave": 0.15})
-        monkeypatch.setattr(cli, "_bench_schedule_current", lambda res: 0.1)
-
-        rc = main(["bench", "--root", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "current vs committed" in out
-        assert out.count("total") == 2          # one summary row per stage
-        # detection: 0.15s vs 0.1s committed -> +50%
-        assert "50.0" in out
-        # the per-engine delta table accompanies the detection stage
-        assert "reference vs incremental vs wordwave" in out
-        assert "speedup_vs_inc" in out
-        # schedule stage can be selected alone
-        assert main(["bench", "--root", str(tmp_path),
-                     "--stage", "schedule"]) == 0
-        out = capsys.readouterr().out
-        assert "detection" not in out
-        # --stage simulation is an alias for the detection workload
-        assert main(["bench", "--root", str(tmp_path),
-                     "--stage", "simulation"]) == 0
-        out = capsys.readouterr().out
-        assert "wordwave_s" in out
-
 
 class TestSuiteCommand:
     def test_suite_parser_defaults(self):
@@ -167,28 +130,6 @@ class TestSuiteCommand:
         rc = main(["suite", "--profile", "synth", "--count", "1"])
         assert rc == 1
         assert "stage store" in capsys.readouterr().err
-
-    def test_bench_suite_stage(self, tmp_path, monkeypatch, capsys):
-        import json
-
-        baseline = {"profile": "quick", "host_cpus": 1,
-                    "smoke": {"payload": "real", "circuits": 1,
-                              "scale": 0.25, "names": ["syn0002"],
-                              "serial_inprocess_s": 0.1,
-                              "workers": {"1": 0.1}, "parity": True}}
-        (tmp_path / "BENCH_suite.json").write_text(json.dumps(baseline))
-
-        class _Report:
-            wall_s = 0.2
-        monkeypatch.setattr(
-            "repro.experiments.shard.run_suite_sharded",
-            lambda cfg, workers, store: _Report())
-        rc = main(["bench", "--root", str(tmp_path), "--stage", "suite"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "suite" in out
-        assert "smoke w=1" in out
-        assert "100.0" in out  # 0.2s vs 0.1s committed -> +100%
 
 
 class TestFleetCommands:

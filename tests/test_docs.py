@@ -30,6 +30,11 @@ class TestReadme:
         for name in set(re.findall(r"`(\w+\.py)`", text)):
             assert (ROOT / "examples" / name).exists(), name
 
+    def test_named_root_json_files_exist(self):
+        for doc in ("README.md", "EXPERIMENTS.md", "docs/ALGORITHMS.md"):
+            for name in set(re.findall(r"`([\w.-]+\.json)`", read(doc))):
+                assert (ROOT / name).exists(), (doc, name)
+
     def test_companion_documents_exist(self):
         for doc in ("DESIGN.md", "EXPERIMENTS.md", "docs/TUTORIAL.md",
                     "LICENSE"):

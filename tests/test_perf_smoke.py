@@ -1,212 +1,64 @@
-"""Performance smoke guard against the committed perf baselines.
+"""Live performance guards for the per-stage kernels.
 
-``BENCH_detection.json``, ``BENCH_schedule.json``, ``BENCH_atpg.json``
-and ``BENCH_fleet.json`` (repo root, regenerated by the matching
-``benchmarks/test_bench_*.py`` modules) record the per-circuit wall
-clock of the wordwave fault-simulation engine (plus the retained
-incremental/reference engines), the bitset schedule optimizer, the
-packed fault×pattern ATPG grading engine and the vectorized fleet Monte Carlo
-aging engine; ``BENCH_resched.json`` records the incremental
-rescheduling engine's alert-burst replay (latency distribution and
-speedup vs the cold pipeline).
-The smoke tests replay small quick-profile workloads and fail when a
-stage has regressed by more than 2x against the committed number (with an
-absolute slack so a loaded CI machine cannot produce spurious failures).
-Run explicitly with ``pytest -m perf``; skipped silently when no baseline
-has been committed.
+Each guard replays one small quick-profile workload and fails when the
+stage has regressed by more than 2x against the wall clock recorded for
+it (with an absolute slack so a loaded CI machine cannot produce
+spurious failures); the resched and service guards assert their
+absolute acceptance bounds instead.  The recorded seconds are module
+constants, measured on the s9234 quick-profile workloads.  End-to-end
+performance is measured by ``bench/run.py`` (see ``bench/README.md``).
+Run explicitly with ``pytest -m perf``.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
+from repro.circuits.library import QUICK_SUITE_NAMES
 from repro.core.config import FlowConfig
 from repro.experiments.runner import SuiteRunConfig, run_suite
 from repro.faults.detection import compute_detection_data
 from repro.scheduling.baselines import conventional_targets
 from repro.scheduling.schedule import optimize_schedule
 
-BASELINE_FILE = Path(__file__).resolve().parents[1] / "BENCH_detection.json"
-SCHEDULE_BASELINE_FILE = (Path(__file__).resolve().parents[1]
-                          / "BENCH_schedule.json")
-ATPG_BASELINE_FILE = Path(__file__).resolve().parents[1] / "BENCH_atpg.json"
-FLEET_BASELINE_FILE = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
-SUITE_BASELINE_FILE = Path(__file__).resolve().parents[1] / "BENCH_suite.json"
-RESCHED_BASELINE_FILE = (Path(__file__).resolve().parents[1]
-                         / "BENCH_resched.json")
-SERVICE_BASELINE_FILE = (Path(__file__).resolve().parents[1]
-                         / "BENCH_service.json")
-
 #: Regression factor + absolute slack (seconds) tolerated before failing.
 MAX_SLOWDOWN = 2.0
 ABS_SLACK_S = 0.25
 
+#: Circuit every per-stage guard replays (quick profile, scale 0.6).
+GUARD_CIRCUIT = "s9234"
 
-def _load_baseline(path=BASELINE_FILE):
-    if not path.exists():
-        pytest.skip(f"no committed {path.name} baseline")
-    baseline = json.loads(path.read_text())
-    if baseline.get("profile") != "quick":
-        pytest.skip("committed baseline was not recorded with quick profile")
-    return baseline
-
-
-def test_baseline_file_schema():
-    baseline = _load_baseline()
-    assert baseline["engine"] == "wordwave"
-    totals = baseline["totals"]
-    assert totals["wordwave_s"] > 0
-    assert totals["incremental_s"] >= totals["wordwave_s"]
-    assert totals["reference_s"] >= totals["incremental_s"]
-    for name, record in baseline["circuits"].items():
-        for key in ("gates", "ffs", "faults", "patterns", "stages",
-                    "total_s", "incremental_total_s", "reference_total_s"):
-            assert key in record, (name, key)
-        assert set(record["stages"]) <= {
-            "pregrade", "base_sim", "site_inject",
-            "faulty_sim", "intervals"}, name
-    large = baseline.get("large_circuit")
-    if large is not None:  # regenerated baselines carry the fleet profile
-        for key in ("gates", "faults", "patterns", "wordwave_s",
-                    "incremental_s", "reference_est_s",
-                    "speedup_vs_incremental"):
-            assert key in large, key
-        assert large["speedup_vs_incremental"] >= 10.0
+#: Recorded seconds per detection engine on the guard circuit.
+DETECTION_S = {"wordwave": 0.0154, "incremental": 0.0523}
+#: Recorded seconds of the conv/heur/prop + relaxed-coverage schedules.
+SCHEDULE_S = 0.0399
+#: Recorded seconds of matrix ATPG (seed 7).
+ATPG_S = 0.2599
+#: Recorded seconds of the uncached fleet study and its workload.
+FLEET_S = 0.3193
+FLEET_DEVICES = 4096
+FLEET_SEED = 42
+#: Recorded 8-worker drain of the timed suite matrix and its shape.
+SUITE_WORKERS = 8
+SUITE_S = 1.847
+SUITE_CIRCUITS = 120
+SUITE_SERIAL_S = 12.0
+#: Job document and repeat count of the service replay guard.
+SERVICE_JOB = {"kind": "flow", "circuit": "s27", "with_schedules": True}
+SERVICE_REPEATS = 15
 
 
-def test_schedule_baseline_file_schema():
-    baseline = _load_baseline(SCHEDULE_BASELINE_FILE)
-    assert baseline["pipeline"] == "bitset"
-    totals = baseline["totals"]
-    assert totals["bitset_s"] > 0
-    assert totals["reference_s"] >= totals["bitset_s"]
-    for name, record in baseline["circuits"].items():
-        for key in ("gates", "faults", "targets", "candidates",
-                    "stages", "total_s", "reference_total_s"):
-            assert key in record, (name, key)
-        assert set(record["stages"]) <= {
-            "target_ranges", "discretize", "presolve",
-            "step1", "step2"}, name
-
-
-def test_atpg_baseline_file_schema():
-    baseline = _load_baseline(ATPG_BASELINE_FILE)
-    assert baseline["engine"] == "matrix"
-    totals = baseline["totals"]
-    assert totals["matrix_s"] > 0
-    # Both engines share the PODEM core, so the end-to-end gap is modest;
-    # the matrix path must stay at least in the reference's ballpark.
-    assert totals["reference_s"] >= 0.8 * totals["matrix_s"]
-    seed = baseline["seed_baseline"]
-    if baseline.get("profile") == seed.get("profile"):
-        assert totals["matrix_s"] * 3.0 <= seed["total_s"]
-    for name, record in baseline["circuits"].items():
-        for key in ("gates", "ffs", "patterns", "detected", "coverage",
-                    "stages", "total_s", "reference_total_s"):
-            assert key in record, (name, key)
-        assert set(record["stages"]) <= {
-            "random", "podem", "grade", "compact"}, name
-
-
-def test_fleet_baseline_file_schema():
-    baseline = _load_baseline(FLEET_BASELINE_FILE)
-    assert baseline["engine"] == "vectorized"
-    totals = baseline["totals"]
-    assert totals["vectorized_s"] > 0
-    assert totals["reference_est_s"] >= totals["vectorized_s"]
-    assert totals["speedup_vs_reference"] > 1.0
-    for name, record in baseline["circuits"].items():
-        for key in ("gates", "ffs", "devices", "checkpoints", "total_s",
-                    "reference_slice_devices", "reference_est_s"):
-            assert key in record, (name, key)
-    large = baseline["large_fleet"]
-    assert large["devices"] >= 100_000
-    for key in ("vectorized_s", "reference_est_s",
-                "reference_slice_devices", "speedup_vs_reference"):
-        assert key in large, key
-    # The headline claim: at fleet scale the vectorized block kernel
-    # holds a >=20x advantage over the per-device scalar loop.
-    assert large["speedup_vs_reference"] >= 20.0
-
-
-def test_resched_baseline_file_schema():
-    baseline = _load_baseline(RESCHED_BASELINE_FILE)
-    assert baseline["engine"] == "incremental"
-    workload = baseline["workload"]
-    assert workload["max_gates"] == 1       # single-alert re-solves
-    assert workload["checkpoints"] >= 14
-    totals = baseline["totals"]
-    # The committed headline claims: interactive single-alert re-solves
-    # and a >=5x burst-replay advantage over the cold pipeline, with the
-    # incremental schedules cost-equal to cold everywhere.
-    assert totals["cost_equal"] is True
-    assert totals["median_ms"] < 100.0
-    assert totals["speedup"] >= 5.0
-    for name, record in baseline["circuits"].items():
-        for key in ("gates", "faults", "targets", "alerts", "prep_s",
-                    "median_ms", "max_ms", "total_s", "cold_total_s",
-                    "speedup", "paths", "cost_equal"):
-            assert key in record, (name, key)
-        assert record["cost_equal"] is True, name
-
-
-def test_suite_baseline_file_schema():
-    baseline = _load_baseline(SUITE_BASELINE_FILE)
-    assert baseline["host_cpus"] >= 1
-
-    scaling = baseline["scaling"]
-    # The curve is recorded with simulated-duration units so it measures
-    # the scheduler, not the recording host's core count.
-    assert scaling["payload"] == "timed"
-    assert scaling["matrix"]["circuits"] >= 100
-    assert scaling["matrix"]["units"] >= 600
-    for w in ("1", "2", "4", "8"):
-        assert scaling["workers"][w] > 0, w
-    # The headline claim: >=3x wall-clock at 8 workers over serial.
-    assert scaling["speedups"]["8"] >= 3.0, scaling["speedups"]
-
-    ablation = baseline["ablation"]
-    assert ablation["payload"] == "timed"
-    assert ablation["stage_granularity_s"] > 0
-    # Stage units + LPT must beat whole-circuit units dispatched in
-    # legacy pool.imap order on the straggler tail.
-    assert ablation["tail_speedup"] >= 1.2, ablation
-
-    smoke = baseline["smoke"]
-    assert smoke["payload"] == "real"
-    assert smoke["circuits"] == len(smoke["names"])
-    assert smoke["serial_inprocess_s"] > 0
-    for w in ("1", "2"):
-        assert smoke["workers"][w] > 0, w
-    # Sharded execution must reproduce the serial flows exactly.
-    assert smoke["parity"] is True
-
-
-def test_service_baseline_file_schema():
-    from repro.core.spec import job_from_dict
-
-    baseline = _load_baseline(SERVICE_BASELINE_FILE)
-    job = job_from_dict(baseline["job"])     # the document must parse
-    assert baseline["fingerprint"] == job.fingerprint()
-    assert baseline["repeats"] >= 5
-    assert baseline["cold_s"] > 0
-    assert baseline["hit_max_ms"] >= baseline["hit_median_ms"] > 0
-    # The issue's acceptance bound: an identical resubmission replays
-    # from the stage store in interactive time.
-    assert baseline["hit_median_ms"] < 50.0, baseline
+def _budget(recorded_s: float) -> float:
+    return MAX_SLOWDOWN * recorded_s + ABS_SLACK_S
 
 
 @pytest.mark.perf
 def test_service_replay_is_interactive():
-    """Re-measure the committed service replay workload live.
-
-    Cold-runs the committed job document on a throwaway stage store,
-    then replays it; the median warm latency must stay under the 50 ms
-    acceptance bound (absolute, not relative — the bound is the claim).
+    """Cold-run the guard job on a throwaway stage store, then replay it;
+    the median warm latency must stay under the 50 ms acceptance bound
+    (absolute, not relative — the bound is the claim).
     """
     import tempfile
     from statistics import median as _median
@@ -215,14 +67,13 @@ def test_service_replay_is_interactive():
     from repro.experiments.artifact_cache import StageCache
     from repro.service.orchestrator import run_job
 
-    baseline = _load_baseline(SERVICE_BASELINE_FILE)
-    job = job_from_dict(baseline["job"])
+    job = job_from_dict(SERVICE_JOB)
     with tempfile.TemporaryDirectory() as td:
         store = StageCache(td)
         cold = run_job(job, store=store)
         assert cold.cache == "miss"
         latencies = []
-        for _ in range(baseline["repeats"]):
+        for _ in range(SERVICE_REPEATS):
             t0 = time.perf_counter()
             replay = run_job(job, store=store)
             latencies.append(1000.0 * (time.perf_counter() - t0))
@@ -230,7 +81,7 @@ def test_service_replay_is_interactive():
     median_ms = _median(latencies)
     assert median_ms < 50.0, (
         f"warm-store service replay median {median_ms:.2f} ms >= 50 ms "
-        f"(committed {baseline['hit_median_ms']} ms; {latencies})")
+        f"({latencies})")
 
 
 @pytest.mark.perf
@@ -245,60 +96,47 @@ def test_suite_scaling_has_not_regressed():
         timed_plan,
     )
 
-    baseline = _load_baseline(SUITE_BASELINE_FILE)
-    scaling = baseline["scaling"]
-    budget = MAX_SLOWDOWN * scaling["workers"]["8"] + ABS_SLACK_S
-
-    # Rebuild the committed timed matrix (deterministic from the
-    # synthetic entries) and re-drain it at 8 workers.
-    specs = suite_timed_specs(scaling["matrix"]["circuits"],
-                              serial_s=scaling["matrix"]["serial_target_s"])
+    budget = _budget(SUITE_S)
+    # Rebuild the timed matrix (deterministic from the synthetic
+    # entries) and drain it at 8 workers.
+    specs = suite_timed_specs(SUITE_CIRCUITS, serial_s=SUITE_SERIAL_S)
     plan = timed_plan(specs, nonce=uuid.uuid4().hex)
     with tempfile.TemporaryDirectory() as td:
         t0 = time.perf_counter()
-        run_plan(plan, workers=8, store=StageCache(td))
+        run_plan(plan, workers=SUITE_WORKERS, store=StageCache(td))
         elapsed = time.perf_counter() - t0
     assert elapsed <= budget, (
-        f"8-worker timed drain took {elapsed:.3f}s, budget {budget:.3f}s "
-        f"(baseline {scaling['workers']['8']:.3f}s x {MAX_SLOWDOWN} "
+        f"{SUITE_WORKERS}-worker timed drain took {elapsed:.3f}s, budget "
+        f"{budget:.3f}s (recorded {SUITE_S:.3f}s x {MAX_SLOWDOWN} "
         f"+ {ABS_SLACK_S}s)")
 
 
 @pytest.mark.perf
 def test_fleet_has_not_regressed():
+    from repro.aging.scenario import ScenarioSpec
     from repro.circuits.library import suite_circuit
-    from repro.experiments.fleet import bench_fleet_seconds
+    from repro.experiments.fleet import run_fleet_study
 
-    baseline = _load_baseline(FLEET_BASELINE_FILE)
-    name = "s9234"
-    if name not in baseline["circuits"]:
-        pytest.skip(f"baseline has no record for {name}")
-    record = baseline["circuits"][name]
-    budget = MAX_SLOWDOWN * record["total_s"] + ABS_SLACK_S
-
-    elapsed = bench_fleet_seconds(suite_circuit(name),
-                                  devices=record["devices"])
+    budget = _budget(FLEET_S)
+    circuit = suite_circuit(GUARD_CIRCUIT)
+    elapsed = float("inf")
+    for _ in range(2):
+        t0 = time.perf_counter()
+        run_fleet_study(circuit, spec=ScenarioSpec(seed=FLEET_SEED),
+                        devices=FLEET_DEVICES, use_cache=False)
+        elapsed = min(elapsed, time.perf_counter() - t0)
     assert elapsed <= budget, (
-        f"vectorized fleet study on {name} took {elapsed:.3f}s, "
-        f"budget {budget:.3f}s (baseline {record['total_s']:.3f}s x "
+        f"vectorized fleet study on {GUARD_CIRCUIT} took {elapsed:.3f}s, "
+        f"budget {budget:.3f}s (recorded {FLEET_S:.3f}s x "
         f"{MAX_SLOWDOWN} + {ABS_SLACK_S}s)")
 
 
 @pytest.mark.perf
 def test_detection_has_not_regressed():
-    baseline = _load_baseline()
-    name = "s9234"
-    if name not in baseline["circuits"]:
-        pytest.skip(f"baseline has no record for {name}")
-    record = baseline["circuits"][name]
-    jobs = [("wordwave", record["total_s"])]
-    if "incremental_total_s" in record:
-        jobs.append(("incremental", record["incremental_total_s"]))
-
-    res = run_suite(SuiteRunConfig.quick(names=(name,),
-                                         with_schedules=False))[name]
-    for engine, baseline_s in jobs:
-        budget = MAX_SLOWDOWN * baseline_s + ABS_SLACK_S
+    res = run_suite(SuiteRunConfig.quick(names=(GUARD_CIRCUIT,),
+                                         with_schedules=False))[GUARD_CIRCUIT]
+    for engine, recorded_s in DETECTION_S.items():
+        budget = _budget(recorded_s)
         # Warm-up run (fills plan/cone-schedule caches), then the measured.
         for _ in range(2):
             t0 = time.perf_counter()
@@ -310,8 +148,8 @@ def test_detection_has_not_regressed():
                 engine=engine)
             elapsed = time.perf_counter() - t0
         assert elapsed <= budget, (
-            f"{engine} detection on {name} took {elapsed:.3f}s, "
-            f"budget {budget:.3f}s (baseline {baseline_s:.3f}s x "
+            f"{engine} detection on {GUARD_CIRCUIT} took {elapsed:.3f}s, "
+            f"budget {budget:.3f}s (recorded {recorded_s:.3f}s x "
             f"{MAX_SLOWDOWN} + {ABS_SLACK_S}s)")
 
 
@@ -320,43 +158,33 @@ def test_atpg_has_not_regressed():
     from repro.atpg.transition import generate_transition_tests
     from repro.circuits.library import suite_circuit
 
-    baseline = _load_baseline(ATPG_BASELINE_FILE)
-    name = "s9234"
-    if name not in baseline["circuits"]:
-        pytest.skip(f"baseline has no record for {name}")
-    budget = (MAX_SLOWDOWN * baseline["circuits"][name]["total_s"]
-              + ABS_SLACK_S)
-
-    circuit = suite_circuit(name, scale=0.6)  # the quick-profile workload
+    budget = _budget(ATPG_S)
+    circuit = suite_circuit(GUARD_CIRCUIT, scale=0.6)  # quick-profile size
     # Warm-up run (fills cone-schedule caches), then the measured one.
     for _ in range(2):
         t0 = time.perf_counter()
         generate_transition_tests(circuit, seed=7, engine="matrix")
         elapsed = time.perf_counter() - t0
     assert elapsed <= budget, (
-        f"matrix ATPG on {name} took {elapsed:.3f}s, "
-        f"budget {budget:.3f}s (baseline "
-        f"{baseline['circuits'][name]['total_s']:.3f}s x {MAX_SLOWDOWN} "
+        f"matrix ATPG on {GUARD_CIRCUIT} took {elapsed:.3f}s, "
+        f"budget {budget:.3f}s (recorded {ATPG_S:.3f}s x {MAX_SLOWDOWN} "
         f"+ {ABS_SLACK_S}s)")
 
 
 @pytest.mark.perf
 def test_resched_interactive_and_faster_than_cold():
-    """The issue's acceptance guard, re-measured live.
-
-    Replays the committed alert-burst workload over the quick-profile
-    circuits (best of two rounds per side, the same damping the baseline
-    uses) and asserts the two headline claims directly: single-alert
-    re-solve latency under 100 ms median, and the incremental engine at
-    least 5x faster than the cold pipeline on the burst replay — with
-    every incremental schedule cost-equal to its cold counterpart.
+    """Replay the alert-burst workload over the quick-profile circuits
+    (best of two rounds per side) and assert the two headline claims
+    directly: single-alert re-solve latency under 100 ms median, and the
+    incremental engine at least 5x faster than the cold pipeline on the
+    burst replay — with every incremental schedule cost-equal to its
+    cold counterpart.
     """
     from statistics import median as _median
 
     from repro.experiments.resched import replay_result
 
-    baseline = _load_baseline(RESCHED_BASELINE_FILE)
-    names = tuple(baseline["circuits"])
+    names = tuple(QUICK_SUITE_NAMES)
     results = run_suite(SuiteRunConfig.quick(names=names,
                                              with_schedules=False))
     best: dict[str, object] = {}
@@ -385,17 +213,11 @@ def test_resched_interactive_and_faster_than_cold():
 
 @pytest.mark.perf
 def test_schedule_has_not_regressed():
-    baseline = _load_baseline(SCHEDULE_BASELINE_FILE)
-    name = "s9234"
-    if name not in baseline["circuits"]:
-        pytest.skip(f"baseline has no record for {name}")
-    budget = (MAX_SLOWDOWN * baseline["circuits"][name]["total_s"]
-              + ABS_SLACK_S)
-
-    res = run_suite(SuiteRunConfig.quick(names=(name,),
-                                         with_schedules=False))[name]
+    budget = _budget(SCHEDULE_S)
+    res = run_suite(SuiteRunConfig.quick(names=(GUARD_CIRCUIT,),
+                                         with_schedules=False))[GUARD_CIRCUIT]
     data, cls_ = res.data, res.classification
-    # The baseline workload: conv/heur/prop plus two relaxed coverages,
+    # The guard workload: conv/heur/prop plus two relaxed coverages,
     # measured cold (caches cleared), best of two runs.
     jobs = [(conventional_targets(cls_), None, "ilp", 1.0),
             (cls_.target, res.configs, "greedy", 1.0),
@@ -412,7 +234,6 @@ def test_schedule_has_not_regressed():
                               solver=solver, coverage=cov)
         elapsed = min(elapsed, time.perf_counter() - t0)
     assert elapsed <= budget, (
-        f"bitset scheduling on {name} took {elapsed:.3f}s, "
-        f"budget {budget:.3f}s (baseline "
-        f"{baseline['circuits'][name]['total_s']:.3f}s x {MAX_SLOWDOWN} "
-        f"+ {ABS_SLACK_S}s)")
+        f"bitset scheduling on {GUARD_CIRCUIT} took {elapsed:.3f}s, "
+        f"budget {budget:.3f}s (recorded {SCHEDULE_S:.3f}s x "
+        f"{MAX_SLOWDOWN} + {ABS_SLACK_S}s)")

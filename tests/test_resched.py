@@ -251,21 +251,11 @@ class TestScenarioStream:
 
 class TestReplayHarness:
     def test_replay_result_records_and_agrees(self, flow_result_small):
-        from repro.experiments.resched import (
-            aggregate_totals,
-            replay_record,
-            replay_result,
-        )
+        from repro.experiments.resched import replay_result
 
         replay = replay_result(flow_result_small)
         assert replay.cost_equal
         assert replay.alerts == len(replay.latencies_s) == len(replay.cold_s)
-        record = replay_record(replay, flow_result_small)
-        assert record["alerts"] == replay.alerts
-        assert record["cost_equal"] is True
-        totals = aggregate_totals([replay])
-        assert totals["alerts"] == replay.alerts
-        assert totals["cost_equal"] is True
 
     def test_replay_alert_events_takes_the_solve_function(
             self, flow_result_s27):
@@ -303,10 +293,3 @@ class TestCli:
         payload = json.loads(
             capsys.readouterr().out.split("\n", 1)[1])
         assert len(payload["events"]) == payload["summary"]["alerts"]
-
-    def test_bench_unknown_stage_lists_all(self, capsys):
-        from repro.cli import main
-
-        assert main(["bench", "--stage", "bogus"]) == 2
-        err = capsys.readouterr().err
-        assert "resched" in err and "schedule" in err and "suite" in err

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -26,7 +27,7 @@ from repro.service.orchestrator import (
     resolve_circuit,
     run_job,
 )
-from repro.service.server import HdfService
+from repro.service.server import MAX_BODY_BYTES, HdfService
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +111,7 @@ class TestFacadeEquivalence:
         assert first.cache == "miss"
         assert second.cache == "hit"
         assert second.payload["table1"] == first.payload["table1"]
+        assert second.payload["table2"] == first.payload["table2"]
 
     def test_progress_events_cover_stages(self):
         events = []
@@ -344,3 +346,29 @@ class TestHttpApi:
         _post(f"{service.url}/jobs", {"kind": "flow", "circuit": "s27",
                                       "with_schedules": False})
         assert len(_get(f"{service.url}/jobs")["jobs"]) == before + 1
+
+
+_VALID_BODY = b'{"kind": "flow", "circuit": "c17", "with_schedules": false}'
+_NON_UTF8_BODY = b'{"kind": "\xff"}'
+
+
+@pytest.mark.parametrize("headers, body, status", [
+    ([], b"", 400),
+    (["Content-Length: abc"], b"{}", 400),
+    (["Content-Length: -1"], b"{}", 400),
+    ([f"Content-Length: {len(_NON_UTF8_BODY)}"], _NON_UTF8_BODY, 400),
+    ([f"Content-Length: {MAX_BODY_BYTES + 1}"], b"", 413),
+    ([f"Content-Length: {len(_VALID_BODY)}"], _VALID_BODY, 202),
+], ids=["missing-length", "non-integer-length", "negative-length",
+        "non-utf8-body", "oversized-body", "valid"])
+def test_post_jobs_answers_malformed_bodies(service, headers, body, status):
+    host, port = service.address
+    head = "\r\n".join(["POST /jobs HTTP/1.1", f"Host: {host}",
+                         "Connection: close", *headers, "", ""])
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(head.encode() + body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply[:80]
+    assert _get(f"{service.url}/healthz")["ok"] is True

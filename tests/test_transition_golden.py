@@ -3,8 +3,8 @@
 The packed fault×pattern grading engine (``engine="matrix"``) must be a
 pure performance change: bit-identical per-fault detect masks and an
 identical compacted test set, fault ledger and coverage for every circuit
-and seed.  These tests pin that contract (the benchmark in
-``benchmarks/test_bench_atpg.py`` re-checks it at suite scale).
+and seed.  These tests pin that contract (``tests/test_atpg_golden.py``
+re-checks it at suite scale).
 """
 
 from __future__ import annotations

@@ -11,9 +11,9 @@ Subcommands:
   spec).
 * ``fleet``   — fleet-scale Monte Carlo aging study over a device
   population (same scenario schema, ``--devices``/``--jobs``).
-* ``suite``   — sharded suite runner: decompose a suite into stage work
-  units over the shared stage store and drain them with ``--workers N``
-  cooperating processes (resumable; see ``docs/ALGORITHMS.md`` §15).
+* ``suite``   — suite runner: decompose a suite into stage work units
+  over the stage store and drain them with ``--workers N`` cooperating
+  processes (resumable; see ``docs/ALGORITHMS.md`` §15).
 * ``resched`` — replay an in-field monitor alert stream (JSON file or a
   ``ScenarioSpec``-driven synthetic generator) through the adaptive
   rescheduling engine and print per-alert re-solve latencies.
@@ -172,8 +172,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
         e.name for e in paper_suite())
     job = SuiteJob(names=names, scale=args.scale, with_schedules=True,
                    with_coverage_schedules=args.table3,
-                   workers=max(1, args.jobs) if args.jobs is not None
-                   else None)
+                   workers=max(1, args.jobs))
     # The facade run warms the in-process suite cache (honoring any
     # forced recompute); the table drivers below reuse those results.
     _run_job(job, recompute_from=_recompute_from(args))
@@ -295,38 +294,36 @@ def cmd_suite(args: argparse.Namespace) -> int:
         args.profile, count=args.count,
         scale=args.scale,
         with_schedules=True if args.schedules else None,
-        workers=args.workers, sharded=True)
+        workers=args.workers)
     try:
-        report = _run_job(job, claim_ttl=args.claim_ttl,
-                          shard_progress=args.progress).value
+        payload = _run_job(job, claim_ttl=args.claim_ttl,
+                           shard_progress=args.progress).payload
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    stats = report.stats
+    units = payload["units"]
     print(f"suite: {len(job.names)} circuits  profile={args.profile}  "
-          f"workers={report.workers}  wall={report.wall_s:.3f}s")
-    print(f"units: computed={stats.computed}  cached={stats.hits}  "
-          f"reclaimed={stats.reclaimed}  "
-          f"worker_failures={stats.worker_failures}  "
-          f"idle_wait={stats.wait_s:.3f}s")
-    if stats.stage_seconds:
+          f"workers={payload['workers']}  wall={payload['wall_s']:.3f}s")
+    print(f"units: computed={units['computed']}  cached={units['cached']}  "
+          f"reclaimed={units['reclaimed']}  "
+          f"worker_failures={units['worker_failures']}  "
+          f"idle_wait={payload['idle_wait_s']:.3f}s")
+    if payload["stage_seconds"]:
         print("stages:", "  ".join(
-            f"{k}={v:.3f}s" for k, v in sorted(stats.stage_seconds.items())))
+            f"{k}={v:.3f}s" for k, v in payload["stage_seconds"].items()))
+    results = payload["results"]
     if len(job.names) <= 16:
         rows = [
-            {"circuit": name,
-             "faults": res.classification.num_faults,
-             "target": len(res.classification.target),
-             "gain_%": round(res.classification.coverage_gain_percent, 2)}
-            for name, res in report.results.items()
+            {"circuit": name, "faults": row["faults"],
+             "target": row["target"], "gain_%": row["gain_percent"]}
+            for name, row in results.items()
         ]
         print(format_table(rows, title="Suite results"))
     else:
-        total = sum(len(r.classification.target)
-                    for r in report.results.values())
+        total = sum(row["target"] for row in results.values())
         print(f"aggregate: {total} target faults across "
-              f"{len(report.results)} circuits")
+              f"{len(results)} circuits")
     return 0
 
 
@@ -518,9 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--scale", type=float, default=1.0)
     p_tables.add_argument("--table3", action="store_true",
                           help="also compute the coverage-target sweep")
-    p_tables.add_argument("--jobs", type=int, default=None,
-                          help="worker processes across suite circuits "
-                               "(default: REPRO_JOBS or 1)")
+    p_tables.add_argument("--jobs", type=int, default=1,
+                          help="worker processes draining the suite's "
+                               "stage work units (default 1)")
     p_tables.add_argument("--recompute-from", nargs="+", metavar="STAGE",
                           default=None,
                           help="force these pipeline stages (and everything "
@@ -567,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.set_defaults(func=cmd_fleet)
 
     p_suite = sub.add_parser(
-        "suite", help="sharded suite runner over the shared stage store")
+        "suite", help="suite runner over the shared stage store")
     p_suite.add_argument("--workers", type=int, default=1,
                          help="cooperating worker processes claiming stage "
                               "work units (default 1 = in-process)")

@@ -41,11 +41,6 @@ class FlowConfig:
     pattern_cap: int | None = None
     #: ILP wall-clock limit per covering instance, seconds.
     ilp_time_limit: float = DEFAULT_TIME_LIMIT_S
-    #: Worker processes for the fault simulation (1 = in-process).
-    simulation_jobs: int = 1
-    #: Worker processes for the per-period step-2 cover solves
-    #: (1 = in-process; results are identical either way).
-    schedule_jobs: int = 1
     #: Coverage targets for Table III style relaxed schedules.
     coverage_targets: tuple[float, ...] = field(default=(0.99, 0.98, 0.95, 0.90))
 
@@ -56,9 +51,5 @@ class FlowConfig:
             raise ValueError("monitor_fraction must lie in [0, 1]")
         if self.pattern_cap is not None and self.pattern_cap < 1:
             raise ValueError("pattern_cap must be positive when given")
-        if self.simulation_jobs < 1:
-            raise ValueError("simulation_jobs must be >= 1")
-        if self.schedule_jobs < 1:
-            raise ValueError("schedule_jobs must be >= 1")
         if any(not 0.0 < c <= 1.0 for c in self.coverage_targets):
             raise ValueError("coverage targets must lie in (0, 1]")

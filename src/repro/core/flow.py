@@ -69,7 +69,7 @@ class HdfTestFlow:
                 timer: StageTimer | None = None) -> StageContext:
         """The :class:`StageContext` a run with these arguments would use.
 
-        Public so external schedulers (the sharded suite runner) can
+        Public so external schedulers (the suite runner's shard workers) can
         derive stage keys and execute individual stages against the same
         context the in-process pipeline would see.
         """
@@ -213,9 +213,7 @@ class HdfTestFlow:
             self.circuit, faults, test_set,
             horizon=clock.t_nom,
             monitored_gates=placement.monitored_gates,
-            inertial=cfg.inertial_ps,
-            jobs=cfg.simulation_jobs,
-            timer=timer)
+            inertial=cfg.inertial_ps, timer=timer)
 
         # -- Step 5: classification / target faults -----------------------
         note("fault classification")
@@ -240,20 +238,16 @@ class HdfTestFlow:
             note("schedule optimization (conv/heur/prop)")
             result.schedules["conv"] = conventional_schedule(
                 data, classification, clock,
-                time_limit=cfg.ilp_time_limit,
-                jobs=cfg.schedule_jobs, timer=timer)
+                time_limit=cfg.ilp_time_limit, timer=timer)
             result.schedules["heur"] = heuristic_schedule(
-                data, classification, clock, configs,
-                jobs=cfg.schedule_jobs, timer=timer)
+                data, classification, clock, configs, timer=timer)
             result.schedules["prop"] = proposed_schedule(
                 data, classification, clock, configs,
-                time_limit=cfg.ilp_time_limit,
-                jobs=cfg.schedule_jobs, timer=timer)
+                time_limit=cfg.ilp_time_limit, timer=timer)
         if with_coverage_schedules:
             for cov in cfg.coverage_targets:
                 note(f"schedule optimization (cov >= {cov:.0%})")
                 result.coverage_schedules[cov] = proposed_schedule(
                     data, classification, clock, configs, coverage=cov,
-                    time_limit=cfg.ilp_time_limit,
-                    jobs=cfg.schedule_jobs, timer=timer)
+                    time_limit=cfg.ilp_time_limit, timer=timer)
         return result

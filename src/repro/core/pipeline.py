@@ -109,7 +109,7 @@ class Pipeline:
         """Serializable ``(stage, key, ((dep, dep_key), ...))`` descriptors.
 
         One per registered stage, in topological order — the work-unit
-        decomposition the sharded suite runner
+        decomposition the suite runner's shard scheduler
         (:mod:`repro.experiments.shard`) schedules over a shared stage
         store: a unit is ready exactly when every ``dep_key`` artifact is
         present, and complete when its own ``key`` is.

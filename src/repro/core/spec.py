@@ -3,7 +3,7 @@
 Four request surfaces grew separately — :class:`FlowConfig` + CLI flags
 for single flows, ``ScenarioSpec`` JSON for fleet aging studies,
 alert-stream JSON for ``repro resched`` and ``--profile/--workers`` knobs
-for the sharded suite runner — each with its own parsing, validation and
+for suite replays — each with its own parsing, validation and
 cache-keying path.  This module collapses them into one typed layer:
 
 * :class:`FlowJob`, :class:`SuiteJob`, :class:`FleetJob` and
@@ -19,11 +19,11 @@ cache-keying path.  This module collapses them into one typed layer:
   :class:`FleetJob` / :class:`ReschedJob` as nested specs.
 
 Fingerprints cover only *semantic* fields: knobs that cannot change the
-result (worker counts, execution substrate) are declared per class in
-``NON_SEMANTIC`` and excluded, just as the stage keys leave out
-``FlowConfig``'s worker counts.  Two submissions with equal fingerprints are
-therefore interchangeable — the property the service orchestrator's
-dedupe relies on (:mod:`repro.service.orchestrator`).
+result (worker counts) are declared per class in ``NON_SEMANTIC`` and
+excluded, just as the stage keys leave out the fleet's worker count.
+Two submissions with equal fingerprints are therefore interchangeable —
+the property the service orchestrator's dedupe relies on
+(:mod:`repro.service.orchestrator`).
 
 Import discipline: this module imports nothing from :mod:`repro.aging`
 (or any other heavy subsystem) at module level — the degradation/hazard
@@ -314,8 +314,7 @@ class FlowJob(JobSpec):
         if self.pattern_cap is not None and self.pattern_cap < 1:
             raise SpecError("pattern_cap must be positive when given")
 
-    def flow_config(self, *, simulation_jobs: int = 1,
-                    schedule_jobs: int = 1):
+    def flow_config(self):
         """The :class:`FlowConfig` this job runs under."""
         from repro.core.config import FlowConfig
 
@@ -324,24 +323,20 @@ class FlowJob(JobSpec):
             monitor_fraction=self.monitor_fraction,
             pattern_cap=self.pattern_cap,
             atpg_seed=self.atpg_seed,
-            simulation_jobs=simulation_jobs,
-            schedule_jobs=schedule_jobs,
         )
 
 
 @dataclass(frozen=True)
 class SuiteJob(JobSpec):
-    """One suite replay (Tables I–III drivers, sharded runner).
+    """One suite replay (Tables I–III drivers, ``repro suite``).
 
-    ``workers`` and ``sharded`` choose the execution substrate — a fork
-    pool inside one process versus cooperating processes over the shared
-    stage store — and are non-semantic: results are bit-identical either
-    way, so neither enters the fingerprint.
+    ``workers`` is the number of processes draining the suite's stage
+    work units; it is non-semantic — results are bit-identical for any
+    count — so it does not enter the fingerprint.
     """
 
     kind: ClassVar[str] = "suite"
-    NON_SEMANTIC: ClassVar[frozenset[str]] = frozenset(
-        {"workers", "sharded"})
+    NON_SEMANTIC: ClassVar[frozenset[str]] = frozenset({"workers"})
 
     names: tuple[str, ...] = ()
     scale: float = 1.0
@@ -350,10 +345,8 @@ class SuiteJob(JobSpec):
     fast_ratio: float = 3.0
     monitor_fraction: float = 0.25
     atpg_seed: int = 7
-    #: Worker processes (None = the runner's REPRO_JOBS default).
-    workers: int | None = None
-    #: Drain stage work units through the shard substrate.
-    sharded: bool = False
+    #: Worker processes draining the stage work units.
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.names:
@@ -361,8 +354,8 @@ class SuiteJob(JobSpec):
         object.__setattr__(self, "names", tuple(self.names))
         if self.scale <= 0.0:
             raise SpecError("scale must be positive")
-        if self.workers is not None and self.workers < 1:
-            raise SpecError("workers must be >= 1 when given")
+        if self.workers < 1:
+            raise SpecError("workers must be >= 1")
 
     @classmethod
     def _coerce(cls, payload: dict) -> dict:
@@ -399,16 +392,13 @@ class SuiteJob(JobSpec):
         """The :class:`SuiteRunConfig` this job executes as."""
         from repro.experiments.runner import SuiteRunConfig
 
-        kwargs: dict[str, Any] = dict(
+        return SuiteRunConfig(
             names=self.names, scale=self.scale,
             with_schedules=self.with_schedules,
             with_coverage_schedules=self.with_coverage_schedules,
             fast_ratio=self.fast_ratio,
             monitor_fraction=self.monitor_fraction,
             atpg_seed=self.atpg_seed)
-        if self.workers is not None:
-            kwargs["jobs"] = max(1, self.workers)
-        return SuiteRunConfig(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -284,9 +284,7 @@ class SimulationStage(Stage):
             ctx.circuit, faults.faults, patterns.test_set,
             horizon=timing.clock.t_nom,
             monitored_gates=timing.placement.monitored_gates,
-            inertial=cfg.inertial_ps,
-            jobs=cfg.simulation_jobs,
-            timer=ctx.timer)
+            inertial=cfg.inertial_ps, timer=ctx.timer)
         return DetectionArtifact(data=data)
 
 
@@ -324,22 +322,20 @@ class ScheduleStage(Stage):
             ctx.note("schedule optimization (conv/heur/prop)")
             schedules["conv"] = conventional_schedule(
                 data, classification, timing.clock,
-                time_limit=cfg.ilp_time_limit,
-                jobs=cfg.schedule_jobs, timer=ctx.timer)
+                time_limit=cfg.ilp_time_limit, timer=ctx.timer)
             schedules["heur"] = heuristic_schedule(
                 data, classification, timing.clock, timing.configs,
-                jobs=cfg.schedule_jobs, timer=ctx.timer)
+                timer=ctx.timer)
             schedules["prop"] = proposed_schedule(
                 data, classification, timing.clock, timing.configs,
-                time_limit=cfg.ilp_time_limit,
-                jobs=cfg.schedule_jobs, timer=ctx.timer)
+                time_limit=cfg.ilp_time_limit, timer=ctx.timer)
         if ctx.with_coverage_schedules:
             for cov in cfg.coverage_targets:
                 ctx.note(f"schedule optimization (cov >= {cov:.0%})")
                 coverage_schedules[cov] = proposed_schedule(
                     data, classification, timing.clock, timing.configs,
                     coverage=cov, time_limit=cfg.ilp_time_limit,
-                    jobs=cfg.schedule_jobs, timer=ctx.timer)
+                    timer=ctx.timer)
         return ScheduleArtifact(schedules=schedules,
                                 coverage_schedules=coverage_schedules)
 

@@ -1,15 +1,13 @@
 """Persistent on-disk store for per-stage pipeline artifacts.
 
 Repeated table/figure/benchmark drivers replay the same (circuit, scale,
-config) flows; the in-process cache of :mod:`repro.experiments.runner` only
+config) flows; the in-process memo of :mod:`repro.experiments.runner` only
 helps within one interpreter.  This module persists pipeline artifacts to
 disk at **stage** granularity: the :class:`~repro.core.pipeline.Pipeline`
 keys every stage by a Merkle-style content hash of
 
 * the circuit content hash,
-* the stage's semantic config fields — worker-count knobs
-  (``simulation_jobs`` / ``schedule_jobs``) are deliberately excluded,
-  results are bit-identical for any job count,
+* the stage's semantic config fields,
 * the keys of its upstream stages, and
 * the stage's own ``CACHE_VERSION``,
 
@@ -28,7 +26,7 @@ Environment knobs:
   ``<repo root>/.repro_cache``).
 
 Writes are atomic (temp file + ``os.replace``) so concurrent workers of the
-parallel suite runner can share one directory safely; loads tolerate
+suite runner can share one directory safely; loads tolerate
 corrupt/truncated entries by treating them as misses.  Entries are
 pickles, so the store must live in a local, user-owned directory: loading
 an entry runs whatever code its bytes name.
@@ -81,7 +79,7 @@ class StageCache:
     def contains(self, key: str) -> bool:
         """Cheap presence probe (one ``stat``, no deserialization).
 
-        The sharded suite runner uses this for ready-checks; entries are
+        The suite runner's shard workers use this for ready-checks; entries are
         written atomically, so a visible path is always a complete pickle
         (which may still fail :meth:`load` if written by foreign code).
         """

@@ -1,35 +1,35 @@
-"""Shared suite runner with in-process, on-disk and multi-process reuse.
+"""The suite executor every table/figure driver replays through.
 
 All table/figure drivers replay the same flow over the (scaled) evaluation
-suite; the runner executes each circuit once per parameterization and caches
-the :class:`FlowResult` at three levels:
+suite.  :func:`run_suite` decomposes the circuits it has not seen yet into
+``(circuit, stage)`` work units (:func:`suite_plan`), drains them through
+the shard scheduler (:func:`repro.experiments.shard.run_plan`) with
+``workers`` cooperating processes, and assembles each circuit's
+:class:`FlowResult` from the stage store
+(:meth:`~repro.core.flow.HdfTestFlow.cached_result`).  Results are reused
+at two levels:
 
-* **in-process** — keyed by the full :class:`SuiteRunConfig` (including the
-  effective job count, so runs under different ``REPRO_JOBS`` settings never
-  alias each other's timer splits);
-* **on disk** — at *stage* granularity via
-  :class:`repro.experiments.artifact_cache.StageCache`: every flow runs
-  against the shared stage store, so repeated invocations skip completed
-  stages across processes and sessions, a partially-completed suite run
-  resumes from the last finished stage of each circuit, and a fully cached
-  flow is assembled without executing anything
-  (:meth:`~repro.core.flow.HdfTestFlow.cached_result`);
-* **across workers** — with ``jobs > 1`` the circuits fan out over a fork
-  process pool; each worker runs its flow with in-process stage parallelism
-  disabled (no nested pools) and ships back ``(result, timer)``.  Atomic
-  stage-store writes make the shared cache directory safe under
-  concurrency.
+* **in-process** — keyed by the semantic :class:`SuiteRunConfig` alone;
+  the worker count is not part of it, results are bit-identical for any;
+* **stage store** — the shared on-disk
+  :class:`~repro.experiments.artifact_cache.StageCache` when the disk
+  cache is enabled, so repeated invocations skip completed stages across
+  processes and sessions and a killed run resumes from its finished units.
+  With ``REPRO_FLOW_CACHE=0`` the drain coordinates through a temporary
+  store that is removed when the call returns.
 
-``run_suite(..., recompute_from=("schedule",))`` bypasses the cached
-artifacts of the named pipeline stages plus their downstream closure —
-unknown stage names raise ``ValueError`` listing the registered stages.
+``run_suite(..., recompute_from=("schedule",))`` deletes the stored
+artifacts of the named pipeline stages plus their downstream closure
+before the drain — unknown stage names raise ``ValueError`` listing the
+registered stages.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-from dataclasses import dataclass, field, replace
+import tempfile
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Any, Iterator, Mapping
 
 from repro.circuits.library import (
     QUICK_SUITE_NAMES,
@@ -42,21 +42,10 @@ from repro.core.config import FlowConfig
 from repro.core.flow import HdfTestFlow
 from repro.core.pipeline import DEFAULT_PIPELINE
 from repro.core.results import FlowResult
+from repro.core.stages import StageContext
 from repro.experiments.artifact_cache import StageCache, cache_enabled
+from repro.experiments.shard import ShardPlan, ShardStats, WorkUnit, run_plan
 from repro.utils.profiling import StageTimer
-
-
-def _default_jobs() -> int:
-    """Worker-process count from the environment (``REPRO_JOBS``).
-
-    Read once into :class:`SuiteRunConfig` at construction time, so the
-    effective parallelism is part of the cache key instead of ambient
-    state.
-    """
-    try:
-        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -70,10 +59,6 @@ class SuiteRunConfig:
     fast_ratio: float = 3.0
     monitor_fraction: float = 0.25
     atpg_seed: int = 7
-    #: Effective worker count (captured from ``REPRO_JOBS`` by default).
-    #: With multiple circuits the suite fans out one flow per worker;
-    #: with a single circuit the jobs go to the in-flow stage pools.
-    jobs: int = field(default_factory=_default_jobs)
 
     @classmethod
     def quick(cls, **overrides: object) -> "SuiteRunConfig":
@@ -95,153 +80,120 @@ class SuiteRunConfig:
         return replace(base, **overrides)  # type: ignore[arg-type]
 
 
-def run_suite_job(job, *, progress: bool = False,
-                  timer: "StageTimer | None" = None,
-                  recompute_from: tuple[str, ...] = ()
-                  ) -> dict[str, FlowResult]:
-    """Execute a declarative :class:`repro.core.spec.SuiteJob` in-process.
-
-    The facade's suite path (:func:`repro.service.orchestrator.run_job`):
-    the job's semantic fields map onto one :class:`SuiteRunConfig` and
-    run through the same three-level cache as every direct caller.
-    """
-    return run_suite(job.run_config(), progress=progress, timer=timer,
-                     recompute_from=recompute_from)
-
-
-@dataclass
-class _CacheEntry:
-    results: dict[str, FlowResult] = field(default_factory=dict)
-
-
-_CACHE: dict[SuiteRunConfig, _CacheEntry] = {}
+_CACHE: dict[SuiteRunConfig, dict[str, FlowResult]] = {}
 
 
 def clear_cache() -> None:
     _CACHE.clear()
 
 
-def _stage_cache() -> StageCache | None:
-    return StageCache() if cache_enabled() else None
-
-
-def flow_config(cfg: SuiteRunConfig, pattern_cap: int | None,
-                stage_jobs: int) -> FlowConfig:
-    """The :class:`FlowConfig` one suite circuit runs under."""
-    return FlowConfig(
+def suite_flow(name: str, cfg: SuiteRunConfig) -> HdfTestFlow:
+    """Build the flow for one suite circuit."""
+    circuit = suite_circuit(name, scale=cfg.scale)
+    return HdfTestFlow(circuit, FlowConfig(
         fast_ratio=cfg.fast_ratio,
         monitor_fraction=cfg.monitor_fraction,
         atpg_seed=cfg.atpg_seed,
-        pattern_cap=pattern_cap,
-        simulation_jobs=stage_jobs,
-        schedule_jobs=stage_jobs,
-    )
+        pattern_cap=suite_entry(name).pattern_budget(scale=cfg.scale),
+    ))
 
 
-def suite_flow(name: str, cfg: SuiteRunConfig, pattern_cap: int | None,
-               stage_jobs: int) -> HdfTestFlow:
-    """Build the flow for one suite circuit (shared with the shard planner)."""
-    circuit = suite_circuit(name, scale=cfg.scale)
-    return HdfTestFlow(circuit, flow_config(cfg, pattern_cap, stage_jobs))
+def suite_plan(cfg: SuiteRunConfig, *, progress: bool = False,
+               flows: Mapping[str, HdfTestFlow] | None = None
+               ) -> ShardPlan:
+    """Decompose a suite replay into stage work units.
 
-
-def _execute_flow(name: str, cfg: SuiteRunConfig, pattern_cap: int | None,
-                  stage_jobs: int, progress: bool,
-                  timer: StageTimer | None,
-                  recompute_from: tuple[str, ...] = (),
-                  cache: StageCache | None = None) -> FlowResult:
-    flow = suite_flow(name, cfg, pattern_cap, stage_jobs)
-    note = (lambda m, _n=name: print(f"[{_n}] {m}")) if progress else None
-    return flow.run(
-        with_schedules=cfg.with_schedules,
-        with_coverage_schedules=cfg.with_coverage_schedules,
-        progress=note, timer=timer,
-        cache=cache, recompute_from=recompute_from)
-
-
-def _worker_run(args: tuple[str, SuiteRunConfig, int | None, bool,
-                            tuple[str, ...], StageCache | None]
-                ) -> tuple[str, FlowResult, StageTimer]:
-    """Pool entry point: run one circuit flow, stage pools disabled.
-
-    The parent's stage cache (or None) rides along in the args so every
-    worker targets the same store root — claim bookkeeping and hit/miss
-    counters all see a single shared directory.
+    Builds one :class:`~repro.core.stages.StageContext` per circuit (the
+    exact context a plain ``suite_flow(...).run()`` would use, so stage
+    keys — and hence artifacts — are shared with it) and derives the unit
+    DAG from the pipeline's descriptors.  ``flows`` (default: built from
+    ``cfg``) lets the caller reuse circuits it already generated.
     """
-    name, cfg, pattern_cap, progress, recompute_from, cache = args
-    timer = StageTimer()
-    result = _execute_flow(name, cfg, pattern_cap, stage_jobs=1,
-                           progress=progress, timer=timer,
-                           recompute_from=recompute_from, cache=cache)
-    return name, result, timer
+    contexts: dict[str, StageContext] = {}
+    units: list[WorkUnit] = []
+    for name in cfg.names:
+        entry = suite_entry(name)
+        flow = flows[name] if flows is not None else suite_flow(name, cfg)
+        ctx = flow.context(
+            with_schedules=cfg.with_schedules,
+            with_coverage_schedules=cfg.with_coverage_schedules)
+        if progress:
+            ctx.note = lambda m, _n=name: print(f"[{_n}] {m}")
+        contexts[name] = ctx
+        cost = float(entry.gates) * max(1, entry.patterns)
+        for stage, key, deps in flow.pipeline.unit_descriptors(ctx):
+            if not flow.pipeline.get(stage).cacheable(ctx):
+                raise ValueError(
+                    f"stage {stage!r} is not cacheable for {name!r}; "
+                    f"sharded execution coordinates through the store")
+            units.append(WorkUnit(circuit=name, stage=stage, key=key,
+                                  deps=deps, cost=cost))
+
+    def execute(unit: WorkUnit, inputs: dict[str, Any],
+                timer: StageTimer) -> Any:
+        ctx = contexts[unit.circuit]
+        ctx.timer = timer
+        return DEFAULT_PIPELINE.get(unit.stage).run(ctx, inputs)
+
+    return ShardPlan(ShardPlan.order_units(units), execute)
 
 
-def _pool_context() -> mp.context.BaseContext:
-    # fork shares the (already imported) circuit/library state with zero
-    # pickling of inputs; fall back to the platform default elsewhere.
-    if "fork" in mp.get_all_start_methods():
-        return mp.get_context("fork")
-    return mp.get_context()
+@contextmanager
+def _suite_store(store: StageCache | None) -> Iterator[StageCache]:
+    """The given store, else the disk store, else a temporary one."""
+    if store is not None:
+        yield store
+    elif cache_enabled():
+        yield StageCache()
+    else:
+        with tempfile.TemporaryDirectory(prefix="repro-suite-") as tmp:
+            yield StageCache(tmp)
 
 
-def run_suite(config: SuiteRunConfig | None = None,
-              *, progress: bool = False,
-              timer: StageTimer | None = None,
-              recompute_from: tuple[str, ...] = ()) -> dict[str, FlowResult]:
+def run_suite(config: SuiteRunConfig | None = None, *,
+              workers: int = 1,
+              store: StageCache | None = None,
+              ttl: float | None = None,
+              progress: bool = False,
+              stats: ShardStats | None = None,
+              recompute_from: tuple[str, ...] = ()
+              ) -> dict[str, FlowResult]:
     """Run (or fetch cached) flow results for every circuit of the config.
 
-    ``timer`` accumulates the per-stage wall-clock split across all
-    circuits actually executed (cache hits contribute nothing; parallel
-    workers' splits are merged in).  ``recompute_from`` forces the named
-    pipeline stages plus everything downstream to recompute even when
-    cached — unknown names raise ``ValueError`` listing the registered
-    stages.
+    The circuits missing from the in-process memo are drained as stage
+    work units by ``workers`` processes over ``store`` (default: the disk
+    store when enabled, else a temporary one; ``ttl`` is the stale-claim
+    age).  ``stats``, when given, accumulates the drain's unit counts,
+    per-stage seconds, fine-grained timer split and wall clock.
+    ``recompute_from`` forces the named pipeline stages plus everything
+    downstream to recompute even when cached — unknown names raise
+    ``ValueError`` listing the registered stages.
     """
     cfg = config or SuiteRunConfig()
-    recompute_from = tuple(recompute_from)
-    if recompute_from:
-        DEFAULT_PIPELINE.descendants(recompute_from)  # validate names early
-    entry = _CACHE.setdefault(cfg, _CacheEntry())
-    suite = {name: suite_entry(name) for name in cfg.names}
-    # One stage store instance for the whole replay: the pre-scan below,
-    # the serial path and every pool worker all target the same root.
-    disk = _stage_cache()
-
-    caps = {name: suite[name].pattern_budget(scale=cfg.scale)
-            for name in cfg.names}
-    pending: list[str] = []
-    for name in cfg.names:
-        if name in entry.results and not recompute_from:
-            continue
-        if disk is not None and not recompute_from:
-            cached = suite_flow(name, cfg, caps[name], 1).cached_result(
-                with_schedules=cfg.with_schedules,
-                with_coverage_schedules=cfg.with_coverage_schedules,
-                cache=disk)
-            if cached is not None:
-                entry.results[name] = cached
-                continue
-        pending.append(name)
-
-    if len(pending) > 1 and cfg.jobs > 1:
-        ctx = _pool_context()
-        args = [(name, cfg, caps[name], progress, recompute_from, disk)
-                for name in pending]
-        with ctx.Pool(processes=min(cfg.jobs, len(pending))) as pool:
-            # Unordered collection: a slow circuit must not head-of-line
-            # block result pickup and timer merging (results are keyed by
-            # name, so arrival order is irrelevant).
-            for name, result, wtimer in pool.imap_unordered(_worker_run,
-                                                            args):
-                entry.results[name] = result
-                if timer is not None:
-                    timer.merge(wtimer)
-    else:
-        # Serial circuits: hand the job budget to the in-flow stage pools.
-        for name in pending:
-            entry.results[name] = _execute_flow(
-                name, cfg, caps[name], stage_jobs=cfg.jobs,
-                progress=progress, timer=timer,
-                recompute_from=recompute_from, cache=disk)
-
-    return {name: entry.results[name] for name in cfg.names}
+    forced = (DEFAULT_PIPELINE.descendants(recompute_from)
+              if recompute_from else set())
+    memo = _CACHE.setdefault(cfg, {})
+    pending = tuple(n for n in cfg.names if forced or n not in memo)
+    if pending:
+        flows = {name: suite_flow(name, cfg) for name in pending}
+        plan = suite_plan(replace(cfg, names=pending), progress=progress,
+                          flows=flows)
+        with _suite_store(store) as disk:
+            for unit in plan.units:
+                if unit.stage in forced:
+                    disk.delete(unit.key)
+            run = run_plan(plan, workers=workers, store=disk, ttl=ttl)
+            for name, flow in flows.items():
+                result = flow.cached_result(
+                    with_schedules=cfg.with_schedules,
+                    with_coverage_schedules=cfg.with_coverage_schedules,
+                    cache=disk)
+                if result is None:
+                    raise RuntimeError(
+                        f"suite drain completed but {name!r} has missing "
+                        f"stage artifacts — stage store at {disk.root} is "
+                        f"inconsistent")
+                memo[name] = result
+        if stats is not None:
+            stats.merge(run)
+    return {name: memo[name] for name in cfg.names}

@@ -1,18 +1,20 @@
-"""Sharded suite execution: stage work units over the shared stage store.
+"""The shard scheduler: stage work units over the shared stage store.
 
-The fork pool in :mod:`repro.experiments.runner` fans out at whole-circuit
-granularity, so a long pipeline stage on one big circuit serializes the
-suite's tail while other workers idle.  This module decomposes a suite run
+A suite replay (:func:`repro.experiments.runner.run_suite`) decomposes
 into **stage work units** — the serializable ``(circuit, stage,
 upstream-keys)`` descriptors of
-:meth:`repro.core.pipeline.Pipeline.unit_descriptors` — and turns the
-Merkle-keyed :class:`~repro.experiments.artifact_cache.StageCache` into a
-coordination substrate for any number of independent worker processes:
+:meth:`repro.core.pipeline.Pipeline.unit_descriptors` — and this module
+drains them with any number of independent worker processes, using the
+Merkle-keyed :class:`~repro.experiments.artifact_cache.StageCache` as the
+coordination substrate:
 
 * **Readiness** is an artifact-presence check: a unit may run once every
   upstream stage key exists in the store.  Workers learn about remote
   progress purely through the filesystem, so the design is multi-process
   today and multi-host-shaped (any shared ``REPRO_CACHE_DIR`` works).
+* **Hand-off**: a worker passes each artifact it computed itself straight
+  to its downstream units and loads an upstream artifact from the store
+  only when another worker produced it.
 * **Claims** are lock-free: a worker claims a unit by exclusively creating
   ``claims/<key>.claim`` (atomic on POSIX), heartbeats the claim's mtime
   from a daemon thread while the stage runs, and releases it after the
@@ -31,10 +33,10 @@ coordination substrate for any number of independent worker processes:
   nothing that already has an artifact, so a partially-completed (or
   killed) suite run picks up exactly the missing stage units.
 
-``run_suite_sharded`` is the public entry point (surfaced as ``repro
-suite --workers N``); ``timed_plan``/``run_plan`` drive the same
-scheduler with simulated-duration units, which is how the perf guard
-measures scheduler scaling independently of the host's core count.
+``run_plan`` is the driver (``repro suite --workers N`` and ``repro
+tables --jobs N`` reach it through ``run_suite``); ``timed_plan`` builds
+simulated-duration units, which is how the perf guard measures scheduler
+scaling independently of the host's core count.
 
 Environment knobs: ``REPRO_CLAIM_TTL`` (stale-claim age in seconds,
 default 30; heartbeats refresh at TTL/4, so it bounds how long a killed
@@ -54,12 +56,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.circuits.library import suite_entry, synthetic_suite
+from repro.circuits.library import synthetic_suite
 from repro.core.pipeline import DEFAULT_PIPELINE
-from repro.core.results import FlowResult
-from repro.core.stages import StageContext
-from repro.experiments.artifact_cache import StageCache, cache_enabled
-from repro.experiments.runner import SuiteRunConfig, suite_flow
+from repro.experiments.artifact_cache import StageCache
 from repro.utils.profiling import StageTimer
 
 #: Default stale-claim TTL in seconds (override via ``REPRO_CLAIM_TTL``).
@@ -94,13 +93,20 @@ class WorkUnit:
 
 @dataclass
 class ShardStats:
-    """Aggregated accounting of one sharded run."""
+    """Aggregated accounting of one or more drains.
+
+    ``workers`` is the number of worker processes that actually ran and
+    ``wall_s`` the drain's wall clock; ``timer`` collects the stages'
+    fine-grained split (merged back from every worker).
+    """
 
     computed: int = 0
     hits: int = 0
     reclaimed: int = 0
     wait_s: float = 0.0
     worker_failures: int = 0
+    workers: int = 1
+    wall_s: float = 0.0
     stage_seconds: dict[str, float] = field(default_factory=dict)
     timer: StageTimer = field(default_factory=StageTimer)
 
@@ -114,9 +120,16 @@ class ShardStats:
         self.reclaimed += other.reclaimed
         self.wait_s += other.wait_s
         self.worker_failures += other.worker_failures
+        self.workers = max(self.workers, other.workers)
+        self.wall_s += other.wall_s
         for stage, seconds in other.stage_seconds.items():
             self.credit(stage, seconds)
         self.timer.merge(other.timer)
+
+
+#: ``execute(unit, inputs, timer) -> artifact``: ``inputs`` maps each
+#: upstream stage name to its artifact.
+Execute = Callable[[WorkUnit, dict[str, Any], StageTimer], Any]
 
 
 class ShardPlan:
@@ -129,17 +142,9 @@ class ShardPlan:
     """
 
     def __init__(self, units: Sequence[WorkUnit],
-                 execute: Callable[[WorkUnit, StageTimer | None], Any],
-                 *, label: str = "plan") -> None:
+                 execute: Execute) -> None:
         self.units = tuple(units)
-        self._execute = execute
-        self.label = label
-
-    def executor(self, store: StageCache, timer: StageTimer | None,
-                 ) -> Callable[[WorkUnit], Any]:
-        def run(unit: WorkUnit) -> Any:
-            return self._execute(unit, timer)
-        return run
+        self.execute = execute
 
     @staticmethod
     def order_units(units: Iterable[WorkUnit]) -> list[WorkUnit]:
@@ -152,55 +157,6 @@ class ShardPlan:
                 for name, total in by_circuit.items()}
         # Stable sort keeps the per-circuit topological order intact.
         return sorted(units, key=lambda u: rank[u.circuit])
-
-
-def suite_plan(cfg: SuiteRunConfig, *,
-               store: StageCache,
-               progress: bool = False) -> ShardPlan:
-    """Decompose a suite replay into stage work units.
-
-    Builds one :class:`~repro.core.stages.StageContext` per circuit (the
-    exact context an in-process run would use, so stage keys — and hence
-    artifacts — are shared with ``run_suite``) and derives the unit DAG
-    from the pipeline's descriptors.
-    """
-    contexts: dict[str, StageContext] = {}
-    units: list[WorkUnit] = []
-    for name in cfg.names:
-        entry = suite_entry(name)
-        cap = entry.pattern_budget(scale=cfg.scale)
-        flow = suite_flow(name, cfg, cap, stage_jobs=1)
-        ctx = flow.context(
-            with_schedules=cfg.with_schedules,
-            with_coverage_schedules=cfg.with_coverage_schedules)
-        contexts[name] = ctx
-        cost = float(entry.gates) * max(1, entry.patterns)
-        for stage, key, deps in flow.pipeline.unit_descriptors(ctx):
-            if not flow.pipeline.get(stage).cacheable(ctx):
-                raise ValueError(
-                    f"stage {stage!r} is not cacheable for {name!r}; "
-                    f"sharded execution coordinates through the store")
-            units.append(WorkUnit(circuit=name, stage=stage, key=key,
-                                  deps=deps, cost=cost))
-
-    def execute(unit: WorkUnit, timer: StageTimer | None) -> Any:
-        ctx = contexts[unit.circuit]
-        ctx.timer = timer
-        ctx.note = ((lambda m, _n=unit.circuit: print(f"[{_n}] {m}"))
-                    if progress else (lambda _m: None))
-        stage = DEFAULT_PIPELINE.get(unit.stage)
-        inputs: dict[str, Any] = {}
-        for dep_name, dep_key in unit.deps:
-            artifact = store.load(dep_key)
-            if artifact is None:
-                raise RuntimeError(
-                    f"upstream artifact {dep_name!r} of {unit.circuit!r} "
-                    f"disappeared from the stage store mid-run")
-            inputs[dep_name] = artifact
-        return stage.run(ctx, inputs)
-
-    return ShardPlan(ShardPlan.order_units(units), execute,
-                     label=f"suite[{len(cfg.names)}]")
 
 
 @dataclass(frozen=True)
@@ -247,8 +203,8 @@ def timed_plan(specs: Sequence[TimedStage], *, nonce: str,
     salts the unit keys so repeated benchmark runs never hit stale
     artifacts.  ``granularity="circuit"`` collapses each circuit into a
     single unit of summed cost and ``order="given"`` keeps spec order —
-    together they model the old whole-circuit ``pool.imap`` dispatch for
-    the granularity ablation.
+    together they model whole-circuit dispatch (one unit per circuit, in
+    submission order) for the granularity ablation.
     """
     if granularity not in ("stage", "circuit"):
         raise ValueError(f"unknown granularity {granularity!r}")
@@ -284,14 +240,15 @@ def timed_plan(specs: Sequence[TimedStage], *, nonce: str,
                                       key=key_of(name, stage_name),
                                       deps=deps, cost=spec.cost))
 
-    def execute(unit: WorkUnit, _timer: StageTimer | None) -> Any:
+    def execute(unit: WorkUnit, _inputs: dict[str, Any],
+                _timer: StageTimer) -> Any:
         time.sleep(unit.cost)
         return {"circuit": unit.circuit, "stage": unit.stage,
                 "cost": unit.cost}
 
     if order == "lpt":
         units = ShardPlan.order_units(units)
-    return ShardPlan(units, execute, label=f"timed[{len(units)}]")
+    return ShardPlan(units, execute)
 
 
 # ----------------------------------------------------------------------
@@ -457,7 +414,6 @@ class ClaimBoard:
 # Worker loop
 # ----------------------------------------------------------------------
 def drain_units(plan: ShardPlan, store: StageCache, board: ClaimBoard, *,
-                timer: StageTimer | None = None,
                 poll: float = 0.02) -> ShardStats:
     """Run ready units from ``plan`` until every unit has an artifact.
 
@@ -466,11 +422,19 @@ def drain_units(plan: ShardPlan, store: StageCache, board: ClaimBoard, *,
     elsewhere or blocked on upstreams) the worker sleeps ``poll`` seconds
     — with a capped exponential backoff — and rescans, reclaiming any
     claim whose heartbeat has gone stale.
+
+    Artifacts this worker computed are kept in memory until the last
+    unit that reads them is done, so only artifacts produced by another
+    worker are loaded back from the store.
     """
-    stats = ShardStats(timer=timer or StageTimer())
-    execute = plan.executor(store, stats.timer)
+    stats = ShardStats()
     done: set[str] = set()
     remaining: dict[str, WorkUnit] = {u.key: u for u in plan.units}
+    readers: dict[str, int] = {}
+    for u in plan.units:
+        for _, k in u.deps:
+            readers[k] = readers.get(k, 0) + 1
+    local: dict[str, Any] = {}
     backoff = poll
 
     def have(key: str) -> bool:
@@ -481,11 +445,29 @@ def drain_units(plan: ShardPlan, store: StageCache, board: ClaimBoard, *,
             return True
         return False
 
+    def inputs_of(unit: WorkUnit) -> dict[str, Any]:
+        inputs: dict[str, Any] = {}
+        for dep, k in unit.deps:
+            artifact = local[k] if k in local else store.load(k)
+            if artifact is None:
+                raise RuntimeError(
+                    f"upstream artifact {dep!r} of {unit.circuit!r} "
+                    f"disappeared from the stage store mid-run")
+            inputs[dep] = artifact
+        return inputs
+
+    def finish(unit: WorkUnit) -> None:
+        del remaining[unit.key]
+        for _, k in unit.deps:
+            readers[k] -= 1
+            if not readers[k]:
+                local.pop(k, None)
+
     while remaining:
         advanced = False
         for key, unit in list(remaining.items()):
             if have(key):
-                del remaining[key]
+                finish(unit)
                 stats.hits += 1
                 advanced = True
                 continue
@@ -500,7 +482,7 @@ def drain_units(plan: ShardPlan, store: StageCache, board: ClaimBoard, *,
             if have(key):
                 # Raced with a finishing worker between probe and claim.
                 board.release(key)
-                del remaining[key]
+                finish(unit)
                 stats.hits += 1
                 advanced = True
                 continue
@@ -510,13 +492,16 @@ def drain_units(plan: ShardPlan, store: StageCache, board: ClaimBoard, *,
                 # unit completion (or failure) before the claim is
                 # released — no thread outlives its unit.
                 with board.heartbeat(key):
-                    artifact = execute(unit)
+                    artifact = plan.execute(unit, inputs_of(unit),
+                                            stats.timer)
                     store.store(key, artifact)
             finally:
                 board.release(key)
             stats.credit(unit.stage, time.perf_counter() - t0)
             done.add(key)
-            del remaining[key]
+            if readers.get(key):
+                local[key] = artifact
+            finish(unit)
             stats.computed += 1
             advanced = True
             break  # rescan from the top: honor the LPT priority order
@@ -532,14 +517,8 @@ def drain_units(plan: ShardPlan, store: StageCache, board: ClaimBoard, *,
 # ----------------------------------------------------------------------
 # Multi-process driver
 # ----------------------------------------------------------------------
-#: Inherited by forked workers (plan objects hold closures, so they ride
-#: the fork instead of a pickle).
-_FORK_STATE: tuple[ShardPlan, StageCache, float, float] | None = None
-
-
-def _worker_main(seat: int, queue) -> None:
-    assert _FORK_STATE is not None
-    plan, store, ttl, poll = _FORK_STATE
+def _worker_main(seat: int, queue, plan: ShardPlan, store: StageCache,
+                 ttl: float, poll: float) -> None:
     board = ClaimBoard.for_store(store, ttl=ttl,
                                  worker=f"w{seat}-pid{os.getpid()}")
     try:
@@ -555,10 +534,12 @@ def run_plan(plan: ShardPlan, *, workers: int = 1,
              poll: float = 0.02) -> ShardStats:
     """Drain a plan with ``workers`` cooperating processes.
 
-    Worker processes are forked (they inherit the plan copy-on-write);
-    without the fork start method — or with ``workers <= 1`` — the plan
-    drains in-process, which still goes through the claim board and the
-    store, so resumability and crash reclamation behave identically.
+    Worker processes are forked: they inherit the plan (whose executor
+    holds closures) copy-on-write instead of through a pickle.  Without
+    the fork start method — or with ``workers <= 1`` — the plan drains
+    in-process, which still goes through the claim board and the store,
+    so resumability and crash reclamation behave identically; the
+    returned ``workers`` is then 1.
 
     A worker that dies mid-run is tolerated as long as the survivors
     complete the plan (its claimed units are reclaimed after the TTL);
@@ -566,23 +547,22 @@ def run_plan(plan: ShardPlan, *, workers: int = 1,
     """
     ttl = default_claim_ttl() if ttl is None else ttl
     workers = max(1, int(workers))
+    t0 = time.perf_counter()
     if workers == 1 or "fork" not in mp.get_all_start_methods():
         board = ClaimBoard.for_store(store, ttl=ttl)
-        return drain_units(plan, store, board, poll=poll)
+        stats = drain_units(plan, store, board, poll=poll)
+        stats.wall_s = time.perf_counter() - t0
+        return stats
 
-    global _FORK_STATE
     ctx = mp.get_context("fork")
     queue = ctx.SimpleQueue()
-    _FORK_STATE = (plan, store, ttl, poll)
-    try:
-        procs = [ctx.Process(target=_worker_main, args=(seat, queue))
-                 for seat in range(workers)]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join()
-    finally:
-        _FORK_STATE = None
+    procs = [ctx.Process(target=_worker_main,
+                         args=(seat, queue, plan, store, ttl, poll))
+             for seat in range(workers)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join()
 
     stats = ShardStats()
     errors: list[str] = []
@@ -600,76 +580,9 @@ def run_plan(plan: ShardPlan, *, workers: int = 1,
         raise RuntimeError(
             f"sharded run left {len(incomplete)} unit(s) incomplete "
             f"({detail}); re-invoke to resume from the stage store")
+    # Every worker also counts the units its peers computed as hits; for
+    # the run, a unit is cached when no surviving worker computed it.
+    stats.hits = max(0, len(plan.units) - stats.computed)
+    stats.workers = workers
+    stats.wall_s = time.perf_counter() - t0
     return stats
-
-
-@dataclass
-class ShardReport:
-    """Outcome of one sharded suite run."""
-
-    results: dict[str, FlowResult]
-    stats: ShardStats
-    workers: int
-    wall_s: float
-
-
-def run_suite_sharded(config: SuiteRunConfig | None = None, *,
-                      workers: int = 1,
-                      store: StageCache | None = None,
-                      ttl: float | None = None,
-                      progress: bool = False,
-                      timer: StageTimer | None = None) -> ShardReport:
-    """Run a suite as stage work units over the shared stage store.
-
-    Functionally equivalent to :func:`repro.experiments.runner.run_suite`
-    (same stage keys, bit-identical ``FlowResult``s) but decomposed at
-    stage granularity: ``workers`` independent processes claim ready
-    units dynamically, and a re-invocation resumes from whatever stage
-    artifacts already exist.  Requires the stage store — it *is* the
-    coordination substrate — so ``REPRO_FLOW_CACHE=0`` raises unless an
-    explicit ``store`` is passed.
-    """
-    cfg = config or SuiteRunConfig()
-    if store is None:
-        if not cache_enabled():
-            raise RuntimeError(
-                "the sharded suite runner coordinates through the stage "
-                "store; unset REPRO_FLOW_CACHE=0 or pass store=")
-        store = StageCache()
-    plan = suite_plan(cfg, store=store, progress=progress)
-    t0 = time.perf_counter()
-    stats = run_plan(plan, workers=workers, store=store, ttl=ttl)
-    wall = time.perf_counter() - t0
-    if timer is not None:
-        timer.merge(stats.timer)
-
-    results: dict[str, FlowResult] = {}
-    for name in cfg.names:
-        cap = suite_entry(name).pattern_budget(scale=cfg.scale)
-        result = suite_flow(name, cfg, cap, 1).cached_result(
-            with_schedules=cfg.with_schedules,
-            with_coverage_schedules=cfg.with_coverage_schedules,
-            cache=store)
-        if result is None:
-            raise RuntimeError(
-                f"sharded run completed but {name!r} has missing stage "
-                f"artifacts — stage store at {store.root} is inconsistent")
-        results[name] = result
-    return ShardReport(results=results, stats=stats,
-                       workers=max(1, int(workers)), wall_s=wall)
-
-
-def run_suite_sharded_job(job, *, store: StageCache | None = None,
-                          ttl: float | None = None,
-                          progress: bool = False,
-                          timer: StageTimer | None = None) -> ShardReport:
-    """Execute a declarative :class:`repro.core.spec.SuiteJob`, sharded.
-
-    The facade's sharded-suite path
-    (:func:`repro.service.orchestrator.run_job`): the job's semantic
-    fields become the :class:`SuiteRunConfig`, its non-semantic
-    ``workers`` field sizes the cooperating process pool.
-    """
-    return run_suite_sharded(job.run_config(),
-                             workers=job.workers or 1, store=store,
-                             ttl=ttl, progress=progress, timer=timer)

@@ -53,16 +53,6 @@ ENGINES = ("wordwave", "incremental", "reference")
 SCHED_CACHE_SIZE = 8
 
 
-def _build_simulator(circuit: Circuit, inertial: float) -> WaveformSimulator:
-    """Single choke point for event-driven simulator construction.
-
-    Both the serial path and the multiprocessing worker initializer build
-    their :class:`WaveformSimulator` here, so engine-dependent setup (and
-    any future tuning of the inertial handling) lives in exactly one place.
-    """
-    return WaveformSimulator(circuit, inertial=inertial)
-
-
 @dataclass(frozen=True)
 class FaultPatternRange:
     """Raw detection ranges of one fault under one pattern."""
@@ -274,33 +264,6 @@ def _simulate_one_pattern(
     return out
 
 
-# Per-process state for the multiprocessing path.  Workers receive
-# everything they need through the pool initializer arguments (pickled on
-# spawn platforms, inherited on fork) — nothing here relies on
-# fork-inherited globals.
-_WORKER: dict[str, object] = {}
-
-
-def _worker_init(circuit, faults, inertial, horizon, monitored,
-                 glitch_threshold, active_masks,
-                 engine):  # pragma: no cover - subprocess body
-    _WORKER["sim"] = _build_simulator(circuit, inertial)
-    _WORKER["faults"] = faults
-    reach, site_signal = _prepare_reach(circuit, faults)
-    _WORKER["reach"] = reach
-    _WORKER["site_signal"] = site_signal
-    _WORKER["kwargs"] = dict(horizon=horizon, monitored=monitored,
-                             glitch_threshold=glitch_threshold,
-                             active_masks=active_masks, engine=engine)
-
-
-def _worker_run(job):  # pragma: no cover - subprocess body
-    pi, pattern = job
-    return pi, _simulate_one_pattern(
-        _WORKER["sim"], _WORKER["faults"], _WORKER["reach"],
-        _WORKER["site_signal"], pattern, pi, **_WORKER["kwargs"])
-
-
 def compute_detection_data(
     circuit: Circuit,
     faults: Sequence[SmallDelayFault],
@@ -311,7 +274,6 @@ def compute_detection_data(
     inertial: float = DEFAULT_INERTIAL_PS,
     glitch_threshold: float | None = None,
     progress: Callable[[int, int], None] | None = None,
-    jobs: int = 1,
     engine: str = "wordwave",
     timer: StageTimer | None = None,
 ) -> DetectionData:
@@ -320,14 +282,10 @@ def compute_detection_data(
     ``monitored_gates`` are the driving-gate indices of observation points
     that carry a delay monitor.  ``glitch_threshold`` defaults to the
     inertial threshold.  ``progress(done, total)`` is called once per pattern
-    when provided; ``done`` counts patterns in pattern order on both the
-    sequential and the multiprocessing path, so ``done - 1`` is always the
-    index of the pattern just finished.  The ``wordwave`` engine simulates
-    all patterns in one batched sweep and reports ``progress(total, total)``
-    once at the end.  ``jobs > 1`` distributes patterns over worker
-    processes on the event-driven engines (results are identical to the
-    sequential path — patterns are independent); ``wordwave`` is
-    single-process and ignores ``jobs``.
+    when provided; ``done`` counts patterns in pattern order, so
+    ``done - 1`` is always the index of the pattern just finished.  The
+    ``wordwave`` engine simulates all patterns in one batched sweep and
+    reports ``progress(total, total)`` once at the end.
 
     ``engine`` selects ``"wordwave"`` (batched NumPy array kernels over flat
     event storage; default), ``"incremental"`` (bit-parallel pre-grading +
@@ -338,12 +296,10 @@ def compute_detection_data(
     gate kinds without truth-table kernels, fan-in above the kernel limit,
     or a degenerate inertial threshold).  ``timer``, when given, accumulates
     the per-stage wall-clock split (``pregrade`` / ``base_sim`` /
-    ``site_inject`` / ``faulty_sim`` / ``intervals``; sequential path only).
+    ``site_inject`` / ``faulty_sim`` / ``intervals``).
     """
     if glitch_threshold is None:
         glitch_threshold = inertial
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     monitored = frozenset(monitored_gates)
@@ -383,40 +339,14 @@ def compute_detection_data(
         if timer is not None:
             timer.add("pregrade", time.perf_counter() - t0)
 
-    if jobs == 1 or total <= 1:
-        sim = _build_simulator(circuit, inertial)
-        for pi, pattern in enumerate(patterns):
-            for fi, fpr in _simulate_one_pattern(
-                    sim, data.faults, reach, site_signal, pattern, pi,
-                    horizon=horizon, monitored=monitored,
-                    glitch_threshold=glitch_threshold,
-                    active_masks=active_masks, engine=engine, timer=timer):
-                data.add(fi, pi, fpr)
-            if progress is not None:
-                progress(pi + 1, total)
-        return data
-
-    import multiprocessing as mp
-
-    # "fork" is the cheapest start method (the circuit is inherited, not
-    # pickled) but is unavailable on Windows and non-default on recent
-    # macOS; fall back to the platform default there.  Workers are
-    # initialized exclusively through initargs, so every start method
-    # produces identical results.
-    if "fork" in mp.get_all_start_methods():
-        ctx = mp.get_context("fork")
-    else:  # pragma: no cover - platform-dependent
-        ctx = mp.get_context()
-    init_args = (circuit, data.faults, inertial, horizon, monitored,
-                 glitch_threshold, active_masks, engine)
-    with ctx.Pool(processes=jobs, initializer=_worker_init,
-                  initargs=init_args) as pool:
-        # Ordered imap keeps progress reports aligned with pattern indices
-        # (done == pattern_idx + 1), matching the sequential path.
-        for pi, results in pool.imap(
-                _worker_run, list(enumerate(patterns))):
-            for fi, fpr in results:
-                data.add(fi, pi, fpr)
-            if progress is not None:
-                progress(pi + 1, total)
+    sim = WaveformSimulator(circuit, inertial=inertial)
+    for pi, pattern in enumerate(patterns):
+        for fi, fpr in _simulate_one_pattern(
+                sim, data.faults, reach, site_signal, pattern, pi,
+                horizon=horizon, monitored=monitored,
+                glitch_threshold=glitch_threshold,
+                active_masks=active_masks, engine=engine, timer=timer):
+            data.add(fi, pi, fpr)
+        if progress is not None:
+            progress(pi + 1, total)
     return data

@@ -34,14 +34,13 @@ def conventional_schedule(
     *,
     solver: str = "ilp",
     time_limit: float = DEFAULT_TIME_LIMIT_S,
-    jobs: int = 1,
     timer: StageTimer | None = None,
 ) -> ScheduleResult:
     """Schedule for conventional FAST (no monitors, Table II col. 2)."""
     return optimize_schedule(
         data, conventional_targets(classification), clock, configs=None,
         solver=solver, time_limit=time_limit,  # type: ignore[arg-type]
-        jobs=jobs, timer=timer)
+        timer=timer)
 
 
 def heuristic_schedule(
@@ -51,13 +50,12 @@ def heuristic_schedule(
     configs: MonitorConfigSet,
     *,
     coverage: float = 1.0,
-    jobs: int = 1,
     timer: StageTimer | None = None,
 ) -> ScheduleResult:
     """Greedy monitor-aware schedule (the [17]-style heuristic, col. 3)."""
     return optimize_schedule(
         data, classification.target, clock, configs,
-        coverage=coverage, solver="greedy", jobs=jobs, timer=timer)
+        coverage=coverage, solver="greedy", timer=timer)
 
 
 def proposed_schedule(
@@ -68,11 +66,10 @@ def proposed_schedule(
     *,
     coverage: float = 1.0,
     time_limit: float = DEFAULT_TIME_LIMIT_S,
-    jobs: int = 1,
     timer: StageTimer | None = None,
 ) -> ScheduleResult:
     """The paper's ILP schedule with programmable monitors (col. 4)."""
     return optimize_schedule(
         data, classification.target, clock, configs,
         coverage=coverage, solver="ilp", time_limit=time_limit,
-        jobs=jobs, timer=timer)
+        timer=timer)

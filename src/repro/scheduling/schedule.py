@@ -23,9 +23,7 @@ Performance structure (the bitset pipeline):
   :class:`DetectionData` (the heuristic, proposed and relaxed-coverage
   schedules all share one candidate set),
 * fault dropping accumulates coverage incrementally on int bitmasks
-  instead of re-intersecting every pool candidate per round,
-* the independent per-period step-2 cover problems can be solved by a
-  worker pool (``jobs > 1``), mirroring the fault-simulation pool.
+  instead of re-intersecting every pool candidate per round.
 
 ``timer`` collects the per-stage wall-clock split (``target_ranges`` /
 ``discretize`` / ``step1`` / ``step2``, plus ``presolve`` nested inside
@@ -260,7 +258,7 @@ def _solve_period(
     solver: Solver,
     time_limit: float,
 ) -> list[ScheduleEntry]:
-    """Step-2 covering for one selected period (worker-safe)."""
+    """Step-2 covering for one selected period."""
     combos = _pattern_config_subsets_from_ranges(
         ranges, fault_set, period, configs)
     keys = sorted(combos)
@@ -271,28 +269,6 @@ def _solve_period(
     return [ScheduleEntry(period=period, pattern=keys[j][0],
                           config=keys[j][1])
             for j in picked]
-
-
-# Per-process state for the step-2 worker pool; initialized exclusively
-# through the pool initializer (inherited on fork, pickled on spawn),
-# mirroring the fault-simulation pool in repro.faults.detection.
-_SCHED_WORKER: dict[str, object] = {}
-
-
-def _sched_worker_init(ranges, configs, solver,
-                       time_limit):  # pragma: no cover - subprocess body
-    _SCHED_WORKER["ranges"] = ranges
-    _SCHED_WORKER["configs"] = configs
-    _SCHED_WORKER["solver"] = solver
-    _SCHED_WORKER["time_limit"] = time_limit
-
-
-def _sched_worker_run(job):  # pragma: no cover - subprocess body
-    period, fault_set = job
-    return _solve_period(
-        _SCHED_WORKER["ranges"], period, fault_set,
-        _SCHED_WORKER["configs"], _SCHED_WORKER["solver"],
-        _SCHED_WORKER["time_limit"])
 
 
 def optimize_schedule(
@@ -306,7 +282,6 @@ def optimize_schedule(
     time_limit: float = DEFAULT_TIME_LIMIT_S,
     prune_dominated: bool = True,
     candidate_point: str = "mid",
-    jobs: int = 1,
     timer: StageTimer | None = None,
 ) -> ScheduleResult:
     """Run both optimization steps and return the complete test schedule.
@@ -316,14 +291,8 @@ def optimize_schedule(
     (Table III); step 2 always fully covers the faults the selected
     frequencies can reach.  ``candidate_point`` chooses where inside each
     discretization segment the test period sits (``"mid"`` per the paper).
-
-    ``jobs > 1`` distributes the independent per-period step-2 cover
-    problems over worker processes (results are identical to the
-    sequential path).  ``timer`` accumulates the per-stage wall-clock
-    split; the parallel path credits step 2 as one block.
+    ``timer`` accumulates the per-stage wall-clock split.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     targets = frozenset(targets)
     ranges, cand_set = _candidate_set_cached(
         data, targets, clock, configs, prune_dominated, candidate_point,
@@ -334,7 +303,7 @@ def optimize_schedule(
                               num_candidates=0)
     return optimize_from_candidates(
         data.ranges, cand_set, targets, configs, coverage=coverage,
-        solver=solver, time_limit=time_limit, jobs=jobs, timer=timer)
+        solver=solver, time_limit=time_limit, timer=timer)
 
 
 def optimize_from_candidates(
@@ -346,7 +315,6 @@ def optimize_from_candidates(
     coverage: float = 1.0,
     solver: Solver = "ilp",
     time_limit: float = DEFAULT_TIME_LIMIT_S,
-    jobs: int = 1,
     timer: StageTimer | None = None,
 ) -> ScheduleResult:
     """Step 1 + step 2 from an explicit candidate set and pattern ranges.
@@ -381,26 +349,10 @@ def optimize_from_candidates(
         cand.time: fault_set for cand, fault_set in dropping}
     entries: list[ScheduleEntry] = []
     with (timer.stage("step2") if timer is not None else nullcontext()):
-        if jobs == 1 or len(dropping) <= 1:
-            for cand, fault_set in dropping:
-                entries.extend(_solve_period(
-                    pattern_ranges, cand.time, fault_set, configs, solver,
-                    time_limit))
-        else:
-            import multiprocessing as mp
-
-            if "fork" in mp.get_all_start_methods():
-                ctx = mp.get_context("fork")
-            else:  # pragma: no cover - platform-dependent
-                ctx = mp.get_context()
-            init_args = (pattern_ranges, configs, solver, time_limit)
-            jobs_list = [(cand.time, fault_set)
-                         for cand, fault_set in dropping]
-            with ctx.Pool(processes=min(jobs, len(jobs_list)),
-                          initializer=_sched_worker_init,
-                          initargs=init_args) as pool:
-                for picked in pool.imap(_sched_worker_run, jobs_list):
-                    entries.extend(picked)
+        for cand, fault_set in dropping:
+            entries.extend(_solve_period(
+                pattern_ranges, cand.time, fault_set, configs, solver,
+                time_limit))
 
     return ScheduleResult(
         periods=sorted(per_period),

@@ -6,7 +6,7 @@ Two layers:
   :class:`repro.core.spec.JobSpec`, resolves the circuit(s), runs the
   right pipeline (flow / suite / fleet / resched) against the shared
   stage store and returns a :class:`JobOutcome` carrying both the rich
-  in-process value (``FlowResult``, ``ShardReport``, ...) and a
+  in-process value (``FlowResult``, the per-circuit results, ...) and a
   JSON-able ``payload``.  Every CLI verb goes through this function, so
   the CLI and the HTTP service are provably the same code path.
 * :class:`Orchestrator` — the **async job queue** behind the HTTP
@@ -16,10 +16,11 @@ Two layers:
   after completion re-executes through the stage store, where every
   stage hits — the interactive (< 50 ms class) replay path guarded by
   ``tests/test_perf_smoke.py``.  Worker tasks fan CPU work out via a thread
-  executor; suite jobs additionally fork over the shard
-  ``ClaimBoard`` substrate.  Progress events (queued / started /
-  per-stage timings from the ``StageTimer``-backed pipeline meta /
-  done) stream to any number of listeners per job.
+  executor; a suite job with ``workers > 1`` additionally forks that many
+  shard workers (:func:`repro.experiments.runner.run_suite`).  Progress
+  events (queued / started / per-stage timings from the
+  ``StageTimer``-backed pipeline meta / done) stream to any number of
+  listeners per job.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class JobOutcome:
 
     spec: JobSpec
     fingerprint: str
-    #: Rich in-process value: FlowResult, dict[str, FlowResult],
-    #: ShardReport, FleetStudy or the resched replay dict.
+    #: Rich in-process value: FlowResult, dict[str, FlowResult] (suite),
+    #: FleetStudy or the resched replay dict.
     value: Any
     #: JSON-able result document (what the HTTP API serves).
     payload: dict
@@ -150,58 +151,46 @@ def _execute_flow(job: FlowJob, store, recompute_from, progress,
                                                            store)
 
 
-def _suite_results_meta(results: dict) -> dict:
-    """Aggregate per-circuit pipeline meta into one hit/miss tally."""
-    hits = misses = 0
-    for res in results.values():
-        counts = getattr(res, "meta", {}).get("cache", {})
-        hits += counts.get("hits", 0)
-        misses += counts.get("misses", 0)
-    return {"cache": {"hits": hits, "misses": misses}}
-
-
 def _execute_suite(job: SuiteJob, store, recompute_from, progress,
                    timer, options) -> tuple[Any, dict, dict, str]:
-    from repro.experiments.runner import run_suite_job
-    from repro.experiments.shard import run_suite_sharded_job
+    from repro.experiments.runner import run_suite
+    from repro.experiments.shard import ShardStats
 
-    if job.sharded:
-        report = run_suite_sharded_job(
-            job, store=store if store is not None else None,
-            ttl=options.get("claim_ttl"),
-            progress=bool(options.get("shard_progress")), timer=timer)
-        stats = report.stats
-        meta = {"cache": {"hits": stats.hits, "misses": stats.computed}}
-        payload = {
-            "circuits": list(job.names),
-            "workers": report.workers,
-            "wall_s": round(report.wall_s, 4),
-            "units": {"computed": stats.computed, "cached": stats.hits,
-                      "reclaimed": stats.reclaimed,
-                      "worker_failures": stats.worker_failures},
-            "stage_seconds": {k: round(v, 4)
-                              for k, v in stats.stage_seconds.items()},
-        }
-        value: Any = report
-    else:
-        results = run_suite_job(
-            job, progress=bool(options.get("shard_progress")),
-            timer=timer, recompute_from=recompute_from)
-        meta = _suite_results_meta(results)
-        payload = {
-            "circuits": list(job.names),
-            "results": {
-                name: {"faults": res.classification.num_faults,
-                       "target": len(res.classification.target),
-                       "gain_percent": round(
-                           res.classification.coverage_gain_percent, 2)}
-                for name, res in results.items()},
-        }
-        value = results
+    stats = ShardStats()
+    results = run_suite(
+        job.run_config(), workers=job.workers, store=store,
+        ttl=options.get("claim_ttl"),
+        progress=bool(options.get("shard_progress")), stats=stats,
+        recompute_from=recompute_from)
+    if timer is not None:
+        timer.merge(stats.timer)
+    payload = {
+        "circuits": list(job.names),
+        "workers": stats.workers,
+        "wall_s": round(stats.wall_s, 4),
+        "units": {"computed": stats.computed, "cached": stats.hits,
+                  "reclaimed": stats.reclaimed,
+                  "worker_failures": stats.worker_failures},
+        "idle_wait_s": round(stats.wait_s, 4),
+        "stage_seconds": {k: round(v, 4)
+                          for k, v in sorted(stats.stage_seconds.items())},
+        "results": {
+            name: {"faults": res.classification.num_faults,
+                   "target": len(res.classification.target),
+                   "gain_percent": round(
+                       res.classification.coverage_gain_percent, 2)}
+            for name, res in results.items()},
+    }
     if progress is not None:
         progress({"event": "suite", **{k: v for k, v in payload.items()
                                        if k != "results"}})
-    return value, payload, meta, _meta_cache_status(meta, store)
+    meta = {"cache": {"hits": stats.hits, "misses": stats.computed}}
+    if store is None:
+        cache = "uncached"
+    else:
+        # Memo or store replays compute nothing.
+        cache = "miss" if stats.computed else "hit"
+    return results, payload, meta, cache
 
 
 def _execute_fleet(job: FleetJob, store, recompute_from, progress,
@@ -286,7 +275,7 @@ def run_job(spec: JobSpec, *,
     is an *execution option*, deliberately not part of the spec, so a
     deduped/cached submission can never silently skip a requested
     recompute.  Extra keyword ``options`` are per-kind execution knobs
-    (``claim_ttl``, ``shard_progress`` for sharded suites).
+    (``claim_ttl``, ``shard_progress`` for suites).
     """
     executor = _EXECUTORS.get(type(spec))
     if executor is None:
@@ -427,7 +416,11 @@ class Orchestrator:
             return [self._records[i].status() for i in self._order]
 
     async def cancel(self, job_id: str) -> bool:
-        """Cancel a queued job (running jobs finish; followers detach)."""
+        """Cancel a queued job (running jobs finish; followers detach).
+
+        Cancelling a queued primary promotes its first follower to
+        primary and queues it; the other followers join the new primary.
+        """
         with self._cond:
             record = self._records.get(job_id)
             if record is None or record.terminal:
@@ -436,14 +429,29 @@ class Orchestrator:
                 return False
             record.state = "cancelled"
             record.finished_at = time.time()
+            promoted = None
             if record.dedup_of is not None:
                 peers = self._followers.get(record.dedup_of, [])
                 if job_id in peers:
                     peers.remove(job_id)
             elif self._inflight.get(record.fingerprint) == job_id:
-                del self._inflight[record.fingerprint]
+                # Followers must not wait on a primary that never runs:
+                # the first one becomes the primary, the rest follow it.
+                followers = self._followers.pop(job_id, [])
+                if followers:
+                    promoted, *rest = followers
+                    self._records[promoted].dedup_of = None
+                    for fid in rest:
+                        self._records[fid].dedup_of = promoted
+                    if rest:
+                        self._followers[promoted] = rest
+                    self._inflight[record.fingerprint] = promoted
+                else:
+                    del self._inflight[record.fingerprint]
             self._cond.notify_all()
         self._push_event(record, {"event": "cancelled"})
+        if promoted is not None:
+            await self._queue.put(promoted)
         return True
 
     # -- streaming ------------------------------------------------------

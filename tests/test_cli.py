@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.runner import clear_cache
 
 
 class TestParser:
@@ -113,6 +114,7 @@ class TestSuiteCommand:
     def test_suite_sharded_run(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FLOW_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_cache()
         rc = main(["suite", "--profile", "synth", "--count", "2",
                    "--scale", "0.25", "--workers", "2"])
         assert rc == 0
@@ -121,15 +123,22 @@ class TestSuiteCommand:
         assert "workers=2" in out
         assert "computed=12" in out
         # Re-invocation resumes entirely from the shared stage store.
+        clear_cache()
         assert main(["suite", "--profile", "synth", "--count", "2",
                      "--scale", "0.25", "--workers", "2"]) == 0
-        assert "computed=0" in capsys.readouterr().out
+        assert "computed=0  cached=12" in capsys.readouterr().out
 
-    def test_suite_errors_without_store(self, monkeypatch, capsys):
+    def test_suite_runs_without_store(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        rc = main(["suite", "--profile", "synth", "--count", "1"])
-        assert rc == 1
-        assert "stage store" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_cache()
+        rc = main(["suite", "--profile", "synth", "--count", "1",
+                   "--scale", "0.25", "--workers", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "computed=6  cached=0" in out
+        assert "Suite results" in out
+        assert not any(tmp_path.iterdir())  # nothing under the cache dir
 
 
 class TestFleetCommands:

@@ -154,36 +154,3 @@ class TestCacheInvalidation:
         data.add(0, 1, FaultPatternRange(b, IntervalSet.empty()))
         assert data.union_all(0) == a.union(b)
         assert data.union_mon(0).is_empty
-
-
-class TestParallelExecution:
-    def test_jobs_validated(self, chain_setup):
-        c, ts = chain_setup
-        with pytest.raises(ValueError, match="jobs"):
-            compute_detection_data(c, [], ts, horizon=100.0, jobs=0)
-
-    def test_parallel_identical_to_sequential(self, flow_result_s27):
-        res = flow_result_s27
-        faults = res.data.faults
-        seq = compute_detection_data(
-            res.circuit, faults, res.test_set, horizon=res.clock.t_nom,
-            monitored_gates=res.placement.monitored_gates, jobs=1)
-        par = compute_detection_data(
-            res.circuit, faults, res.test_set, horizon=res.clock.t_nom,
-            monitored_gates=res.placement.monitored_gates, jobs=2)
-        assert set(seq.ranges) == set(par.ranges)
-        for fi in seq.ranges:
-            assert set(seq.ranges[fi]) == set(par.ranges[fi])
-            for pi, fpr in seq.ranges[fi].items():
-                assert par.ranges[fi][pi].i_all == fpr.i_all
-                assert par.ranges[fi][pi].i_mon == fpr.i_mon
-
-    def test_parallel_progress_counts_all_patterns(self, flow_result_s27):
-        res = flow_result_s27
-        seen = []
-        compute_detection_data(
-            res.circuit, res.data.faults[:10], res.test_set,
-            horizon=res.clock.t_nom, jobs=2, engine="incremental",
-            progress=lambda done, total: seen.append((done, total)))
-        assert len(seen) == len(res.test_set)
-        assert seen[-1][0] == len(res.test_set)

@@ -75,29 +75,6 @@ class TestGoldenEquivalence:
             _run(s27, faults, ts, monitored, horizon, engine="bogus")
 
 
-class TestParallelParity:
-    def test_sequential_vs_jobs4_identical(self, s27):
-        faults, ts, monitored, horizon = _workload(s27)
-        seq = _run(s27, faults, ts, monitored, horizon, jobs=1)
-        par = _run(s27, faults, ts, monitored, horizon, jobs=4)
-        _assert_identical(seq, par)
-
-    def test_progress_sequence_matches_sequential(self, s27):
-        # Pinned on the incremental engine: wordwave sweeps all patterns
-        # in one batch and reports a single (total, total) call instead.
-        faults, ts, monitored, horizon = _workload(s27)
-        seen: dict[int, list[tuple[int, int]]] = {}
-        for jobs in (1, 4):
-            calls: list[tuple[int, int]] = []
-            _run(s27, faults, ts, monitored, horizon, jobs=jobs,
-                 engine="incremental",
-                 progress=lambda done, total: calls.append((done, total)))
-            seen[jobs] = calls
-        n = len(ts)
-        assert seen[1] == [(i + 1, n) for i in range(n)]
-        assert seen[4] == seen[1]
-
-
 class TestPregradeSoundness:
     def test_masks_cover_all_detecting_pairs(self, s27):
         faults, ts, monitored, horizon = _workload(s27)

@@ -41,6 +41,25 @@ class TestReadme:
             assert (ROOT / doc).exists(), doc
 
 
+class TestEnvironmentVariables:
+    DOCS = ("README.md", "EXPERIMENTS.md", *sorted(
+        str(p.relative_to(ROOT)) for p in (ROOT / "docs").glob("*.md")),
+        ".claude/skills/verify/SKILL.md")
+
+    def test_named_variables_are_read(self):
+        # Every REPRO_* variable a document names must appear as a string
+        # literal in the code that would read it.
+        code = "\n".join(
+            path.read_text()
+            for top in ("src", "bench", "benchmarks")
+            for path in (ROOT / top).rglob("*.py"))
+        for doc in self.DOCS:
+            if not (ROOT / doc).exists():
+                continue
+            for name in set(re.findall(r"REPRO_[A-Z_]+", read(doc))):
+                assert re.search(rf"[\"']{name}[\"']", code), (doc, name)
+
+
 class TestDesign:
     def test_bench_targets_exist(self):
         text = read("DESIGN.md")
@@ -74,6 +93,21 @@ class TestTutorial:
             for sym in re.split(r"[,\s]+", symbols.strip()):
                 if sym:
                     assert hasattr(module, sym), (module_name, sym)
+
+
+    def test_flow_config_keywords_are_fields(self):
+        from dataclasses import fields
+
+        from repro.core import FlowConfig
+
+        known = {f.name for f in fields(FlowConfig)}
+        text = re.sub(r"#[^\n]*", "", read("docs/TUTORIAL.md"))
+        calls = re.findall(r"FlowConfig\(([^()]*(?:\([^()]*\)[^()]*)*)\)",
+                           text)
+        assert calls
+        for call in calls:
+            for keyword in re.findall(r"(\w+)\s*=(?!=)", call):
+                assert keyword in known, keyword
 
 
 class TestExperimentsDoc:

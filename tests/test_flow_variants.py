@@ -76,16 +76,3 @@ class TestMonitorFractionMonotonicity:
                 with_schedules=False)
             counts.append(res.prop_hdf_detected)
         assert counts == sorted(counts)
-
-
-class TestSimulationJobsConfig:
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError, match="simulation_jobs"):
-            FlowConfig(simulation_jobs=0)
-
-    def test_flow_with_jobs_two(self, circuit):
-        seq = HdfTestFlow(circuit, FlowConfig(
-            atpg_seed=2, simulation_jobs=1)).run(with_schedules=False)
-        par = HdfTestFlow(circuit, FlowConfig(
-            atpg_seed=2, simulation_jobs=2)).run(with_schedules=False)
-        assert seq.table1_row() == par.table1_row()

@@ -2,7 +2,7 @@
 
 Flipping one semantic ``FlowConfig`` field must invalidate exactly the
 stage that reads it plus its downstream closure — nothing upstream; the
-worker-count knobs must invalidate nothing.  Corrupt or foreign cache
+fleet's worker count must invalidate nothing.  Corrupt or foreign cache
 entries are treated as misses and repaired in place.
 """
 
@@ -59,9 +59,17 @@ class TestStageKeys:
         assert changed == DEFAULT_PIPELINE.descendants([stage])
 
     def test_job_knobs_change_nothing(self, s27):
-        base = _keys(s27, FlowConfig())
-        assert _keys(s27, FlowConfig(simulation_jobs=8,
-                                     schedule_jobs=4)) == base
+        # The fleet sweep's worker count is the one remaining job knob.
+        from repro.core.pipeline import Pipeline
+        from repro.experiments.fleet import FLEET_PIPELINE_STAGES
+
+        fleet = Pipeline(tuple(s() for s in FLEET_PIPELINE_STAGES))
+
+        def keys(jobs):
+            return fleet.stage_keys(StageContext(
+                circuit=s27, config=FlowConfig(), fleet_jobs=jobs))
+
+        assert keys(8) == keys(1)
 
     def test_circuit_content_changes_every_key(self, s27, c17):
         a = _keys(s27, FlowConfig())

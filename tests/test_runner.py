@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
-from repro.experiments.runner import SuiteRunConfig, clear_cache, run_suite
+from repro.experiments.runner import (
+    SuiteRunConfig,
+    clear_cache,
+    run_suite,
+    suite_flow,
+)
+from repro.experiments.shard import ShardStats
 
 
 def _signature(res):
-    """Comparable digest of one FlowResult (engine/jobs must not change it)."""
+    """Comparable digest of one FlowResult (workers must not change it)."""
     return (
         [(p.launch, p.capture) for p in res.test_set],
         res.universe_size,
@@ -37,24 +41,6 @@ class TestConfig:
 
     def test_hashable_for_cache_key(self):
         assert hash(SuiteRunConfig.quick()) == hash(SuiteRunConfig.quick())
-
-    def test_jobs_default_follows_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert SuiteRunConfig.quick().jobs == 1
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert SuiteRunConfig.quick().jobs == 3
-        monkeypatch.setenv("REPRO_JOBS", "junk")
-        assert SuiteRunConfig.quick().jobs == 1
-
-    def test_job_count_is_part_of_the_cache_key(self, monkeypatch):
-        # Regression: configs built under different REPRO_JOBS settings
-        # used to alias the same in-memory cache entry.
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        serial = SuiteRunConfig.quick()
-        monkeypatch.setenv("REPRO_JOBS", "4")
-        parallel = SuiteRunConfig.quick()
-        assert serial != parallel
-        assert parallel.jobs == 4
 
 
 class TestRun:
@@ -94,24 +80,32 @@ class TestRun:
 
 class TestParallel:
     def test_parallel_matches_serial(self):
+        cfg = SuiteRunConfig(names=("s9234", "s13207"), scale=0.25,
+                             with_schedules=True)
+        # Serial reference: plain in-process flows, no store at all.
+        serial = {name: suite_flow(name, cfg).run() for name in cfg.names}
+        for workers in (1, 2):
+            clear_cache()
+            parallel = run_suite(cfg, workers=workers)
+            assert list(parallel) == list(serial)
+            for name in serial:
+                assert (_signature(serial[name])
+                        == _signature(parallel[name])), (workers, name)
         clear_cache()
-        serial_cfg = SuiteRunConfig(names=("s9234", "s13207"), scale=0.25,
-                                    with_schedules=True, jobs=1)
-        serial = run_suite(serial_cfg)
-        parallel = run_suite(replace(serial_cfg, jobs=2))
-        assert list(serial) == list(parallel)
-        for name in serial:
-            assert _signature(serial[name]) == _signature(parallel[name]), name
 
     def test_parallel_merges_worker_timers(self):
-        from repro.utils.profiling import StageTimer
         clear_cache()
-        timer = StageTimer()
+        stats = ShardStats()
         run_suite(SuiteRunConfig(names=("s9234", "s13207"), scale=0.25,
-                                 with_schedules=False, jobs=2), timer=timer)
+                                 with_schedules=False),
+                  workers=2, stats=stats)
         # Every worker ships its stage split back to the caller.
-        assert timer.total() > 0
-        assert "random" in timer.totals  # the ATPG stage of both workers
+        assert stats.workers == 2
+        assert stats.timer.total() > 0
+        assert "random" in stats.timer.totals  # the ATPG stage
+        assert set(stats.stage_seconds) == {
+            "sta", "faults", "atpg", "simulation", "classify", "schedule"}
+        clear_cache()
 
 
 class TestDiskCache:
@@ -158,22 +152,19 @@ class TestDiskCache:
                 run_suite(resumed_cfg)
         clear_cache()
 
-        result = run_suite(resumed_cfg)["s9234"]
-        stages = result.meta["stages"]
-        assert stages["schedule"]["cache"] == "miss"   # recomputed
-        for name in ("sta", "faults", "atpg", "simulation", "classify"):
-            assert stages[name]["cache"] == "hit", name
+        stats = ShardStats()
+        run_suite(resumed_cfg, stats=stats)
+        assert stats.stage_seconds.keys() == {"schedule"}  # recomputed
+        assert (stats.computed, stats.hits) == (1, 5)
 
     def test_recompute_from_forces_downstream_only(self, disk_cfg):
         run_suite(disk_cfg)
         clear_cache()
-        result = run_suite(disk_cfg,
-                           recompute_from=("simulation",))["s9234"]
-        stages = result.meta["stages"]
-        for name in ("sta", "faults", "atpg"):
-            assert stages[name]["cache"] == "hit", name
-        for name in ("simulation", "classify", "schedule"):
-            assert stages[name]["cache"] == "computed", name
+        stats = ShardStats()
+        run_suite(disk_cfg, recompute_from=("simulation",), stats=stats)
+        assert stats.stage_seconds.keys() == {
+            "simulation", "classify", "schedule"}
+        assert (stats.computed, stats.hits) == (3, 3)
 
     def test_recompute_from_rejects_unknown_stage(self, disk_cfg):
         with pytest.raises(ValueError, match="registered stages"):
@@ -185,20 +176,36 @@ class TestDiskCache:
         run_suite(disk_cfg)
         assert not any(tmp_path.rglob("*.pkl"))
 
+    def test_disabled_cache_drains_through_a_removed_temp_store(
+            self, disk_cfg, monkeypatch, tmp_path):
+        import tempfile
+
+        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        stats = ShardStats()
+        cfg = SuiteRunConfig(names=("s9234", "s13207"), scale=0.25,
+                             with_schedules=False)
+        results = run_suite(cfg, workers=2, stats=stats)
+        assert list(results) == ["s9234", "s13207"]
+        assert stats.computed == 2 * 6
+        assert not any(tmp_path.rglob("*.pkl"))
+        assert list(scratch.iterdir()) == []  # temp store removed
+
     def test_job_count_shares_one_disk_entry(self, disk_cfg, monkeypatch,
                                              tmp_path):
         run_suite(disk_cfg)
         entries = list(tmp_path.rglob("*.pkl"))
         clear_cache()
-        run_suite(replace(disk_cfg, jobs=2))  # same key: no new artifact
+        run_suite(disk_cfg, workers=2)  # same keys: no new artifact
         assert sorted(tmp_path.rglob("*.pkl")) == sorted(entries)
 
     def test_run_suite_constructs_exactly_one_stage_cache(self, disk_cfg,
                                                           monkeypatch):
         # Regression: the pre-scan and the execution path used to build
         # separate StageCache instances; one instance is now threaded
-        # through the cached-result probe, the pool workers and the
-        # serial path alike.
+        # through the drain and the result assembly alike.
         from repro.experiments.artifact_cache import StageCache
 
         constructed = []

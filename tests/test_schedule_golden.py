@@ -118,17 +118,3 @@ def test_schedules_equivalent(fixture, request):
                 if e.period == period:
                     covered |= combos[(e.pattern, e.config)]
             assert covered >= fault_set, (label, period)
-
-
-@pytest.mark.parametrize("fixture", GOLDEN)
-def test_parallel_step2_matches_sequential(fixture, request):
-    res = request.getfixturevalue(fixture)
-    cls = res.classification
-    _clear_caches(res.data)
-    seq = optimize_schedule(res.data, cls.target, res.clock, res.configs,
-                            solver="greedy")
-    par = optimize_schedule(res.data, cls.target, res.clock, res.configs,
-                            solver="greedy", jobs=2)
-    assert par.periods == seq.periods
-    assert par.entries == seq.entries
-    assert par.per_period_faults == seq.per_period_faults

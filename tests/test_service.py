@@ -219,6 +219,28 @@ class TestOrchestrator:
         assert follow.dedup_of is None              # slot was freed
         assert not loop.call(orch.cancel(first.id))  # already terminal
 
+    def test_cancelled_primary_promotes_its_followers(self, loop):
+        # Regression: cancelling a queued primary used to strand its
+        # dedup followers in "queued" forever (their /stream never ended).
+        orch = Orchestrator(store=None, workers=1)
+        first = loop.call(orch.submit(JOB))
+        second = loop.call(orch.submit(JOB))
+        third = loop.call(orch.submit(JOB))
+        assert second.dedup_of == third.dedup_of == first.id
+        assert loop.call(orch.cancel(first.id))
+        assert orch.get(second.id).dedup_of is None   # new primary
+        assert orch.get(third.id).dedup_of == second.id
+        loop.call(orch.start())
+        try:
+            done = _wait_terminal(orch, second.id, timeout=30.0)
+            follower = _wait_terminal(orch, third.id, timeout=30.0)
+            assert done.state == follower.state == "done"
+            assert done.cache == "uncached"
+            assert follower.cache == "dedup"
+            assert orch.get(first.id).state == "cancelled"
+        finally:
+            loop.call(orch.close())
+
     def test_execution_failure_is_reported_not_raised(self, loop):
         orch = Orchestrator(store=None, workers=1)
         loop.call(orch.start())

@@ -1,10 +1,11 @@
-"""Tests for the sharded suite runner (``repro.experiments.shard``).
+"""Tests for the shard scheduler (``repro.experiments.shard``).
 
 Covers the claim-by-rename protocol (exclusivity, stale steal,
 heartbeats), work-unit planning (DAG structure, LPT priority), the drain
 loop (resume, partial resume, stale-claim reclamation), the fork-based
 multi-worker driver (crash recovery with a killed worker), and end-to-end
-parity of sharded suite runs against the serial in-process flows.
+parity of suite runs (``run_suite``, which drains stage units through
+this scheduler) against plain in-process flows.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ from repro.experiments.runner import (
     clear_cache,
     run_suite,
     suite_flow,
+    suite_plan,
 )
 from repro.experiments.shard import (
     ClaimBoard,
     ShardPlan,
+    ShardStats,
     TimedStage,
     WorkUnit,
     drain_units,
     run_plan,
-    run_suite_sharded,
-    suite_plan,
     suite_timed_specs,
     timed_plan,
 )
@@ -106,7 +107,7 @@ class TestPlans:
     def test_suite_plan_mirrors_pipeline_dag(self, tmp_path):
         cfg = SuiteRunConfig(names=("s9234", "s13207"), scale=0.25,
                              with_schedules=False)
-        plan = suite_plan(cfg, store=StageCache(tmp_path))
+        plan = suite_plan(cfg)
         assert len(plan.units) == 2 * len(STAGES)
         keys = {u.key for u in plan.units}
         assert len(keys) == len(plan.units)  # content keys are unique
@@ -285,7 +286,7 @@ class TestCrashRecovery:
                           nonce="crash")
         victim = base.units[5].key
 
-        def execute(unit, _timer):
+        def execute(unit, _inputs, _timer):
             if unit.key == victim and not flag.exists():
                 flag.write_text("x")
                 os._exit(42)  # simulate a hard-killed worker mid-stage
@@ -310,7 +311,7 @@ class TestCrashRecovery:
         base = timed_plan([TimedStage("c0", s, 0.01) for s in STAGES],
                           nonce="fatal")
 
-        def execute(unit, _timer):
+        def execute(unit, _inputs, _timer):
             raise RuntimeError("stage exploded")
 
         plan = ShardPlan(base.units, execute)
@@ -345,68 +346,99 @@ def _deep_signature(res):
 class TestRunSuiteSharded:
     @pytest.fixture()
     def cfg(self):
-        return SuiteRunConfig(names=("s9234", "s13207"), scale=0.25,
-                              with_schedules=True)
-
-    def test_requires_the_stage_store(self, cfg, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        with pytest.raises(RuntimeError, match="stage store"):
-            run_suite_sharded(cfg, workers=1)
-
-    def test_matches_serial_flows_bit_identically(self, cfg, tmp_path,
-                                                  monkeypatch):
-        report = run_suite_sharded(cfg, workers=1,
-                                   store=StageCache(tmp_path / "a"))
-        # Serial reference: plain in-process flows, no cache at all.
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
         clear_cache()
-        serial = run_suite(cfg)
+        yield SuiteRunConfig(names=("s9234", "s13207"), scale=0.25,
+                             with_schedules=True)
         clear_cache()
-        assert list(report.results) == list(serial)
-        for name in serial:
-            assert (_deep_signature(report.results[name])
-                    == _deep_signature(serial[name])), name
+
+    def _run(self, cfg, **kwargs):
+        """One uncached-in-memory ``run_suite`` call plus its stats."""
+        clear_cache()
+        stats = ShardStats()
+        return run_suite(cfg, stats=stats, **kwargs), stats
+
+    def test_matches_serial_flows_bit_identically(self, cfg):
+        # Serial reference: plain in-process flows, no store at all.
+        serial = {name: suite_flow(name, cfg).run(
+            with_schedules=cfg.with_schedules) for name in cfg.names}
+        for workers in (1, 2):
+            results, stats = self._run(cfg, workers=workers)
+            assert list(results) == list(serial)
+            for name in serial:
+                assert (_deep_signature(results[name])
+                        == _deep_signature(serial[name])), (workers, name)
+            assert stats.computed == len(cfg.names) * len(STAGES)
+            assert stats.workers == workers
 
     def test_two_workers_match_one_worker(self, cfg, tmp_path):
-        one = run_suite_sharded(cfg, workers=1,
-                                store=StageCache(tmp_path / "one"))
-        two = run_suite_sharded(cfg, workers=2,
-                                store=StageCache(tmp_path / "two"))
+        one, _ = self._run(cfg, workers=1, store=StageCache(tmp_path / "1"))
+        two, stats = self._run(cfg, workers=2,
+                               store=StageCache(tmp_path / "2"))
         for name in cfg.names:
-            assert (_deep_signature(one.results[name])
-                    == _deep_signature(two.results[name])), name
-        assert two.stats.worker_failures == 0
+            assert (_deep_signature(one[name])
+                    == _deep_signature(two[name])), name
+        assert stats.worker_failures == 0
 
     def test_rerun_resumes_entirely_from_store(self, cfg, tmp_path):
         store = StageCache(tmp_path)
-        first = run_suite_sharded(cfg, workers=1, store=store)
-        assert first.stats.computed == len(cfg.names) * len(STAGES)
-        second = run_suite_sharded(cfg, workers=1, store=store)
-        assert second.stats.computed == 0
+        first, stats = self._run(cfg, store=store)
+        assert stats.computed == len(cfg.names) * len(STAGES)
+        second, stats = self._run(cfg, store=store)
+        assert stats.computed == 0
+        assert stats.hits == len(cfg.names) * len(STAGES)
         for name in cfg.names:
-            assert (_deep_signature(first.results[name])
-                    == _deep_signature(second.results[name])), name
+            assert (_deep_signature(first[name])
+                    == _deep_signature(second[name])), name
 
     def test_partial_suite_resumes_missing_stages_only(self, cfg, tmp_path):
         store = StageCache(tmp_path)
-        run_suite_sharded(cfg, workers=1, store=store)
-        plan = suite_plan(cfg, store=store)
-        dropped = [u for u in plan.units
+        self._run(cfg, store=store)
+        dropped = [u for u in suite_plan(cfg).units
                    if u.circuit == "s9234" and u.stage == "schedule"]
         assert len(dropped) == 1
         store.delete(dropped[0].key)
-        resumed = run_suite_sharded(cfg, workers=1, store=store)
-        assert resumed.stats.computed == 1
+        _, stats = self._run(cfg, store=store)
+        assert stats.computed == 1
+
+    def test_recompute_from_leaves_upstream_untouched(self, cfg, tmp_path):
+        store = StageCache(tmp_path)
+        self._run(cfg, store=store)
+        entries = {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*.pkl")}
+        forced = {u.key for u in suite_plan(cfg).units
+                  if u.stage in ("simulation", "classify", "schedule")}
+        _, stats = self._run(cfg, workers=2, store=store,
+                             recompute_from=("simulation",))
+        assert stats.computed == 3 * len(cfg.names)
+        after = {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*.pkl")}
+        assert set(after) == set(entries)
+        for path, mtime in entries.items():
+            if path.stem in forced:
+                assert after[path] != mtime, path.stem
+            else:
+                assert after[path] == mtime, path.stem
 
     def test_pattern_budget_matches_run_suite(self, cfg, tmp_path):
-        # The shard planner derives the same pattern cap as run_suite, so
-        # stage keys (and artifacts) are shared between both entry points.
+        # A plain suite_flow run probes the artifacts run_suite stored:
+        # both derive the same pattern cap, hence the same stage keys.
         store = StageCache(tmp_path)
-        run_suite_sharded(cfg, workers=1, store=store)
+        self._run(cfg, store=store)
         name = cfg.names[0]
-        cap = suite_entry(name).pattern_budget(scale=cfg.scale)
-        probe = suite_flow(name, cfg, cap, 1).cached_result(
+        probe = suite_flow(name, cfg).cached_result(
             with_schedules=cfg.with_schedules,
             with_coverage_schedules=cfg.with_coverage_schedules,
             cache=store)
         assert probe is not None
+        cap = suite_entry(name).pattern_budget(scale=cfg.scale)
+        assert len(probe.test_set) <= cap
+
+
+def test_worker_count_reports_in_process_drain(tmp_path, monkeypatch):
+    # Without the fork start method the plan drains in-process; the
+    # stats must say one worker ran, not the number requested.
+    monkeypatch.setattr("multiprocessing.get_all_start_methods",
+                        lambda: ["spawn"])
+    plan = timed_plan([TimedStage("c0", s, 0.001) for s in STAGES],
+                      nonce="nofork")
+    stats = run_plan(plan, workers=4, store=StageCache(tmp_path))
+    assert stats.computed == len(STAGES)
+    assert stats.workers == 1

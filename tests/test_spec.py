@@ -31,8 +31,7 @@ from repro.core.spec import (
 def example_jobs() -> dict[str, object]:
     return {
         "flow": FlowJob(circuit="s27", fast_ratio=2.5, pattern_cap=9),
-        "suite": SuiteJob(names=("s27", "c17"), scale=0.6, workers=2,
-                          sharded=True),
+        "suite": SuiteJob(names=("s27", "c17"), scale=0.6, workers=2),
         "fleet": FleetJob(circuit="s27", devices=64, jobs=2,
                           scenario=ScenarioSpec(seed=3)),
         "resched": ReschedJob(circuit="s27",
@@ -131,7 +130,6 @@ class TestFingerprint:
     #: Execution knobs: results are bit-identical, fingerprints equal.
     NON_SEMANTIC = [
         ("suite", {"workers": 8}),
-        ("suite", {"sharded": False}),
         ("fleet", {"jobs": 16}),
     ]
 
@@ -152,16 +150,19 @@ class TestFingerprint:
 
 class TestValidation:
     def test_unknown_field_lists_known(self):
-        # The retired engine selections are unknown fields like any other.
+        # The retired engine selections and the suite executor switch
+        # are unknown fields like any other.
         for kind, field_, value in (
                 ("flow", "frobnicate", 1),
                 ("flow", "engines", [["atpg", "reference"]]),
-                ("resched", "engine", "cold")):
+                ("resched", "engine", "cold"),
+                ("suite", "sharded", True)):
             with pytest.raises(SpecError,
                                match=rf"unknown {kind} job field\(s\): "
                                      rf"{field_} \(known fields: "):
-                job_from_dict({"kind": kind, "circuit": "s27",
-                               field_: value})
+                target = {"names": ["s27"]} if kind == "suite" else {
+                    "circuit": "s27"}
+                job_from_dict({"kind": kind, **target, field_: value})
 
     def test_missing_kind_lists_kinds(self):
         with pytest.raises(SpecError,
@@ -221,10 +222,8 @@ class TestProfilesAndConfigs:
 
     def test_flow_job_config_keeps_job_knobs_out(self):
         job = FlowJob(circuit="s27", fast_ratio=2.5)
-        cfg = job.flow_config(simulation_jobs=4)
-        assert cfg.fast_ratio == 2.5
-        assert cfg.simulation_jobs == 4
-        assert "simulation_jobs" not in job.to_dict()
+        assert job.flow_config().fast_ratio == 2.5
+        assert not [name for name in job.to_dict() if "jobs" in name]
 
     def test_default_checkpoints_are_geometric(self):
         ratios = {round(b / a, 6) for a, b in zip(DEFAULT_CHECKPOINTS,

@@ -550,8 +550,7 @@ def _step1_warm(state: ScheduleState, masks: list[int], full: int,
     # Exact fallback.  The patch path skips dominance pruning, so the
     # presolve's dominated-column rule has real work to do here; replay
     # the previous reduction's witnesses when one exists.
-    problem = CoverProblem(
-        subsets=[c.faults for c in state.cand_set.candidates])
+    problem = _step1_problem(state)
     if state.reduction is not None and state.reduction.dominators:
         stats["step1_path"] = "warm-presolve-ilp"
         red = presolve_cover_warm(problem, state.reduction)
@@ -569,10 +568,18 @@ def _step1_warm(state: ScheduleState, masks: list[int], full: int,
     return sorted(chosen)
 
 
+def _step1_problem(state: ScheduleState) -> CoverProblem:
+    """Step-1 cover problem over the packed candidate rows (no frozenset
+    hashing; bit order is the repr-sorted universe, as the cold path's)."""
+    cand_set = state.cand_set
+    return CoverProblem.from_matrix(
+        cand_set.matrix, cand_set.fault_ids,
+        [c.faults for c in cand_set.candidates])
+
+
 def _step1_cold(state: ScheduleState, stats: dict) -> list[int]:
     """Cold minimal frequency selection — the seed ``ilp_cover`` path."""
-    problem = CoverProblem(
-        subsets=[c.faults for c in state.cand_set.candidates])
+    problem = _step1_problem(state)
     if problem.num_subsets == 0 or not problem.universe:
         return []
     red = presolve_cover(problem)

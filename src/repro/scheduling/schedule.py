@@ -327,14 +327,13 @@ def optimize_from_candidates(
     candidates = list(cand_set.candidates)
 
     # ------------------------------------------------------------------
-    # Step 1: minimal frequency selection.
+    # Step 1: minimal frequency selection, on the packed candidate rows.
     # ------------------------------------------------------------------
-    problem = CoverProblem(subsets=[c.faults for c in candidates])
-    if timer is not None:
-        with timer.stage("step1"):
-            chosen_idx = _solve(problem, solver, coverage, time_limit, timer)
-    else:
-        chosen_idx = _solve(problem, solver, coverage, time_limit)
+    with (timer.stage("step1") if timer is not None else nullcontext()):
+        problem = CoverProblem.from_matrix(
+            cand_set.matrix, cand_set.fault_ids,
+            [c.faults for c in candidates])
+        chosen_idx = _solve(problem, solver, coverage, time_limit, timer)
     chosen = [candidates[j] for j in chosen_idx]
     covered_acc: set[int] = set()
     for c in chosen:
@@ -344,11 +343,11 @@ def optimize_from_candidates(
     # ------------------------------------------------------------------
     # Step 2: per-frequency pattern/config selection.
     # ------------------------------------------------------------------
-    dropping = order_periods_fault_dropping(chosen, covered)
-    per_period: dict[float, frozenset[int]] = {
-        cand.time: fault_set for cand, fault_set in dropping}
     entries: list[ScheduleEntry] = []
     with (timer.stage("step2") if timer is not None else nullcontext()):
+        dropping = order_periods_fault_dropping(chosen, covered)
+        per_period: dict[float, frozenset[int]] = {
+            cand.time: fault_set for cand, fault_set in dropping}
         for cand, fault_set in dropping:
             entries.extend(_solve_period(
                 pattern_ranges, cand.time, fault_set, configs, solver,

@@ -14,14 +14,19 @@ elements be covered (Table III's relaxed coverage targets).
 
 Internally every solver runs on a packed bitset view of the problem
 (:meth:`CoverProblem.packed`): elements are numbered deterministically
-(sorted by ``repr``) and each subset becomes an int bitmask, so gain
-scoring is a popcount and union/subset tests are single int operations.
-Full-coverage ILPs additionally pass through :func:`presolve_cover`, a
-provably lossless reduction (duplicate-row/column collapse, dominated-
-column elimination, essential-subset forcing, connected-component
-splitting) that shrinks — often eliminates — the matrix ``milp`` sees;
-see ALGORITHMS.md §9 for the losslessness argument.  The seed greedy and
-the unreduced ILP construction survive via
+(sorted by ``repr``) and each subset becomes both a row of a ``uint64``
+bit matrix and an int bitmask.  The sequential loops (greedy gain
+scoring, branch-and-bound, the warm witness replay) run on the int masks,
+where a popcount or subset test is one int operation.  Full-coverage ILPs
+additionally pass through :func:`presolve_cover`, a provably lossless
+reduction (duplicate-row/column collapse, dominated-column elimination,
+essential-subset forcing, connected-component splitting) that shrinks —
+often eliminates — the matrix ``milp`` sees; it runs as numpy kernels over
+the bit matrix, and so does the ILP model build of each component.  See
+ALGORITHMS.md §9 for the losslessness argument.  Callers that already
+hold the packed rows (the scheduler's candidate matrix) build the problem
+with :meth:`CoverProblem.from_matrix` and skip the frozenset hashing.
+The seed greedy and the unreduced ILP construction survive via
 ``repro.scheduling.reference`` / ``presolve=False`` for golden testing.
 """
 
@@ -29,13 +34,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Hashable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse.csgraph import connected_components
 
-from repro.utils.bitset import mask_bits, masks_to_matrix
+from repro.utils.bitset import (
+    dominated_rows,
+    first_superset,
+    mask_bits,
+    masks_to_matrix,
+    matrix_to_masks,
+    pack_bits,
+    popcount,
+    unpack_bits,
+)
 from repro.utils.profiling import StageTimer
 
 #: Default wall-clock limit per ILP, mirroring the paper's 1 h timeout but
@@ -50,12 +66,14 @@ class PackedCover:
     ``elements[b]`` is the universe element carried by bit ``b`` (sorted by
     ``repr`` — the same deterministic order the seed ILP used for its
     constraint rows); ``masks[j]`` is subset ``j`` restricted to the
-    universe; ``full`` has every universe bit set.
+    universe and ``matrix[j]`` the same row as ``uint64`` words; ``full``
+    has every universe bit set.
     """
 
     elements: tuple[Hashable, ...]
     masks: tuple[int, ...]
     full: int
+    matrix: np.ndarray = field(repr=False, compare=False)
 
     @property
     def num_elements(self) -> int:
@@ -64,12 +82,20 @@ class PackedCover:
 
 @dataclass
 class CoverProblem:
-    """A set-covering instance over hashable elements."""
+    """A set-covering instance over hashable elements.
+
+    Built from ``subsets`` (the universe defaults to their union) or, when
+    the packed rows already exist, with :meth:`from_matrix`.
+    """
 
     subsets: list[frozenset[Hashable]]
     universe: frozenset[Hashable] = field(default_factory=frozenset)
+    _packed: PackedCover | None = field(default=None, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
+        if self._packed is not None:
+            return      # from_matrix: universe and masks already packed
         # Single accumulating union: frozenset().union(*subsets) builds a
         # fresh frozenset per argument-tuple element on large instances;
         # in-place |= over one set is linear in the total subset size.
@@ -86,7 +112,29 @@ class CoverProblem:
                 raise ValueError(
                     f"{len(missing)} universe elements not coverable: "
                     f"{sorted(missing, key=repr)}")
-        self._packed: PackedCover | None = None
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, elements: Sequence[Hashable],
+                    subsets: Sequence[frozenset[Hashable]]) -> CoverProblem:
+        """Problem over the rows of a packed bit matrix.
+
+        Bit ``b`` of ``matrix`` carries ``elements[b]`` and ``subsets[j]``
+        must hold exactly the elements of row ``j`` (the scheduler's
+        :class:`~repro.scheduling.discretize.CandidateSet` keeps both).
+        Elements no row covers are dropped, so with ``elements`` sorted by
+        ``repr`` the packed view is bit for bit the one the frozenset
+        constructor would build — without hashing a single element.
+        """
+        incidence = unpack_bits(matrix, len(elements))
+        present = incidence.any(axis=0)
+        if not present.all():
+            matrix = pack_bits(incidence[:, present])
+        kept = tuple(e for e, p in zip(elements, present.tolist()) if p)
+        packed = PackedCover(elements=kept, masks=tuple(
+            matrix_to_masks(matrix)), full=(1 << len(kept)) - 1,
+            matrix=matrix)
+        return cls(subsets=list(subsets), universe=frozenset(kept),
+                   _packed=packed)
 
     @property
     def num_subsets(self) -> int:
@@ -102,7 +150,8 @@ class CoverProblem:
                 for s in self.subsets)
             self._packed = PackedCover(
                 elements=elements, masks=masks,
-                full=(1 << len(elements)) - 1)
+                full=(1 << len(elements)) - 1,
+                matrix=masks_to_matrix(masks, len(elements)))
         return self._packed
 
     def required_count(self, coverage: float) -> int:
@@ -215,8 +264,7 @@ def independent_rows_bound_matrix(matrix: np.ndarray) -> int:
     """
     if matrix.shape[0] == 0:
         return 0
-    inc = np.unpackbits(np.ascontiguousarray(matrix).view(np.uint8),
-                        axis=1, bitorder="little").astype(bool)
+    inc = unpack_bits(matrix, matrix.shape[1] * 64)
     counts = inc.sum(axis=0)
     present = np.flatnonzero(counts)
     if present.size == 0:
@@ -275,16 +323,21 @@ class PresolveReduction:
         return not self.components
 
 
-def _presolve_masks(masks: Sequence[int], full: int,
-                    skip: frozenset[int] = frozenset(),
-                    warm_dropped: int = 0) -> PresolveReduction:
-    """Fixpoint core shared by :func:`presolve_cover` (cold) and
+def _presolve_packed(p: PackedCover, skip: frozenset[int] = frozenset(),
+                     warm_dropped: int = 0) -> PresolveReduction:
+    """Bit-matrix fixpoint shared by :func:`presolve_cover` (cold) and
     :func:`presolve_cover_warm` (columns in ``skip`` are pre-dropped by a
     re-verified dominance witness and never enter the fixpoint).
+
+    ``work`` holds every column restricted to the still-uncovered
+    elements; ``alive`` lists the surviving column indices, ascending.
     """
-    alive: dict[int, int] = {j: m for j, m in enumerate(masks)
-                             if m and j not in skip}
-    uncovered = full
+    n_bits = p.num_elements
+    work = p.matrix.copy()
+    alive = np.array([j for j in range(len(p.masks)) if j not in skip],
+                     dtype=np.int64)
+    alive = alive[work[alive].any(axis=1)]
+    uncovered = masks_to_matrix([p.full], n_bits)[0]
     forced: list[int] = []
     stats = {"dominated_columns": 0, "essential_columns": 0,
              "duplicate_rows": 0, "components": 0,
@@ -293,80 +346,78 @@ def _presolve_masks(masks: Sequence[int], full: int,
 
     first_pass = True
     changed = True
-    while changed and uncovered:
+    while changed and uncovered.any():
         changed = False
         # Rule 1: dominated / duplicate columns (largest first, then lowest
         # index, so the maximal representative of every chain is kept).
-        order = sorted(alive, key=lambda j: (-alive[j].bit_count(), j))
-        kept: list[int] = []
-        for j in order:
-            m = alive[j]
-            keeper = next((k for k in kept if m & ~alive[k] == 0), None)
-            if keeper is not None:
-                if first_pass:
-                    # Masks are still the caller's originals on the first
-                    # pass, so (value, value) witnesses are replayable
-                    # against a future problem over the same element order.
-                    witnesses.append((m, alive[keeper]))
-                del alive[j]
-                stats["dominated_columns"] += 1
-                changed = True
-            else:
-                kept.append(j)
+        order = alive[np.lexsort((alive, -popcount(work[alive])))]
+        kept = np.asarray(dominated_rows(work, order), dtype=np.int64)
+        if kept.size < order.size:
+            is_kept = np.zeros(work.shape[0], dtype=bool)
+            is_kept[kept] = True
+            dropped = order[~is_kept[order]]        # in scan order
+            if first_pass:
+                # Rows are still the caller's originals on the first pass,
+                # so (value, value) witnesses are replayable against a
+                # future problem over the same element order.
+                keepers = first_superset(work, dropped, kept)
+                witnesses = [(p.masks[d], p.masks[k]) for d, k in
+                             zip(dropped.tolist(), keepers.tolist())]
+            stats["dominated_columns"] += int(dropped.size)
+            alive = np.sort(kept)
+            changed = True
         first_pass = False
-        # Rule 2: essential columns — count covering subsets per element.
-        count: dict[int, int] = {}
-        only: dict[int, int] = {}
-        for j in sorted(alive):
-            for e in mask_bits(alive[j] & uncovered):
-                count[e] = count.get(e, 0) + 1
-                only[e] = j
-        essential = sorted({only[e] for e, c in count.items() if c == 1})
-        for j in essential:
-            if j not in alive:       # may have been taken via another element
-                continue
-            forced.append(j)
-            uncovered &= ~alive[j]
-            del alive[j]
-            stats["essential_columns"] += 1
+        # Rule 2: essential columns — elements with exactly one covering
+        # column force that column.
+        incidence = unpack_bits(work[alive], n_bits)
+        single = np.flatnonzero(incidence.sum(axis=0) == 1)
+        if single.size:
+            essential = np.unique(alive[incidence[:, single].argmax(axis=0)])
+            forced.extend(essential.tolist())
+            uncovered &= ~np.bitwise_or.reduce(work[essential], axis=0)
+            taken = np.zeros(work.shape[0], dtype=bool)
+            taken[essential] = True
+            alive = alive[~taken[alive]]
+            stats["essential_columns"] += int(essential.size)
             changed = True
         if changed:
-            for j in list(alive):
-                alive[j] &= uncovered
-                if not alive[j]:
-                    del alive[j]
+            work[alive] &= uncovered
+            alive = alive[work[alive].any(axis=1)]
 
     components: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
-    if uncovered:
-        # Union-find over elements; every column merges its elements.
-        parent: dict[int, int] = {e: e for e in mask_bits(uncovered)}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for j in sorted(alive):
-            bits = mask_bits(alive[j])
-            for e in bits[1:]:
-                ra, rb = find(bits[0]), find(e)
-                if ra != rb:
-                    parent[rb] = ra
-        groups: dict[int, int] = {}
-        for e in parent:
-            groups[find(e)] = groups.get(find(e), 0) | (1 << e)
-        for root in sorted(groups):
-            comp_mask = groups[root]
-            cols = tuple(j for j in sorted(alive) if alive[j] & comp_mask)
+    if uncovered.any():
+        # Columns and elements as one bipartite graph: node c < len(alive)
+        # is column alive[c], node len(alive) + b is element bit b.  Every
+        # uncovered element keeps a covering column, so each component's
+        # element mask is the union of its columns' masks.
+        n_cols = alive.size
+        cols_idx, bits_idx = np.nonzero(unpack_bits(work[alive], n_bits))
+        n_nodes = n_cols + n_bits
+        graph = sparse.csr_matrix(
+            (np.ones(cols_idx.size, dtype=np.int8),
+             (cols_idx, n_cols + bits_idx)), shape=(n_nodes, n_nodes))
+        _n, labels = connected_components(graph, directed=False)
+        groups: dict[int, list[int]] = {}
+        for c, label in enumerate(labels[:n_cols].tolist()):
+            groups.setdefault(label, []).append(c)
+        col_masks = matrix_to_masks(work[alive])
+        alive_list = alive.tolist()
+        for members in groups.values():
+            masks = tuple(col_masks[c] for c in members)
+            comp_mask = 0
+            for m in masks:
+                comp_mask |= m
             components.append(
-                (cols, tuple(alive[j] for j in cols), comp_mask))
+                (tuple(alive_list[c] for c in members), masks, comp_mask))
+        # Lowest element first; callers sort the chosen columns, so the
+        # component order never reaches a result.
+        components.sort(key=lambda comp: comp[2] & -comp[2])
         stats["components"] = len(components)
 
     forced.sort()
     return PresolveReduction(forced=tuple(forced),
                              components=tuple(components), stats=stats,
-                             column_masks=tuple(masks),
+                             column_masks=p.masks,
                              dominators=tuple(witnesses))
 
 
@@ -392,8 +443,7 @@ def presolve_cover(problem: CoverProblem) -> PresolveReduction:
     is block-diagonal over components: a cover of the union is the
     disjoint union of covers, so the minima add.
     """
-    p = problem.packed()
-    return _presolve_masks(p.masks, p.full)
+    return _presolve_packed(problem.packed())
 
 
 def presolve_cover_warm(problem: CoverProblem,
@@ -433,8 +483,8 @@ def presolve_cover_warm(problem: CoverProblem,
         for j in cols_by_value.get(dropped_mask, ()):
             if j != keeper:
                 skip.add(j)
-    return _presolve_masks(p.masks, p.full, skip=frozenset(skip),
-                           warm_dropped=len(skip))
+    return _presolve_packed(p, skip=frozenset(skip),
+                            warm_dropped=len(skip))
 
 
 def _milp_component(cols: Sequence[int], masks: Sequence[int],
@@ -449,25 +499,32 @@ def _milp_component(cols: Sequence[int], masks: Sequence[int],
     the optimum can only be smaller).  Returns original column indices, or
     None when HiGHS yields no incumbent.
     """
-    elements = mask_bits(uncovered)
-    # Signature of an element = the set of local columns covering it.
-    sig_rows: dict[tuple[int, ...], int] = {}
-    for e in elements:
-        bit = 1 << e
-        sig = tuple(c for c, m in enumerate(masks) if m & bit)
-        sig_rows.setdefault(sig, 0)
-        sig_rows[sig] += 1
-    signatures = sorted(sig_rows)
+    n_bits = uncovered.bit_length()
+    elements = np.flatnonzero(
+        unpack_bits(masks_to_matrix([uncovered], n_bits), n_bits)[0])
+    n_el, n_sub = int(elements.size), len(cols)
+    # Signature of an element = the set of local columns covering it; one
+    # row per distinct signature (deduplicated as packed bytes), in the
+    # seed's sorted-tuple order so HiGHS receives the identical model.
+    incidence = unpack_bits(masks_to_matrix(masks, n_bits), n_bits)
+    packed_sigs = np.packbits(incidence[:, elements].T, axis=1)
+    distinct = np.unpackbits(
+        np.frombuffer(b"".join({row.tobytes() for row in packed_sigs}),
+                      dtype=np.uint8).reshape(-1, packed_sigs.shape[1]),
+        axis=1, count=n_sub)
+    flat = np.nonzero(distinct)[1].tolist()
+    ends = np.cumsum(distinct.sum(axis=1)).tolist()
+    signatures = sorted(tuple(flat[a:b])
+                        for a, b in zip([0] + ends[:-1], ends))
     if stats is not None:
-        stats["duplicate_rows"] += len(elements) - len(signatures)
-    n_el, n_sub = len(signatures), len(cols)
-    rows_idx, cols_idx = [], []
-    for r, sig in enumerate(signatures):
-        for c in sig:
-            rows_idx.append(r)
-            cols_idx.append(c)
+        stats["duplicate_rows"] += n_el - len(signatures)
+    sizes = [len(sig) for sig in signatures]
+    rows_idx = np.repeat(np.arange(len(signatures)), sizes)
+    cols_idx = np.fromiter(chain.from_iterable(signatures), dtype=np.int64,
+                           count=sum(sizes))
     a_cover = sparse.csr_matrix(
-        (np.ones(len(rows_idx)), (rows_idx, cols_idx)), shape=(n_el, n_sub))
+        (np.ones(rows_idx.size), (rows_idx, cols_idx)),
+        shape=(len(signatures), n_sub))
     constraints = [LinearConstraint(a_cover, lb=1.0, ub=np.inf)]
     if ub is not None:
         constraints.append(LinearConstraint(
@@ -567,8 +624,11 @@ def ilp_cover(problem: CoverProblem, *, coverage: float = 1.0,
     chosen.sort()
     # Defensive: HiGHS can return a feasible-but-suboptimal incumbent on
     # timeout; verify feasibility and fall back to greedy on violation.
-    covered = problem.covered_by(chosen)
-    if len(covered & problem.universe) < problem.required_count(coverage):
+    masks = problem.packed().masks
+    covered = 0
+    for j in chosen:
+        covered |= masks[j]
+    if covered.bit_count() < problem.required_count(coverage):
         return greedy_cover(problem, coverage=coverage)
     return chosen
 

@@ -14,15 +14,18 @@ into ``ceil(n/64)`` numpy ``uint64`` words (one bit per element) so that
 Two representations interoperate:
 
 * a **bit matrix** (``np.ndarray`` of shape ``(rows, words)``, dtype
-  ``uint64``) for the vectorized bulk operations, and
+  ``uint64``) for the vectorized bulk operations — discretization, the
+  set-cover presolve fixpoint and the ILP model build — and
 * **Python int masks** (arbitrary-precision, bit *i* = element *i*) for the
-  sequential solver loops (greedy, branch-and-bound, presolve) where
-  ``int.bit_count()`` and ``&``/``|``/``~`` on native ints beat array ops
-  on tiny operands.
+  sequential solver loops (greedy, branch-and-bound, certificate repair)
+  where ``int.bit_count()`` and ``&``/``|``/``~`` on native ints beat
+  array ops on tiny operands.
 
-``matrix_to_masks`` / ``masks_to_matrix`` convert between the two; both
-orderings use the same convention: element *i* lives in word ``i >> 6``,
-bit ``i & 63``, i.e. ints are the little-endian concatenation of the words.
+``matrix_to_masks`` / ``masks_to_matrix`` convert between the two, and
+``unpack_bits`` / ``pack_bits`` between a bit matrix and its boolean
+incidence (rows × elements); all use the same convention: element *i*
+lives in word ``i >> 6``, bit ``i & 63``, i.e. ints are the little-endian
+concatenation of the words.
 """
 
 from __future__ import annotations
@@ -73,6 +76,22 @@ def pack_sets(sets: Iterable[Iterable[int]], n_bits: int) -> np.ndarray:
             np.bitwise_or.at(out[r], pos >> 6,
                              np.uint64(1) << (pos.astype(np.uint64)
                                               & np.uint64(63)))
+    return out
+
+
+def unpack_bits(matrix: np.ndarray, n_bits: int) -> np.ndarray:
+    """Boolean incidence ``(rows, n_bits)`` of a bit matrix."""
+    bits = np.unpackbits(np.ascontiguousarray(matrix).view(np.uint8),
+                         axis=1, count=n_bits, bitorder="little")
+    return bits.view(bool)
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`unpack_bits`: bit matrix of a boolean incidence."""
+    n_rows, n_bits = bits.shape
+    out = zeros(n_rows, n_bits)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out.view(np.uint8)[:, :packed.shape[1]] = packed
     return out
 
 
@@ -184,6 +203,31 @@ def dominated_rows(matrix: np.ndarray, order: Sequence[int]) -> list[int]:
             k += m
             kept.extend((order[a + local]).tolist())
     return kept
+
+
+def first_superset(matrix: np.ndarray, rows: Sequence[int],
+                   candidates: Sequence[int]) -> np.ndarray:
+    """For each of ``rows``, the first entry of ``candidates`` whose row
+    contains it (-1 where none does).
+
+    ``rows`` and ``candidates`` index ``matrix``; "first" follows the
+    order of ``candidates``.  Chunked like :func:`dominated_rows` so the
+    broadcast subset test stays within ``_DOM_CHUNK_BYTES``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    candidates = np.asarray(candidates, dtype=np.int64)
+    out = np.full(rows.shape[0], -1, dtype=np.int64)
+    if rows.size == 0 or candidates.size == 0:
+        return out
+    cand = matrix[candidates]
+    k, w = cand.shape
+    chunk = int(max(1, _DOM_CHUNK_BYTES // max(1, k * w * 8)))
+    for a in range(0, rows.shape[0], chunk):
+        sub = ~np.any(matrix[rows[a:a + chunk], None, :] & ~cand[None, :, :],
+                      axis=2)
+        hit = sub.any(axis=1)
+        out[a:a + chunk][hit] = candidates[sub.argmax(axis=1)[hit]]
+    return out
 
 
 def matrix_to_masks(matrix: np.ndarray) -> list[int]:

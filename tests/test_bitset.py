@@ -9,15 +9,18 @@ from hypothesis import given, strategies as st
 from repro.utils import bitset
 from repro.utils.bitset import (
     dominated_rows,
+    first_superset,
     is_subset,
     mask_bits,
     masks_to_matrix,
     matrix_bits,
     matrix_to_masks,
     num_words,
+    pack_bits,
     pack_sets,
     popcount,
     row_bits,
+    unpack_bits,
     zeros,
 )
 
@@ -105,6 +108,12 @@ class TestSubsetAndDominance:
     def test_dominated_rows_empty(self):
         assert dominated_rows(zeros(0, 10), []) == []
 
+    def test_first_superset_follows_candidate_order(self):
+        m = pack_sets([{0, 1, 2}, {0, 1}, {0, 1, 2, 3}, {5}], 64)
+        assert first_superset(m, [1, 3], [0, 2]).tolist() == [0, -1]
+        assert first_superset(m, [1, 3], [2, 0]).tolist() == [2, -1]
+        assert first_superset(m, [], [0]).tolist() == []
+
 
 bit_sets = st.sets(st.integers(0, 140), max_size=12)
 
@@ -130,3 +139,23 @@ def test_property_dominated_rows_matches_set_semantics(sets):
         assert not any(sets[idx] <= sets[k] for k in kept[:pos])
     for idx in set(range(len(sets))) - set(kept):
         assert any(sets[idx] <= sets[k] for k in kept if k < idx)
+
+
+@given(st.lists(bit_sets, min_size=1, max_size=8))
+def test_property_unpack_pack_roundtrip(sets):
+    m = pack_sets(sets, 141)
+    bits = unpack_bits(m, 141)
+    assert bits.dtype == bool and bits.shape == (len(sets), 141)
+    for s, row in zip(sets, bits):
+        assert set(np.flatnonzero(row).tolist()) == s
+    assert np.array_equal(pack_bits(bits), m)
+
+
+@given(st.lists(bit_sets, min_size=2, max_size=8))
+def test_property_first_superset_is_first_containing(sets):
+    m = pack_sets(sets, 141)
+    half = len(sets) // 2
+    rows, cands = list(range(half)), list(range(len(sets) - 1, half - 1, -1))
+    for r, got in zip(rows, first_superset(m, rows, cands).tolist()):
+        want = next((k for k in cands if sets[r] <= sets[k]), -1)
+        assert got == want

@@ -45,6 +45,11 @@ SUITE_WORKERS = 8
 SUITE_S = 1.847
 SUITE_CIRCUITS = 120
 SUITE_SERIAL_S = 12.0
+#: Recorded seconds of the step-1 presolve on the p89k scale-1.0 prop
+#: instance (64 seeded random patterns; 317 candidates x 1,219 faults).
+STEP1_PRESOLVE_S = 0.0172
+STEP1_CIRCUIT = "p89k"
+STEP1_PATTERNS = 64
 #: Job document and repeat count of the service replay guard.
 SERVICE_JOB = {"kind": "flow", "circuit": "s27", "with_schedules": True}
 SERVICE_REPEATS = 15
@@ -237,3 +242,38 @@ def test_schedule_has_not_regressed():
         f"bitset scheduling on {GUARD_CIRCUIT} took {elapsed:.3f}s, "
         f"budget {budget:.3f}s (recorded {SCHEDULE_S:.3f}s x "
         f"{MAX_SLOWDOWN} + {ABS_SLACK_S}s)")
+
+
+@pytest.mark.perf
+def test_step1_presolve_has_not_regressed():
+    """Time the bit-matrix presolve on the step-1 cover problem of the
+    p89k proposed schedule at scale 1.0, where it keeps one 317-column
+    ILP component (best of three runs)."""
+    from repro.atpg.patterns import random_test_set
+    from repro.circuits.library import suite_circuit, suite_entry
+    from repro.core.flow import HdfTestFlow
+    from repro.scheduling.schedule import _candidate_set_cached
+    from repro.scheduling.setcover import CoverProblem, presolve_cover
+
+    budget = _budget(STEP1_PRESOLVE_S)
+    circuit = suite_circuit(STEP1_CIRCUIT, scale=1.0)
+    test_set = random_test_set(circuit, STEP1_PATTERNS,
+                               seed=suite_entry(STEP1_CIRCUIT).seed)
+    res = HdfTestFlow(circuit, FlowConfig()).run(test_set=test_set,
+                                                 with_schedules=False)
+    _ranges, cand_set = _candidate_set_cached(
+        res.data, frozenset(res.classification.target), res.clock,
+        res.configs, True, "mid", None)
+    problem = CoverProblem.from_matrix(
+        cand_set.matrix, cand_set.fault_ids,
+        [c.faults for c in cand_set.candidates])
+    elapsed = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        red = presolve_cover(problem)
+        elapsed = min(elapsed, time.perf_counter() - t0)
+    assert red.components, "the guard instance must keep an ILP component"
+    assert elapsed <= budget, (
+        f"step-1 presolve on {STEP1_CIRCUIT} took {elapsed:.3f}s, budget "
+        f"{budget:.3f}s (recorded {STEP1_PRESOLVE_S:.3f}s x {MAX_SLOWDOWN} "
+        f"+ {ABS_SLACK_S}s)")

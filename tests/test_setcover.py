@@ -62,6 +62,23 @@ class TestCoverProblem:
         p = problem({1, 2}, {2, 3})
         assert p.covered_by([1]) == frozenset({2, 3})
 
+    def test_from_matrix_drops_uncovered_elements(self):
+        from repro.utils.bitset import pack_sets
+
+        # Element bit 1 ("b") is in no row: the packed view must equal the
+        # frozenset construction over the covered universe.
+        elements = ("a", "b", "c", "d")
+        rows = [{0, 2}, {2, 3}, {3}]
+        subsets = [frozenset(elements[b] for b in r) for r in rows]
+        built = CoverProblem.from_matrix(pack_sets(rows, 4), elements,
+                                         subsets)
+        ref = CoverProblem(subsets=subsets)
+        assert built.universe == ref.universe == frozenset("acd")
+        a, b = built.packed(), ref.packed()
+        assert (a.elements, a.masks, a.full) == (b.elements, b.masks, b.full)
+        assert (a.matrix == b.matrix).all()
+        assert ilp_cover(built) == ilp_cover(ref) == [0, 1]
+
 
 class TestGreedy:
     def test_simple(self):
@@ -208,6 +225,18 @@ def test_property_presolve_is_lossless(p):
     assert len(reduced) == len(seed) == len(exact)
     red = presolve_cover(p)
     assert set(red.forced) <= set(reduced)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_problems())
+def test_property_matrix_construction_same_reduction(p):
+    """Building from the packed rows reproduces the frozenset problem."""
+    pk = p.packed()
+    built = CoverProblem.from_matrix(pk.matrix, pk.elements, p.subsets)
+    assert built.universe == p.universe
+    assert built.packed().masks == pk.masks
+    assert presolve_cover(built) == presolve_cover(p)
+    assert ilp_cover(built) == ilp_cover(p)
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,6 +6,11 @@ model standard in delay testing), implications are computed by forward
 three-valued simulation of the good and the faulty machine, and conflicts are
 resolved by chronological backtracking.
 
+A search step costs O(fault cone), not O(circuit): the good machine is
+implied event by event inside the search region and rolled back from undo
+logs, the faulty machine is refreshed and re-implied only on the site's cone
+(:meth:`Podem._faulty`), and the backtrace walks level-presorted fanins.
+
 Besides full test generation (:meth:`Podem.generate`), a justification-only
 mode (:meth:`Podem.justify`) finds an input assignment that sets an internal
 signal to a required value — used for the *launch* vector of a transition
@@ -54,8 +59,6 @@ class Podem:
             raise ValueError("circuit must be finalized before ATPG")
         self.circuit = circuit
         self.max_backtracks = max_backtracks
-        self._sources = circuit.sources()
-        self._source_set = set(self._sources)
         self.stats = PodemStats()
         gates = circuit.gates
         n = len(gates)
@@ -69,20 +72,30 @@ class Podem:
             sorted({v for v, _pin in circuit.fanouts(i) if comb[v]})
             for i in range(n)
         ]
-        self._lvl = [circuit.level(i) for i in range(n)]
+        self._lvl = lvl = [circuit.level(i) for i in range(n)]
+        # Fanins stable-sorted by level: the first X entry is the lowest-
+        # level X input, ties going to the earlier pin (the backtrace rule).
+        self._gf_lvl = [sorted(f, key=lvl.__getitem__) for f in self._gf]
+        # D-frontier order: deepest level first, then topological position.
+        topo = circuit.topo_positions
+        self._frontier_key = [(circuit.depth - lvl[i]) * n + topo[i]
+                              for i in range(n)]
         self._is_src = bytearray(n)
-        for i in self._sources:
+        for i in circuit.sources():
             self._is_src[i] = 1
         self._is_obs = bytearray(n)
         for op in circuit.observation_points():
             self._is_obs[op.gate] = 1
         self._inv = bytearray(g.kind in _INVERTING for g in gates)
-        # Persistent good-machine values (all X between calls), memoized
-        # per-site cone plans / in-cone observation gates for the
-        # fault-effect passes, and the most recent generation region.
+        # Persistent good- and faulty-machine values (the good machine is
+        # all X between calls; the faulty one is only meaningful on the
+        # current site's sync set), memoized per-site sync sets, the
+        # ascending sources of each backtraced fanin cone, and the most
+        # recent generation region.
         self._good = self._fresh_values()
-        self._plans: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        self._obs_cone: dict[int, list[int]] = {}
+        self._faulty_values = self._fresh_values()
+        self._syncs: dict[int, tuple[int, ...]] = {}
+        self._cone_srcs: dict[int, list[int]] = {}
         self._last_region: tuple[int, frozenset[int]] = (-1, frozenset())
         # Implication region: 1 = the gate may be implied, 2 = scheduled
         # in the running pass, 0 = outside the region of the current call
@@ -124,14 +137,28 @@ class Podem:
                 values[g.index] = 1
         return values
 
-    def _plan_of(self, site: int) -> list[tuple[int, tuple[int, ...]]]:
-        """Topo-ordered ``(gate, fanin)`` rows of ``site``'s cone."""
-        plan = self._plans.get(site)
-        if plan is None:
+    def _sync_set(self, site: int) -> tuple[int, ...]:
+        """The site, its fanout cone and the cone gates' fanins: every gate
+        whose faulty value a search at ``site`` reads."""
+        sync = self._syncs.get(site)
+        if sync is None:
             gf = self._gf
-            plan = [(i, gf[i]) for i in self.circuit.cone_schedule(site)]
-            self._plans[site] = plan
-        return plan
+            cone = self.circuit.cone_schedule(site)
+            members = dict.fromkeys((site, *cone))
+            for g in cone:
+                members.update(dict.fromkeys(gf[g]))
+            sync = self._syncs[site] = tuple(members)
+        return sync
+
+    def _cone_sources(self, gate: int) -> list[int]:
+        """Sources of ``gate``'s fanin cone in ascending index order."""
+        srcs = self._cone_srcs.get(gate)
+        if srcs is None:
+            is_src = self._is_src
+            srcs = sorted(s for s in self.circuit.fanin_cone(gate)
+                          if is_src[s])
+            self._cone_srcs[gate] = srcs
+        return srcs
 
     # ------------------------------------------------------------------
     # Implication regions
@@ -177,19 +204,19 @@ class Podem:
         values actually change are visited — and only inside the current
         region (a gate outside it is never read, so it is never
         scheduled).  Every changed gate is recorded in ``log`` as
-        ``(gate, previous value)``.
+        ``(gate, previous value)``.  A gate's fanins all sit at lower
+        levels, so nothing can schedule it again once it is popped: its
+        mark is reset right there.
         """
         gk, gf, gfo, tab, ar, lvl = (self._gk, self._gf, self._gfo,
                                      self._tab, self._ar, self._lvl)
         mark = self._mark
         buckets = self._buckets
-        dirty: list[int] = []
         lo = len(buckets)
         hi = 0
         for v in gfo[root]:
             if mark[v] == 1:
                 mark[v] = 2
-                dirty.append(v)
                 level = lvl[v]
                 buckets[level].append(v)
                 if level > hi:
@@ -201,6 +228,7 @@ class Podem:
             bucket = buckets[lv]
             if bucket:
                 for idx in bucket:
+                    mark[idx] = 1
                     n = ar[idx]
                     f = gf[idx]
                     if n == 2:
@@ -222,15 +250,12 @@ class Podem:
                         for v in gfo[idx]:
                             if mark[v] == 1:
                                 mark[v] = 2
-                                dirty.append(v)
                                 level = lvl[v]
                                 buckets[level].append(v)
                                 if level > hi:
                                     hi = level
                 bucket.clear()
             lv += 1
-        for i in dirty:
-            mark[i] = 1
 
     def _set_source(self, src: int, value: int) -> list[tuple[int, int]]:
         """Assign (or clear, with X) a source and re-imply its fanout.
@@ -262,24 +287,48 @@ class Podem:
         Returns a partial assignment ``{source gate index: 0/1}`` (unassigned
         sources are don't-cares), or None when untestable or aborted; check
         :attr:`stats` ``.aborted`` to distinguish the two.
+
+        Each step first settles activation and the site gate from the good
+        machine alone.  The faulty machine is only run once the site carries
+        a D: until then ternary monotonicity keeps every specified faulty
+        value equal to the good one, so no D exists anywhere (nothing is
+        observed and there is no frontier).
         """
         self.stats = PodemStats()
         site = fault.site
-        site_gate = site.gate
+        site_gate, pin, stuck = site.gate, site.pin, fault.value
         sig = site.signal_gate(self.circuit)
+        sync = self._sync_set(site_gate)
         region = self._site_region(site_gate)
         self._enter(region)
+        good = self._good
+        active = 1 - stuck
         assignment: dict[int, int] = {}
         # (source, value, flipped, undo log)
         stack: list[tuple[int, int, bool, list[tuple[int, int]]]] = []
         try:
             while True:
-                good = self._good
-                faulty = self._faulty(site_gate, site.pin, fault.value)
-                if self._detected(good, faulty, site_gate):
-                    return dict(assignment)
-                objective = self._objective(good, faulty, site_gate, sig,
-                                            fault.value)
+                site_val = good[sig]
+                if site_val == X:
+                    objective = (sig, active)
+                elif site_val == stuck:
+                    objective = None  # activation conflict
+                else:
+                    before = good[site_gate]
+                    after = (stuck if pin < 0
+                             else self._inject(site_gate, pin, stuck))
+                    if before == X or after == X:
+                        # No D on the site gate yet: sensitise it by fixing
+                        # an X side input.
+                        objective = self._side_input(site_gate, good)
+                    elif before == after:
+                        objective = None  # effect masked at the site gate
+                    else:
+                        faulty, effect = self._faulty(site_gate, before,
+                                                      after, sync)
+                        if self._observed(faulty, effect):
+                            return dict(assignment)
+                        objective = self._propagate(good, faulty, effect)
                 if objective is None:
                     self._backtrack(assignment, stack)
                     continue
@@ -310,11 +359,17 @@ class Podem:
         conflict (the objectives are mutually unsatisfiable) or abort.
         """
         self.stats = PodemStats()
-        # Source objectives are assignments, not search work.
+        # Source objectives are assignments, not search work; a constant
+        # source either already holds its objective or refutes it.
+        good = self._good
         assignment: dict[int, int] = {}
         pending: list[tuple[int, int]] = []
         for gate, value in objectives:
-            if gate in self._source_set:
+            if self._is_src[gate]:
+                if good[gate] != X:
+                    if good[gate] != value:
+                        return None
+                    continue
                 if assignment.get(gate, value) != value:
                     return None
                 assignment[gate] = value
@@ -328,7 +383,6 @@ class Podem:
         stack: list[tuple[int, int, bool, list[tuple[int, int]]]] = []
         try:
             while True:
-                good = self._good
                 violated = any(good[g] == 1 - v for g, v in pending)
                 if violated:
                     self._backtrack(assignment, stack)
@@ -360,9 +414,14 @@ class Podem:
 
         Pure good-machine justification (no fault, no propagation); used to
         build launch vectors.  Returns None when impossible or aborted.
+        A constant source is never part of an assignment: it justifies its
+        own value with ``{}`` and refutes the other one.
         """
         self.stats = PodemStats()
-        if gate in self._source_set:
+        good = self._good
+        if self._is_src[gate]:
+            if good[gate] != X:
+                return {} if good[gate] == value else None
             return {gate: value}
         region = self.circuit.fanin_cone(gate)
         self._enter(region)
@@ -370,7 +429,6 @@ class Podem:
         stack: list[tuple[int, int, bool, list[tuple[int, int]]]] = []
         try:
             while True:
-                good = self._good
                 if good[gate] == value:
                     return dict(assignment)
                 if good[gate] == 1 - value:
@@ -394,69 +452,66 @@ class Podem:
             self._leave(region)
 
     # ------------------------------------------------------------------
-    # Simulation
+    # Faulty machine
     # ------------------------------------------------------------------
-    def _faulty(self, site_gate: int, pin: int, value: int) -> list[int]:
-        """Faulty-machine values derived from the current good values.
+    def _inject(self, gate: int, pin: int, value: int) -> int:
+        """Good-machine output of ``gate`` with input ``pin`` forced to
+        ``value`` (the site gate of a pin fault): the gate's table row,
+        with the pin's radix-3 digit swapped for ``value``."""
+        good = self._good
+        fanin = self._gf[gate]
+        tab = self._tab[gate]
+        if tab is None:
+            ins = [good[s] for s in fanin]
+            ins[pin] = value
+            return eval_ternary(self._gk[gate], ins)
+        row = 0
+        for s in fanin:
+            row = row * 3 + good[s]
+        return tab[row + (value - good[fanin[pin]])
+                   * 3 ** (len(fanin) - 1 - pin)]
+
+    def _faulty(self, site_gate: int, before: int, after: int,
+                sync: tuple[int, ...]
+                ) -> tuple[list[int], list[tuple[int, int]]]:
+        """Faulty-machine values for a D on the site gate (good ``before``,
+        faulty ``after``), and the fault effect.
 
         Only the site gate and its fanout cone can differ from the good
-        machine, and the cone lies inside the region, so the same
-        region-restricted implication yields every value the search reads.
+        machine, and the search reads faulty values only there and on the
+        cone's fanins — the site's ``sync`` set.  So the persistent faulty
+        array is refreshed from the good one on that set alone, the site is
+        injected and its cone re-implied (the cone lies inside the region);
+        entries outside the set are stale and never read.  The effect lists
+        ``(gate, good value)`` for every gate where the machines differ:
+        the site first, then each gate the pass changed (each once).
         """
         good = self._good
-        faulty = list(good)
-        if pin < 0:
-            faulty[site_gate] = value
-        else:
-            ins = [good[s] for s in self._gf[site_gate]]
-            ins[pin] = value
-            faulty[site_gate] = eval_ternary(self._gk[site_gate], ins)
-        if faulty[site_gate] != good[site_gate]:
-            self._imply(faulty, site_gate, [])
-        return faulty
+        faulty = self._faulty_values
+        for g in sync:
+            faulty[g] = good[g]
+        faulty[site_gate] = after
+        effect = [(site_gate, before)]
+        self._imply(faulty, site_gate, effect)
+        return faulty, effect
+
+    def _observed(self, faulty: list[int],
+                  effect: list[tuple[int, int]]) -> bool:
+        """A D at an observation point: an effect gate with both values
+        specified (they differ by construction)."""
+        obs = self._is_obs
+        for g, good_val in effect:
+            if obs[g] and good_val != X and faulty[g] != X:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # PODEM machinery
     # ------------------------------------------------------------------
-    def _obs_in_cone(self, site_gate: int) -> list[int]:
-        """Observation gates that can ever see ``site_gate``'s fault effect
-        (the site itself plus its fanout cone, restricted to observation
-        points) — everywhere else ``good == faulty`` by construction."""
-        cached = self._obs_cone.get(site_gate)
-        if cached is None:
-            obs = self._is_obs
-            cached = [i for i in (site_gate,
-                                  *self.circuit.cone_schedule(site_gate))
-                      if obs[i]]
-            self._obs_cone[site_gate] = cached
-        return cached
-
-    def _detected(self, good: list[int], faulty: list[int],
-                  site_gate: int) -> bool:
-        return any(good[o] != X and faulty[o] != X and good[o] != faulty[o]
-                   for o in self._obs_in_cone(site_gate))
-
-    def _objective(self, good: list[int], faulty: list[int], site_gate: int,
-                   sig: int, stuck: int) -> tuple[int, int] | None:
-        """Next (gate, value) objective, or None to trigger backtracking.
-
-        ``sig`` is the gate driving the faulted pin and ``stuck`` the
-        stuck-at value.
-        """
-        site_val = good[sig]
-        if site_val == stuck:
-            return None  # activation conflict
-        if site_val == X:
-            return (sig, 1 - stuck)
-        # The fault effect first materializes at the site gate itself; as
-        # long as its good/faulty outputs are not both specified, no D-value
-        # exists on any net and the frontier below cannot see the fault.
-        # Objective: sensitise the site gate by fixing an X side-input.
-        if good[site_gate] == X or faulty[site_gate] == X:
-            return self._side_input(site_gate, good)
-        if good[site_gate] == faulty[site_gate]:
-            return None  # effect masked at the site gate itself
-        frontier = self._d_frontier(good, faulty, site_gate)
+    def _propagate(self, good: list[int], faulty: list[int],
+                   effect: list[tuple[int, int]]) -> tuple[int, int] | None:
+        """Objective that drives the D-frontier on, or None to backtrack."""
+        frontier = self._d_frontier(good, faulty, effect)
         if not frontier:
             return None
         if not self._x_path_exists(frontier, good, faulty):
@@ -465,8 +520,7 @@ class Podem:
         # trying the others: a frontier gate may have no free side input
         # (its faulty output is X through a partially-specified D chain)
         # while another is still sensitizable.
-        lvl = self._lvl
-        for gate_idx in sorted(frontier, key=lambda i: -lvl[i]):
+        for gate_idx in frontier:
             objective = self._side_input(gate_idx, good)
             if objective is not None:
                 return objective
@@ -483,22 +537,20 @@ class Podem:
         return None
 
     def _d_frontier(self, good: list[int], faulty: list[int],
-                    site_gate: int) -> list[int]:
+                    effect: list[tuple[int, int]]) -> list[int]:
         """Gates whose inputs carry a fault effect but whose output is X.
 
-        D-values only exist on the site gate and inside its fanout cone, so
-        the scan walks the memoized (topo-ordered) cone plan instead of the
-        whole circuit — same members, same order as the full-circuit sweep.
+        Every D sits on an effect gate, so the frontier is read off their
+        fanouts; it comes deepest level first, ties in topological order.
         """
-        out: list[int] = []
-        for idx, fanin in self._plan_of(site_gate):
-            if good[idx] != X and faulty[idx] != X:
-                continue
-            for s in fanin:
-                if good[s] != X and faulty[s] != X and good[s] != faulty[s]:
-                    out.append(idx)
-                    break
-        return out
+        gfo = self._gfo
+        out: set[int] = set()
+        for d, good_val in effect:
+            if good_val != X and faulty[d] != X:
+                for v in gfo[d]:
+                    if good[v] == X or faulty[v] == X:
+                        out.add(v)
+        return sorted(out, key=self._frontier_key.__getitem__)
 
     def _x_path_exists(self, frontier: list[int], good: list[int],
                        faulty: list[int]) -> bool:
@@ -528,27 +580,28 @@ class Podem:
         the *current decision cube* is a dead end, which must trigger
         chronological backtracking (not an untestability verdict: other
         cubes may still succeed).
+
+        Each hop follows the lowest-level X fanin (the first X of the
+        level-sorted fanin list, so ties go to the earlier pin); every hop
+        lowers the level, so the walk ends at a source.
         """
         gate, value = objective
-        is_src, inv, gf, lvl = self._is_src, self._inv, self._gf, self._lvl
-        limit = len(gf) + 1
-        guard = 0
+        is_src, inv, gf_lvl = self._is_src, self._inv, self._gf_lvl
         while not is_src[gate]:
-            guard += 1
-            if guard > limit:
-                return None  # defensive: should not happen on a DAG
             if inv[gate]:
                 value = 1 - value
-            x_pins = [s for s in gf[gate] if good[s] == X]
-            if not x_pins:
-                # The objective is already implied; restart from any X source
-                # in the fanin cone to make progress.
-                free = [s for s in self.circuit.fanin_cone(gate)
-                        if is_src[s] and good[s] == X]
-                if not free:
-                    return None
-                return (min(free), value)
-            gate = min(x_pins, key=lvl.__getitem__)
+            for s in gf_lvl[gate]:
+                if good[s] == X:
+                    gate = s
+                    break
+            else:
+                # The objective is already implied; restart from the
+                # lowest-numbered X source in the fanin cone to make
+                # progress.
+                for s in self._cone_sources(gate):
+                    if good[s] == X:
+                        return (s, value)
+                return None
         return (gate, value)
 
     def _backtrack(self, assignment: dict[int, int],

@@ -135,11 +135,15 @@ class BitParallelSimulator:
                        if GateKind.is_combinational(circuit.gates[i].kind)]
         self._obs_gates = sorted({op.gate
                                   for op in circuit.observation_points()})
+        # Constant generators: their rows ignore the packed pattern bits.
+        self._const0 = [g.index for g in circuit.gates
+                        if g.kind == GateKind.CONST0]
+        self._const1 = [g.index for g in circuit.gates
+                        if g.kind == GateKind.CONST1]
         # Big-int and matrix-engine structures, built lazily on first use.
         self._plan: list[tuple] | None = None
         self._level_batches: list[tuple] | None = None
         self._sources_np: np.ndarray | None = None
-        self._const1_np: np.ndarray | None = None
 
     def _build_int_plan(self) -> None:
         """Big-int plan: ``(gate, operator, invert, fanin)`` per
@@ -173,15 +177,18 @@ class BitParallelSimulator:
         """Fault-free packed values for every gate.
 
         ``source_words`` maps source gate index → packed word; missing
-        sources default to 0.  ``width`` is the number of packed patterns.
+        sources default to 0 and constant generators hold their value
+        whatever their word says.  ``width`` is the number of packed
+        patterns.
         """
         mask = (1 << width) - 1
         words = [0] * len(self.circuit.gates)
         for idx, w in source_words.items():
             words[idx] = w & mask
-        for g in self.circuit.gates:
-            if g.kind == GateKind.CONST1:
-                words[g.index] = mask
+        for idx in self._const0:
+            words[idx] = 0
+        for idx in self._const1:
+            words[idx] = mask
         if self._plan is None:
             self._build_int_plan()
         get = words.__getitem__
@@ -311,9 +318,6 @@ class BitParallelSimulator:
             batches.append((op, invert, out_idx, fanin))
         self._level_batches = batches
         self._sources_np = np.asarray(self.circuit.sources(), dtype=np.intp)
-        self._const1_np = np.asarray(
-            [g.index for g in circuit.gates if g.kind == GateKind.CONST1],
-            dtype=np.intp)
 
     def pack_vectors_words(self, vectors: Sequence[Sequence[int]]
                            ) -> tuple[np.ndarray, int]:
@@ -321,8 +325,8 @@ class BitParallelSimulator:
 
         Bit ``p`` of word ``p >> 6`` in row ``g`` is pattern ``p``'s value
         at source ``g`` (little-endian, the :mod:`repro.utils.bitset`
-        convention).  Non-source rows are zero; CONST1 rows carry the full
-        pattern mask.  Returns ``(matrix, width)``.
+        convention).  Non-source and CONST0 rows are zero; CONST1 rows carry
+        the full pattern mask.  Returns ``(matrix, width)``.
         """
         if self._level_batches is None:
             self._build_matrix_plan()
@@ -341,8 +345,8 @@ class BitParallelSimulator:
             padded = np.zeros((len(sources), w * 8), dtype=np.uint8)
             padded[:, :packed.shape[1]] = packed
             matrix[sources] = padded.view(np.uint64)
-        if self._const1_np.size:
-            matrix[self._const1_np] = mask_row(width)
+        matrix[self._const0] = 0
+        matrix[self._const1] = mask_row(width)
         return matrix, width
 
     def simulate_words(self, matrix: np.ndarray, width: int) -> np.ndarray:

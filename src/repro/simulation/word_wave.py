@@ -562,13 +562,6 @@ class _WordWave:
             [p.launch for p in patterns])
         capture_m, _ = self.bp.pack_vectors_words(
             [p.capture for p in patterns])
-        const0 = np.asarray([g.index for g in circuit.gates
-                             if g.kind == GateKind.CONST0], dtype=np.int64)
-        if const0.size:
-            # The waveform engines pin constant generators regardless of
-            # the packed vector bits (pack_vectors_words only forces CONST1).
-            launch_m[const0] = 0
-            capture_m[const0] = 0
         sources = np.asarray(circuit.sources(), dtype=np.int64)
         toggles = launch_m[sources] ^ capture_m[sources]
 

@@ -51,6 +51,32 @@ class TestSimulate:
                         g.kind, [static[s] for s in g.fanin])
             assert all(values[i] >> p & 1 == static[i] for i in s27.topo_order)
 
+    @pytest.mark.parametrize("value", (0, 1))
+    def test_constants_ignore_the_pattern_bit(self, value):
+        """A constant row holds its value whatever its packed bit says,
+        in both the big-int and the word-matrix engine."""
+        from repro.netlist.circuit import Circuit
+
+        c = Circuit("const")
+        a = c.add_input("a")
+        b = c.add_input("b")
+        z = c.add_const("z", value)
+        o = c.add_gate("o", GateKind.OR, [a, z])
+        y = c.add_gate("y", GateKind.AND, [o, b])
+        c.mark_output(y)
+        c.finalize()
+        sim = BitParallelSimulator(c)
+        # Sources (a, b, z); each pattern drives z's bit opposite to value.
+        vectors = [(0, 1, 1 - value), (1, 1, 1 - value)]
+        want = {z: [value] * 2, o: [value, 1], y: [value, 1]}
+        words, width = sim.pack_vectors(vectors)
+        values = sim.simulate(words, width)
+        matrix, _ = sim.pack_vectors_words(vectors)
+        rows = sim.simulate_words(matrix, width)
+        for gate, bits in want.items():
+            assert [values[gate] >> p & 1 for p in range(2)] == bits
+            assert [int(rows[gate, 0]) >> p & 1 for p in range(2)] == bits
+
     def test_pack_rejects_x(self, s27):
         sim = BitParallelSimulator(s27)
         vec = [2] * len(s27.sources())

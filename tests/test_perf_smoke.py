@@ -5,9 +5,10 @@ stage has regressed by more than 2x against the wall clock recorded for
 it (with an absolute slack so a loaded CI machine cannot produce
 spurious failures); the resched and service guards assert their
 absolute acceptance bounds instead.  The recorded seconds are module
-constants, measured on the s9234 quick-profile workloads.  End-to-end
-performance is measured by ``bench/run.py`` (see ``bench/README.md``).
-Run explicitly with ``pytest -m perf``.
+constants, measured on the s9234 quick-profile workloads (the PODEM and
+step-1 presolve guards use p89k, where those kernels have real work).
+End-to-end performance is measured by ``bench/run.py`` (see
+``bench/README.md``).  Run explicitly with ``pytest -m perf``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ DETECTION_S = {"wordwave": 0.0154, "incremental": 0.0523}
 SCHEDULE_S = 0.0399
 #: Recorded seconds of matrix ATPG (seed 7).
 ATPG_S = 0.2599
+#: Recorded seconds of the summed PODEM timer of matrix ATPG (seed 7) on
+#: p89k at scale 0.5: 878 calls, 732 proven untestable, 5 aborted.
+PODEM_S = 0.44
+PODEM_CIRCUIT = "p89k"
+PODEM_SCALE = 0.5
 #: Recorded seconds of the uncached fleet study and its workload.
 FLEET_S = 0.3193
 FLEET_DEVICES = 4096
@@ -174,6 +180,28 @@ def test_atpg_has_not_regressed():
         f"matrix ATPG on {GUARD_CIRCUIT} took {elapsed:.3f}s, "
         f"budget {budget:.3f}s (recorded {ATPG_S:.3f}s x {MAX_SLOWDOWN} "
         f"+ {ABS_SLACK_S}s)")
+
+
+@pytest.mark.perf
+def test_podem_has_not_regressed():
+    """Time PODEM alone on a case whose searches end in tests, untestable
+    proofs and aborts alike (best of two runs)."""
+    from repro.atpg.transition import generate_transition_tests
+    from repro.circuits.library import suite_circuit
+    from repro.utils.profiling import StageTimer
+
+    budget = _budget(PODEM_S)
+    circuit = suite_circuit(PODEM_CIRCUIT, scale=PODEM_SCALE)
+    elapsed = float("inf")
+    for _ in range(2):
+        timer = StageTimer()
+        result = generate_transition_tests(circuit, seed=7, timer=timer)
+        elapsed = min(elapsed, timer.totals["podem"])
+    assert result.untestable and result.aborted
+    assert elapsed <= budget, (
+        f"PODEM on {PODEM_CIRCUIT} at scale {PODEM_SCALE} took "
+        f"{elapsed:.3f}s, budget {budget:.3f}s (recorded {PODEM_S:.3f}s x "
+        f"{MAX_SLOWDOWN} + {ABS_SLACK_S}s)")
 
 
 @pytest.mark.perf

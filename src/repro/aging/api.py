@@ -14,8 +14,7 @@ contract instead:
     model does not touch).  :class:`~repro.aging.degradation.AgingScenario`
     and :class:`~repro.aging.marginal.MarginalDeviceModel` implement it
     natively; legacy scalar objects are wrapped by
-    :func:`as_degradation_model` — the same pattern as the
-    ``engine="reference"`` twins elsewhere in the codebase.
+    :func:`as_degradation_model`.
 
 Model composition is element-wise multiplication
 (:func:`combined_delay_factors`), matching the historical semantics of the

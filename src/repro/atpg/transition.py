@@ -18,20 +18,17 @@ Detection criterion (gross-delay / enhanced-scan model): pattern pair
 ``(v1, v2)`` detects transition fault φ iff ``v1`` sets the site to the
 initial value and ``v2`` detects the corresponding stuck-at fault.
 
-Engines: fault grading runs on the packed fault×pattern kernel of
-:class:`BitParallelSimulator` by default (``engine="matrix"``): the
-fault-free launch/capture words come from one big-int sweep, only
-activated faults whose forced value changes their site enter the kernel,
-and chunks of them are simulated side by side in one Python int per
-:data:`~repro.simulation.parallel_sim.CHUNK_BITS`
+Fault grading runs on the packed fault×pattern kernel of
+:class:`BitParallelSimulator`: the fault-free launch/capture words come
+from one big-int sweep, only activated faults whose forced value changes
+their site enter the kernel, and chunks of them are simulated side by
+side in one Python int per :data:`~repro.simulation.parallel_sim.CHUNK_BITS`
 (:func:`_transition_masks`).  The random phase, the deterministic phase's
 per-pattern fault dropping and compaction all grade through it; faults
 are addressed by their position in one integer-ranked list, so no phase
-sorts or searches fault objects.  The seed pipeline is retained verbatim
-as ``engine="reference"`` — both produce bit-identical per-fault detect
-masks and identical compacted test sets (guarded by
-``tests/test_transition_golden.py`` and the fixture pin
-``tests/test_atpg_golden.py``).
+sorts or searches fault objects.  ``tests/test_transition_golden.py``
+checks the masks against the detection criterion above and, with
+``tests/test_atpg_golden.py``, pins the generated test sets.
 """
 
 from __future__ import annotations
@@ -50,10 +47,6 @@ from repro.netlist.circuit import Circuit
 from repro.simulation.logic import X
 from repro.simulation.parallel_sim import BitParallelSimulator
 from repro.utils.profiling import StageTimer
-
-#: Recognized values of the ``engine`` parameter.
-ENGINES = ("matrix", "reference")
-
 
 @dataclass
 class AtpgResult:
@@ -156,62 +149,17 @@ def _grade(sim: BitParallelSimulator, patterns: Sequence[PatternPair],
                              sim.simulate(capture, width), rows, idx, width)
 
 
-def _detect_masks_matrix(circuit: Circuit, sim: BitParallelSimulator,
-                         test_set: TestSet, faults: Sequence[TransitionFault],
-                         *, seed: int) -> dict[TransitionFault, int]:
+def detect_masks(circuit: Circuit, sim: BitParallelSimulator,
+                 test_set: TestSet, faults: list[TransitionFault],
+                 *, seed: int = 0) -> dict[TransitionFault, int]:
+    """Per-fault bitmask of detecting patterns (bit p ↔ pattern p),
+    graded through the packed fault×pattern kernel."""
     filled = test_set.filled(seed=seed)
     if not len(filled):
         return {f: 0 for f in faults}
     masks = _grade(sim, filled.patterns, _fault_rows(circuit, faults),
                    range(len(faults)))
     return dict(zip(faults, masks))
-
-
-def _detect_masks_reference(circuit: Circuit, sim: BitParallelSimulator,
-                            test_set: TestSet,
-                            faults: Sequence[TransitionFault],
-                            *, seed: int) -> dict[TransitionFault, int]:
-    """The seed grading path: big-int words, one cone walk per fault."""
-    filled = test_set.filled(seed=seed)
-    launch_vecs = [p.launch for p in filled]
-    capture_vecs = [p.capture for p in filled]
-    if not launch_vecs:
-        return {f: 0 for f in faults}
-    launch_words, width = sim.pack_vectors(launch_vecs)
-    capture_words, _ = sim.pack_vectors(capture_vecs)
-    good_launch = sim.simulate(launch_words, width)
-    good_capture = sim.simulate(capture_words, width)
-    mask = (1 << width) - 1
-
-    out: dict[TransitionFault, int] = {}
-    for f in faults:
-        sig = f.site.signal_gate(circuit)
-        launch_word = good_launch[sig]
-        act = (mask ^ launch_word) if f.launch_value == 0 else launch_word
-        if act == 0:
-            out[f] = 0
-            continue
-        det = sim.stuck_at_detect_mask(good_capture, f.as_stuck_at(), width)
-        out[f] = act & det
-    return out
-
-
-def detect_masks(circuit: Circuit, sim: BitParallelSimulator,
-                 test_set: TestSet, faults: list[TransitionFault],
-                 *, seed: int = 0,
-                 engine: str = "matrix") -> dict[TransitionFault, int]:
-    """Per-fault bitmask of detecting patterns (bit p ↔ pattern p).
-
-    Both engines return bit-identical masks; ``"matrix"`` grades all faults
-    through the packed fault×pattern kernel, ``"reference"`` keeps the seed
-    per-fault big-int walk.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine == "reference":
-        return _detect_masks_reference(circuit, sim, test_set, faults,
-                                       seed=seed)
-    return _detect_masks_matrix(circuit, sim, test_set, faults, seed=seed)
 
 
 def generate_transition_tests(
@@ -224,19 +172,13 @@ def generate_transition_tests(
     stale_batches: int = 3,
     max_backtracks: int = 512,
     compact: bool = True,
-    engine: str = "matrix",
     timer: StageTimer | None = None,
 ) -> AtpgResult:
     """Generate a compacted transition-fault pattern-pair set.
 
-    ``engine`` selects the fault-grading kernels (``"matrix"`` — the packed
-    fault×pattern kernel with an incremental deterministic phase — or
-    ``"reference"`` — the retained seed pipeline); results are identical.
     ``timer`` collects the per-stage wall-clock split (``random`` /
     ``podem`` / ``grade`` / ``compact``).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     rng = random.Random(seed)
     fault_list = faults if faults is not None else transition_fault_list(circuit)
     sim = BitParallelSimulator(circuit)
@@ -263,13 +205,7 @@ def generate_transition_tests(
                 tuple(rng.randint(0, 1) for _ in range(width)),
                 tuple(rng.randint(0, 1) for _ in range(width)))
             for _ in range(random_batch)))
-        if engine == "reference":
-            by_fault = _detect_masks_reference(
-                circuit, sim, batch, [ranked[i] for i in undetected],
-                seed=seed)
-            masks = [by_fault[ranked[i]] for i in undetected]
-        else:
-            masks = _grade(sim, batch.patterns, rows, undetected)
+        masks = _grade(sim, batch.patterns, rows, undetected)
         useful_bits = 0
         still: list[int] = []
         for i, m in zip(undetected, masks):
@@ -296,12 +232,8 @@ def generate_transition_tests(
                         detected=detected)
     podem = Podem(circuit, max_backtracks=max_backtracks)
     sources = circuit.sources()
-    if engine == "reference":
-        _phase2_reference(circuit, sim, podem, sources, rng,
-                          {ranked[i] for i in undetected}, result, seed=seed)
-    else:
-        _phase2_incremental(sim, podem, sources, rng, ranked, rows,
-                            undetected, result, timer=timer)
+    _phase2_incremental(sim, podem, sources, rng, ranked, rows,
+                        undetected, result, timer=timer)
 
     # ------------------------------------------------------------------
     # Phase 3: static compaction (reverse-order fault dropping)
@@ -310,8 +242,7 @@ def generate_transition_tests(
     if compact and len(test_set) > 1:
         t0 = time.perf_counter() if timer is not None else 0.0
         masks = detect_masks(circuit, sim, test_set,
-                             sorted(result.detected, key=rank), seed=seed,
-                             engine=engine)
+                             sorted(result.detected, key=rank), seed=seed)
         kept = reverse_order_drop(len(test_set), masks.values())
         result.test_set = test_set.subset(kept)
         if timer is not None:
@@ -375,45 +306,3 @@ def _phase2_incremental(sim: BitParallelSimulator, podem: Podem,
             # Random fill spoiled the sensitization; treat as aborted.
             result.aborted.add(f)
             settled[i] = 1
-
-
-def _phase2_reference(circuit: Circuit, sim: BitParallelSimulator,
-                      podem: Podem, sources: list[int], rng: random.Random,
-                      undetected: set[TransitionFault],
-                      result: AtpgResult, *, seed: int) -> None:
-    """The seed deterministic phase, retained verbatim: every pattern
-    re-sorts and re-grades ``remaining`` through the big-int engine."""
-    test_set = result.test_set
-    worklist = sorted(undetected)
-    remaining = set(undetected)
-    for f in worklist:
-        if f not in remaining:
-            continue  # dropped by an earlier deterministic pattern
-        capture_assign = podem.generate(f.as_stuck_at())
-        if capture_assign is None:
-            (result.aborted if podem.stats.aborted
-             else result.untestable).add(f)
-            remaining.discard(f)
-            continue
-        launch_assign = podem.justify(f.site.signal_gate(circuit),
-                                      f.launch_value)
-        if launch_assign is None:
-            (result.aborted if podem.stats.aborted
-             else result.untestable).add(f)
-            remaining.discard(f)
-            continue
-        launch = tuple(launch_assign.get(s, X) for s in sources)
-        capture = tuple(capture_assign.get(s, X) for s in sources)
-        pair = PatternPair(launch, capture).filled(rng)
-        masks = detect_masks(circuit, sim, TestSet(circuit, [pair]),
-                             sorted(remaining), seed=seed,
-                             engine="reference")
-        if masks[f]:
-            test_set.append(pair)
-            dropped = {g for g, m in masks.items() if m}
-            result.detected |= dropped
-            remaining -= dropped
-        else:
-            # Random fill spoiled the sensitization; treat as aborted.
-            result.aborted.add(f)
-            remaining.discard(f)

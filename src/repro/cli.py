@@ -330,7 +330,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 def cmd_resched(args: argparse.Namespace) -> int:
     import json
 
-    from repro.core.spec import ReschedJob, ScenarioSpec, SpecError
+    from repro.core.spec import ReschedJob, ScenarioSpec
 
     try:
         job = ReschedJob(
@@ -344,7 +344,7 @@ def cmd_resched(args: argparse.Namespace) -> int:
             scenario=(ScenarioSpec.load(args.scenario)
                       if args.scenario else None),
             max_gates=args.max_gates)
-    except SpecError as exc:
+    except (OSError, ValueError) as exc:   # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     outcome = _run_job(job, store=_stage_cache(args),

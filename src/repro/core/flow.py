@@ -18,10 +18,9 @@ Steps, mirroring the paper:
 
 Execution is staged: :meth:`HdfTestFlow.run` drives the typed pipeline of
 :mod:`repro.core.pipeline` / :mod:`repro.core.stages`, which enables
-per-stage artifact caching and resumable runs (pass ``cache=``).  The
-pre-pipeline monolithic implementation is retained verbatim as
-:meth:`HdfTestFlow.run_monolith` — it is the golden reference the parity
-tests pin the staged execution against; do not optimize it.
+per-stage artifact caching and resumable runs (pass ``cache=``).
+``tests/test_pipeline_golden.py`` pins whole-flow results on small
+circuits.
 """
 
 from __future__ import annotations
@@ -29,24 +28,11 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.atpg.patterns import TestSet
-from repro.atpg.transition import generate_transition_tests
 from repro.core.config import FlowConfig
 from repro.core.pipeline import DEFAULT_PIPELINE, Pipeline, StageStore
 from repro.core.results import FlowResult
 from repro.core.stages import StageContext
-from repro.faults.classify import classify_faults, structural_prefilter
-from repro.faults.detection import compute_detection_data
-from repro.faults.universe import small_delay_fault_universe
-from repro.monitors.insertion import insert_monitors
-from repro.monitors.monitor import MonitorConfigSet
 from repro.netlist.circuit import Circuit
-from repro.scheduling.baselines import (
-    conventional_schedule,
-    heuristic_schedule,
-    proposed_schedule,
-)
-from repro.timing.clock import ClockSpec
-from repro.timing.sta import run_sta
 from repro.utils.profiling import StageTimer
 
 
@@ -154,100 +140,3 @@ class HdfTestFlow:
             coverage_schedules=dict(schedule.coverage_schedules),
             meta=meta,
         )
-
-    # ------------------------------------------------------------------
-    # Golden reference (pre-pipeline monolith) — do not optimize
-    # ------------------------------------------------------------------
-    def run_monolith(self, *,
-                     test_set: TestSet | None = None,
-                     with_schedules: bool = True,
-                     with_coverage_schedules: bool = False,
-                     progress: Callable[[str], None] | None = None,
-                     timer: StageTimer | None = None) -> FlowResult:
-        """The pre-pipeline monolithic flow, retained verbatim.
-
-        The parity tests (``tests/test_pipeline_golden.py``) pin that the
-        staged :meth:`run` produces bit-identical results to this body.
-        """
-        cfg = self.config
-        note = progress or (lambda _msg: None)
-
-        # -- Step 0: timing, clocking, monitors --------------------------
-        note("static timing analysis")
-        sta = run_sta(self.circuit)
-        clock = ClockSpec(sta.clock_period, cfg.fast_ratio)
-        configs = MonitorConfigSet(tuple(
-            f * clock.t_nom for f in sorted(cfg.monitor_delay_fractions)))
-        placement = insert_monitors(self.circuit, sta, configs,
-                                    fraction=cfg.monitor_fraction)
-
-        # -- Step 1: fault universe + topological screening ---------------
-        note("fault universe")
-        universe = small_delay_fault_universe(
-            self.circuit, sigma_fraction=cfg.sigma_fraction,
-            n_sigma=cfg.n_sigma)
-        prefilter = None
-        faults = universe
-        if cfg.structural_prefilter:
-            note("structural prefilter")
-            prefilter = structural_prefilter(
-                self.circuit, sta, universe, clock, configs,
-                placement.monitored_gates)
-            faults = prefilter.remaining
-
-        # -- Step 2: pattern set ------------------------------------------
-        atpg = None
-        if test_set is None:
-            note("transition-fault ATPG")
-            atpg = generate_transition_tests(self.circuit, seed=cfg.atpg_seed,
-                                             timer=timer)
-            test_set = atpg.test_set
-        if cfg.pattern_cap is not None and len(test_set) > cfg.pattern_cap:
-            test_set = test_set.subset(range(cfg.pattern_cap))
-        test_set = test_set.filled(seed=cfg.atpg_seed)
-
-        # -- Steps 3+4: detection ranges under all configurations ---------
-        note(f"fault simulation ({len(faults)} faults x "
-             f"{len(test_set)} patterns)")
-        data = compute_detection_data(
-            self.circuit, faults, test_set,
-            horizon=clock.t_nom,
-            monitored_gates=placement.monitored_gates,
-            inertial=cfg.inertial_ps, timer=timer)
-
-        # -- Step 5: classification / target faults -----------------------
-        note("fault classification")
-        classification = classify_faults(data, clock, configs)
-
-        result = FlowResult(
-            circuit=self.circuit,
-            sta=sta,
-            clock=clock,
-            configs=configs,
-            placement=placement,
-            universe_size=len(universe),
-            prefilter=prefilter,
-            atpg=atpg,
-            test_set=test_set,
-            data=data,
-            classification=classification,
-        )
-
-        # -- Step 6: schedule optimization ---------------------------------
-        if with_schedules:
-            note("schedule optimization (conv/heur/prop)")
-            result.schedules["conv"] = conventional_schedule(
-                data, classification, clock,
-                time_limit=cfg.ilp_time_limit, timer=timer)
-            result.schedules["heur"] = heuristic_schedule(
-                data, classification, clock, configs, timer=timer)
-            result.schedules["prop"] = proposed_schedule(
-                data, classification, clock, configs,
-                time_limit=cfg.ilp_time_limit, timer=timer)
-        if with_coverage_schedules:
-            for cov in cfg.coverage_targets:
-                note(f"schedule optimization (cov >= {cov:.0%})")
-                result.coverage_schedules[cov] = proposed_schedule(
-                    data, classification, clock, configs, coverage=cov,
-                    time_limit=cfg.ilp_time_limit, timer=timer)
-        return result

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, ClassVar, Mapping
@@ -436,16 +437,30 @@ class FleetJob(JobSpec):
 
 def _canonical_alerts(alerts: Any) -> tuple[tuple[tuple[int, float], ...],
                                             ...]:
-    """Alert stream → ordered events of sorted ``(gate, shift)`` pairs."""
+    """Alert stream → ordered events of sorted ``(gate, shift)`` pairs.
+
+    Shifts on the same gate within one event sum and zero sums drop, as in
+    :func:`repro.scheduling.resched.load_alert_stream`, so equivalent
+    streams share one canonical form and fingerprint.
+    """
     out = []
     for k, event in enumerate(alerts):
+        shifts: dict[int, float] = {}
         try:
-            pairs = sorted((int(g), float(s)) for g, s in event)
+            for g, s in event:
+                g = int(g)
+                shifts[g] = shifts.get(g, 0.0) + float(s)
         except (TypeError, ValueError):
             raise SpecError(
                 f"alert #{k} must be a list of [gate, shift_ps] pairs, "
                 f"got {event!r}") from None
-        out.append(tuple(pairs))
+        for g, s in shifts.items():
+            if g < 0:
+                raise SpecError(f"alert #{k}: gate index {g} is negative")
+            if not math.isfinite(s):
+                raise SpecError(f"alert #{k}: shift {s!r} on gate {g} is "
+                                f"not finite")
+        out.append(tuple(sorted(p for p in shifts.items() if p[1] != 0.0)))
     return tuple(out)
 
 

@@ -15,8 +15,8 @@ Stage DAG (deps point left)::
     (sta, atpg also feed simulation; sta feeds classify/schedule)
 
 Each stage calls its one production implementation directly; the
-retained twins (reference ATPG and detection, the per-device fleet loop)
-are test oracles reached through the functions' own ``engine=``
+retained alternatives (the incremental detection engine, the per-device
+fleet loop) are reached through the functions' own ``engine=``
 parameters, never through the flow.
 """
 

@@ -23,9 +23,10 @@ interval extraction all vectorized across (fault, pattern) instances.  The
 ``"incremental"`` engine combines a bit-parallel activation pre-grading pass
 with the change-driven cone-schedule fault simulator
 (:meth:`WaveformSimulator.simulate_fault`) and doubles as the fallback for
-workloads outside the array kernels' envelope.  The seed ``"reference"``
-engine is retained for golden-equivalence testing; all three produce
-bit-identical :class:`DetectionData`.
+workloads outside the array kernels' envelope.  Both produce
+bit-identical :class:`DetectionData` (``tests/test_wordwave_golden.py``),
+pinned by ``tests/test_detection_golden.py`` and checked against the
+definition above by ``tests/test_detection_rule.py``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.utils.intervals import IntervalAccumulator, IntervalSet
 from repro.utils.profiling import StageTimer
 
 #: Recognized values of the ``engine`` parameter.
-ENGINES = ("wordwave", "incremental", "reference")
+ENGINES = ("wordwave", "incremental")
 
 #: Bound of the per-data schedule-candidate memo (``_sched_cache``): one
 #: flow run queries at most a handful of distinct (targets, configs,
@@ -210,12 +211,9 @@ def _simulate_one_pattern(
     monitored: frozenset[int],
     glitch_threshold: float,
     active_masks: Sequence[int] | None = None,
-    engine: str = "incremental",
     timer: StageTimer | None = None,
 ) -> list[tuple[int, FaultPatternRange]]:
     """Ranges of every activated fault under one pattern."""
-    fault_sim = (sim.simulate_fault if engine == "incremental"
-                 else sim.simulate_fault_reference)
     t0 = time.perf_counter() if timer is not None else 0.0
     base = sim.simulate(pattern.launch, pattern.capture)
     if timer is not None:
@@ -236,7 +234,7 @@ def _simulate_one_pattern(
             continue
         if timer is not None:
             t0 = time.perf_counter()
-        faulty = fault_sim(base, fault)
+        faulty = sim.simulate_fault(base, fault)
         if timer is not None:
             t1 = time.perf_counter()
             timer.add("faulty_sim", t1 - t0)
@@ -288,15 +286,14 @@ def compute_detection_data(
     reports ``progress(total, total)`` once at the end.
 
     ``engine`` selects ``"wordwave"`` (batched NumPy array kernels over flat
-    event storage; default), ``"incremental"`` (bit-parallel pre-grading +
-    change-driven cone-schedule propagation) or ``"reference"`` (the seed
-    full-cone resweep, kept for equivalence testing and perf baselining).
-    All engines return bit-identical data; ``wordwave`` falls back to
-    ``incremental`` for workloads outside its envelope (don't-care patterns,
-    gate kinds without truth-table kernels, fan-in above the kernel limit,
-    or a degenerate inertial threshold).  ``timer``, when given, accumulates
-    the per-stage wall-clock split (``pregrade`` / ``base_sim`` /
-    ``site_inject`` / ``faulty_sim`` / ``intervals``).
+    event storage; default) or ``"incremental"`` (bit-parallel pre-grading
+    + change-driven cone-schedule propagation).  Both return bit-identical
+    data; ``wordwave`` falls back to ``incremental`` for workloads outside
+    its envelope (don't-care patterns, gate kinds without truth-table
+    kernels, fan-in above the kernel limit, or a degenerate inertial
+    threshold).  ``timer``, when given, accumulates the per-stage
+    wall-clock split (``pregrade`` / ``base_sim`` / ``site_inject`` /
+    ``faulty_sim`` / ``intervals``).
     """
     if glitch_threshold is None:
         glitch_threshold = inertial
@@ -327,13 +324,13 @@ def compute_detection_data(
         # engine produces the identical DetectionData, just event-driven.
         engine = "incremental"
 
-    # Per-fault reachable observation gates: only the event-driven engines
-    # walk explicit cone lists (wordwave decides eligibility on its plan's
+    # Per-fault reachable observation gates: only the event-driven engine
+    # walks explicit cone lists (wordwave decides eligibility on its plan's
     # reachability bitmap instead).
     reach, site_signal = _prepare_reach(circuit, data.faults)
 
     active_masks: list[int] | None = None
-    if engine == "incremental" and data.faults:
+    if data.faults:
         t0 = time.perf_counter() if timer is not None else 0.0
         active_masks = _pregrade_activation(circuit, patterns, site_signal)
         if timer is not None:
@@ -345,7 +342,7 @@ def compute_detection_data(
                 sim, data.faults, reach, site_signal, pattern, pi,
                 horizon=horizon, monitored=monitored,
                 glitch_threshold=glitch_threshold,
-                active_masks=active_masks, engine=engine, timer=timer):
+                active_masks=active_masks, timer=timer):
             data.add(fi, pi, fpr)
         if progress is not None:
             progress(pi + 1, total)

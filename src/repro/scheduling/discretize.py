@@ -19,9 +19,9 @@ bit matrix (rows = segments, one bit per target fault, numpy ``uint64``
 words).  Each detection interval covers a *contiguous* run of segment
 midpoints, located with two ``searchsorted`` calls and OR-ed into the
 matrix as a slice — no per-(fault, segment) membership tests.  Merging and
-dominance pruning are word-wise vector operations on the same matrix.  The
-seed per-segment ``frozenset`` construction is retained verbatim in
-:mod:`repro.scheduling.reference` for golden-equivalence testing.
+dominance pruning are word-wise vector operations on the same matrix.
+``tests/test_discretize.py`` checks the result against the segment
+definition above.
 """
 
 from __future__ import annotations

@@ -54,6 +54,7 @@ are not lossless, so there is nothing exact to warm-start.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -146,7 +147,8 @@ def load_alert_stream(path: str | Path) -> list[AlertDelta]:
     The file holds a list of events.  Each event is either one alert
     object ``{"gate": 12, "shift_ps": 4.0}``, a burst (list of alert
     objects applied atomically, shifts on the same gate summing), or a
-    compact map form ``{"shifts": {"12": 4.0, "7": 1.5}}``.
+    compact map form ``{"shifts": {"12": 4.0, "7": 1.5}}``.  Raises
+    ``ValueError`` for a malformed entry or a non-finite shift.
     """
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, list):
@@ -156,15 +158,19 @@ def load_alert_stream(path: str | Path) -> list[AlertDelta]:
         shifts: dict[int, float] = {}
         entries = event if isinstance(event, list) else [event]
         for entry in entries:
-            if not isinstance(entry, dict):
-                raise ValueError(f"malformed alert entry: {entry!r}")
-            if "shifts" in entry:
-                for g, s in entry["shifts"].items():
+            try:
+                pairs = (entry["shifts"].items() if "shifts" in entry
+                         else [(entry["gate"], entry["shift_ps"])])
+                for g, s in pairs:
                     g = int(g)
                     shifts[g] = shifts.get(g, 0.0) + float(s)
-            else:
-                g = int(entry["gate"])
-                shifts[g] = shifts.get(g, 0.0) + float(entry["shift_ps"])
+            except (AttributeError, KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"malformed alert entry: {entry!r}") from None
+        for g, s in shifts.items():
+            if not math.isfinite(s):
+                raise ValueError(f"alert shift {s!r} on gate {g} is not "
+                                 f"finite")
         out.append(AlertDelta.from_mapping(shifts))
     return out
 

@@ -27,9 +27,9 @@ Performance structure (the bitset pipeline):
 
 ``timer`` collects the per-stage wall-clock split (``target_ranges`` /
 ``discretize`` / ``step1`` / ``step2``, plus ``presolve`` nested inside
-``step1``) that ``bench/run.py`` reports as per-layer times.  The seed
-pipeline survives verbatim in :mod:`repro.scheduling.reference` for
-golden equivalence.
+``step1``) that ``bench/run.py`` reports as per-layer times.  The
+schedules are pinned by ``tests/test_schedule_golden.py`` and
+``tests/test_schedule_golden_scale.py``.
 """
 
 from __future__ import annotations

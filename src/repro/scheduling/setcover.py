@@ -26,8 +26,6 @@ the bit matrix, and so does the ILP model build of each component.  See
 ALGORITHMS.md §9 for the losslessness argument.  Callers that already
 hold the packed rows (the scheduler's candidate matrix) build the problem
 with :meth:`CoverProblem.from_matrix` and skip the frozenset hashing.
-The seed greedy and the unreduced ILP construction survive via
-``repro.scheduling.reference`` / ``presolve=False`` for golden testing.
 """
 
 from __future__ import annotations
@@ -205,13 +203,10 @@ def greedy_cover(problem: CoverProblem, *, coverage: float = 1.0) -> list[int]:
     still-uncovered elements (the [17]-style baseline).
 
     Runs on the packed bitmasks with popcount scoring via
-    :func:`greedy_cover_masks`; selection order and tie-breaking (highest
-    gain, then lowest index) are identical to the seed set-based
-    implementation, which lives on as
-    :func:`repro.scheduling.reference.greedy_cover_reference` — but the
-    tie-break is now an explicit ``(gain, -index)`` sort key instead of
-    relying on scan order, so warm-start equivalence tests are stable
-    across platforms and container orderings.
+    :func:`greedy_cover_masks`; ties go to the lowest index through an
+    explicit ``(gain, -index)`` sort key instead of scan order, so
+    warm-start equivalence tests are stable across platforms and
+    container orderings.
     """
     p = problem.packed()
     return greedy_cover_masks(p.masks, p.full,
@@ -577,7 +572,6 @@ def solve_reduction(red: PresolveReduction,
 
 def ilp_cover(problem: CoverProblem, *, coverage: float = 1.0,
               time_limit: float = DEFAULT_TIME_LIMIT_S,
-              presolve: bool = True,
               timer: StageTimer | None = None) -> list[int]:
     """Exact 0-1 ILP set cover via HiGHS (Sec. IV-C formulation).
 
@@ -585,12 +579,12 @@ def ilp_cover(problem: CoverProblem, *, coverage: float = 1.0,
     Partial coverage adds indicator variables ``y_e ≤ Σ_{j ∋ e} x_j`` with
     ``Σ y_e ≥ ⌈coverage · |U|⌉``.
 
-    With ``presolve=True`` (default) full-coverage instances are first
-    reduced by :func:`presolve_cover`; components the reduction leaves
-    behind are solved as independent (much smaller) ILPs.  Partial
-    coverage skips presolve — element multiplicity matters there, so the
-    reductions are not lossless.  ``timer`` credits the reduction time to
-    a ``"presolve"`` stage.
+    Full-coverage instances are first reduced by :func:`presolve_cover`;
+    components the reduction leaves behind are solved as independent
+    (much smaller) ILPs.  Partial coverage skips presolve — element
+    multiplicity matters there, so the reductions are not lossless; its
+    indicators are aggregated by covering signature instead.  ``timer``
+    credits the reduction time to a ``"presolve"`` stage.
 
     Falls back to the greedy solution when the solver hits the time limit
     without an incumbent (documented behaviour of the paper's flow, which
@@ -603,21 +597,17 @@ def ilp_cover(problem: CoverProblem, *, coverage: float = 1.0,
 
     full_coverage = coverage >= 1.0 - 1e-12
     chosen: list[int] | None = None
-    if full_coverage and presolve:
+    if full_coverage:
         if timer is not None:
             with timer.stage("presolve"):
                 red = presolve_cover(problem)
         else:
             red = presolve_cover(problem)
-        # cuts stay off here so the seed ILP path is bit-identical; the
+        # cuts stay off here so the schedules stay as pinned; the
         # rescheduling engine opts in via solve_reduction(cuts=True).
         chosen = solve_reduction(red, time_limit)
-    elif full_coverage:
-        chosen = _milp_seed_full(problem, time_limit)
-    elif presolve:
-        chosen = _milp_partial_aggregated(problem, coverage, time_limit)
     else:
-        chosen = _milp_seed_partial(problem, coverage, time_limit)
+        chosen = _milp_partial_aggregated(problem, coverage, time_limit)
 
     if chosen is None:
         return greedy_cover(problem, coverage=coverage)
@@ -633,35 +623,6 @@ def ilp_cover(problem: CoverProblem, *, coverage: float = 1.0,
     return chosen
 
 
-def _seed_matrix(problem: CoverProblem) -> tuple[sparse.csr_matrix, int, int]:
-    """Unreduced element × subset matrix, seed construction order."""
-    elements = sorted(problem.universe, key=repr)
-    e_index = {e: i for i, e in enumerate(elements)}
-    n_el, n_sub = len(elements), problem.num_subsets
-    rows, cols = [], []
-    for j, s in enumerate(problem.subsets):
-        for e in s:
-            if e in e_index:
-                rows.append(e_index[e])
-                cols.append(j)
-    a_cover = sparse.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_el, n_sub))
-    return a_cover, n_el, n_sub
-
-
-def _milp_seed_full(problem: CoverProblem,
-                    time_limit: float) -> list[int] | None:
-    """Seed full-coverage ILP without presolve (``presolve=False`` path)."""
-    a_cover, _n_el, n_sub = _seed_matrix(problem)
-    res = milp(c=np.ones(n_sub),
-               constraints=[LinearConstraint(a_cover, lb=1.0, ub=np.inf)],
-               bounds=Bounds(0, 1), integrality=np.ones(n_sub),
-               options={"time_limit": time_limit, "presolve": True})
-    if res.x is None:
-        return None
-    return [j for j in range(n_sub) if res.x[j] > 0.5]
-
-
 def _milp_partial_aggregated(problem: CoverProblem, coverage: float,
                              time_limit: float) -> list[int] | None:
     """Partial-coverage ILP with signature-aggregated indicators.
@@ -670,7 +631,7 @@ def _milp_partial_aggregated(problem: CoverProblem, coverage: float,
     the count constraint: either some covering subset is chosen (all of
     them become coverable) or none is.  One indicator ``y_g`` per distinct
     covering signature with weight = group size therefore yields the same
-    optimum as the per-element seed formulation while shrinking the ILP
+    optimum as the per-element formulation while shrinking the ILP
     from ``|U|`` to ``#signatures`` indicator variables and link rows.
     (Duplicate-*column* and essential reductions are NOT lossless here —
     element multiplicity and optional coverage break them — so this is the
@@ -719,29 +680,6 @@ def _milp_partial_aggregated(problem: CoverProblem, coverage: float,
     ]
     res = milp(c=c, constraints=constraints, bounds=Bounds(0, 1),
                integrality=np.ones(n_sub + n_grp),
-               options={"time_limit": time_limit, "presolve": True})
-    if res.x is None:
-        return None
-    return [j for j in range(n_sub) if res.x[j] > 0.5]
-
-
-def _milp_seed_partial(problem: CoverProblem, coverage: float,
-                       time_limit: float) -> list[int] | None:
-    """Partial-coverage ILP with indicator variables ``y_e``."""
-    a_cover, n_el, n_sub = _seed_matrix(problem)
-    need = problem.required_count(coverage)
-    # Variables: [x_1..x_S, y_1..y_E]
-    c = np.concatenate([np.ones(n_sub), np.zeros(n_el)])
-    link = sparse.hstack([a_cover, -sparse.identity(n_el, format="csr")])
-    count = sparse.hstack([
-        sparse.csr_matrix((1, n_sub)),
-        sparse.csr_matrix(np.ones((1, n_el)))])
-    constraints = [
-        LinearConstraint(link, lb=0.0, ub=np.inf),
-        LinearConstraint(count, lb=float(need), ub=np.inf),
-    ]
-    res = milp(c=c, constraints=constraints, bounds=Bounds(0, 1),
-               integrality=np.ones(n_sub + n_el),
                options={"time_limit": time_limit, "presolve": True})
     if res.x is None:
         return None

@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -296,6 +297,12 @@ def run_job(spec: JobSpec, *,
 # ----------------------------------------------------------------------
 _TERMINAL = frozenset({"done", "failed", "cancelled"})
 
+#: Finished (done, failed or cancelled) job records an orchestrator keeps,
+#: payloads and event logs included; beyond it the records that finished
+#: first are evicted and their ids answer 404.  Queued and running
+#: records are never evicted.
+MAX_FINISHED_JOBS = 1000
+
 
 @dataclass
 class JobRecord:
@@ -349,10 +356,10 @@ class Orchestrator:
         self._workers = max(1, int(workers))
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._records: dict[str, JobRecord] = {}
+        self._records: dict[str, JobRecord] = {}  # in submission order
         self._inflight: dict[str, str] = {}      # fingerprint -> primary id
         self._followers: dict[str, list[str]] = {}
-        self._order: list[str] = []
+        self._finished: deque[str] = deque()     # terminal ids, oldest first
         self._seq = 0
         self._queue: asyncio.Queue[str] = asyncio.Queue()
         self._tasks: list[asyncio.Task] = []
@@ -391,7 +398,6 @@ class Orchestrator:
             record = JobRecord(id=f"job-{self._seq:04d}", spec=spec,
                                fingerprint=fingerprint)
             self._records[record.id] = record
-            self._order.append(record.id)
             primary_id = self._inflight.get(fingerprint)
             if primary_id is not None:
                 record.dedup_of = primary_id
@@ -413,7 +419,7 @@ class Orchestrator:
 
     def jobs(self) -> list[dict]:
         with self._lock:
-            return [self._records[i].status() for i in self._order]
+            return [record.status() for record in self._records.values()]
 
     async def cancel(self, job_id: str) -> bool:
         """Cancel a queued job (running jobs finish; followers detach).
@@ -448,18 +454,29 @@ class Orchestrator:
                     self._inflight[record.fingerprint] = promoted
                 else:
                     del self._inflight[record.fingerprint]
+            self._retire(job_id)
             self._cond.notify_all()
         self._push_event(record, {"event": "cancelled"})
         if promoted is not None:
             await self._queue.put(promoted)
         return True
 
+    def _retire(self, *job_ids: str) -> None:
+        """Count records as finished and evict the oldest finished ones
+        beyond :data:`MAX_FINISHED_JOBS`.  The caller holds the lock."""
+        self._finished.extend(job_ids)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self._records[self._finished.popleft()]
+
     # -- streaming ------------------------------------------------------
     def events_since(self, job_id: str, since: int = 0
                      ) -> tuple[list[dict], bool]:
-        """Events after ``since`` plus whether the job is terminal."""
+        """Events after ``since`` plus whether the job is terminal (an
+        evicted job reads as terminal with no further events)."""
         with self._lock:
-            record = self._records[job_id]
+            record = self._records.get(job_id)
+            if record is None:
+                return [], True
             return list(record.events[since:]), record.terminal
 
     def wait_events(self, job_id: str, since: int,
@@ -467,7 +484,9 @@ class Orchestrator:
         """Block (handler thread) until new events arrive or timeout."""
         deadline = time.monotonic() + timeout
         with self._cond:
-            record = self._records[job_id]
+            record = self._records.get(job_id)
+            if record is None:
+                return [], True
             while len(record.events) <= since and not record.terminal:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -497,6 +516,7 @@ class Orchestrator:
                 frec.state = record.state
                 frec.started_at = record.started_at
                 frec.finished_at = record.finished_at
+            self._retire(record.id, *followers)
             self._cond.notify_all()
         terminal_event = ({"event": "failed", "error": error} if error
                           else {"event": "done", "cache": cache,

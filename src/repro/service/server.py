@@ -219,7 +219,7 @@ def _make_handler(service: HdfService):
                     cancelled = service.cancel(parts[1])
                     self._json(200, {"id": parts[1],
                                      "cancelled": cancelled,
-                                     "state": orch.get(parts[1]).state})
+                                     "state": record.state})
             else:
                 self._error(404, f"unknown endpoint {self.path!r}")
 

@@ -11,8 +11,8 @@
   cross-check the topological simulator in tests,
 * :mod:`repro.simulation.word_wave` — batched array-kernel timed waveform
   engine (flat event arrays, levelized merge kernels); the default
-  ``engine="wordwave"`` of the detection stage, golden-checked against
-  :mod:`repro.simulation.wave_sim`.
+  ``engine="wordwave"`` of the detection stage, parity-checked against the
+  incremental engine built on :mod:`repro.simulation.wave_sim`.
 """
 
 from repro.simulation.waveform import Waveform

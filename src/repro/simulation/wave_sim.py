@@ -152,8 +152,7 @@ class WaveformSimulator:
         as soon as no changed gate can influence the remaining schedule —
         small-delay effects frequently die at the inertial filter, so most
         cones converge after a few gates.  Unaffected gates *share* their
-        waveform object with ``base``.  Results are bit-identical to
-        :meth:`simulate_fault_reference`.
+        waveform object with ``base``.
         """
         circuit = self.circuit
         waves = list(base.waveforms)
@@ -190,25 +189,6 @@ class WaveformSimulator:
             cp = consumer_pos[idx]
             if cp > limit:
                 limit = cp
-        return SimResult(circuit, waves)
-
-    def simulate_fault_reference(self, base: SimResult,
-                                 fault: "SmallDelayFault") -> SimResult:
-        """Seed (pre-incremental) faulty simulation, kept as the golden
-        reference: every gate in the fanout cone is unconditionally
-        re-evaluated by scanning the full topological order.  Used by the
-        equivalence tests and as the before-side of the perf baseline."""
-        circuit = self.circuit
-        waves = list(base.waveforms)
-        site = fault.site
-        waves[site.gate] = self._faulty_site_wave(waves, fault)
-        dirty = circuit.fanout_cone(site.gate)
-        for idx in self._eval_order:
-            if idx not in dirty:
-                continue
-            gate = circuit.gates[idx]
-            inputs = [waves[s] for s in gate.fanin]
-            waves[idx] = self._eval_gate(gate.kind, inputs, gate.pin_delays)
         return SimResult(circuit, waves)
 
     # ------------------------------------------------------------------

@@ -48,7 +48,7 @@ kernels, batched over *all* patterns (fault-free sweep) and *all* activated
   vectorized glitch filter; only surviving (fault, pattern) pairs are
   materialized into :class:`IntervalSet` objects.
 
-The engine is bit-identical to ``engine="reference"`` (guarded by the
+The engine is bit-identical to ``engine="incremental"`` (guarded by the
 randomized golden suite in ``tests/test_wordwave_golden.py``) whenever it
 is applicable; :func:`wordwave_fallback_reason` names the cases where the
 caller must fall back to the incremental engine (don't-care patterns,
@@ -1003,7 +1003,7 @@ def run_wordwave(data: "DetectionData", *, inertial: float,
     :class:`~repro.faults.detection.DetectionData`.  Fault eligibility
     (site reaches an observation point) is decided on the cached plan's
     reachability bitmap — no per-fault cone sets are materialized.
-    Results are bit-identical to ``engine="reference"``.
+    Results are bit-identical to ``engine="incremental"``.
 
     Returns False (without touching ``data``) when a fault site sits on a
     non-combinational gate — the default universe never produces one, but

@@ -1,17 +1,34 @@
-"""Golden equivalence of the incremental fault-simulation engine.
+"""Golden pin of the detection ranges of both simulation engines.
 
-The event-driven engine (cone schedules + change-driven propagation +
-bit-parallel pre-grading) must produce *bit-identical* ``DetectionData`` to
-the retained seed ``"reference"`` engine — same (fault, pattern) keys and
-exactly equal interval sets — on real ISCAS circuits, a synthetic generated
-circuit, and with don't-care patterns (which disable pre-grading).
+``tests/data/detection_golden.json`` records, per circuit, a sha256 of the
+canonical (fault, pattern, ``i_all``, ``i_mon``) table of a flow-like
+detection workload plus its entry counts.  The file was generated from the
+seed full-cone resweep engine before that engine was retired; the batched
+``"wordwave"`` and the event-driven ``"incremental"`` engine must both
+reproduce it exactly, on real ISCAS circuits and seeded generated ones.
+``tests/test_detection_rule.py`` checks the ranges against the paper's
+definition on independent random workloads.
+
+Regenerate (only for a deliberate, reviewed behaviour change) with::
+
+    PYTHONPATH=src python tests/test_detection_golden.py
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
+if __name__ == "__main__":  # pragma: no cover - regeneration entry point
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
 from repro.atpg.transition import generate_transition_tests
+from repro.circuits.generators import CircuitProfile, generate_circuit
+from repro.circuits.library import embedded_circuit
 from repro.faults.detection import (
     ENGINES,
     _pregrade_activation,
@@ -20,6 +37,29 @@ from repro.faults.detection import (
 )
 from repro.faults.universe import small_delay_fault_universe
 from repro.timing.sta import run_sta
+
+GOLDEN_FILE = (Path(__file__).resolve().parent / "data"
+               / "detection_golden.json")
+
+
+def _generated(name, n_gates, n_ffs, n_inputs, n_outputs, depth, seed,
+               **knobs):
+    return lambda: generate_circuit(CircuitProfile(
+        name=name, n_gates=n_gates, n_ffs=n_ffs, n_inputs=n_inputs,
+        n_outputs=n_outputs, depth=depth, seed=seed, **knobs))
+
+
+#: name → circuit builder (``small_generated`` is the conftest fixture).
+CASES = {
+    "s27": lambda: embedded_circuit("s27"),
+    "c17": lambda: embedded_circuit("c17"),
+    "small_generated": _generated(
+        "gen60", 60, 12, 8, 4, 7, 5, endpoint_side_gates=1,
+        short_path_ppo_fraction=0.3),
+    "gen90": _generated("gen90", 90, 10, 7, 4, 8, 21),
+    "gen140": _generated("gen140", 140, 16, 9, 5, 10, 34,
+                         long_edge_prob=0.3),
+}
 
 
 def _workload(circuit, *, seed=3, cap=12, fill=True):
@@ -52,22 +92,63 @@ def _assert_identical(a, b):
             assert fpr.i_mon == other.i_mon, (fi, pi)
 
 
-@pytest.fixture(params=["s27", "c17", "small_generated"])
-def golden_circuit(request):
-    return request.getfixturevalue(request.param)
+def _intervals(ivs) -> str:
+    # Engines agree to EPS (1e-9 ps), not to the last bit: six decimals.
+    return ",".join(f"{iv.lo:.6f}:{iv.hi:.6f}" for iv in ivs)
+
+
+def detection_fingerprint(data) -> dict:
+    """sha256 of the canonical (fault, pattern, i_all, i_mon) table."""
+    h = hashlib.sha256()
+    entries = 0
+    for fi in sorted(data.ranges):
+        f = data.faults[fi]
+        key = (f"{f.site.gate}.{f.site.pin}.{f.polarity}."
+               f"{f.delta:.6f}")
+        for pi, fpr in sorted(data.ranges[fi].items()):
+            h.update(f"{key}|{pi}|{_intervals(fpr.i_all)}|"
+                     f"{_intervals(fpr.i_mon)}\n".encode())
+            entries += 1
+    return {"faults": len(data.faults),
+            "patterns": len(data.patterns),
+            "faults_with_ranges": len(data.ranges),
+            "entries": entries,
+            "table_sha256": h.hexdigest()}
+
+
+def case_fingerprint(name: str, **kw) -> dict:
+    circuit = CASES[name]()
+    return detection_fingerprint(_run(circuit, *_workload(circuit), **kw))
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_FILE.read_text())
+
+
+@pytest.fixture(params=list(CASES))
+def golden_case(request):
+    return request.param, CASES[request.param]()
+
+
+def test_golden_covers_every_case(golden):
+    assert set(golden["circuits"]) == set(CASES)
 
 
 class TestGoldenEquivalence:
-    def test_engines_bit_identical(self, golden_circuit):
-        faults, ts, monitored, horizon = _workload(golden_circuit)
+    def test_engines_bit_identical(self, golden_case, golden):
+        name, circuit = golden_case
+        faults, ts, monitored, horizon = _workload(circuit)
         results = {
-            engine: _run(golden_circuit, faults, ts, monitored, horizon,
+            engine: _run(circuit, faults, ts, monitored, horizon,
                          engine=engine)
             for engine in ENGINES
         }
         assert results["incremental"].ranges, "workload detected nothing"
-        _assert_identical(results["incremental"], results["reference"])
-        _assert_identical(results["wordwave"], results["reference"])
+        _assert_identical(results["wordwave"], results["incremental"])
+        for engine, data in results.items():
+            assert detection_fingerprint(data) == \
+                golden["circuits"][name], engine
 
     def test_unknown_engine_rejected(self, s27):
         faults, ts, monitored, horizon = _workload(s27, cap=2)
@@ -128,3 +209,10 @@ class TestDetectionRangeMemo:
         assert after is not before  # memo entry was dropped and rebuilt
         # Re-adding an existing range only ever extends the union.
         assert after.union(before) == after
+
+
+if __name__ == "__main__":  # pragma: no cover
+    payload = {"circuits": {name: case_fingerprint(name) for name in CASES}}
+    GOLDEN_FILE.parent.mkdir(exist_ok=True)
+    GOLDEN_FILE.write_text(json.dumps(payload, indent=1) + "\n")
+    print(f"wrote {GOLDEN_FILE}")

@@ -9,9 +9,8 @@ from repro.scheduling.discretize import (
     discretize_candidate_set,
     discretize_observation_times,
 )
-from repro.scheduling.reference import discretize_observation_times_reference
 from repro.utils.bitset import matrix_bits
-from repro.utils.intervals import IntervalSet
+from repro.utils.intervals import EPS, IntervalSet
 
 
 def iset(*pairs):
@@ -172,16 +171,41 @@ def test_property_no_candidate_dominated_after_pruning(ranges):
                 assert not (a.faults < b.faults)
 
 
+def _detected_at(ranges, t) -> frozenset:
+    return frozenset(fi for fi, rng in ranges.items() if rng.contains(t))
+
+
 @given(fault_ranges(), st.booleans())
-def test_property_matches_reference_discretization(ranges, prune):
-    """Sweep-line bit matrix ≡ seed per-segment frozenset construction."""
-    new = discretize_observation_times(ranges, 0.0, 100.0,
-                                       prune_dominated=prune)
-    ref = discretize_observation_times_reference(ranges, 0.0, 100.0,
-                                                 prune_dominated=prune)
-    assert [c.faults for c in new] == [c.faults for c in ref]
-    assert [c.time for c in new] == pytest.approx(
-        [c.time for c in ref], abs=1e-9)
-    assert ([(c.segment.lo, c.segment.hi) for c in new]
-            == pytest.approx([(c.segment.lo, c.segment.hi) for c in ref],
-                             abs=1e-9))
+def test_property_matches_definition(ranges, prune):
+    """Sec. IV-A from first principles: segments are disjoint and sorted,
+    each candidate time lies strictly inside its segment and detects
+    exactly the faults whose range contains it; without pruning every
+    detecting time of the window falls in a candidate with its fault set;
+    pruning keeps the union and drops only rows another kept row contains.
+    """
+    full = discretize_observation_times(ranges, 0.0, 100.0,
+                                        prune_dominated=False)
+    cands = discretize_observation_times(ranges, 0.0, 100.0,
+                                         prune_dominated=prune)
+    for c in cands:
+        assert c.segment.lo < c.time < c.segment.hi
+        assert c.faults == _detected_at(ranges, c.time)
+    for a, b in zip(cands, cands[1:]):
+        assert a.segment.hi <= b.segment.lo + EPS
+    cuts = sorted({0.0, 100.0, *(b for rng in ranges.values()
+                                 for b in rng.boundaries()
+                                 if 0.0 < b < 100.0)})
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi - lo < 1e-6:
+            continue            # the EPS tolerance decides, not the rule
+        t = 0.5 * (lo + hi)
+        want = _detected_at(ranges, t)
+        home = [c for c in full if c.segment.lo <= t <= c.segment.hi]
+        assert [c.faults for c in home] == ([want] if want else []), t
+    kept = {(c.time, c.faults) for c in cands}
+    assert kept <= {(c.time, c.faults) for c in full}
+    assert (set().union(*(c.faults for c in cands))
+            == set().union(*(c.faults for c in full)))
+    for c in full:
+        if (c.time, c.faults) not in kept:
+            assert any(c.faults <= k.faults for k in cands), c

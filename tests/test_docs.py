@@ -41,6 +41,20 @@ class TestReadme:
             assert (ROOT / doc).exists(), doc
 
 
+class TestFilePaths:
+    DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+            "docs/ALGORITHMS.md", "docs/TUTORIAL.md")
+    BASES = (ROOT, ROOT / "src" / "repro", ROOT / "examples",
+             ROOT / "tests", ROOT / "bench")
+
+    def test_backticked_python_paths_resolve(self):
+        # A deleted or renamed module must not live on in the docs.
+        for doc in self.DOCS:
+            for name in set(re.findall(r"`([\w./-]+\.py)`", read(doc))):
+                assert any((base / name).is_file() for base in self.BASES), \
+                    (doc, name)
+
+
 class TestEnvironmentVariables:
     DOCS = ("README.md", "EXPERIMENTS.md", *sorted(
         str(p.relative_to(ROOT)) for p in (ROOT / "docs").glob("*.md")),

@@ -14,9 +14,9 @@ class TestShimsRemoved:
         """The PR-5/7 deprecation shims are gone: the legacy keywords
         fail construction instead of warning."""
         with pytest.raises(TypeError, match="atpg_engine"):
-            FlowConfig(atpg_engine="reference")
+            FlowConfig(atpg_engine="matrix")
         with pytest.raises(TypeError, match="simulation_engine"):
-            FlowConfig(simulation_engine="reference")
+            FlowConfig(simulation_engine="wordwave")
 
     def test_no_legacy_attributes(self):
         cfg = FlowConfig()
@@ -28,8 +28,8 @@ class TestNoDeprecationWarnings:
     def test_internal_flow_paths_are_warning_free(self, s27):
         """No internal caller relies on removed legacy spellings.
 
-        Runs the monolith flow and the staged pipeline end to end with
-        DeprecationWarnings escalated to errors.
+        Runs the staged pipeline end to end with DeprecationWarnings
+        escalated to errors.
         """
         from repro.core.flow import HdfTestFlow
 
@@ -37,4 +37,3 @@ class TestNoDeprecationWarnings:
             warnings.simplefilter("error", DeprecationWarning)
             config = FlowConfig(atpg_seed=1)
             HdfTestFlow(s27, config).run(with_schedules=False)
-            HdfTestFlow(s27, config).run_monolith(with_schedules=False)

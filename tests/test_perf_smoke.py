@@ -174,7 +174,7 @@ def test_atpg_has_not_regressed():
     # Warm-up run (fills cone-schedule caches), then the measured one.
     for _ in range(2):
         t0 = time.perf_counter()
-        generate_transition_tests(circuit, seed=7, engine="matrix")
+        generate_transition_tests(circuit, seed=7)
         elapsed = time.perf_counter() - t0
     assert elapsed <= budget, (
         f"matrix ATPG on {GUARD_CIRCUIT} took {elapsed:.3f}s, "

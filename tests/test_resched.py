@@ -206,6 +206,22 @@ class TestAlertStreamIO:
         with pytest.raises(ValueError, match="malformed"):
             load_alert_stream(path)
 
+    @pytest.mark.parametrize("event", [
+        {"gate": 1}, {"shift_ps": 1.0}, {"gate": None, "shift_ps": 1.0},
+        {"shifts": [1, 2]}])
+    def test_incomplete_entry_rejected(self, tmp_path, event):
+        path = tmp_path / "alerts.json"
+        path.write_text(json.dumps([event]))
+        with pytest.raises(ValueError, match="malformed"):
+            load_alert_stream(path)
+
+    @pytest.mark.parametrize("shift", ["NaN", "Infinity"])
+    def test_non_finite_shift_rejected(self, tmp_path, shift):
+        path = tmp_path / "alerts.json"
+        path.write_text(f'[{{"gate": 3, "shift_ps": {shift}}}]')
+        with pytest.raises(ValueError, match="not finite"):
+            load_alert_stream(path)
+
 
 class TestScenarioStream:
     def test_deterministic(self, small_generated):
@@ -285,6 +301,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "alerts=2" in out
         assert "summary:" in out
+
+    @pytest.mark.parametrize("text", [
+        "[5]", '[{"gate": 3, "shift_ps": NaN}]', '[{"gate": -2, '
+        '"shift_ps": 1.0}]', "[{nope", '[{"gate": 3}]'])
+    def test_bad_alert_file_is_an_error_not_a_traceback(self, tmp_path,
+                                                        capsys, text):
+        from repro.cli import main
+
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["resched", "s27", "--alerts", str(path),
+                     "--no-cache"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_resched_json_output(self, capsys):
         from repro.cli import main

@@ -358,6 +358,14 @@ class TestHttpApi:
         assert err.value.code == 400
         assert "unknown job kind" in json.loads(err.value.read())["error"]
 
+    def test_non_finite_alert_shift_is_400(self, service):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(f"{service.url}/jobs",
+                  {"kind": "resched", "circuit": "s27",
+                   "alerts": [[[3, float("nan")]]]})
+        assert err.value.code == 400
+        assert "not finite" in json.loads(err.value.read())["error"]
+
     def test_unknown_job_is_404(self, service):
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(f"{service.url}/jobs/job-9999")
@@ -368,6 +376,43 @@ class TestHttpApi:
         _post(f"{service.url}/jobs", {"kind": "flow", "circuit": "s27",
                                       "with_schedules": False})
         assert len(_get(f"{service.url}/jobs")["jobs"]) == before + 1
+
+
+def test_finished_records_are_bounded(monkeypatch, tmp_path):
+    """Beyond ``MAX_FINISHED_JOBS`` the records that finished first are
+    evicted: their ids answer 404, the newest ones still serve."""
+    from repro.service import orchestrator
+
+    monkeypatch.setattr(orchestrator, "MAX_FINISHED_JOBS", 3)
+    svc = HdfService(host="127.0.0.1", port=0, store=StageCache(tmp_path),
+                     workers=1).start()
+    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread.start()
+    try:
+        ids = []
+        for _ in range(6):
+            submitted = _post(f"{svc.url}/jobs",
+                              {"kind": "flow", "circuit": "c17",
+                               "with_schedules": False})
+            assert _wait_done(svc, submitted["id"])["state"] == "done"
+            ids.append(submitted["id"])
+        for job_id in ids[:3]:
+            for suffix in ("", "/result", "/events", "/stream"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _get(f"{svc.url}/jobs/{job_id}{suffix}")
+                assert err.value.code == 404, (job_id, suffix)
+        for job_id in ids[3:]:
+            result = _get(f"{svc.url}/jobs/{job_id}/result")
+            assert result["result"]["circuit"] == "c17"
+            with urllib.request.urlopen(
+                    f"{svc.url}/jobs/{job_id}/stream") as resp:
+                events = [json.loads(line) for line in resp if line.strip()]
+            assert events[-1]["event"] == "done"
+        assert [j["id"] for j in _get(f"{svc.url}/jobs")["jobs"]] == ids[3:]
+    finally:
+        svc.shutdown()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
 
 
 _VALID_BODY = b'{"kind": "flow", "circuit": "c17", "with_schedules": false}'

@@ -154,14 +154,14 @@ class TestPresolve:
         assert set(cols_a) | set(cols_b) <= {0, 1, 2, 3, 4, 5}
         assert set(cols_a).isdisjoint(cols_b)
         # The split instance still solves to the global optimum.
-        assert len(ilp_cover(p)) == len(ilp_cover(p, presolve=False))
+        assert len(ilp_cover(p)) == len(branch_and_bound_cover(p))
 
     def test_reduction_reconstructs_feasible_cover(self):
         p = problem({1, 2, 3, 4}, {5, 6, 7}, {1, 2, 5, 6}, {3, 4, 7},
                     {1, 5}, {2, 6})
         chosen = ilp_cover(p)
         assert p.covered_by(chosen) >= p.universe
-        assert len(chosen) == len(ilp_cover(p, presolve=False))
+        assert len(chosen) == len(branch_and_bound_cover(p))
 
 
 class TestBranchAndBound:
@@ -217,12 +217,12 @@ def test_property_partial_coverage_feasible(p, coverage):
 @settings(max_examples=40, deadline=None)
 @given(random_problems())
 def test_property_presolve_is_lossless(p):
-    """Presolved and seed ILPs find equal-cardinality covers (§9 claim)."""
-    reduced = ilp_cover(p, presolve=True)
-    seed = ilp_cover(p, presolve=False)
+    """The presolved ILP finds an optimal cover (§9 claim): its
+    cardinality equals the exact branch-and-bound optimum."""
+    reduced = ilp_cover(p)
     exact = branch_and_bound_cover(p)
     assert p.covered_by(reduced) >= p.universe
-    assert len(reduced) == len(seed) == len(exact)
+    assert len(reduced) == len(exact)
     red = presolve_cover(p)
     assert set(red.forced) <= set(reduced)
 

@@ -147,6 +147,28 @@ class TestFingerprint:
         assert a.alerts == b.alerts
         assert a.fingerprint() == b.fingerprint()
 
+    def test_alert_burst_sums_like_the_stream_loader(self, tmp_path):
+        # A burst shifting one gate twice is the summed shift, as the
+        # alert-stream loader reads it; zero sums drop.
+        from repro.scheduling.resched import load_alert_stream
+
+        burst = job_from_dict({"kind": "resched", "circuit": "s27",
+                               "alerts": [[[3, 1.0], [3, 2.0]]]})
+        path = tmp_path / "alerts.json"
+        path.write_text(json.dumps([[{"gate": 3, "shift_ps": 1.0},
+                                     {"gate": 3, "shift_ps": 2.0}]]))
+        assert burst.alert_deltas() == load_alert_stream(path)
+        assert burst.alerts == (((3, 3.0),),)
+        summed = ReschedJob(circuit="s27", alerts=(((3, 3.0),),))
+        assert burst.fingerprint() == summed.fingerprint()
+        cancel = ReschedJob(circuit="s27",
+                            alerts=(((3, 1.0), (3, -1.0), (5, 2.0)),))
+        assert cancel.alerts == (((5, 2.0),),)
+        # Streams without duplicates keep their canonical form.
+        plain = ReschedJob(circuit="s27",
+                           alerts=(((13, 2.0),), ((13, 0.5), (16, 1.0))))
+        assert plain.alerts == (((13, 2.0),), ((13, 0.5), (16, 1.0)))
+
 
 class TestValidation:
     def test_unknown_field_lists_known(self):
@@ -192,6 +214,17 @@ class TestValidation:
     def test_malformed_alerts_rejected(self):
         with pytest.raises(SpecError, match=r"alert #0"):
             ReschedJob(circuit="s27", alerts=("nope",))
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([[3, float("nan")]], "not finite"),
+        ([[3, float("inf")]], "not finite"),
+        ([[3, "NaN"]], "not finite"),
+        ([[-1, 1.0]], "negative"),
+    ])
+    def test_invalid_alert_values_rejected(self, pairs, message):
+        with pytest.raises(SpecError, match=rf"alert #1: .*{message}"):
+            job_from_dict({"kind": "resched", "circuit": "s27",
+                           "alerts": [[[2, 1.0]], pairs]})
 
     def test_unknown_profile_lists_known(self):
         with pytest.raises(SpecError, match="known: quick, paper, synth"):

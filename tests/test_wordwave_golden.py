@@ -1,9 +1,12 @@
 """Randomized golden parity of the wordwave array-kernel engine.
 
 Fifty seeded synthetic circuits across sizes, depths and fanout shapes,
-each simulated with the batched ``"wordwave"`` engine and the seed
-``"reference"`` engine; the resulting ``DetectionData`` must be
+each simulated with the batched ``"wordwave"`` engine and its reference,
+the event-driven ``"incremental"`` engine (its fallback, which shares no
+kernel code with it); the resulting ``DetectionData`` must be
 bit-identical (same (fault, pattern) keys, exactly equal interval sets).
+``tests/test_detection_golden.py`` pins both to fixed outputs and
+``tests/test_detection_rule.py`` checks them against the definition.
 A deterministic skewed-path circuit additionally pins the inertial-filter
 boundary: a pulse whose width is *exactly* the threshold survives, while
 one narrower by more than ``EPS`` is cancelled — in both engines alike.
@@ -86,11 +89,11 @@ def test_wordwave_matches_reference(seed):
     assert wordwave_fallback_reason(circuit, patterns, inertial) is None
 
     results = {}
-    for engine in ("wordwave", "reference"):
+    for engine in ("wordwave", "incremental"):
         results[engine] = compute_detection_data(
             circuit, faults, patterns, horizon=horizon,
             monitored_gates=monitored, inertial=inertial, engine=engine)
-    _assert_identical(results["wordwave"], results["reference"],
+    _assert_identical(results["wordwave"], results["incremental"],
                       ctx=f"seed={seed}")
 
 
@@ -143,10 +146,10 @@ def test_inertial_boundary_pulse_exactly_at_threshold():
                      0.5 * width, 2.0 * width):
         assert wordwave_fallback_reason(circuit, patterns, inertial) is None
         got = {}
-        for engine in ("wordwave", "reference"):
+        for engine in ("wordwave", "incremental"):
             got[engine] = compute_detection_data(
                 circuit, faults, patterns, horizon=horizon,
                 monitored_gates=frozenset(obs), inertial=inertial,
                 engine=engine)
-        _assert_identical(got["wordwave"], got["reference"],
+        _assert_identical(got["wordwave"], got["incremental"],
                           ctx=f"inertial={inertial}")

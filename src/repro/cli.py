@@ -347,8 +347,12 @@ def cmd_resched(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:   # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    outcome = _run_job(job, store=_stage_cache(args),
-                       recompute_from=_recompute_from(args))
+    try:
+        outcome = _run_job(job, store=_stage_cache(args),
+                           recompute_from=_recompute_from(args))
+    except ValueError as exc:       # e.g. an alert on an unknown gate
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     initial = outcome.payload["initial"]
     events = outcome.payload["events"]
     summary = outcome.payload["summary"]

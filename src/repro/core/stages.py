@@ -270,7 +270,9 @@ class SimulationStage(Stage):
     config_fields = ("inertial_ps",)
     # v2: DetectionData._sched_cache became a bounded LruCache — older
     # pickled artifacts carry a plain dict there.
-    CACHE_VERSION = 2
+    # v3: the per-fault union memos gave way to the unpickled range table
+    # (``DetectionData._table``).
+    CACHE_VERSION = 3
 
     def run(self, ctx: StageContext,
             inputs: dict[str, Any]) -> DetectionArtifact:

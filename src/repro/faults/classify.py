@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.faults.detection import DetectionData
 from repro.faults.models import SmallDelayFault
 from repro.monitors.monitor import MonitorConfigSet
-from repro.monitors.shifting import observable_range
 from repro.netlist.circuit import Circuit
 from repro.timing.clock import ClockSpec
 from repro.timing.sta import StaResult
@@ -142,26 +143,32 @@ def classify_faults(data: DetectionData, clock: ClockSpec,
     * *timing redundant*— fault effects exist but none reach the window,
     * *target* Φ_tar    — prop. detected minus the two at-speed classes:
       exactly the faults whose detection requires FAST frequencies.
+
+    All five classes come from one pass of the :class:`RangeTable`
+    kernel over every fault at once.
     """
     cls = FaultClassification(data=data, clock=clock, configs=configs)
     t_min, t_nom = clock.t_min, clock.t_nom
-    for fi in range(len(data.faults)):
-        if fi not in data.ranges:
-            cls.not_activated.add(fi)
-            continue
-        i_all = data.union_all(fi)
-        i_mon = data.union_mon(fi)
-        full = observable_range(i_all, i_mon, configs, t_min, t_nom)
-        if full.is_empty:
-            cls.timing_redundant.add(fi)
-            continue
-        cls.prop_detected.add(fi)
-        if not i_all.clipped(t_min, t_nom).is_empty:
-            cls.conv_detected.add(fi)
-        if i_all.contains(t_nom):
-            cls.at_speed.add(fi)
-        elif any(i_mon.shifted(d).contains(t_nom) for d in configs):
-            cls.monitor_at_speed.add(fi)
-        else:
-            cls.target.add(fi)
+    table = data.range_table()
+    delays = tuple(configs)
+
+    def ids(faults: np.ndarray) -> set[int]:
+        return set(np.unique(faults).tolist())
+
+    activated = ids(table.faults) & set(range(len(data.faults)))
+    cls.not_activated = set(range(len(data.faults))) - activated
+    cls.prop_detected = ids(table.observable(delays, t_min, t_nom).fault)
+    cls.timing_redundant = activated - cls.prop_detected
+    cls.conv_detected = ids(table.observable((), t_min, t_nom).fault) \
+        & cls.prop_detected
+    i_all = table.union_all()
+    cls.at_speed = ids(i_all.fault[i_all.contains(t_nom)]) \
+        & cls.prop_detected
+    i_mon = table.union_mon()
+    shifted_hit = np.zeros(i_mon.fault.size, dtype=bool)
+    for d in delays:
+        shifted_hit |= i_mon.contains(t_nom, shift=d)
+    cls.monitor_at_speed = (ids(i_mon.fault[shifted_hit])
+                            & cls.prop_detected) - cls.at_speed
+    cls.target = cls.prop_detected - cls.at_speed - cls.monitor_at_speed
     return cls

@@ -16,29 +16,38 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.monitors.monitor import MonitorConfigSet
-from repro.utils.intervals import IntervalSet
+from repro.utils.intervals import IntervalAccumulator, IntervalSet
 
 
 def shifted_union(i_mon: IntervalSet, configs: Iterable[float]) -> IntervalSet:
     """``⋃_{d∈C}(I_mon + d)`` — the shadow-register range over all configs."""
-    acc = IntervalSet.empty()
+    acc = IntervalAccumulator()
     for d in configs:
-        acc = acc.union(i_mon.shifted(d))
-    return acc
+        acc.add(i_mon.shifted(d))
+    return acc.build()
 
 
 def observable_range(i_all: IntervalSet, i_mon: IntervalSet,
                      configs: Iterable[float],
                      t_min: float, t_nom: float) -> IntervalSet:
     """Full observable range ``I(φ) = I_FF ∪ ⋃_d (I_SR + d)`` clipped to the
-    FAST window (Definition 2 extended by Sec. III-B)."""
-    return i_all.union(shifted_union(i_mon, configs)).clipped(t_min, t_nom)
+    FAST window (Definition 2 extended by Sec. III-B).
+
+    The one-fault form of :meth:`repro.faults.detection.RangeTable.observable`,
+    in the same float operation order: the shifted copies of ``i_mon`` and
+    ``i_all`` are merged once, then clipped.
+    """
+    acc = IntervalAccumulator()
+    acc.add(i_all)
+    for d in configs:
+        acc.add(i_mon.shifted(d))
+    return acc.build().clipped(t_min, t_nom)
 
 
 def range_for_config(i_all: IntervalSet, i_mon: IntervalSet, d: float,
                      t_min: float, t_nom: float) -> IntervalSet:
     """Observable range when one specific configuration ``d`` is active."""
-    return i_all.union(i_mon.shifted(d)).clipped(t_min, t_nom)
+    return observable_range(i_all, i_mon, (d,), t_min, t_nom)
 
 
 def detecting_configs(i_mon: IntervalSet, configs: MonitorConfigSet,

@@ -17,24 +17,27 @@ Two pruning levels:
 Implementation: a sweep over the sorted interval endpoints fills one packed
 bit matrix (rows = segments, one bit per target fault, numpy ``uint64``
 words).  Each detection interval covers a *contiguous* run of segment
-midpoints, located with two ``searchsorted`` calls and OR-ed into the
-matrix as a slice — no per-(fault, segment) membership tests.  Merging and
-dominance pruning are word-wise vector operations on the same matrix.
-``tests/test_discretize.py`` checks the result against the segment
-definition above.
+midpoints; the runs of all intervals are located with one vectorized
+``searchsorted`` and written as prefix-XORed run-edge toggles
+(:func:`occupancy`) — no per-(fault, segment) membership tests.  Merging
+and dominance pruning are word-wise vector operations on the same
+matrix, and candidates are materialized only for the rows a caller
+reads.  ``tests/test_discretize.py`` checks the result against the
+segment definition above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, MutableMapping
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.utils.bitset import (
+    RowSets,
     dominated_rows,
-    matrix_bits,
     matrix_to_masks,
+    num_words,
     popcount,
     zeros,
 )
@@ -62,13 +65,14 @@ class PeriodCandidate:
 class CandidateSet:
     """Discretization output in both representations.
 
-    ``candidates[r]`` materializes row ``r`` of ``matrix`` as a frozenset;
-    ``fault_ids[b]`` is the fault carried by bit ``b``.  The matrix/mask
-    views let the set-cover step consume the packed rows directly instead
-    of re-hashing frozensets.
+    ``candidates[r]`` materializes row ``r`` of ``matrix`` as a
+    :class:`PeriodCandidate`; ``fault_ids[b]`` is the fault carried by bit
+    ``b``.  The set-cover steps consume the packed rows directly, so a
+    cold sweep's candidates are built only for the rows something reads
+    (the chosen periods).
     """
 
-    candidates: tuple[PeriodCandidate, ...]
+    candidates: Sequence[PeriodCandidate]
     matrix: np.ndarray          # (n_candidates, n_words) uint64
     fault_ids: tuple[Hashable, ...]
 
@@ -76,6 +80,34 @@ class CandidateSet:
     def masks(self) -> list[int]:
         """Python int bitmask per candidate (bit b = ``fault_ids[b]``)."""
         return matrix_to_masks(self.matrix)
+
+
+class _RowCandidates(Sequence[PeriodCandidate]):
+    """Candidates of a merged matrix, each built on first access."""
+
+    def __init__(self, matrix: np.ndarray, fault_ids: tuple[Hashable, ...],
+                 seg_lo: np.ndarray, seg_hi: np.ndarray, point: str) -> None:
+        self._faults = RowSets(matrix, fault_ids)
+        self._lo = seg_lo.tolist()
+        self._hi = seg_hi.tolist()
+        self._point = point
+        self._built: dict[int, PeriodCandidate] = {}
+
+    def __len__(self) -> int:
+        return len(self._lo)
+
+    def __getitem__(self, r):
+        r = range(len(self))[r]
+        cand = self._built.get(r)
+        if cand is None:
+            seg = Interval(self._lo[r], self._hi[r])
+            cand = PeriodCandidate(time=_pick_time(seg, self._point),
+                                   segment=seg, faults=self._faults[r])
+            self._built[r] = cand
+        return cand
+
+    def __iter__(self):
+        return (self[r] for r in range(len(self)))
 
 
 def _pick_time(segment: Interval, point: str) -> float:
@@ -118,7 +150,7 @@ class SweepGrid:
         return int(self.lows.shape[0])
 
 
-def sweep_grid(boundaries: list[float], t_min: float,
+def sweep_grid(boundaries: Sequence[float] | np.ndarray, t_min: float,
                t_nom: float) -> SweepGrid:
     """Build the segment grid from all interval boundary points."""
     pts = np.asarray(segment_points(boundaries, t_min, t_nom))
@@ -138,42 +170,48 @@ def sweep_grid(boundaries: list[float], t_min: float,
                      degenerate=(highs - lows) <= EPS)
 
 
-def fill_fault_row(matrix: np.ndarray, grid: SweepGrid, b: int,
-                   rng: IntervalSet) -> None:
-    """OR fault bit ``b``'s occupancy into ``matrix`` (in place).
+def occupancy(grid: SweepGrid, bit: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray, n_bits: int) -> np.ndarray:
+    """Packed occupancy matrix of all pieces at once.
 
-    Interval [lo, hi] covers exactly the segments whose midpoint lies in
-    [lo - EPS, hi + EPS] — identical to the seed's
-    ``IntervalSet.contains(mid)`` test — which is a contiguous slice of
-    the sorted midpoint array.
+    Piece ``k`` is ``[lo[k], hi[k]]`` of bit ``bit[k]``; each bit's pieces
+    must be contiguous and sorted.  A piece covers exactly the segments
+    whose midpoint lies in ``[lo - EPS, hi + EPS]`` —
+    ``IntervalSet.contains(mid)`` — which is a contiguous run of rows
+    ``[i0, i1)``, found for every piece by one vectorized
+    ``searchsorted``.  Clamping each run's start to the end of the bit's
+    previous run makes one bit's runs disjoint, so the matrix is the
+    prefix XOR of the run-edge toggles.
     """
-    word, bit = b >> 6, np.uint64(1 << (b & 63))
-    for iv in rng:
-        i0 = int(np.searchsorted(grid.mids, iv.lo - EPS, side="left"))
-        i1 = int(np.searchsorted(grid.mids, iv.hi + EPS, side="right"))
-        if i1 > i0:
-            matrix[i0:i1, word] |= bit
+    n_seg = grid.n_segments
+    nw = num_words(n_bits)
+    i0 = np.searchsorted(grid.mids, lo - EPS, side="left")
+    i1 = np.searchsorted(grid.mids, hi + EPS, side="right")
+    same_bit = np.zeros(bit.size, dtype=bool)
+    same_bit[1:] = bit[1:] == bit[:-1]
+    prev_end = np.zeros_like(i1)
+    prev_end[1:] = i1[:-1]
+    i0 = np.where(same_bit, np.maximum(i0, prev_end), i0)
+    keep = i1 > i0
+    bit, i0, i1 = bit[keep], i0[keep], i1[keep]
+    word = bit >> 6
+    val = np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64))
+    toggles = np.zeros((n_seg + 1) * nw, dtype=np.uint64)
+    np.bitwise_xor.at(toggles, i0 * nw + word, val)
+    np.bitwise_xor.at(toggles, i1 * nw + word, val)
+    return np.bitwise_xor.accumulate(
+        toggles.reshape(n_seg + 1, nw), axis=0)[:n_seg]
 
 
 def finalize_candidates(matrix: np.ndarray, grid: SweepGrid,
                         fault_ids: tuple[Hashable, ...], *,
                         prune_dominated: bool = True,
-                        point: str = "mid",
-                        faults_cache: "MutableMapping | None" = None,
-                        candidate_cache: "MutableMapping | None" = None
-                        ) -> CandidateSet:
-    """Merge, prune and materialize candidates from a filled occupancy
-    matrix (``matrix`` must already be restricted to non-degenerate
-    segments — callers apply ``grid.degenerate``).  Shared tail of the
-    cold sweep and the rescheduling engine's delta patch path.
-
-    ``faults_cache`` (optional, e.g. an ``LruCache``) memoizes the
-    per-row frozenset materialization keyed by the packed row bytes:
-    across incremental re-solves most candidate rows recur unchanged, so
-    their (immutable, safely shared) fault sets need not be rebuilt.
-    ``candidate_cache`` memoizes whole :class:`PeriodCandidate` objects
-    by ``(row bytes, segment lo, segment hi)`` — callers must keep one
-    cache per ``point`` policy.
+                        point: str = "mid") -> CandidateSet:
+    """Merge, prune and wrap candidates from a filled occupancy matrix
+    (``matrix`` must already be restricted to non-degenerate segments —
+    callers apply ``grid.degenerate``).  Shared tail of the cold sweep
+    and the rescheduling engine's delta patch path.  Candidates are
+    built lazily, row by row, when read.
     """
     n_seg = grid.n_segments
     lows, highs = grid.lows, grid.highs
@@ -209,54 +247,38 @@ def finalize_candidates(matrix: np.ndarray, grid: SweepGrid,
         merged = merged[keep]
         seg_lo = seg_lo[keep]
         seg_hi = seg_hi[keep]
-    if candidate_cache is not None:
-        # Warm path: whole PeriodCandidate objects (frozen, safely shared
-        # across CandidateSets) are memoized by row bytes + segment edges;
-        # across incremental re-solves almost every candidate recurs.
-        out = []
-        los, his = seg_lo.tolist(), seg_hi.tolist()
-        for r in range(merged.shape[0]):
-            rb = merged[r].tobytes()
-            key = (rb, los[r], his[r])
-            cand = candidate_cache.get(key)
-            if cand is None:
-                fs = None
-                if faults_cache is not None:
-                    fs = faults_cache.get(rb)
-                if fs is None:
-                    fs = frozenset(
-                        fault_ids[b]
-                        for b in matrix_bits(merged[r:r + 1])[0])
-                    if faults_cache is not None:
-                        faults_cache[rb] = fs
-                seg = Interval(los[r], his[r])
-                cand = PeriodCandidate(time=_pick_time(seg, point),
-                                       segment=seg, faults=fs)
-                candidate_cache[key] = cand
-            out.append(cand)
-        return CandidateSet(tuple(out), merged, fault_ids)
+    return CandidateSet(
+        _RowCandidates(merged, fault_ids, seg_lo, seg_hi, point),
+        merged, fault_ids)
 
-    segments = [Interval(a, b)
-                for a, b in zip(seg_lo.tolist(), seg_hi.tolist())]
 
-    if faults_cache is None:
-        bits_per_row = matrix_bits(merged)
-        fault_sets = [frozenset(fault_ids[b] for b in bits)
-                      for bits in bits_per_row]
-    else:
-        fault_sets = []
-        for r in range(merged.shape[0]):
-            key = merged[r].tobytes()
-            fs = faults_cache.get(key)
-            if fs is None:
-                fs = frozenset(fault_ids[b]
-                               for b in matrix_bits(merged[r:r + 1])[0])
-                faults_cache[key] = fs
-            fault_sets.append(fs)
-    candidates = tuple(
-        PeriodCandidate(time=_pick_time(seg, point), segment=seg, faults=fs)
-        for seg, fs in zip(segments, fault_sets))
-    return CandidateSet(candidates, merged, fault_ids)
+def discretize_pieces(
+    fault_ids: tuple[Hashable, ...],
+    bit: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    t_min: float,
+    t_nom: float,
+    *,
+    prune_dominated: bool = True,
+    point: str = "mid",
+) -> CandidateSet:
+    """Sweep-line discretization of flat detection pieces.
+
+    Piece ``k`` is ``[lo[k], hi[k]]`` of fault ``fault_ids[bit[k]]``;
+    each fault's pieces are contiguous, sorted and canonical.  Composed
+    from :func:`sweep_grid` / :func:`occupancy` /
+    :func:`finalize_candidates`; the rescheduling engine reuses the
+    stages a degradation delta leaves valid.
+    """
+    grid = sweep_grid(np.concatenate((lo, hi)), t_min, t_nom)
+    if grid.n_segments == 0 or not fault_ids:
+        return CandidateSet((), zeros(0, len(fault_ids)), fault_ids)
+    matrix = occupancy(grid, bit, lo, hi, len(fault_ids))
+    if grid.degenerate.any():
+        matrix[grid.degenerate] = 0
+    return finalize_candidates(matrix, grid, fault_ids,
+                               prune_dominated=prune_dominated, point=point)
 
 
 def discretize_candidate_set(
@@ -267,30 +289,26 @@ def discretize_candidate_set(
     prune_dominated: bool = True,
     point: str = "mid",
 ) -> CandidateSet:
-    """Sweep-line discretization returning the packed candidate matrix.
+    """:func:`discretize_pieces` over a mapping fault → detection range.
 
     Semantics match :func:`discretize_observation_times` (which wraps this
     function) — same segments, same merge rule, same dominance pruning and
-    tie-breaking — but the fault sets are built as bit-matrix rows.
-    Composed from :func:`sweep_grid` / :func:`fill_fault_row` /
-    :func:`finalize_candidates` so the rescheduling engine can rebuild only
-    the stages a degradation delta invalidates.
+    tie-breaking — but the fault sets are built as bit-matrix rows, one
+    bit per fault in ``repr`` order.
     """
     fault_ids = tuple(sorted(fault_ranges, key=repr))
-    boundaries: list[float] = []
-    for rng in fault_ranges.values():
-        boundaries.extend(rng.boundaries())
-    grid = sweep_grid(boundaries, t_min, t_nom)
-    if grid.n_segments == 0 or not fault_ids:
-        return CandidateSet((), zeros(0, len(fault_ids)), fault_ids)
-
-    matrix = zeros(grid.n_segments, len(fault_ids))
+    bit: list[int] = []
+    lo: list[float] = []
+    hi: list[float] = []
     for b, fid in enumerate(fault_ids):
-        fill_fault_row(matrix, grid, b, fault_ranges[fid])
-    if grid.degenerate.any():
-        matrix[grid.degenerate] = 0
-    return finalize_candidates(matrix, grid, fault_ids,
-                               prune_dominated=prune_dominated, point=point)
+        for iv in fault_ranges[fid]:
+            bit.append(b)
+            lo.append(iv.lo)
+            hi.append(iv.hi)
+    return discretize_pieces(
+        fault_ids, np.array(bit, dtype=np.int64), np.array(lo, dtype=float),
+        np.array(hi, dtype=float), t_min, t_nom,
+        prune_dominated=prune_dominated, point=point)
 
 
 def discretize_observation_times(

@@ -62,13 +62,17 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.faults.detection import DetectionData, FaultPatternRange
+from repro.faults.detection import (
+    DetectionData,
+    FaultPatternRange,
+    RangeTable,
+)
 from repro.monitors.monitor import MonitorConfigSet
 from repro.scheduling.discretize import (
     CandidateSet,
     SweepGrid,
-    fill_fault_row,
     finalize_candidates,
+    occupancy,
     sweep_grid,
 )
 from repro.scheduling.schedule import (
@@ -101,10 +105,6 @@ from repro.utils.intervals import IntervalAccumulator, IntervalSet
 #: Bound of the per-state step-2 solution memo: alert bursts revisit the
 #: same (period, fault set, shifts) subproblems across re-solves.
 STEP2_CACHE_SIZE = 512
-
-#: Bound of the per-state candidate-materialization memo (row bytes ->
-#: frozenset); rows recur heavily across incremental re-solves.
-CAND_FAULTS_CACHE_SIZE = 8192
 
 #: Bound of the per-state (period, fault, shift) -> (pattern, config) hit
 #: memo; step-2 subproblems re-test the same fault at the same period
@@ -286,12 +286,6 @@ class ScheduleState:
     prev_chosen_masks: tuple[int, ...] = ()
     step2_cache: LruCache = field(
         default_factory=lambda: LruCache(maxsize=STEP2_CACHE_SIZE))
-    #: Row-bytes -> frozenset memo for candidate materialization.
-    cand_faults_cache: LruCache = field(
-        default_factory=lambda: LruCache(maxsize=CAND_FAULTS_CACHE_SIZE))
-    #: (row-bytes, seg lo, seg hi) -> PeriodCandidate object memo.
-    cand_obj_cache: LruCache = field(
-        default_factory=lambda: LruCache(maxsize=CAND_FAULTS_CACHE_SIZE))
     #: (period, fault, shift) -> tuple of (pattern, config) hits.
     combo_cache: LruCache = field(
         default_factory=lambda: LruCache(maxsize=COMBO_CACHE_SIZE))
@@ -398,8 +392,24 @@ def _finalize_state(state: ScheduleState, *,
         matrix, grid, state.fault_ids,
         prune_dominated=(state.prune_dominated if prune is None
                          else prune),
-        point=state.point, faults_cache=state.cand_faults_cache,
-        candidate_cache=state.cand_obj_cache)
+        point=state.point)
+
+
+def _occupancy(state: ScheduleState, grid: SweepGrid,
+               faults: Sequence[int]) -> np.ndarray:
+    """Occupancy matrix of the given faults' current ranges only."""
+    bit: list[int] = []
+    lo: list[float] = []
+    hi: list[float] = []
+    for f in faults:
+        b = state.fault_bit[f]
+        for iv in state.fault_ranges[f]:
+            bit.append(b)
+            lo.append(iv.lo)
+            hi.append(iv.hi)
+    return occupancy(grid, np.array(bit, dtype=np.int64),
+                     np.array(lo, dtype=np.float64),
+                     np.array(hi, dtype=np.float64), len(state.fault_ids))
 
 
 def _rebuild_candidates(state: ScheduleState) -> None:
@@ -409,11 +419,7 @@ def _rebuild_candidates(state: ScheduleState) -> None:
     if state.grid.n_segments == 0 or not state.fault_ids:
         _empty_candidates(state)
         return
-    matrix = zeros(state.grid.n_segments, len(state.fault_ids))
-    for f in state.fault_ids:
-        fill_fault_row(matrix, state.grid, state.fault_bit[f],
-                       state.fault_ranges[f])
-    state.matrix_raw = matrix
+    state.matrix_raw = _occupancy(state, state.grid, state.fault_ids)
     _finalize_state(state)
 
 
@@ -453,9 +459,7 @@ def _patch_candidates(state: ScheduleState,
     for f in dirty:
         b = state.fault_bit[f]
         matrix[:, b >> 6] &= _WORD_MASK ^ np.uint64(1 << (b & 63))
-    for f in dirty:
-        fill_fault_row(matrix, new_grid, state.fault_bit[f],
-                       state.fault_ranges[f])
+    matrix |= _occupancy(state, new_grid, dirty)
     state.matrix_raw = matrix
     _finalize_state(state, prune=False)
     return path
@@ -578,9 +582,7 @@ def _step1_problem(state: ScheduleState) -> CoverProblem:
     """Step-1 cover problem over the packed candidate rows (no frozenset
     hashing; bit order is the repr-sorted universe, as the cold path's)."""
     cand_set = state.cand_set
-    return CoverProblem.from_matrix(
-        cand_set.matrix, cand_set.fault_ids,
-        [c.faults for c in cand_set.candidates])
+    return CoverProblem.from_matrix(cand_set.matrix, cand_set.fault_ids)
 
 
 def _step1_cold(state: ScheduleState, stats: dict) -> list[int]:
@@ -611,9 +613,9 @@ def _fault_combo_hits(state: ScheduleState, period: float,
     Memoized by ``(period, fault, shift)`` — the per-pattern overlay is a
     pure function of the fault and its gate's cumulative shift, so the
     hit tuple is too.  Interval tests match
-    ``_pattern_config_subsets_from_ranges`` bit for bit (same
-    ``i_mon.shifted(d).contains(period)`` float expression), keeping the
-    warm step-2 subproblems identical to the cold ones.
+    :func:`~repro.scheduling.schedule.pattern_config_rows` bit for bit
+    (``(lo + s) + d`` against ``period`` with ``EPS`` tolerance), keeping
+    the warm step-2 subproblems identical to the cold ones.
     """
     key = (period, f, state.shifts.get(state.fault_gate[f], 0.0))
     hits = state.combo_cache.get(key)
@@ -679,10 +681,17 @@ def _solve_period_warm(state: ScheduleState, period: float,
             for p, c in picked]
 
 
+def _step2_table(state: ScheduleState) -> RangeTable:
+    """The data's range table with every fault moved by its gate's
+    cumulative shift — the flat twin of ``state.pattern_ranges``."""
+    return state.data.range_table().shifted({
+        f: state.shifts.get(g, 0.0) for f, g in state.fault_gate.items()})
+
+
 def _solve_two_step(state: ScheduleState, *, warm: bool,
                     stats: dict | None = None) -> ScheduleResult:
     stats = stats if stats is not None else {}
-    candidates = list(state.cand_set.candidates)
+    candidates = state.cand_set.candidates
     masks = state.cand_set.masks
     full = 0
     for m in masks:
@@ -723,6 +732,7 @@ def _solve_two_step(state: ScheduleState, *, warm: bool,
     per_period = {cand.time: fs for cand, fs in dropping}
     entries = []
     hits = misses = 0
+    table = None
     for cand, fault_set in dropping:
         if warm:
             key = _step2_key(state, cand.time, fault_set)
@@ -740,8 +750,10 @@ def _solve_two_step(state: ScheduleState, *, warm: bool,
                 state.step2_cache[key] = picked
                 entries.extend(picked)
                 continue
+        if table is None:
+            table = _step2_table(state)
         picked = tuple(_solve_period(
-            state.pattern_ranges, cand.time, fault_set, state.configs,
+            table, cand.time, fault_set, state.configs,
             state.solver, state.time_limit))
         if warm:
             state.step2_cache[key] = picked
@@ -764,6 +776,17 @@ def _solve_two_step(state: ScheduleState, *, warm: bool,
 # ----------------------------------------------------------------------
 # Engines
 # ----------------------------------------------------------------------
+def _check_gates(state: ScheduleState, delta: AlertDelta) -> None:
+    """Reject an alert on a gate the circuit does not have (before any
+    state changes)."""
+    n = len(state.data.circuit.gates)
+    for g, _ in delta.shifts:
+        if not 0 <= g < n:
+            raise ValueError(
+                f"alert on gate {g}, but circuit "
+                f"{state.data.circuit.name!r} has {n} gates (0..{n - 1})")
+
+
 def _accumulate(state: ScheduleState, delta: AlertDelta) -> list[int]:
     """Fold the delta into the cumulative shifts; return dirty faults."""
     dirty: set[int] = set()
@@ -803,7 +826,10 @@ def _update_fault(state: ScheduleState, f: int) -> bool:
 
 
 def apply_alert(state: ScheduleState, delta: AlertDelta) -> ReschedOutcome:
-    """Incremental re-solve: recompute only what the delta invalidates."""
+    """Incremental re-solve: recompute only what the delta invalidates.
+
+    Raises ``ValueError`` for an alert on a gate outside the circuit.
+    """
     t0 = time.perf_counter()
     stats: dict = {"dirty_gates": len(delta.gates), "dirty_faults": 0}
 
@@ -814,6 +840,7 @@ def apply_alert(state: ScheduleState, delta: AlertDelta) -> ReschedOutcome:
 
     if delta.is_empty:
         return _fast("empty-delta")
+    _check_gates(state, delta)
     dirty = _accumulate(state, delta)
     stats["dirty_faults"] = len(dirty)
     if not dirty:
@@ -845,6 +872,7 @@ def apply_alert_cold(state: ScheduleState,
     """
     t0 = time.perf_counter()
     stats: dict = {"dirty_gates": len(delta.gates)}
+    _check_gates(state, delta)
     dirty = _accumulate(state, delta)
     stats["dirty_faults"] = len(dirty)
     for f in dirty:
@@ -889,7 +917,7 @@ def cold_schedule_result(state: ScheduleState) -> ScheduleResult:
         ranges, state.clock.t_min, state.clock.t_nom,
         prune_dominated=state.prune_dominated, point=state.point)
     return optimize_from_candidates(
-        state.pattern_ranges, cand_set, state.targets, state.configs,
+        _step2_table(state), cand_set, state.targets, state.configs,
         solver=state.solver, time_limit=state.time_limit)
 
 

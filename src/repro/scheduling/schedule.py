@@ -15,9 +15,15 @@ A schedule is a set of triples ``(frequency, pattern, configuration)``
 
 Performance structure (the bitset pipeline):
 
-* per-fault observable ranges come from the memoized
-  :meth:`DetectionData.detection_range` instead of rebuilding the shifted
-  union per call,
+* the observable ranges of all target faults come from the data's
+  :class:`~repro.faults.detection.RangeTable` kernel as flat arrays,
+  built once per (configuration set, window) and shared with
+  classification,
+* discretization fills its packed occupancy matrix from those arrays;
+  candidate fault sets are materialized only for the chosen periods,
+* step 2 tests each period's (fault, pattern) entries against the
+  table's pieces as array comparisons and hands the packed rows to
+  :meth:`CoverProblem.from_matrix`,
 * discretization + dominance pruning run once per
   ``(targets, configs, window, policy)`` tuple and are cached on the
   :class:`DetectionData` (the heuristic, proposed and relaxed-coverage
@@ -36,14 +42,16 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from typing import Literal
 
-from repro.faults.detection import DetectionData, FaultPatternRange
+import numpy as np
+
+from repro.faults.detection import DetectionData, FlatRanges, RangeTable
 from repro.monitors.monitor import MonitorConfigSet
 from repro.scheduling.discretize import (
     CandidateSet,
     PeriodCandidate,
-    discretize_candidate_set,
+    discretize_pieces,
 )
 from repro.scheduling.setcover import (
     DEFAULT_TIME_LIMIT_S,
@@ -52,7 +60,7 @@ from repro.scheduling.setcover import (
     ilp_cover,
 )
 from repro.timing.clock import ClockSpec
-from repro.utils.bitset import mask_bits
+from repro.utils.bitset import mask_bits, pack_bits
 from repro.utils.intervals import IntervalSet
 from repro.utils.profiling import StageTimer
 
@@ -125,23 +133,39 @@ def _solve(problem: CoverProblem, solver: Solver, coverage: float,
     raise ValueError(f"unknown solver {solver!r}")
 
 
+def _target_pieces(data: DetectionData,
+                   targets: frozenset[int] | set[int], clock: ClockSpec,
+                   configs: MonitorConfigSet | None) -> FlatRanges:
+    """The targets' slice of :meth:`RangeTable.observable`."""
+    delays = tuple(configs) if configs is not None else ()
+    return data.range_table().observable(
+        delays, clock.t_min, clock.t_nom).select(targets)
+
+
 def target_ranges(data: DetectionData, targets: frozenset[int] | set[int],
                   clock: ClockSpec, configs: MonitorConfigSet | None
                   ) -> dict[int, IntervalSet]:
     """Observable detection range per target fault (monitors optional).
 
-    Delegates to the memoized :meth:`DetectionData.detection_range`, so the
-    shifted union of each fault is built at most once per (configuration
-    set, window) across all schedules computed from the same data.
+    Faults whose range is empty are left out.  A view of the range
+    table's memoized ``I(φ)`` arrays, which the scheduler reads directly.
     """
-    config_delays = tuple(configs) if configs is not None else ()
-    out: dict[int, IntervalSet] = {}
-    for fi in targets:
-        rng = data.detection_range(fi, config_delays, clock.t_min,
-                                   clock.t_nom)
-        if not rng.is_empty:
-            out[fi] = rng
-    return out
+    pieces = _target_pieces(data, targets, clock, configs)
+    return {f: pieces.interval_set(f) for f in pieces.faults.tolist()}
+
+
+def _discretize_targets(pieces: FlatRanges, clock: ClockSpec,
+                        prune_dominated: bool,
+                        candidate_point: str) -> CandidateSet:
+    """Discretize target pieces, one bit per fault in ``repr`` order."""
+    faults = pieces.faults
+    fault_ids = tuple(sorted(faults.tolist(), key=repr))
+    bit_of = {f: b for b, f in enumerate(fault_ids)}
+    bits = np.array([bit_of[f] for f in faults.tolist()], dtype=np.int64)
+    return discretize_pieces(
+        fault_ids, bits[np.searchsorted(faults, pieces.fault)], pieces.lo,
+        pieces.hi, clock.t_min, clock.t_nom,
+        prune_dominated=prune_dominated, point=candidate_point)
 
 
 def order_periods_fault_dropping(
@@ -180,37 +204,44 @@ def order_periods_fault_dropping(
     return ordered
 
 
-def _pattern_config_subsets_from_ranges(
-    ranges: Mapping[int, Mapping[int, FaultPatternRange]],
+def pattern_config_rows(
+    table: RangeTable,
     fault_set: frozenset[int],
     period: float,
     configs: MonitorConfigSet | None,
-) -> dict[tuple[int, int], set[int]]:
+) -> tuple[list[tuple[int, int]], np.ndarray, tuple[int, ...]]:
     """Fault sets ``Φ_(m,n)`` detected by pattern m under config n at the
-    given period (Sec. IV-B).  Without monitors the config index is
-    :data:`FF_ONLY_CONFIG`."""
-    combos: dict[tuple[int, int], set[int]] = {}
-    for fi in fault_set:
-        for pi, fpr in ranges.get(fi, {}).items():
-            ff_hit = fpr.i_all.contains(period)
-            if configs is None:
-                if ff_hit:
-                    combos.setdefault((pi, FF_ONLY_CONFIG), set()).add(fi)
-                continue
-            for ci, d in enumerate(configs):
-                if ff_hit or fpr.i_mon.shifted(d).contains(period):
-                    combos.setdefault((pi, ci), set()).add(fi)
-    return combos
+    given period (Sec. IV-B), as packed rows.
 
-
-def _pattern_config_subsets(
-    data: DetectionData,
-    fault_set: frozenset[int],
-    period: float,
-    configs: MonitorConfigSet | None,
-) -> dict[tuple[int, int], set[int]]:
-    return _pattern_config_subsets_from_ranges(
-        data.ranges, fault_set, period, configs)
+    Returns ``(keys, matrix, elements)``: row ``r`` of ``matrix`` is the
+    set of key ``keys[r] = (pattern, config)``, keys ascending, bit ``b``
+    is fault ``elements[b]`` with ``elements`` in ``repr`` order.  Fault
+    φ is in ``Φ_(m,n)`` when ``t ∈ i_all ∪ (i_mon + d_n)`` for its entry
+    with pattern m.  Without monitors the config index is
+    :data:`FF_ONLY_CONFIG` and only ``i_all`` counts.
+    """
+    elements = tuple(sorted(fault_set, key=repr))
+    faults = np.array(sorted(fault_set), dtype=np.int64)
+    col_of = {f: b for b, f in enumerate(elements)}
+    cols = np.array([col_of[f] for f in faults.tolist()], dtype=np.int64)
+    delays = tuple(configs) if configs is not None else ()
+    entries, ff, mon = table.hits_at(period, faults, delays)
+    entry_col = cols[np.searchsorted(faults, table.entry_fault[entries])]
+    entry_pattern = table.entry_pattern[entries]
+    if configs is None:
+        rows = np.flatnonzero(ff)
+        code = entry_pattern[rows]
+    else:
+        rows, config = np.nonzero(ff[:, None] | mon)
+        code = entry_pattern[rows] * len(delays) + config
+    codes, row_of = np.unique(code, return_inverse=True)
+    incidence = np.zeros((codes.size, len(elements)), dtype=bool)
+    incidence[row_of, entry_col[rows]] = True
+    if configs is None:
+        keys = [(c, FF_ONLY_CONFIG) for c in codes.tolist()]
+    else:
+        keys = [divmod(c, len(delays)) for c in codes.tolist()]
+    return keys, pack_bits(incidence), elements
 
 
 def _candidate_set_cached(
@@ -221,12 +252,13 @@ def _candidate_set_cached(
     prune_dominated: bool,
     candidate_point: str,
     timer: StageTimer | None,
-) -> tuple[dict[int, IntervalSet], CandidateSet]:
-    """Observable ranges + discretized candidates, cached on the data.
+) -> tuple[FlatRanges, CandidateSet]:
+    """Observable target pieces + discretized candidates, cached on the
+    data.
 
     The heuristic, proposed and every relaxed-coverage schedule query the
     identical (targets, configs, window) tuple; discretization and
-    dominance pruning therefore run once, like ``detection_range``.
+    dominance pruning therefore run once.
     """
     config_delays = tuple(configs) if configs is not None else ()
     key = (targets, config_delays, clock.t_min, clock.t_nom,
@@ -234,24 +266,19 @@ def _candidate_set_cached(
     cached = data._sched_cache.get(key)
     if cached is not None:
         return cached
-    if timer is not None:
-        with timer.stage("target_ranges"):
-            ranges = target_ranges(data, targets, clock, configs)
-        with timer.stage("discretize"):
-            cand_set = discretize_candidate_set(
-                ranges, clock.t_min, clock.t_nom,
-                prune_dominated=prune_dominated, point=candidate_point)
-    else:
-        ranges = target_ranges(data, targets, clock, configs)
-        cand_set = discretize_candidate_set(
-            ranges, clock.t_min, clock.t_nom,
-            prune_dominated=prune_dominated, point=candidate_point)
-    data._sched_cache[key] = (ranges, cand_set)
-    return ranges, cand_set
+    with (timer.stage("target_ranges") if timer is not None
+          else nullcontext()):
+        pieces = _target_pieces(data, targets, clock, configs)
+    with (timer.stage("discretize") if timer is not None
+          else nullcontext()):
+        cand_set = _discretize_targets(pieces, clock, prune_dominated,
+                                       candidate_point)
+    data._sched_cache[key] = (pieces, cand_set)
+    return pieces, cand_set
 
 
 def _solve_period(
-    ranges: Mapping[int, Mapping[int, FaultPatternRange]],
+    table: RangeTable,
     period: float,
     fault_set: frozenset[int],
     configs: MonitorConfigSet | None,
@@ -259,13 +286,10 @@ def _solve_period(
     time_limit: float,
 ) -> list[ScheduleEntry]:
     """Step-2 covering for one selected period."""
-    combos = _pattern_config_subsets_from_ranges(
-        ranges, fault_set, period, configs)
-    keys = sorted(combos)
-    sub_problem = CoverProblem(
-        subsets=[frozenset(combos[k]) for k in keys],
-        universe=fault_set)
-    picked = _solve(sub_problem, solver, 1.0, time_limit)
+    keys, matrix, elements = pattern_config_rows(table, fault_set, period,
+                                                 configs)
+    picked = _solve(CoverProblem.from_matrix(matrix, elements), solver,
+                    1.0, time_limit)
     return [ScheduleEntry(period=period, pattern=keys[j][0],
                           config=keys[j][1])
             for j in picked]
@@ -294,20 +318,20 @@ def optimize_schedule(
     ``timer`` accumulates the per-stage wall-clock split.
     """
     targets = frozenset(targets)
-    ranges, cand_set = _candidate_set_cached(
+    pieces, cand_set = _candidate_set_cached(
         data, targets, clock, configs, prune_dominated, candidate_point,
         timer)
-    if not ranges:
+    if pieces.is_empty:
         return ScheduleResult(periods=[], entries=[], targets=targets,
                               covered=frozenset(), method=solver,
                               num_candidates=0)
     return optimize_from_candidates(
-        data.ranges, cand_set, targets, configs, coverage=coverage,
+        data.range_table(), cand_set, targets, configs, coverage=coverage,
         solver=solver, time_limit=time_limit, timer=timer)
 
 
 def optimize_from_candidates(
-    pattern_ranges: Mapping[int, Mapping[int, FaultPatternRange]],
+    table: RangeTable,
     cand_set: CandidateSet,
     targets: frozenset[int],
     configs: MonitorConfigSet | None,
@@ -317,22 +341,21 @@ def optimize_from_candidates(
     time_limit: float = DEFAULT_TIME_LIMIT_S,
     timer: StageTimer | None = None,
 ) -> ScheduleResult:
-    """Step 1 + step 2 from an explicit candidate set and pattern ranges.
+    """Step 1 + step 2 from an explicit candidate set and range table.
 
     Extracted core of :func:`optimize_schedule` so the rescheduling engine
-    can inject delta-patched candidates/ranges instead of the cached
-    artifacts derived from a :class:`DetectionData`; behaviour is
-    bit-identical to the inline code it replaces.
+    can inject delta-patched candidates and a shifted table instead of the
+    cached artifacts derived from a :class:`DetectionData`.  Only the
+    chosen candidates are materialized.
     """
-    candidates = list(cand_set.candidates)
+    candidates = cand_set.candidates
 
     # ------------------------------------------------------------------
     # Step 1: minimal frequency selection, on the packed candidate rows.
     # ------------------------------------------------------------------
     with (timer.stage("step1") if timer is not None else nullcontext()):
-        problem = CoverProblem.from_matrix(
-            cand_set.matrix, cand_set.fault_ids,
-            [c.faults for c in candidates])
+        problem = CoverProblem.from_matrix(cand_set.matrix,
+                                           cand_set.fault_ids)
         chosen_idx = _solve(problem, solver, coverage, time_limit, timer)
     chosen = [candidates[j] for j in chosen_idx]
     covered_acc: set[int] = set()
@@ -350,7 +373,7 @@ def optimize_from_candidates(
             cand.time: fault_set for cand, fault_set in dropping}
         for cand, fault_set in dropping:
             entries.extend(_solve_period(
-                pattern_ranges, cand.time, fault_set, configs, solver,
+                table, cand.time, fault_set, configs, solver,
                 time_limit))
 
     return ScheduleResult(

@@ -41,6 +41,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse.csgraph import connected_components
 
 from repro.utils.bitset import (
+    RowSets,
     dominated_rows,
     first_superset,
     mask_bits,
@@ -113,15 +114,17 @@ class CoverProblem:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, elements: Sequence[Hashable],
-                    subsets: Sequence[frozenset[Hashable]]) -> CoverProblem:
+                    subsets: Sequence[frozenset[Hashable]] | None = None
+                    ) -> CoverProblem:
         """Problem over the rows of a packed bit matrix.
 
-        Bit ``b`` of ``matrix`` carries ``elements[b]`` and ``subsets[j]``
-        must hold exactly the elements of row ``j`` (the scheduler's
-        :class:`~repro.scheduling.discretize.CandidateSet` keeps both).
-        Elements no row covers are dropped, so with ``elements`` sorted by
-        ``repr`` the packed view is bit for bit the one the frozenset
-        constructor would build — without hashing a single element.
+        Bit ``b`` of ``matrix`` carries ``elements[b]``.  ``subsets[j]``,
+        when given, must hold exactly the elements of row ``j``; when
+        omitted, each row's set is built on first access (the solvers read
+        only the packed view).  Elements no row covers are dropped, so with
+        ``elements`` sorted by ``repr`` the packed view is bit for bit the
+        one the frozenset constructor would build — without hashing a
+        single element.
         """
         incidence = unpack_bits(matrix, len(elements))
         present = incidence.any(axis=0)
@@ -131,8 +134,9 @@ class CoverProblem:
         packed = PackedCover(elements=kept, masks=tuple(
             matrix_to_masks(matrix)), full=(1 << len(kept)) - 1,
             matrix=matrix)
-        return cls(subsets=list(subsets), universe=frozenset(kept),
-                   _packed=packed)
+        return cls(subsets=(list(subsets) if subsets is not None
+                            else RowSets(matrix, kept)),
+                   universe=frozenset(kept), _packed=packed)
 
     @property
     def num_subsets(self) -> int:

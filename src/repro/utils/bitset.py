@@ -30,7 +30,7 @@ concatenation of the words.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -258,3 +258,33 @@ def mask_bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+class RowSets(Sequence[frozenset]):
+    """Read-only sequence of the element set of each row of a bit matrix.
+
+    Bit ``b`` is ``elements[b]``; a row's frozenset is built on first
+    access and kept, so callers that read a few rows of a large matrix
+    pay for those rows only.
+    """
+
+    def __init__(self, matrix: np.ndarray,
+                 elements: Sequence[Hashable]) -> None:
+        self._matrix = matrix
+        self._elements = elements
+        self._built: dict[int, frozenset] = {}
+
+    def __len__(self) -> int:
+        return self._matrix.shape[0]
+
+    def __getitem__(self, j):
+        j = range(len(self))[j]
+        out = self._built.get(j)
+        if out is None:
+            out = frozenset(self._elements[b]
+                            for b in row_bits(self._matrix[j]))
+            self._built[j] = out
+        return out
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))

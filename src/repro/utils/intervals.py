@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 #: Absolute tolerance used when comparing interval endpoints (picoseconds).
 EPS = 1e-9
 
@@ -347,36 +349,30 @@ def _interval_set_from_sorted(ivals: tuple[Interval, ...]) -> IntervalSet:
     return s
 
 
-def segment_points(boundaries: Sequence[float], lo: float, hi: float) -> list[float]:
+def segment_points(boundaries: Sequence[float] | np.ndarray, lo: float,
+                   hi: float) -> list[float]:
     """Deduplicated cut points partitioning ``[lo, hi]`` at ``boundaries``.
 
     The sorted point list always starts at ``lo`` and ends at ``hi``;
     consecutive points differ by more than ``EPS`` (duplicate interval
     endpoints collapse), so every implied segment has positive length.
     Boundaries outside ``[lo, hi]`` are ignored.  Returns ``[]`` when the
-    window itself is empty.  This is the sweep-line skeleton shared by
-    :func:`segment_axis` and the vectorized observation-time discretization
-    (Sec. IV-A).
+    window itself is empty.  This is the sweep-line skeleton of the
+    observation-time discretization (Sec. IV-A,
+    :func:`repro.scheduling.discretize.sweep_grid`): the boundaries of all
+    fault detection intervals cut the time axis into segments within
+    which the detected fault set is constant.
     """
     if hi <= lo:
         return []
-    pts = sorted({lo, hi, *(b for b in boundaries if lo < b < hi)})
+    b = np.asarray(boundaries, dtype=np.float64)
+    pts = np.unique(np.concatenate(([lo, hi], b[(b > lo) & (b < hi)])))
+    if (np.diff(pts) > EPS).all():
+        return pts.tolist()
     dedup: list[float] = []
-    for p in pts:
+    for p in pts.tolist():
         if not dedup or p - dedup[-1] > EPS:
             dedup.append(p)
     if len(dedup) < 2:
         return [lo, hi]
     return dedup
-
-
-def segment_axis(boundaries: Sequence[float], lo: float, hi: float) -> list[Interval]:
-    """Split ``[lo, hi]`` into segments at the given boundary times.
-
-    Used by the observation-time discretization (Sec. IV-A, Fig. 5): the
-    boundaries of all fault detection intervals partition the time axis into
-    segments within which the detected fault set is constant.
-    Boundaries outside ``[lo, hi]`` are ignored; duplicates are collapsed.
-    """
-    pts = segment_points(boundaries, lo, hi)
-    return [Interval(a, b) for a, b in zip(pts, pts[1:])]

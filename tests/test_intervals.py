@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.intervals import EPS, Interval, IntervalSet, segment_axis
+from repro.utils.intervals import EPS, Interval, IntervalSet, segment_points
 
 
 def iset(*pairs: tuple[float, float]) -> IntervalSet:
@@ -170,20 +170,21 @@ class TestGlitchFilter:
 # Axis segmentation (Fig. 5 discretization support)
 # ----------------------------------------------------------------------
 class TestSegmentAxis:
+    """:func:`segment_points` cuts the window into segments."""
+
     def test_basic(self):
-        segs = segment_axis([2, 4], 0, 6)
-        assert [(s.lo, s.hi) for s in segs] == [(0, 2), (2, 4), (4, 6)]
+        assert segment_points([2, 4], 0, 6) == [0, 2, 4, 6]
 
     def test_out_of_range_boundaries_ignored(self):
-        segs = segment_axis([-5, 100], 0, 6)
-        assert [(s.lo, s.hi) for s in segs] == [(0, 6)]
+        assert segment_points([-5, 100], 0, 6) == [0, 6]
 
     def test_duplicates_collapsed(self):
-        segs = segment_axis([3, 3.0, 3], 0, 6)
-        assert len(segs) == 2
+        pts = segment_points([3, 3.0, 3], 0, 6)
+        assert pts == [0, 3, 6]
+        assert len(pts) - 1 == 2        # two segments
 
     def test_empty_window(self):
-        assert segment_axis([1], 5, 5) == []
+        assert segment_points([1], 5, 5) == []
 
 
 # ----------------------------------------------------------------------

@@ -56,6 +56,13 @@ SUITE_SERIAL_S = 12.0
 STEP1_PRESOLVE_S = 0.0172
 STEP1_CIRCUIT = "p89k"
 STEP1_PATTERNS = 64
+#: Recorded seconds of classify + conv/heur/prop, cold, on the p89k input
+#: of the ``analysis-large`` benchmark workload (scale 4.0, 64 seeded
+#: random patterns; 13,388 (fault, pattern) entries).
+RANGE_LAYER_S = 2.0
+RANGE_CIRCUIT = "p89k"
+RANGE_SCALE = 4.0
+RANGE_PATTERNS = 64
 #: Job document and repeat count of the service replay guard.
 SERVICE_JOB = {"kind": "flow", "circuit": "s27", "with_schedules": True}
 SERVICE_REPEATS = 15
@@ -259,8 +266,7 @@ def test_schedule_has_not_regressed():
             (cls_.target, res.configs, "ilp", 0.90)]
     elapsed = float("inf")
     for _ in range(2):
-        data._sched_cache.clear()
-        data._det_range.clear()
+        data._invalidate()
         t0 = time.perf_counter()
         for targets, configs, solver, cov in jobs:
             optimize_schedule(data, targets, res.clock, configs,
@@ -270,6 +276,44 @@ def test_schedule_has_not_regressed():
         f"bitset scheduling on {GUARD_CIRCUIT} took {elapsed:.3f}s, "
         f"budget {budget:.3f}s (recorded {SCHEDULE_S:.3f}s x "
         f"{MAX_SLOWDOWN} + {ABS_SLACK_S}s)")
+
+
+@pytest.mark.perf
+def test_range_layer_has_not_regressed():
+    """Time classification plus the conv/heur/prop schedules from a cold
+    range table (best of three runs): everything that reads the flat
+    (fault, pattern) ranges, step-1 HiGHS included."""
+    from repro.atpg.patterns import random_test_set
+    from repro.circuits.library import suite_circuit, suite_entry
+    from repro.core.flow import HdfTestFlow
+    from repro.faults.classify import classify_faults
+    from repro.scheduling.baselines import (
+        conventional_schedule,
+        heuristic_schedule,
+        proposed_schedule,
+    )
+
+    budget = _budget(RANGE_LAYER_S)
+    circuit = suite_circuit(RANGE_CIRCUIT, scale=RANGE_SCALE)
+    test_set = random_test_set(circuit, RANGE_PATTERNS,
+                               seed=suite_entry(RANGE_CIRCUIT).seed)
+    res = HdfTestFlow(circuit, FlowConfig()).run(test_set=test_set,
+                                                 with_schedules=False)
+    data, clock, configs = res.data, res.clock, res.configs
+    elapsed = float("inf")
+    for _ in range(3):
+        data._invalidate()
+        t0 = time.perf_counter()
+        cls_ = classify_faults(data, clock, configs)
+        conventional_schedule(data, cls_, clock)
+        heuristic_schedule(data, cls_, clock, configs)
+        proposed_schedule(data, cls_, clock, configs)
+        elapsed = min(elapsed, time.perf_counter() - t0)
+    assert cls_.target == res.classification.target
+    assert elapsed <= budget, (
+        f"classify + schedules on {RANGE_CIRCUIT} at scale {RANGE_SCALE} "
+        f"took {elapsed:.3f}s, budget {budget:.3f}s (recorded "
+        f"{RANGE_LAYER_S:.3f}s x {MAX_SLOWDOWN} + {ABS_SLACK_S}s)")
 
 
 @pytest.mark.perf

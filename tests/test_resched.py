@@ -27,7 +27,8 @@ from repro.scheduling.resched import (
     prepare_state_for_result,
     scenario_alert_stream,
 )
-from repro.scheduling.schedule import _pattern_config_subsets_from_ranges
+from repro.scheduling.schedule import pattern_config_rows
+from repro.utils.bitset import matrix_bits
 
 QUICK_CIRCUITS = ("s9234", "s13207")
 #: Seeded random deltas per quick circuit (2 x 25 = 50 total).
@@ -133,15 +134,12 @@ class TestFastPaths:
 
     def test_caches_are_bounded(self, flow_result_s27):
         from repro.scheduling.resched import (
-            CAND_FAULTS_CACHE_SIZE,
             COMBO_CACHE_SIZE,
             STEP2_CACHE_SIZE,
         )
 
         state = prepare_state_for_result(flow_result_s27)
         assert state.step2_cache.maxsize == STEP2_CACHE_SIZE
-        assert state.cand_faults_cache.maxsize == CAND_FAULTS_CACHE_SIZE
-        assert state.cand_obj_cache.maxsize == CAND_FAULTS_CACHE_SIZE
         assert state.combo_cache.maxsize == COMBO_CACHE_SIZE
 
 
@@ -150,12 +148,15 @@ class TestComboMemo:
         state = prepare_state_for_result(flow_result_s27)
         gate = next(iter(state.gate_faults))
         apply_alert(state, AlertDelta.from_mapping({gate: 2.0}))
-        from repro.scheduling.resched import _fault_combo_hits
+        from repro.scheduling.resched import _fault_combo_hits, _step2_table
 
         fault_set = frozenset(state.fault_ids)
+        table = _step2_table(state)
         for period in state.schedule.periods:
-            expected = _pattern_config_subsets_from_ranges(
-                state.pattern_ranges, fault_set, period, state.configs)
+            keys, matrix, elements = pattern_config_rows(
+                table, fault_set, period, state.configs)
+            expected = {k: {elements[b] for b in bits}
+                        for k, bits in zip(keys, matrix_bits(matrix))}
             got: dict = {}
             for f in fault_set:
                 for key in _fault_combo_hits(state, period, f):
@@ -322,3 +323,94 @@ class TestCli:
         payload = json.loads(
             capsys.readouterr().out.split("\n", 1)[1])
         assert len(payload["events"]) == payload["summary"]["alerts"]
+
+
+class TestUnknownGate:
+    """An alert on a gate the circuit does not have is an error."""
+
+    @pytest.mark.parametrize("solve", [apply_alert, apply_alert_cold])
+    def test_solver_raises_and_leaves_state(self, flow_result_s27, solve):
+        state = prepare_state_for_result(flow_result_s27)
+        n = len(flow_result_s27.circuit.gates)
+        before = state.schedule
+        with pytest.raises(ValueError, match=rf"gate 99999.*{n} gates"):
+            solve(state, AlertDelta.from_mapping({99999: 2.0}))
+        assert state.shifts == {}
+        assert state.schedule is before
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "alerts.json"
+        path.write_text(json.dumps([{"gate": 99999, "shift_ps": 2.0}]))
+        assert main(["resched", "s27", "--alerts", str(path),
+                     "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "99999" in err
+
+    def test_job_fails_with_the_message(self):
+        from repro.core.spec import job_from_dict
+        from repro.service.orchestrator import run_job
+
+        job = job_from_dict({"kind": "resched", "circuit": "s27",
+                             "alerts": [[[99999, 2.0]]]})
+        with pytest.raises(ValueError, match="gate 99999"):
+            run_job(job, store=None)
+
+
+def _orders(events):
+    """The stream, reversed, and a fixed shuffle."""
+    rng = np.random.default_rng(5)
+    return [list(events), list(reversed(events)),
+            [events[i] for i in rng.permutation(len(events))]]
+
+
+def _stream(state):
+    """Five events over four fault-carrying gates: a burst, a repeated
+    gate and a healing shift, all multiples of 0.25 ps (exact sums)."""
+    g = sorted(state.gate_faults)[:4]
+    g += g[:4 - len(g)]
+    return [AlertDelta.from_mapping(m) for m in (
+        {g[0]: 1.25}, {g[1]: 0.5, g[2]: 2.0}, {g[0]: -0.75},
+        {g[3]: 1.0}, {g[1]: 0.25})]
+
+
+class TestReorderedStreams:
+    """Alert order must not matter: cumulative shifts commute exactly."""
+
+    @pytest.mark.parametrize("fixture", ["flow_result_s27",
+                                         "flow_result_small"])
+    def test_every_order_agrees(self, fixture, request):
+        res = request.getfixturevalue(fixture)
+        finals = []
+        for order in _orders(_stream(prepare_state_for_result(res))):
+            st_inc = prepare_state_for_result(res)
+            st_cold = prepare_state_for_result(res)
+            for k, delta in enumerate(order):
+                out_inc = apply_alert(st_inc, delta)
+                out_cold = apply_alert_cold(st_cold, delta)
+                _assert_cost_equal(out_inc, out_cold, (fixture, k, delta))
+            cold = st_cold.schedule
+            finals.append((st_inc.shifts, st_inc.schedule.num_frequencies,
+                           st_inc.schedule.covered, cold.periods,
+                           cold.entries, cold.covered))
+        assert finals[1] == finals[0]
+        assert finals[2] == finals[0]
+
+    def test_cli_summaries_agree(self, flow_result_s27, tmp_path, capsys):
+        from repro.cli import main
+
+        events = [[{"gate": g, "shift_ps": s} for g, s in d.shifts]
+                  for d in _stream(prepare_state_for_result(flow_result_s27))]
+        outcomes = []
+        for k, order in enumerate(_orders(events)):
+            path = tmp_path / f"order{k}.json"
+            path.write_text(json.dumps(order))
+            assert main(["resched", "s27", "--alerts", str(path), "--json",
+                         "--no-cache"]) == 0
+            payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+            last = payload["events"][-1]
+            outcomes.append((payload["summary"]["alerts"],
+                             last["frequencies"], last["covered"]))
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]

@@ -48,11 +48,12 @@ from repro.core import FlowConfig, HdfTestFlow
 from repro.scheduling.baselines import conventional_targets
 from repro.scheduling.discretize import discretize_observation_times
 from repro.scheduling.schedule import (
-    _pattern_config_subsets,
     optimize_schedule,
+    pattern_config_rows,
     target_ranges,
 )
 from repro.scheduling.setcover import CoverProblem, branch_and_bound_cover
+from repro.utils.bitset import matrix_bits
 
 GOLDEN_FILE = (Path(__file__).resolve().parent / "data"
                / "schedule_golden_small.json")
@@ -86,8 +87,15 @@ def _workload(res):
 
 
 def _clear_caches(data):
-    data._sched_cache.clear()
-    data._det_range.clear()
+    data._invalidate()
+
+
+def _period_rows(data, fault_set, period, configs) -> dict:
+    """Step-2 rows ``Φ_(m,n)`` at one period as ``{(m, n): faults}``."""
+    keys, matrix, elements = pattern_config_rows(
+        data.range_table(), fault_set, period, configs)
+    return {k: {elements[b] for b in bits}
+            for k, bits in zip(keys, matrix_bits(matrix))}
 
 
 def _t(x: float) -> str:
@@ -187,8 +195,7 @@ def test_schedules_equivalent(fixture, request, golden):
         # The step-2 picks must still cover every fault assigned to their
         # period, whichever optimum the ILP tie-breaking landed on.
         for period, fault_set in new.per_period_faults.items():
-            combos = _pattern_config_subsets(res.data, fault_set, period,
-                                             configs)
+            combos = _period_rows(res.data, fault_set, period, configs)
             covered = set()
             for e in new.entries:
                 if e.period == period:

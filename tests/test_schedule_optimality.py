@@ -139,7 +139,7 @@ def test_step2_distinct_patterns_need_two_entries():
     # Force the two faults onto different patterns.
     data.ranges[0] = {0: data.ranges[0][list(data.ranges[0])[0]]}
     data.ranges[1] = {1: data.ranges[1][list(data.ranges[1])[0]]}
-    data._union_all.clear()
+    data._invalidate()
     sched = optimize_schedule(data, {0, 1}, CLOCK, configs=None)
     assert sched.num_frequencies == 1
     assert sched.num_entries == 2

@@ -366,6 +366,14 @@ class TestHttpApi:
         assert err.value.code == 400
         assert "not finite" in json.loads(err.value.read())["error"]
 
+    def test_alert_on_unknown_gate_fails_the_job(self, service):
+        submitted = _post(f"{service.url}/jobs",
+                          {"kind": "resched", "circuit": "s27",
+                           "alerts": [[[99999, 2.0]]]})
+        status = _wait_done(service, submitted["id"])
+        assert status["state"] == "failed"
+        assert "gate 99999" in status["error"]
+
     def test_unknown_job_is_404(self, service):
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(f"{service.url}/jobs/job-9999")

@@ -29,7 +29,7 @@ segment definition above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -252,6 +252,22 @@ def finalize_candidates(matrix: np.ndarray, grid: SweepGrid,
         merged, fault_ids)
 
 
+def flatten_ranges(ranges: Iterable[tuple[int, IntervalSet]]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(bit, lo, hi)`` piece arrays of ``(bit, range)`` pairs, in
+    order — the input of :func:`occupancy` / :func:`discretize_pieces`."""
+    bit: list[int] = []
+    lo: list[float] = []
+    hi: list[float] = []
+    for b, rng in ranges:
+        for iv in rng:
+            bit.append(b)
+            lo.append(iv.lo)
+            hi.append(iv.hi)
+    return (np.array(bit, dtype=np.int64), np.array(lo, dtype=np.float64),
+            np.array(hi, dtype=np.float64))
+
+
 def discretize_pieces(
     fault_ids: tuple[Hashable, ...],
     bit: np.ndarray,
@@ -297,18 +313,10 @@ def discretize_candidate_set(
     bit per fault in ``repr`` order.
     """
     fault_ids = tuple(sorted(fault_ranges, key=repr))
-    bit: list[int] = []
-    lo: list[float] = []
-    hi: list[float] = []
-    for b, fid in enumerate(fault_ids):
-        for iv in fault_ranges[fid]:
-            bit.append(b)
-            lo.append(iv.lo)
-            hi.append(iv.hi)
-    return discretize_pieces(
-        fault_ids, np.array(bit, dtype=np.int64), np.array(lo, dtype=float),
-        np.array(hi, dtype=float), t_min, t_nom,
-        prune_dominated=prune_dominated, point=point)
+    bit, lo, hi = flatten_ranges(
+        (b, fault_ranges[fid]) for b, fid in enumerate(fault_ids))
+    return discretize_pieces(fault_ids, bit, lo, hi, t_min, t_nom,
+                             prune_dominated=prune_dominated, point=point)
 
 
 def discretize_observation_times(

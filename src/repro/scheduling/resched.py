@@ -72,6 +72,7 @@ from repro.scheduling.discretize import (
     CandidateSet,
     SweepGrid,
     finalize_candidates,
+    flatten_ranges,
     occupancy,
     sweep_grid,
 )
@@ -305,7 +306,12 @@ class ScheduleState:
 
 def _combined_unclipped(data: DetectionData, fault: int,
                         config_delays: tuple[float, ...]) -> IntervalSet:
-    """``I_FF ∪ ⋃_d (I_mon + d)`` without the window clip (shift-stable)."""
+    """``I_FF ∪ ⋃_d (I_mon + d)`` without the window clip (shift-stable).
+
+    One fault's slice of :meth:`RangeTable.combined`, rebuilt from the
+    per-fault unions: the work :func:`apply_alert_cold` times as its
+    honest cold cost.
+    """
     acc = IntervalAccumulator()
     acc.add(data.union_all(fault))
     mon = data.union_mon(fault)
@@ -330,10 +336,10 @@ def prepare_state(
         data=data, targets=frozenset(targets), clock=clock, configs=configs,
         solver=solver, time_limit=time_limit,
         prune_dominated=prune_dominated, point=point)
-    delays = state.config_delays
+    combined = data.range_table().combined(state.config_delays)
     ids = []
     for f in sorted(state.targets, key=repr):
-        base = _combined_unclipped(data, f, delays)
+        base = combined.interval_set(f)
         if base.is_empty:
             continue
         ids.append(f)
@@ -398,18 +404,9 @@ def _finalize_state(state: ScheduleState, *,
 def _occupancy(state: ScheduleState, grid: SweepGrid,
                faults: Sequence[int]) -> np.ndarray:
     """Occupancy matrix of the given faults' current ranges only."""
-    bit: list[int] = []
-    lo: list[float] = []
-    hi: list[float] = []
-    for f in faults:
-        b = state.fault_bit[f]
-        for iv in state.fault_ranges[f]:
-            bit.append(b)
-            lo.append(iv.lo)
-            hi.append(iv.hi)
-    return occupancy(grid, np.array(bit, dtype=np.int64),
-                     np.array(lo, dtype=np.float64),
-                     np.array(hi, dtype=np.float64), len(state.fault_ids))
+    bit, lo, hi = flatten_ranges(
+        (state.fault_bit[f], state.fault_ranges[f]) for f in faults)
+    return occupancy(grid, bit, lo, hi, len(state.fault_ids))
 
 
 def _rebuild_candidates(state: ScheduleState) -> None:

@@ -56,6 +56,7 @@ from repro.scheduling.discretize import (
 from repro.scheduling.setcover import (
     DEFAULT_TIME_LIMIT_S,
     CoverProblem,
+    check_coverable,
     greedy_cover,
     ilp_cover,
 )
@@ -285,11 +286,16 @@ def _solve_period(
     solver: Solver,
     time_limit: float,
 ) -> list[ScheduleEntry]:
-    """Step-2 covering for one selected period."""
+    """Step-2 covering for one selected period.
+
+    Raises ``ValueError`` naming every fault of ``fault_set`` that no
+    (pattern, config) row detects at ``period``.
+    """
     keys, matrix, elements = pattern_config_rows(table, fault_set, period,
                                                  configs)
-    picked = _solve(CoverProblem.from_matrix(matrix, elements), solver,
-                    1.0, time_limit)
+    problem = CoverProblem.from_matrix(matrix, elements)
+    check_coverable(fault_set, problem.universe)
+    picked = _solve(problem, solver, 1.0, time_limit)
     return [ScheduleEntry(period=period, pattern=keys[j][0],
                           config=keys[j][1])
             for j in picked]

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Hashable, Sequence
+from typing import AbstractSet, Hashable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -79,6 +79,19 @@ class PackedCover:
         return len(self.elements)
 
 
+def check_coverable(universe: frozenset[Hashable],
+                    covered: AbstractSet[Hashable]) -> None:
+    """Raise ``ValueError`` unless ``covered`` contains all of ``universe``.
+
+    The report is deterministic and complete: every missing element in
+    ``repr`` order, not a truncated sample.
+    """
+    missing = universe - covered
+    if missing:
+        raise ValueError(f"{len(missing)} universe elements not coverable: "
+                         f"{sorted(missing, key=repr)}")
+
+
 @dataclass
 class CoverProblem:
     """A set-covering instance over hashable elements.
@@ -104,27 +117,18 @@ class CoverProblem:
         if not self.universe:
             self.universe = frozenset(covered)
         else:
-            missing = self.universe - covered
-            if missing:
-                # Deterministic, complete report: every missing element in
-                # repr order, not a truncated sample.
-                raise ValueError(
-                    f"{len(missing)} universe elements not coverable: "
-                    f"{sorted(missing, key=repr)}")
+            check_coverable(self.universe, covered)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, elements: Sequence[Hashable],
-                    subsets: Sequence[frozenset[Hashable]] | None = None
+    def from_matrix(cls, matrix: np.ndarray, elements: Sequence[Hashable]
                     ) -> CoverProblem:
         """Problem over the rows of a packed bit matrix.
 
-        Bit ``b`` of ``matrix`` carries ``elements[b]``.  ``subsets[j]``,
-        when given, must hold exactly the elements of row ``j``; when
-        omitted, each row's set is built on first access (the solvers read
-        only the packed view).  Elements no row covers are dropped, so with
-        ``elements`` sorted by ``repr`` the packed view is bit for bit the
-        one the frozenset constructor would build — without hashing a
-        single element.
+        Bit ``b`` of ``matrix`` carries ``elements[b]``; each row's set is
+        built on first access (the solvers read only the packed view).
+        Elements no row covers are dropped, so with ``elements`` sorted by
+        ``repr`` the packed view is bit for bit the one the frozenset
+        constructor would build — without hashing a single element.
         """
         incidence = unpack_bits(matrix, len(elements))
         present = incidence.any(axis=0)
@@ -134,9 +138,8 @@ class CoverProblem:
         packed = PackedCover(elements=kept, masks=tuple(
             matrix_to_masks(matrix)), full=(1 << len(kept)) - 1,
             matrix=matrix)
-        return cls(subsets=(list(subsets) if subsets is not None
-                            else RowSets(matrix, kept)),
-                   universe=frozenset(kept), _packed=packed)
+        return cls(subsets=RowSets(matrix, kept), universe=frozenset(kept),
+                   _packed=packed)
 
     @property
     def num_subsets(self) -> int:

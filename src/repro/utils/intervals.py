@@ -367,8 +367,6 @@ def segment_points(boundaries: Sequence[float] | np.ndarray, lo: float,
         return []
     b = np.asarray(boundaries, dtype=np.float64)
     pts = np.unique(np.concatenate(([lo, hi], b[(b > lo) & (b < hi)])))
-    if (np.diff(pts) > EPS).all():
-        return pts.tolist()
     dedup: list[float] = []
     for p in pts.tolist():
         if not dedup or p - dedup[-1] > EPS:

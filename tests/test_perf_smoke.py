@@ -56,10 +56,12 @@ SUITE_SERIAL_S = 12.0
 STEP1_PRESOLVE_S = 0.0172
 STEP1_CIRCUIT = "p89k"
 STEP1_PATTERNS = 64
-#: Recorded seconds of classify + conv/heur/prop, cold, on the p89k input
-#: of the ``analysis-large`` benchmark workload (scale 4.0, 64 seeded
-#: random patterns; 13,388 (fault, pattern) entries).
-RANGE_LAYER_S = 2.0
+#: Recorded seconds of the range layers (classify + target_ranges +
+#: discretize + step2 of conv/heur/prop), cold, best of three, on the p89k
+#: input of the ``analysis-large`` benchmark workload (scale 4.0, 64 seeded
+#: random patterns; 13,388 (fault, pattern) entries).  The per-fault
+#: IntervalSet layers this replaced took 1.23 s, above the 0.92 s budget.
+RANGE_LAYER_S = 0.334
 RANGE_CIRCUIT = "p89k"
 RANGE_SCALE = 4.0
 RANGE_PATTERNS = 64
@@ -280,9 +282,10 @@ def test_schedule_has_not_regressed():
 
 @pytest.mark.perf
 def test_range_layer_has_not_regressed():
-    """Time classification plus the conv/heur/prop schedules from a cold
-    range table (best of three runs): everything that reads the flat
-    (fault, pattern) ranges, step-1 HiGHS included."""
+    """Time the layers that read the flat (fault, pattern) ranges from a
+    cold range table, best of three runs: classification plus the
+    ``target_ranges``, ``discretize`` and ``step2`` stages of the
+    conv/heur/prop schedules (step-1 cover solving is left out)."""
     from repro.atpg.patterns import random_test_set
     from repro.circuits.library import suite_circuit, suite_entry
     from repro.core.flow import HdfTestFlow
@@ -292,6 +295,7 @@ def test_range_layer_has_not_regressed():
         heuristic_schedule,
         proposed_schedule,
     )
+    from repro.utils.profiling import StageTimer
 
     budget = _budget(RANGE_LAYER_S)
     circuit = suite_circuit(RANGE_CIRCUIT, scale=RANGE_SCALE)
@@ -303,16 +307,21 @@ def test_range_layer_has_not_regressed():
     elapsed = float("inf")
     for _ in range(3):
         data._invalidate()
+        timer = StageTimer()
         t0 = time.perf_counter()
         cls_ = classify_faults(data, clock, configs)
-        conventional_schedule(data, cls_, clock)
-        heuristic_schedule(data, cls_, clock, configs)
-        proposed_schedule(data, cls_, clock, configs)
-        elapsed = min(elapsed, time.perf_counter() - t0)
+        classify_s = time.perf_counter() - t0
+        conventional_schedule(data, cls_, clock, timer=timer)
+        heuristic_schedule(data, cls_, clock, configs, timer=timer)
+        proposed_schedule(data, cls_, clock, configs, timer=timer)
+        layers_s = classify_s + sum(
+            timer.totals[stage]
+            for stage in ("target_ranges", "discretize", "step2"))
+        elapsed = min(elapsed, layers_s)
     assert cls_.target == res.classification.target
     assert elapsed <= budget, (
-        f"classify + schedules on {RANGE_CIRCUIT} at scale {RANGE_SCALE} "
-        f"took {elapsed:.3f}s, budget {budget:.3f}s (recorded "
+        f"range layers on {RANGE_CIRCUIT} at scale {RANGE_SCALE} took "
+        f"{elapsed:.3f}s, budget {budget:.3f}s (recorded "
         f"{RANGE_LAYER_S:.3f}s x {MAX_SLOWDOWN} + {ABS_SLACK_S}s)")
 
 
@@ -336,9 +345,7 @@ def test_step1_presolve_has_not_regressed():
     _ranges, cand_set = _candidate_set_cached(
         res.data, frozenset(res.classification.target), res.clock,
         res.configs, True, "mid", None)
-    problem = CoverProblem.from_matrix(
-        cand_set.matrix, cand_set.fault_ids,
-        [c.faults for c in cand_set.candidates])
+    problem = CoverProblem.from_matrix(cand_set.matrix, cand_set.fault_ids)
     elapsed = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()

@@ -20,13 +20,20 @@ from __future__ import annotations
 
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.classify import classify_faults
 from repro.faults.detection import DetectionData, FaultPatternRange
 from repro.monitors.monitor import MonitorConfigSet
 from repro.monitors.shifting import observable_range
-from repro.scheduling.schedule import FF_ONLY_CONFIG, pattern_config_rows
+from repro.scheduling.resched import _combined_unclipped
+from repro.scheduling.schedule import (
+    FF_ONLY_CONFIG,
+    ScheduleEntry,
+    _solve_period,
+    pattern_config_rows,
+)
 from repro.timing.clock import ClockSpec
 from repro.utils.bitset import matrix_bits
 from repro.utils.intervals import EPS, IntervalAccumulator, IntervalSet
@@ -88,6 +95,8 @@ def test_kernel_matches_interval_set_definition(data, configs, window):
         um = reference_union(data, fi, "i_mon")
         assert exact(table.union_all().interval_set(fi)) == exact(ua)
         assert exact(table.union_mon().interval_set(fi)) == exact(um)
+        assert exact(table.combined(configs).interval_set(fi)) \
+            == exact(_combined_unclipped(data, fi, configs))
         want = observable_range(ua, um, configs, t_min, t_nom)
         assert exact(observable.interval_set(fi)) == exact(want)
         assert exact(data.detection_range(fi, configs, t_min, t_nom)) \
@@ -199,3 +208,20 @@ def test_table_is_rebuilt_after_add_and_never_pickled():
     clone = pickle.loads(pickle.dumps(data))
     assert clone._table is None
     assert exact(clone.union_mon(1)) == exact(a)
+
+
+def test_step2_rejects_a_fault_no_row_detects():
+    data = DetectionData(circuit=None, faults=[None, None], patterns=None,
+                         horizon=10.0, monitored_gates=frozenset())
+    data.add(0, 0, FaultPatternRange(IntervalSet.single(1.0, 2.0),
+                                     IntervalSet.empty()))
+    data.add(1, 0, FaultPatternRange(IntervalSet.single(5.0, 6.0),
+                                     IntervalSet.empty()))
+    for solver in ("ilp", "greedy"):
+        with pytest.raises(ValueError,
+                           match=r"1 universe elements not coverable: \[1\]"):
+            _solve_period(data.range_table(), 1.5, frozenset({0, 1}), None,
+                          solver, 10.0)
+    assert _solve_period(data.range_table(), 1.5, frozenset({0}), None,
+                         "ilp", 10.0) == [
+        ScheduleEntry(period=1.5, pattern=0, config=FF_ONLY_CONFIG)]

@@ -103,10 +103,10 @@ def step1_problems(res, *, packed: bool = True) -> dict[str, CoverProblem]:
         _ranges, cand_set = _candidate_set_cached(
             res.data, frozenset(targets), res.clock, configs, True, "mid",
             None)
-        subsets = [c.faults for c in cand_set.candidates]
         out[key] = (CoverProblem.from_matrix(cand_set.matrix,
-                                             cand_set.fault_ids, subsets)
-                    if packed else CoverProblem(subsets=subsets))
+                                             cand_set.fault_ids)
+                    if packed else CoverProblem(subsets=[
+                        c.faults for c in cand_set.candidates]))
     return out
 
 

@@ -70,8 +70,7 @@ class TestCoverProblem:
         elements = ("a", "b", "c", "d")
         rows = [{0, 2}, {2, 3}, {3}]
         subsets = [frozenset(elements[b] for b in r) for r in rows]
-        built = CoverProblem.from_matrix(pack_sets(rows, 4), elements,
-                                         subsets)
+        built = CoverProblem.from_matrix(pack_sets(rows, 4), elements)
         ref = CoverProblem(subsets=subsets)
         assert built.universe == ref.universe == frozenset("acd")
         a, b = built.packed(), ref.packed()
@@ -232,7 +231,7 @@ def test_property_presolve_is_lossless(p):
 def test_property_matrix_construction_same_reduction(p):
     """Building from the packed rows reproduces the frozenset problem."""
     pk = p.packed()
-    built = CoverProblem.from_matrix(pk.matrix, pk.elements, p.subsets)
+    built = CoverProblem.from_matrix(pk.matrix, pk.elements)
     assert built.universe == p.universe
     assert built.packed().masks == pk.masks
     assert presolve_cover(built) == presolve_cover(p)

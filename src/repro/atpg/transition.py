@@ -10,7 +10,9 @@ over 99.9 %").  Three phases:
 2. **Deterministic phase** — for each remaining fault, PODEM generates the
    capture vector (the transition fault's stuck-at image) and a
    justification pass produces the launch vector establishing the initial
-   value at the site.
+   value at the site.  A proven-untestable capture image settles every
+   fault it implies untestable under stuck-at equivalence and dominance
+   (:func:`_untestable_implications`) without a PODEM call of its own.
 3. **Compaction** — reverse-order fault dropping removes patterns made
    redundant by later ones (see :mod:`repro.atpg.compaction`).
 
@@ -43,8 +45,8 @@ from repro.atpg.patterns import PatternPair, TestSet
 from repro.atpg.podem import Podem
 from repro.faults.models import TransitionFault
 from repro.faults.universe import fault_sites
-from repro.netlist.circuit import Circuit
-from repro.simulation.logic import X
+from repro.netlist.circuit import Circuit, GateKind
+from repro.simulation.logic import X, controlling_value, inversion_parity
 from repro.simulation.parallel_sim import BitParallelSimulator
 from repro.utils.profiling import StageTimer
 
@@ -113,6 +115,62 @@ def _fault_rows(circuit: Circuit,
         stuck.append(value)
         sites.append((gate, pin, value))
     return _FaultRows(signal, stuck, sites)
+
+
+def _untestable_implications(circuit: Circuit,
+                             rows: _FaultRows) -> list[list[int]]:
+    """Per-position successors of the untestable-implication relation.
+
+    ``j in out[i]`` when every vector detecting the capture stuck-at image
+    of fault ``j`` also detects that of fault ``i``, so a proof that ``i``
+    is untestable settles ``j`` too.  Edges come from textbook fault
+    collapsing, with a stuck-at value ``v`` at pin ``(gate, pin)``:
+
+    * a combinational, non-output stem read by exactly one combinational
+      pin is equivalent to that branch (both directions);
+    * BUF/NOT input s-a-``v`` is equivalent to output s-a-``v ^ inv``;
+    * AND/NAND/OR/NOR with controlling value ``c``: input s-a-``c`` is
+      equivalent to output s-a-``c ^ inv``, and output
+      s-a-``not (c ^ inv)`` dominates input s-a-``not c`` (output → input
+      only).
+
+    Only faults present in ``rows`` take part.
+    """
+    gates = circuit.gates
+    outputs = set(circuit.outputs)
+    pos = {site: j for j, site in enumerate(rows.sites)}
+    out: list[list[int]] = [[] for _ in rows.sites]
+
+    def link(a: tuple[int, int, int], b: tuple[int, int, int],
+             both: bool) -> None:
+        i, j = pos.get(a), pos.get(b)
+        if i is not None and j is not None:
+            out[i].append(j)
+            if both:
+                out[j].append(i)
+
+    for g in gates:
+        if not GateKind.is_combinational(g.kind):
+            continue
+        gi = g.index
+        fo = circuit.fanouts(gi)
+        if (len(fo) == 1 and gi not in outputs
+                and GateKind.is_combinational(gates[fo[0][0]].kind)):
+            reader, pin = fo[0]
+            for v in (0, 1):
+                link((gi, -1, v), (reader, pin, v), True)
+        inv = int(inversion_parity(g.kind))
+        if g.kind in (GateKind.BUF, GateKind.NOT):
+            for v in (0, 1):
+                link((gi, 0, v), (gi, -1, v ^ inv), True)
+            continue
+        c = controlling_value(g.kind)
+        if c is None:
+            continue  # XOR/XNOR: no input value settles the output
+        for pin in range(g.arity):
+            link((gi, pin, c), (gi, -1, c ^ inv), True)
+            link((gi, -1, 1 ^ c ^ inv), (gi, pin, 1 ^ c), False)
+    return out
 
 
 def _rank_key(circuit: Circuit) -> Callable[[TransitionFault], int]:
@@ -233,6 +291,7 @@ def generate_transition_tests(
     podem = Podem(circuit, max_backtracks=max_backtracks)
     sources = circuit.sources()
     _phase2_incremental(sim, podem, sources, rng, ranked, rows,
+                        _untestable_implications(circuit, rows),
                         undetected, result, timer=timer)
 
     # ------------------------------------------------------------------
@@ -254,7 +313,8 @@ def generate_transition_tests(
 def _phase2_incremental(sim: BitParallelSimulator, podem: Podem,
                         sources: list[int], rng: random.Random,
                         ranked: list[TransitionFault], rows: _FaultRows,
-                        undetected: list[int], result: AtpgResult, *,
+                        implied: list[list[int]], undetected: list[int],
+                        result: AtpgResult, *,
                         timer: StageTimer | None) -> None:
     """Deterministic phase on the packed kernel.
 
@@ -263,17 +323,36 @@ def _phase2_incremental(sim: BitParallelSimulator, podem: Podem,
     still-open faults; a settled fault is flagged in ``settled`` and
     filtered out of ``alive`` before the next grading, instead of being
     searched for in a list of fault objects.
+
+    When PODEM *proves* a capture image untestable, every fault reachable
+    from it along ``implied`` (:func:`_untestable_implications`) is
+    settled as untestable like a dropped fault, and never searched.  An
+    abort proves nothing, and a failed launch justification leaves the
+    capture image testable, so neither propagates.  A skipped search
+    draws no random fill and adds no pattern: the test set is unchanged.
     """
     test_set = result.test_set
     signal, stuck, _sites = rows
     settled = bytearray(len(ranked))
+    proven = bytearray(len(ranked))  # capture image proven untestable
     alive = list(undetected)
     for i in undetected:
         if settled[i]:
-            continue  # dropped by an earlier deterministic pattern
+            continue  # dropped by a pattern or implied untestable
         f = ranked[i]
         t0 = time.perf_counter() if timer is not None else 0.0
         capture_assign = podem.generate(f.as_stuck_at())
+        if capture_assign is None and not podem.stats.aborted:
+            proven[i] = 1
+            stack = [i]
+            while stack:
+                for j in implied[stack.pop()]:
+                    if not proven[j]:
+                        proven[j] = 1
+                        stack.append(j)
+                        if not settled[j]:
+                            settled[j] = 1
+                            result.untestable.add(ranked[j])
         launch_assign = (None if capture_assign is None
                          else podem.justify(signal[i], stuck[i]))
         if launch_assign is None:

@@ -235,6 +235,10 @@ class AtpgStage(Stage):
     deps = ()
     artifact_type = PatternsArtifact
     config_fields = ("atpg_seed", "pattern_cap")
+    # v2: fault collapsing settles implied-untestable faults without a
+    # PODEM search — an older stored AtpgResult carries the previous
+    # untestable/aborted ledgers under the same key.
+    CACHE_VERSION = 2
 
     def run(self, ctx: StageContext,
             inputs: dict[str, Any]) -> PatternsArtifact:

@@ -276,7 +276,9 @@ class SimulationStage(Stage):
     # pickled artifacts carry a plain dict there.
     # v3: the per-fault union memos gave way to the unpickled range table
     # (``DetectionData._table``).
-    CACHE_VERSION = 3
+    # v4: the stored form changed — ``DetectionData.table`` holds the
+    # range arrays and the per-(fault, pattern) interval-set dicts are gone.
+    CACHE_VERSION = 4
 
     def run(self, ctx: StageContext,
             inputs: dict[str, Any]) -> DetectionArtifact:

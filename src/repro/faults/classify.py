@@ -149,7 +149,7 @@ def classify_faults(data: DetectionData, clock: ClockSpec,
     """
     cls = FaultClassification(data=data, clock=clock, configs=configs)
     t_min, t_nom = clock.t_min, clock.t_nom
-    table = data.range_table()
+    table = data.table
     delays = tuple(configs)
 
     def ids(faults: np.ndarray) -> set[int]:

@@ -16,10 +16,13 @@ portion below ``t_min`` is unobservable by flip-flops but becomes relevant
 once shifted by a monitor delay, which is precisely the paper's mechanism for
 recovering otherwise hidden faults.
 
-Everything downstream reads one flat view of these ranges,
-:class:`RangeTable` (:meth:`DetectionData.range_table`): the pieces as
-float arrays, and the one kernel that builds ``I(φ)`` for every fault at
-once, used by classification, discretization and step 2 of the schedule.
+The ranges have one representation, :class:`RangeTable`: every piece as
+flat arrays.  It is what :class:`DetectionData` stores and pickles, and it
+is the one kernel that builds ``I(φ)`` for every fault at once, used by
+classification, discretization and step 2 of the schedule.  Both engines
+hand their raw per-observation-point pieces to
+:meth:`RangeTable.from_pieces`; :attr:`DetectionData.ranges` is a
+read-only ``fault -> {pattern -> FaultPatternRange}`` view built on demand.
 
 Engine: the default ``"wordwave"`` engine runs the whole fault universe
 through batched NumPy array kernels (:mod:`repro.simulation.word_wave`) —
@@ -37,8 +40,9 @@ definition above by ``tests/test_detection_rule.py``.
 from __future__ import annotations
 
 import time
+from collections import abc
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +54,6 @@ from repro.simulation.wave_sim import DEFAULT_INERTIAL_PS, WaveformSimulator
 from repro.utils.cache import LruCache
 from repro.utils.intervals import (
     EPS,
-    IntervalAccumulator,
     IntervalSet,
     _interval_set_from_sorted,
     _interval_unchecked,
@@ -77,6 +80,21 @@ class FaultPatternRange:
     @property
     def is_empty(self) -> bool:
         return self.i_all.is_empty and self.i_mon.is_empty
+
+
+#: Raw detection pieces ``(fault, pattern, lo, hi)``, one row per piece.
+Pieces = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _interval_set_of(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     key: int) -> IntervalSet:
+    """The canonical pieces of ``key`` (``keys`` ascending) as an
+    :class:`IntervalSet`."""
+    a = int(np.searchsorted(keys, key, side="left"))
+    b = int(np.searchsorted(keys, key, side="right"))
+    return _interval_set_from_sorted(tuple(
+        _interval_unchecked(x, y)
+        for x, y in zip(lo[a:b].tolist(), hi[a:b].tolist())))
 
 
 def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -130,21 +148,17 @@ class FlatRanges:
         """The fault's pieces as an :class:`IntervalSet` (memoized)."""
         out = self._sets.get(fault)
         if out is None:
-            a = int(np.searchsorted(self.fault, fault, side="left"))
-            b = int(np.searchsorted(self.fault, fault, side="right"))
-            out = _interval_set_from_sorted(tuple(
-                _interval_unchecked(lo, hi) for lo, hi in
-                zip(self.lo[a:b].tolist(), self.hi[a:b].tolist())))
+            out = _interval_set_of(self.fault, self.lo, self.hi, fault)
             self._sets[fault] = out
         return out
 
 
 def merge_pieces(fault: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray) -> FlatRanges:
-    """Per-fault union of raw pieces, in :class:`IntervalSet`'s float
-    operation order: drop pieces with ``hi - lo <= EPS``, sort by
-    ``(lo, hi)``, and extend the running piece while
-    ``lo <= running_hi + EPS``."""
+    """Per-key union of raw pieces (the key is a fault or a table entry),
+    in :class:`IntervalSet`'s float operation order: drop pieces with
+    ``hi - lo <= EPS``, sort by ``(lo, hi)``, and extend the running piece
+    while ``lo <= running_hi + EPS``."""
     keep = (hi - lo) > EPS
     fault, lo, hi = fault[keep], lo[keep], hi[keep]
     if fault.size == 0:
@@ -173,22 +187,33 @@ def clip_pieces(ranges: FlatRanges, t_min: float, t_nom: float) -> FlatRanges:
     return FlatRanges(ranges.fault[keep], lo[keep], hi[keep])
 
 
+def piece_arrays(rows: Sequence[tuple[int, int, float, float]]) -> Pieces:
+    """:data:`Pieces` arrays of ``(fault, pattern, lo, hi)`` rows."""
+    fault, pattern, lo, hi = zip(*rows) if rows else ((), (), (), ())
+    return (np.array(fault, dtype=np.int64),
+            np.array(pattern, dtype=np.int64),
+            np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64))
+
+
 #: Bound of a range table's per-(configs, window) kernel memo.
 KERNEL_CACHE_SIZE = 8
 
 
 class RangeTable:
-    """Flat, read-only view of :attr:`DetectionData.ranges`.
+    """Every (fault, pattern) detection range as flat arrays.
 
     Entry ``e`` is the (fault, pattern) pair ``(entry_fault[e],
     entry_pattern[e])``; entries are sorted by fault, then pattern.  Every
     ``i_all`` piece is ``[all_lo[k], all_hi[k]]`` of entry ``all_entry[k]``
-    and every ``i_mon`` piece likewise; pieces are sorted by entry.
+    and every ``i_mon`` piece likewise; pieces are sorted by entry, then
+    ``lo``, and each entry's pieces are canonical in the
+    :class:`IntervalSet` sense.  Only entries with a piece exist.
 
     The table is also the one ``I(φ)`` kernel: :meth:`union_all`,
     :meth:`union_mon`, :meth:`combined` and :meth:`observable` build the
     per-fault unions for all faults at once, memoized per configuration
-    set and window.
+    set and window.  A pickled table holds the arrays alone; the unions
+    and the memo are rebuilt on first use after a load.
     """
 
     def __init__(self, faults: np.ndarray, entry_fault: np.ndarray,
@@ -196,7 +221,7 @@ class RangeTable:
                  all_lo: np.ndarray, all_hi: np.ndarray,
                  mon_entry: np.ndarray, mon_lo: np.ndarray,
                  mon_hi: np.ndarray) -> None:
-        #: Keys of ``ranges``, ascending: the activated faults.
+        #: The faults with an entry, ascending: the activated faults.
         self.faults = faults
         self.entry_fault = entry_fault
         self.entry_pattern = entry_pattern
@@ -206,43 +231,59 @@ class RangeTable:
         self._union_mon: FlatRanges | None = None
         self._memo = LruCache(maxsize=KERNEL_CACHE_SIZE)
 
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The constructor arguments: everything the table stores."""
+        return (self.faults, self.entry_fault, self.entry_pattern,
+                self.all_entry, self.all_lo, self.all_hi,
+                self.mon_entry, self.mon_lo, self.mon_hi)
+
+    def __reduce__(self) -> tuple:
+        return (RangeTable, self.arrays())
+
+    @classmethod
+    def empty(cls) -> "RangeTable":
+        return cls.from_ranges({})
+
+    @classmethod
+    def from_pieces(cls, all_pieces: Pieces, mon_pieces: Pieces
+                    ) -> "RangeTable":
+        """The table of raw detection pieces, in any order.
+
+        An entry's ``i_all`` (``i_mon``) is the :class:`IntervalSet` union
+        of its rows in ``all_pieces`` (``mon_pieces``), in the same float
+        operations (:func:`merge_pieces`).  Rows with ``hi - lo <= EPS``
+        are dropped, so an entry exists when either union is non-empty.
+        """
+        width = 1 + max((int(p.max()) for _, p, _, _ in
+                         (all_pieces, mon_pieces) if p.size), default=0)
+        keyed = []
+        for fault, pattern, lo, hi in (all_pieces, mon_pieces):
+            keep = (hi - lo) > EPS
+            keyed.append((fault[keep] * width + pattern[keep],
+                          lo[keep], hi[keep]))
+        keys = np.unique(np.concatenate([k for k, _, _ in keyed]))
+        a, m = (merge_pieces(np.searchsorted(keys, k), lo, hi)
+                for k, lo, hi in keyed)
+        entry_fault = keys // width
+        return cls(np.unique(entry_fault), entry_fault, keys % width,
+                   a.fault, a.lo, a.hi, m.fault, m.lo, m.hi)
+
     @classmethod
     def from_ranges(cls, ranges: Mapping[int, Mapping[int, FaultPatternRange]]
                     ) -> "RangeTable":
-        e_fault: list[int] = []
-        e_pattern: list[int] = []
-        a_e: list[int] = []
-        a_lo: list[float] = []
-        a_hi: list[float] = []
-        m_e: list[int] = []
-        m_lo: list[float] = []
-        m_hi: list[float] = []
-        faults = sorted(ranges)
-        for fi in faults:
-            per = ranges[fi]
-            for pi in sorted(per):
-                fpr = per[pi]
-                e = len(e_fault)
-                e_fault.append(fi)
-                e_pattern.append(pi)
-                for iv in fpr.i_all.intervals:
-                    a_e.append(e)
-                    a_lo.append(iv.lo)
-                    a_hi.append(iv.hi)
-                for iv in fpr.i_mon.intervals:
-                    m_e.append(e)
-                    m_lo.append(iv.lo)
-                    m_hi.append(iv.hi)
+        """The table of a ``fault -> {pattern -> ranges}`` mapping."""
+        rows: tuple[list, list] = ([], [])
+        for fi, per in ranges.items():
+            for pi, fpr in per.items():
+                for out, rng in zip(rows, (fpr.i_all, fpr.i_mon)):
+                    out.extend((fi, pi, iv.lo, iv.hi) for iv in rng)
+        return cls.from_pieces(*map(piece_arrays, rows))
 
-        def ints(xs):
-            return np.array(xs, dtype=np.int64)
-
-        def floats(xs):
-            return np.array(xs, dtype=np.float64)
-
-        return cls(ints(faults), ints(e_fault), ints(e_pattern),
-                   ints(a_e), floats(a_lo), floats(a_hi),
-                   ints(m_e), floats(m_lo), floats(m_hi))
+    def entry_range(self, e: int) -> FaultPatternRange:
+        """Entry ``e``'s ranges as interval sets."""
+        return FaultPatternRange(
+            _interval_set_of(self.all_entry, self.all_lo, self.all_hi, e),
+            _interval_set_of(self.mon_entry, self.mon_lo, self.mon_hi, e))
 
     def shifted(self, shifts: Mapping[int, float]) -> "RangeTable":
         """Copy whose pieces of fault ``f`` move by ``shifts[f]``."""
@@ -350,6 +391,29 @@ class RangeTable:
         return owner, _concat_ranges(a, b)
 
 
+class _SortedView(abc.Mapping):
+    """Read-only mapping over an ascending key array; ``item(i)`` builds
+    the value of ``keys[i]`` on demand."""
+
+    __slots__ = ("_keys", "_item")
+
+    def __init__(self, keys: np.ndarray, item: Callable[[int], Any]) -> None:
+        self._keys = keys
+        self._item = item
+
+    def __getitem__(self, key: int) -> Any:
+        i = int(np.searchsorted(self._keys, key))
+        if i == self._keys.size or self._keys[i] != key:
+            raise KeyError(key)
+        return self._item(i)
+
+    def __iter__(self):
+        return iter(self._keys.tolist())
+
+    def __len__(self) -> int:
+        return int(self._keys.size)
+
+
 @dataclass
 class DetectionData:
     """Sparse (fault, pattern) → detection-range table plus aggregates."""
@@ -359,42 +423,43 @@ class DetectionData:
     patterns: TestSet
     horizon: float
     monitored_gates: frozenset[int]
-    #: fault index -> {pattern index -> ranges}; only non-empty entries exist.
-    ranges: dict[int, dict[int, FaultPatternRange]] = field(default_factory=dict)
-    #: Flat view of ``ranges`` and its ``I(φ)`` memo, built on first use
-    #: (:meth:`range_table`), dropped by :meth:`add` and never pickled.
-    _table: RangeTable | None = field(default=None, repr=False,
-                                      compare=False)
+    #: Every non-empty (fault, pattern) range: the stored form.
+    table: RangeTable = field(default_factory=RangeTable.empty)
     #: (targets, configs, window, policy) -> (ranges, CandidateSet); the
     #: schedule optimizer's discretization cache — the heuristic, proposed
     #: and relaxed-coverage schedules all share one candidate set.  Bounded:
     #: distinct candidate-set keys (different target sets, windows, prune
     #: policies) used to accumulate without limit; the LRU keeps the most
     #: recent ones and counts hits/misses for ``repro flow --verbose``.
+    #: Derived, so a pickled copy starts without it.
     _sched_cache: LruCache = field(
         default_factory=lambda: LruCache(maxsize=SCHED_CACHE_SIZE),
         repr=False)
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state["_table"] = None
+        state["_sched_cache"] = LruCache(maxsize=SCHED_CACHE_SIZE)
         return state
 
-    def add(self, fault_idx: int, pattern_idx: int,
-            fpr: FaultPatternRange) -> None:
-        self.ranges.setdefault(fault_idx, {})[pattern_idx] = fpr
-        self._invalidate()
+    @property
+    def ranges(self) -> Mapping[int, Mapping[int, FaultPatternRange]]:
+        """Read-only view: fault -> {pattern -> ranges}, non-empty entries
+        only, built from the table on access."""
+        t = self.table
+
+        def patterns(i: int) -> Mapping[int, FaultPatternRange]:
+            a = int(np.searchsorted(t.entry_fault, t.faults[i], side="left"))
+            b = int(np.searchsorted(t.entry_fault, t.faults[i],
+                                    side="right"))
+            return _SortedView(t.entry_pattern[a:b],
+                               lambda j: t.entry_range(a + j))
+
+        return _SortedView(t.faults, patterns)
 
     def _invalidate(self) -> None:
-        """Drop everything derived from ``ranges``."""
-        self._table = None
+        """Drop every memo derived from the table (to time a cold run)."""
+        self.table = RangeTable(*self.table.arrays())
         self._sched_cache.clear()
-
-    def range_table(self) -> RangeTable:
-        """The flat range table (built once, after the last :meth:`add`)."""
-        if self._table is None:
-            self._table = RangeTable.from_ranges(self.ranges)
-        return self._table
 
     def pairs_for_fault(self, fault_idx: int) -> list[tuple[int, FaultPatternRange]]:
         """All patterns with a non-empty range for the fault."""
@@ -402,11 +467,11 @@ class DetectionData:
 
     def union_all(self, fault_idx: int) -> IntervalSet:
         """Union of ``i_all`` over all patterns (FF detection range of φ)."""
-        return self.range_table().union_all().interval_set(fault_idx)
+        return self.table.union_all().interval_set(fault_idx)
 
     def union_mon(self, fault_idx: int) -> IntervalSet:
         """Union of pre-shift ``i_mon`` over all patterns."""
-        return self.range_table().union_mon().interval_set(fault_idx)
+        return self.table.union_mon().interval_set(fault_idx)
 
     def detection_range(self, fault_idx: int, configs: Sequence[float],
                         t_min: float, t_nom: float) -> IntervalSet:
@@ -416,7 +481,7 @@ class DetectionData:
         One fault's slice of :meth:`RangeTable.observable`, which builds
         the range of every fault at once per (configuration set, window).
         """
-        return self.range_table().observable(
+        return self.table.observable(
             configs, t_min, t_nom).interval_set(fault_idx)
 
     def faults_with_ranges(self) -> set[int]:
@@ -481,17 +546,20 @@ def _simulate_one_pattern(
     horizon: float,
     monitored: frozenset[int],
     glitch_threshold: float,
+    all_rows: list,
+    mon_rows: list,
     active_masks: Sequence[int] | None = None,
     timer: StageTimer | None = None,
-) -> list[tuple[int, FaultPatternRange]]:
-    """Ranges of every activated fault under one pattern."""
+) -> None:
+    """Append the raw detection pieces ``(fault, pattern, lo, hi)`` of every
+    activated fault under one pattern to ``all_rows``, and those seen at a
+    monitored observation point to ``mon_rows`` too."""
     t0 = time.perf_counter() if timer is not None else 0.0
     base = sim.simulate(pattern.launch, pattern.capture)
     if timer is not None:
         timer.add("base_sim", time.perf_counter() - t0)
     base_waves = base.waveforms
     bit = 1 << pattern_idx
-    out: list[tuple[int, FaultPatternRange]] = []
     for fi, fault in enumerate(faults):
         if not reach[fi]:
             continue
@@ -509,8 +577,6 @@ def _simulate_one_pattern(
         if timer is not None:
             t1 = time.perf_counter()
             timer.add("faulty_sim", t1 - t0)
-        i_all = IntervalAccumulator()
-        i_mon = IntervalAccumulator()
         faulty_waves = faulty.waveforms
         for og in reach[fi]:
             bw = base_waves[og]
@@ -520,17 +586,13 @@ def _simulate_one_pattern(
             diff = bw.diff_intervals(fw, horizon)
             if diff.is_empty:
                 continue
-            diff = diff.filter_glitches(glitch_threshold)
-            if diff.is_empty:
-                continue
-            i_all.add(diff)
+            rows = [(fi, pattern_idx, iv.lo, iv.hi)
+                    for iv in diff.filter_glitches(glitch_threshold)]
+            all_rows.extend(rows)
             if og in monitored:
-                i_mon.add(diff)
-        if not (i_all.is_empty and i_mon.is_empty):
-            out.append((fi, FaultPatternRange(i_all.build(), i_mon.build())))
+                mon_rows.extend(rows)
         if timer is not None:
             timer.add("intervals", time.perf_counter() - t1)
-    return out
 
 
 def compute_detection_data(
@@ -571,50 +633,65 @@ def compute_detection_data(
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     monitored = frozenset(monitored_gates)
-    data = DetectionData(
-        circuit=circuit,
-        faults=list(faults),
-        patterns=patterns,
-        horizon=horizon,
-        monitored_gates=monitored,
-    )
-    total = len(patterns)
-
+    faults = list(faults)
+    table = None
     if engine == "wordwave":
         from repro.simulation.word_wave import (run_wordwave,
                                                 wordwave_fallback_reason)
-        reason = wordwave_fallback_reason(circuit, patterns, inertial)
-        if reason is None and run_wordwave(
-                data, inertial=inertial,
-                glitch_threshold=glitch_threshold, timer=timer):
-            if progress is not None:
-                progress(total, total)
-            return data
-        # Workload outside the array kernels' envelope (don't-cares, exotic
-        # gate kinds or fault sites, degenerate inertial): the incremental
-        # engine produces the identical DetectionData, just event-driven.
-        engine = "incremental"
+        if wordwave_fallback_reason(circuit, patterns, inertial) is None:
+            table = run_wordwave(
+                circuit, faults, patterns, horizon=horizon,
+                monitored=monitored, inertial=inertial,
+                glitch_threshold=glitch_threshold, timer=timer)
+        if table is not None and progress is not None:
+            progress(len(patterns), len(patterns))
+    if table is None:
+        # The incremental engine, or a workload outside the array kernels'
+        # envelope (don't-cares, exotic gate kinds or fault sites,
+        # degenerate inertial): the identical table, just event-driven.
+        table = _run_incremental(
+            circuit, faults, patterns, horizon=horizon, monitored=monitored,
+            inertial=inertial, glitch_threshold=glitch_threshold,
+            progress=progress, timer=timer)
+    return DetectionData(circuit=circuit, faults=faults, patterns=patterns,
+                         horizon=horizon, monitored_gates=monitored,
+                         table=table)
 
+
+def _run_incremental(circuit: Circuit, faults: Sequence[SmallDelayFault],
+                     patterns: TestSet, *, horizon: float,
+                     monitored: frozenset[int], inertial: float,
+                     glitch_threshold: float,
+                     progress: Callable[[int, int], None] | None,
+                     timer: StageTimer | None) -> RangeTable:
+    """The range table by the event-driven engine, one pattern at a time."""
     # Per-fault reachable observation gates: only the event-driven engine
     # walks explicit cone lists (wordwave decides eligibility on its plan's
     # reachability bitmap instead).
-    reach, site_signal = _prepare_reach(circuit, data.faults)
+    reach, site_signal = _prepare_reach(circuit, faults)
 
     active_masks: list[int] | None = None
-    if data.faults:
+    if faults:
         t0 = time.perf_counter() if timer is not None else 0.0
         active_masks = _pregrade_activation(circuit, patterns, site_signal)
         if timer is not None:
             timer.add("pregrade", time.perf_counter() - t0)
 
     sim = WaveformSimulator(circuit, inertial=inertial)
+    all_rows: list[tuple[int, int, float, float]] = []
+    mon_rows: list[tuple[int, int, float, float]] = []
     for pi, pattern in enumerate(patterns):
-        for fi, fpr in _simulate_one_pattern(
-                sim, data.faults, reach, site_signal, pattern, pi,
-                horizon=horizon, monitored=monitored,
-                glitch_threshold=glitch_threshold,
-                active_masks=active_masks, timer=timer):
-            data.add(fi, pi, fpr)
+        _simulate_one_pattern(
+            sim, faults, reach, site_signal, pattern, pi,
+            horizon=horizon, monitored=monitored,
+            glitch_threshold=glitch_threshold, all_rows=all_rows,
+            mon_rows=mon_rows, active_masks=active_masks, timer=timer)
         if progress is not None:
-            progress(pi + 1, total)
-    return data
+            progress(pi + 1, len(patterns))
+    t0 = time.perf_counter() if timer is not None else 0.0
+    table = RangeTable.from_pieces(piece_arrays(all_rows),
+                                   piece_arrays(mon_rows))
+    if timer is not None:
+        # Joins the per-instance interval time without counting an instance.
+        timer.add("intervals", time.perf_counter() - t0, count=0)
+    return table

@@ -62,11 +62,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.faults.detection import (
-    DetectionData,
-    FaultPatternRange,
-    RangeTable,
-)
+from repro.faults.detection import DetectionData, RangeTable
 from repro.monitors.monitor import MonitorConfigSet
 from repro.scheduling.discretize import (
     CandidateSet,
@@ -77,13 +73,13 @@ from repro.scheduling.discretize import (
     sweep_grid,
 )
 from repro.scheduling.schedule import (
-    FF_ONLY_CONFIG,
     ScheduleEntry,
     ScheduleResult,
     Solver,
     _solve_period,
     optimize_from_candidates,
     order_periods_fault_dropping,
+    pattern_config_rows,
 )
 from repro.scheduling.setcover import (
     DEFAULT_TIME_LIMIT_S,
@@ -99,18 +95,13 @@ from repro.scheduling.setcover import (
     solve_reduction,
 )
 from repro.timing.clock import ClockSpec
-from repro.utils.bitset import zeros
+from repro.utils.bitset import matrix_to_masks, zeros
 from repro.utils.cache import LruCache
 from repro.utils.intervals import IntervalAccumulator, IntervalSet
 
 #: Bound of the per-state step-2 solution memo: alert bursts revisit the
 #: same (period, fault set, shifts) subproblems across re-solves.
 STEP2_CACHE_SIZE = 512
-
-#: Bound of the per-state (period, fault, shift) -> (pattern, config) hit
-#: memo; step-2 subproblems re-test the same fault at the same period
-#: across periods and re-solves.
-COMBO_CACHE_SIZE = 32768
 
 _WORD_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -272,10 +263,6 @@ class ScheduleState:
     fault_ranges: dict[int, IntervalSet] = field(default_factory=dict)
     #: fault -> boundaries of the current range (grid rebuild input).
     fault_boundaries: dict[int, list[float]] = field(default_factory=dict)
-    #: fault -> per-pattern ranges at the current shift (clean faults
-    #: alias the DetectionData entries; dirty faults get shifted copies).
-    pattern_ranges: dict[int, dict[int, FaultPatternRange]] = \
-        field(default_factory=dict)
     grid: SweepGrid | None = None
     matrix_raw: np.ndarray | None = None       # occupancy pre-degenerate
     cand_set: CandidateSet | None = None
@@ -287,12 +274,9 @@ class ScheduleState:
     prev_chosen_masks: tuple[int, ...] = ()
     step2_cache: LruCache = field(
         default_factory=lambda: LruCache(maxsize=STEP2_CACHE_SIZE))
-    #: (period, fault, shift) -> tuple of (pattern, config) hits.
-    combo_cache: LruCache = field(
-        default_factory=lambda: LruCache(maxsize=COMBO_CACHE_SIZE))
     #: period -> (pattern, config) keys of the last step-2 optimum there,
     #: shift-agnostic: the repair candidate the warm step 2 re-validates
-    #: against the current combos before certifying it optimal.
+    #: against the current rows before certifying it optimal.
     period_prev: dict[float, tuple[tuple[int, int], ...]] = \
         field(default_factory=dict)
     schedule: ScheduleResult | None = None
@@ -336,7 +320,7 @@ def prepare_state(
         data=data, targets=frozenset(targets), clock=clock, configs=configs,
         solver=solver, time_limit=time_limit,
         prune_dominated=prune_dominated, point=point)
-    combined = data.range_table().combined(state.config_delays)
+    combined = data.table.combined(state.config_delays)
     ids = []
     for f in sorted(state.targets, key=repr):
         base = combined.interval_set(f)
@@ -347,8 +331,6 @@ def prepare_state(
         rng = base.clipped(clock.t_min, clock.t_nom)
         state.fault_ranges[f] = rng
         state.fault_boundaries[f] = rng.boundaries()
-        if f in data.ranges:
-            state.pattern_ranges[f] = data.ranges[f]
     state.fault_ids = tuple(ids)
     state.fault_bit = {f: b for b, f in enumerate(state.fault_ids)}
     for f in state.fault_ids:
@@ -603,59 +585,24 @@ def _step2_key(state: ScheduleState, period: float,
     return (period, fault_set, shifts)
 
 
-def _fault_combo_hits(state: ScheduleState, period: float,
-                      f: int) -> tuple[tuple[int, int], ...]:
-    """(pattern, config) combos detecting fault ``f`` at ``period``.
-
-    Memoized by ``(period, fault, shift)`` — the per-pattern overlay is a
-    pure function of the fault and its gate's cumulative shift, so the
-    hit tuple is too.  Interval tests match
-    :func:`~repro.scheduling.schedule.pattern_config_rows` bit for bit
-    (``(lo + s) + d`` against ``period`` with ``EPS`` tolerance), keeping
-    the warm step-2 subproblems identical to the cold ones.
-    """
-    key = (period, f, state.shifts.get(state.fault_gate[f], 0.0))
-    hits = state.combo_cache.get(key)
-    if hits is not None:
-        return hits
-    configs = state.configs
-    out: list[tuple[int, int]] = []
-    for pi, fpr in state.pattern_ranges.get(f, {}).items():
-        ff_hit = fpr.i_all.contains(period)
-        if configs is None:
-            if ff_hit:
-                out.append((pi, FF_ONLY_CONFIG))
-            continue
-        for ci, d in enumerate(configs):
-            if ff_hit or fpr.i_mon.shifted(d).contains(period):
-                out.append((pi, ci))
-    hits = tuple(out)
-    state.combo_cache[key] = hits
-    return hits
-
-
-def _solve_period_warm(state: ScheduleState, period: float,
-                       fault_set: frozenset[int],
+def _solve_period_warm(state: ScheduleState, table: RangeTable,
+                       period: float, fault_set: frozenset[int],
                        stats: dict) -> list[ScheduleEntry]:
     """Step-2 covering with the same certificate ladder as step 1.
 
-    The entry *count* per period is the optimal cover cardinality either
-    way, so replacing the ILP with a certified greedy cover keeps the
-    schedule cost identical to the cold path.
+    The rows are cold step 2's (:func:`pattern_config_rows` on the shifted
+    table), and the entry *count* per period is the optimal cover
+    cardinality either way, so replacing the ILP with a certified greedy
+    cover keeps the schedule cost identical to the cold path.
     """
-    combos: dict[tuple[int, int], set[int]] = {}
-    for fi in fault_set:
-        for k in _fault_combo_hits(state, period, fi):
-            combos.setdefault(k, set()).add(fi)
-    index = {f: b for b, f in enumerate(sorted(fault_set, key=repr))}
-    masks_by_key = {k: sum(1 << index[f] for f in fs)
-                    for k, fs in combos.items()}
-    keys = sorted(combos)
-    masks = [masks_by_key[k] for k in keys]
-    full = (1 << len(index)) - 1
-    lb = (independent_rows_bound_masks(masks, len(index)) if full else 0)
+    keys, matrix, elements = pattern_config_rows(table, fault_set, period,
+                                                 state.configs)
+    masks = matrix_to_masks(matrix)
+    full = (1 << len(elements)) - 1
+    lb = (independent_rows_bound_masks(masks, len(elements)) if full else 0)
     prev = state.period_prev.get(period)
     if prev is not None and full and len(prev) <= lb:
+        masks_by_key = dict(zip(keys, masks))
         union = 0
         for k in prev:
             union |= masks_by_key.get(k, 0)
@@ -668,10 +615,8 @@ def _solve_period_warm(state: ScheduleState, period: float,
     greedy = greedy_cover_masks(masks, full) if full else []
     if full and len(greedy) > lb:
         stats["step2_ilp"] = stats.get("step2_ilp", 0) + 1
-        sub_problem = CoverProblem(
-            subsets=[frozenset(combos[k]) for k in keys],
-            universe=fault_set)
-        greedy = ilp_cover(sub_problem, time_limit=state.time_limit)
+        greedy = ilp_cover(CoverProblem.from_matrix(matrix, elements),
+                           time_limit=state.time_limit)
     picked = [keys[j] for j in greedy]
     state.period_prev[period] = tuple(picked)
     return [ScheduleEntry(period=period, pattern=p, config=c)
@@ -680,8 +625,8 @@ def _solve_period_warm(state: ScheduleState, period: float,
 
 def _step2_table(state: ScheduleState) -> RangeTable:
     """The data's range table with every fault moved by its gate's
-    cumulative shift — the flat twin of ``state.pattern_ranges``."""
-    return state.data.range_table().shifted({
+    cumulative shift: the per-pattern ranges step 2 tests."""
+    return state.data.table.shifted({
         f: state.shifts.get(g, 0.0) for f, g in state.fault_gate.items()})
 
 
@@ -741,17 +686,15 @@ def _solve_two_step(state: ScheduleState, *, warm: bool,
                 entries.extend(picked)
                 continue
             misses += 1
-            if state.solver == "ilp":
-                picked = tuple(_solve_period_warm(
-                    state, cand.time, fault_set, stats))
-                state.step2_cache[key] = picked
-                entries.extend(picked)
-                continue
         if table is None:
             table = _step2_table(state)
-        picked = tuple(_solve_period(
-            table, cand.time, fault_set, state.configs,
-            state.solver, state.time_limit))
+        if warm and state.solver == "ilp":
+            picked = tuple(_solve_period_warm(
+                state, table, cand.time, fault_set, stats))
+        else:
+            picked = tuple(_solve_period(
+                table, cand.time, fault_set, state.configs,
+                state.solver, state.time_limit))
         if warm:
             state.step2_cache[key] = picked
         entries.extend(picked)
@@ -794,25 +737,14 @@ def _accumulate(state: ScheduleState, delta: AlertDelta) -> list[int]:
 
 
 def _update_fault(state: ScheduleState, f: int) -> bool:
-    """Refresh one dirty fault's cached ranges.
+    """Refresh one dirty fault's clipped combined range.
 
-    The step-2 pattern-range overlay is updated *unconditionally* — the
-    window clip can mask a translation (combined range fills the window
-    at both shifts) while the per-pattern intervals still moved, so the
-    overlay must always track the current shift.  Returns True when the
-    clipped combined range changed, i.e. the candidate matrix needs a
-    patch.
+    Returns True when it changed, i.e. the candidate matrix needs a patch.
+    Step 2 reads the per-pattern ranges from the table shifted by
+    ``state.shifts`` at solve time, so they move even when the window
+    clip masks the translation here.
     """
     s = state.shifts.get(state.fault_gate[f], 0.0)
-    base_patterns = state.data.ranges.get(f)
-    if base_patterns is not None:
-        if s == 0.0:
-            state.pattern_ranges[f] = base_patterns
-        else:
-            state.pattern_ranges[f] = {
-                pi: FaultPatternRange(fpr.i_all.shifted(s),
-                                      fpr.i_mon.shifted(s))
-                for pi, fpr in base_patterns.items()}
     new_rng = state.base_combined[f].shifted(s).clipped(
         state.clock.t_min, state.clock.t_nom)
     if new_rng == state.fault_ranges[f]:
@@ -849,7 +781,7 @@ def apply_alert(state: ScheduleState, delta: AlertDelta) -> ReschedOutcome:
     else:
         # Shifts swallowed by the window clip: the candidate matrix is
         # still exact and step 1 replays via the structure fingerprint,
-        # but the per-pattern overlays moved, so step 2 must re-solve the
+        # but the per-pattern ranges moved, so step 2 must re-solve the
         # dirty periods (the shift-aware cache keys force the misses).
         stats["grid"] = "unchanged"
     schedule = _solve_two_step(state, warm=True, stats=stats)
@@ -872,8 +804,6 @@ def apply_alert_cold(state: ScheduleState,
     _check_gates(state, delta)
     dirty = _accumulate(state, delta)
     stats["dirty_faults"] = len(dirty)
-    for f in dirty:
-        _update_fault(state, f)
     # Honest cold cost: rebuild every fault's observable union from the
     # per-pattern data, the work detection_range would redo in the field.
     delays = state.config_delays

@@ -139,7 +139,7 @@ def _target_pieces(data: DetectionData,
                    configs: MonitorConfigSet | None) -> FlatRanges:
     """The targets' slice of :meth:`RangeTable.observable`."""
     delays = tuple(configs) if configs is not None else ()
-    return data.range_table().observable(
+    return data.table.observable(
         delays, clock.t_min, clock.t_nom).select(targets)
 
 
@@ -332,7 +332,7 @@ def optimize_schedule(
                               covered=frozenset(), method=solver,
                               num_candidates=0)
     return optimize_from_candidates(
-        data.range_table(), cand_set, targets, configs, coverage=coverage,
+        data.table, cand_set, targets, configs, coverage=coverage,
         solver=solver, time_limit=time_limit, timer=timer)
 
 

@@ -81,12 +81,6 @@ def eval_ternary(kind: str, values: Sequence[int]) -> int:
     raise ValueError(f"cannot evaluate gate kind {kind!r}")
 
 
-def _maybe_invert(value: int, invert: bool) -> int:
-    if not invert:
-        return value
-    return X if value == X else 1 - value
-
-
 def controlling_value(kind: str) -> int | None:
     """The input value that alone determines the output, if any."""
     if kind in (GateKind.AND, GateKind.NAND):

@@ -45,8 +45,8 @@ kernels, batched over *all* patterns (fault-free sweep) and *all* activated
 * **Vectorized detection extraction**: XOR intervals are extracted from
   the event arrays by sampling signal parity at the merged event times
   (the exact sample set of :meth:`Waveform.diff_intervals`), followed by a
-  vectorized glitch filter; only surviving (fault, pattern) pairs are
-  materialized into :class:`IntervalSet` objects.
+  vectorized glitch filter; the surviving pieces go straight into the
+  flat :class:`~repro.faults.detection.RangeTable` arrays.
 
 The engine is bit-identical to ``engine="incremental"`` (guarded by the
 randomized golden suite in ``tests/test_wordwave_golden.py``) whenever it
@@ -65,15 +65,10 @@ import numpy as np
 
 from repro.netlist.circuit import Circuit, GateKind
 from repro.simulation.parallel_sim import BitParallelSimulator
-from repro.utils.intervals import (
-    EPS,
-    IntervalSet,
-    _interval_set_from_sorted,
-    _interval_unchecked,
-)
+from repro.utils.intervals import EPS
 
 if TYPE_CHECKING:  # avoid repro.faults <-> repro.simulation import cycle
-    from repro.faults.detection import DetectionData
+    from repro.faults.detection import RangeTable
 
 #: Simultaneity window of the pessimistic-late merge (must equal the
 #: ``ti - t > 1e-9`` grouping constant in ``WaveformSimulator._eval_gate``).
@@ -964,57 +959,25 @@ def _merge_pieces(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray
     return seg[g_starts], lo[g_starts], np.maximum.reduceat(hi, g_starts)
 
 
-def _union_sets(inst: np.ndarray, lo: np.ndarray, hi: np.ndarray
-                ) -> tuple[list[int], list[IntervalSet]]:
-    """Per-instance :class:`IntervalSet` union of flat (inst, lo, hi) pieces.
-
-    ``inst`` selects the owner of each canonical per-gate piece; pieces
-    are lexsorted by (inst, lo) and merged with the constructor rule, so
-    the result equals ``IntervalSet(all pieces of the instance)``.
-    Returns (sorted unique instance ids, their interval sets).
-    """
-    if not inst.size:
-        return [], []
-    order = np.lexsort((lo, inst))
-    u_inst, u_lo, u_hi = _merge_pieces(inst[order], lo[order], hi[order])
-    first = np.empty(u_inst.size, dtype=bool)
-    first[0] = True
-    np.not_equal(u_inst[1:], u_inst[:-1], out=first[1:])
-    starts = np.nonzero(first)[0].tolist()
-    starts.append(u_inst.size)
-    lo_l = u_lo.tolist()
-    hi_l = u_hi.tolist()
-    ids = u_inst[first].tolist()
-    sets = [
-        _interval_set_from_sorted(tuple(
-            _interval_unchecked(lo_l[s], hi_l[s])
-            for s in range(starts[j], starts[j + 1])))
-        for j in range(len(ids))
-    ]
-    return ids, sets
-
-
-def run_wordwave(data: "DetectionData", *, inertial: float,
-                 glitch_threshold: float, timer=None) -> bool:
-    """Fill ``data.ranges`` with the word-parallel engine.
+def run_wordwave(circuit: Circuit, faults, patterns, *, horizon: float,
+                 monitored: frozenset[int], inertial: float,
+                 glitch_threshold: float, timer=None) -> "RangeTable | None":
+    """The detection range table by the word-parallel engine.
 
     The caller has validated applicability via
-    :func:`wordwave_fallback_reason` and created an empty
-    :class:`~repro.faults.detection.DetectionData`.  Fault eligibility
-    (site reaches an observation point) is decided on the cached plan's
-    reachability bitmap — no per-fault cone sets are materialized.
-    Results are bit-identical to ``engine="incremental"``.
+    :func:`wordwave_fallback_reason`.  Fault eligibility (site reaches an
+    observation point) is decided on the cached plan's reachability
+    bitmap — no per-fault cone sets are materialized.  Results are
+    bit-identical to ``engine="incremental"``.
 
-    Returns False (without touching ``data``) when a fault site sits on a
-    non-combinational gate — the default universe never produces one, but
-    custom site lists can; the caller then falls back to the incremental
-    engine.
+    Returns None when a fault site sits on a non-combinational gate — the
+    default universe never produces one, but custom site lists can; the
+    caller then falls back to the incremental engine.
     """
-    circuit = data.circuit
-    faults = data.faults
-    patterns = data.patterns
+    from repro.faults.detection import RangeTable
+
     if not faults or not len(patterns):
-        return True
+        return RangeTable.empty()
 
     t0 = _time.perf_counter()
     ww = _plan_for(circuit, inertial)
@@ -1022,7 +985,7 @@ def run_wordwave(data: "DetectionData", *, inertial: float,
     site_gate = np.asarray([s.gate for s in sites], dtype=np.int64)
     site_pin = np.asarray([s.pin for s in sites], dtype=np.int64)
     if not ww.is_comb[site_gate].all():
-        return False
+        return None
     delta = np.asarray([f.delta for f in faults])
     rising = np.asarray([f.slow_to_rise for f in faults], dtype=bool)
     # signal_gate(): the faulted pin's driver for input-pin faults, the
@@ -1031,22 +994,22 @@ def run_wordwave(data: "DetectionData", *, inertial: float,
                       ww.fanin_pad[site_gate, np.maximum(site_pin, 0)])
     elig = np.nonzero(ww.obs_can[site_gate])[0]
     if not elig.size:
-        return True
+        return RangeTable.empty()
 
     old_err = np.seterr(invalid="ignore")  # inf-padding arithmetic
     try:
-        _run_wordwave_body(data, ww, signal, site_gate, site_pin, delta,
-                           rising, elig, glitch_threshold, timer, t0)
+        return _run_wordwave_body(
+            ww, patterns, horizon, monitored, signal, site_gate, site_pin,
+            delta, rising, elig, glitch_threshold, timer, t0)
     finally:
         np.seterr(**old_err)
-    return True
 
 
-def _run_wordwave_body(data, ww, signal, site_gate, site_pin, delta, rising,
-                       elig, glitch_threshold, timer, t0):
-    from repro.faults.detection import FaultPatternRange
+def _run_wordwave_body(ww, patterns, horizon, monitored, signal, site_gate,
+                       site_pin, delta, rising, elig, glitch_threshold, timer,
+                       t0) -> "RangeTable":
+    from repro.faults.detection import RangeTable
 
-    patterns = data.patterns
     ww.base_sweep(patterns)
     if timer is not None:
         t1 = _time.perf_counter()
@@ -1055,7 +1018,7 @@ def _run_wordwave_body(data, ww, signal, site_gate, site_pin, delta, rising,
 
     ei, pat = ww.activated_instances(signal[elig], rising[elig])
     if not ei.size:
-        return
+        return RangeTable.empty()
     site_g, site_t, site_c = ww.inject_sites(
         site_gate[elig], site_pin[elig], delta[elig], ei, pat)
     if timer is not None:
@@ -1076,44 +1039,30 @@ def _run_wordwave_body(data, ww, signal, site_gate, site_pin, delta, rising,
     e_gate = e_gate[sel]
     e_inst = e_inst[sel]
     e_rows = np.nonzero(sel)[0]
-    if e_gate.size:
-        base_rows = e_gate * ww.p_n + pat[e_inst]
-        b_c = ww.base.c[base_rows]
-        f_c = ch.c[e_rows]
-        kb = max(int(b_c.max()), 1)
-        kf = max(int(f_c.max()), 1)
-        b_t = ww.base.t[:, :kb][base_rows]
-        f_t = ch.t[:, :kf][e_rows]
-        row, p_lo, p_hi = ww.extract_pieces(
-            b_t, b_c, f_t, f_c, data.horizon, glitch_threshold)
+    if not e_gate.size:
+        if timer is not None:
+            timer.add("intervals", _time.perf_counter() - t0)
+        return RangeTable.empty()
+    base_rows = e_gate * ww.p_n + pat[e_inst]
+    b_c = ww.base.c[base_rows]
+    f_c = ch.c[e_rows]
+    kb = max(int(b_c.max()), 1)
+    kf = max(int(f_c.max()), 1)
+    b_t = ww.base.t[:, :kb][base_rows]
+    f_t = ch.t[:, :kf][e_rows]
+    row, p_lo, p_hi = ww.extract_pieces(
+        b_t, b_c, f_t, f_c, horizon, glitch_threshold)
 
-        pc_inst = e_inst[row]
-        ids_all, sets_all = _union_sets(pc_inst, p_lo, p_hi)
-        monitored = data.monitored_gates
-        is_mon = np.zeros(ww.g_n + 1, dtype=bool)
-        if monitored:
-            is_mon[np.fromiter(monitored, dtype=np.int64,
-                               count=len(monitored))] = True
-        mm = is_mon[e_gate[row]]
-        ids_mon, sets_mon = _union_sets(pc_inst[mm], p_lo[mm], p_hi[mm])
-
-        fi_l = elig[ei[np.asarray(ids_all, dtype=np.int64)]].tolist() \
-            if ids_all else []
-        pi_l = pat[np.asarray(ids_all, dtype=np.int64)].tolist() \
-            if ids_all else []
-        empty = IntervalSet.empty()
-        ranges = data.ranges  # data is fresh: fill directly, no cache churn
-        mp = 0
-        n_mon = len(ids_mon)
-        for j, inst_id in enumerate(ids_all):
-            if mp < n_mon and ids_mon[mp] == inst_id:
-                i_mon = sets_mon[mp]
-                mp += 1
-            else:
-                i_mon = empty
-            d = ranges.get(fi_l[j])
-            if d is None:
-                d = ranges[fi_l[j]] = {}
-            d[pi_l[j]] = FaultPatternRange(sets_all[j], i_mon)
+    # Every piece counts for ``i_all``; those at monitored observation
+    # gates for ``i_mon`` too.
+    inst = e_inst[row]
+    pieces = (elig[ei[inst]], pat[inst], p_lo, p_hi)
+    is_mon = np.zeros(ww.g_n + 1, dtype=bool)
+    if monitored:
+        is_mon[np.fromiter(monitored, dtype=np.int64,
+                           count=len(monitored))] = True
+    mm = is_mon[e_gate[row]]
+    table = RangeTable.from_pieces(pieces, tuple(x[mm] for x in pieces))
     if timer is not None:
         timer.add("intervals", _time.perf_counter() - t0)
+    return table

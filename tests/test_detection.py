@@ -139,18 +139,3 @@ class TestFaultPatternRange:
         e = IntervalSet.empty()
         assert FaultPatternRange(e, e).is_empty
         assert not FaultPatternRange(IntervalSet.single(0, 1), e).is_empty
-
-
-class TestCacheInvalidation:
-    def test_add_invalidates_union_caches(self, chain_setup):
-        c, ts = chain_setup
-        from repro.faults.detection import DetectionData
-        data = DetectionData(circuit=c, faults=[], patterns=ts,
-                             horizon=100.0, monitored_gates=frozenset())
-        a = IntervalSet.single(1.0, 2.0)
-        b = IntervalSet.single(5.0, 6.0)
-        data.add(0, 0, FaultPatternRange(a, IntervalSet.empty()))
-        assert data.union_all(0) == a
-        data.add(0, 1, FaultPatternRange(b, IntervalSet.empty()))
-        assert data.union_all(0) == a.union(b)
-        assert data.union_mon(0).is_empty

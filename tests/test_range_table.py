@@ -10,23 +10,31 @@ agree to the last bit:
 
 * ``union_all`` / ``union_mon``: the accumulator union of every pattern's
   ``i_all`` / ``i_mon``;
-* ``I(φ)``: :func:`repro.monitors.shifting.observable_range`;
+* ``I(φ)``: :func:`observable_range`, its one-fault definition below;
 * the five classes of :func:`classify_faults`, from the definitions in
   its docstring;
 * the step-2 rows ``Φ_(m,n)``: ``t ∈ i_all ∪ (i_mon + d_n)`` per entry.
+
+The table is also the stored form of :class:`DetectionData`: a round trip
+through the stage store keeps the arrays and no interval-set object.
 """
 
 from __future__ import annotations
 
-import pickle
+import pickletools
+from typing import Iterable
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults.classify import classify_faults
-from repro.faults.detection import DetectionData, FaultPatternRange
+from repro.faults.detection import (
+    DetectionData,
+    FaultPatternRange,
+    RangeTable,
+)
 from repro.monitors.monitor import MonitorConfigSet
-from repro.monitors.shifting import observable_range
 from repro.scheduling.resched import _combined_unclipped
 from repro.scheduling.schedule import (
     FF_ONLY_CONFIG,
@@ -55,17 +63,38 @@ def interval_sets(draw):
     return IntervalSet.from_pairs((min(a, b), max(a, b)) for a, b in pairs)
 
 
+def observable_range(i_all: IntervalSet, i_mon: IntervalSet,
+                     configs: Iterable[float],
+                     t_min: float, t_nom: float) -> IntervalSet:
+    """One fault's ``I(φ) = I_FF ∪ ⋃_d (I_mon + d)`` clipped to the FAST
+    window (Definition 2 extended by Sec. III-B), in the kernel's float
+    operation order: the shifted copies of ``i_mon`` and ``i_all`` are
+    merged once, then clipped."""
+    acc = IntervalAccumulator()
+    acc.add(i_all)
+    for d in configs:
+        acc.add(i_mon.shifted(d))
+    return acc.build().clipped(t_min, t_nom)
+
+
+def data_of(ranges: dict, n_faults: int) -> DetectionData:
+    return DetectionData(circuit=None, faults=[None] * n_faults,
+                         patterns=None, horizon=150.0,
+                         monitored_gates=frozenset(),
+                         table=RangeTable.from_ranges(ranges))
+
+
 @st.composite
 def detection_data(draw):
     n_faults = draw(st.integers(1, 6))
-    data = DetectionData(circuit=None, faults=[None] * n_faults,
-                         patterns=None, horizon=150.0,
-                         monitored_gates=frozenset())
+    ranges: dict = {}
     for fi in range(n_faults):
         for pi in draw(st.sets(st.integers(0, 3), max_size=3)):
-            data.add(fi, pi, FaultPatternRange(draw(interval_sets()),
-                                               draw(interval_sets())))
-    return data
+            fpr = FaultPatternRange(draw(interval_sets()),
+                                    draw(interval_sets()))
+            if not fpr.is_empty:
+                ranges.setdefault(fi, {})[pi] = fpr
+    return data_of(ranges, n_faults)
 
 
 configs_st = st.lists(st.sampled_from(DELAYS), min_size=1, max_size=3,
@@ -88,7 +117,7 @@ def reference_union(data: DetectionData, fi: int, attr: str) -> IntervalSet:
 @given(detection_data(), configs_st, windows)
 def test_kernel_matches_interval_set_definition(data, configs, window):
     t_min, t_nom = min(window), max(window)
-    table = data.range_table()
+    table = data.table
     observable = table.observable(configs, t_min, t_nom)
     for fi in range(len(data.faults)):
         ua = reference_union(data, fi, "i_all")
@@ -183,7 +212,7 @@ def test_step2_rows_match_detection_rule(data, configs, draw):
     period = draw.draw(st.sampled_from(edges) if edges and draw.draw(
         st.booleans()) else points)
     keys, matrix, elements = pattern_config_rows(
-        data.range_table().shifted({f: shift for f in fault_set}),
+        data.table.shifted({f: shift for f in fault_set}),
         fault_set, period, configs)
     assert keys == sorted(keys)
     assert list(elements) == sorted(fault_set, key=repr)
@@ -195,33 +224,80 @@ def test_step2_rows_match_detection_rule(data, configs, draw):
         shifted, fault_set, period, configs)
 
 
-def test_table_is_rebuilt_after_add_and_never_pickled():
-    data = DetectionData(circuit=None, faults=[None, None], patterns=None,
-                         horizon=10.0, monitored_gates=frozenset())
-    a = IntervalSet.single(1.0, 2.0)
-    data.add(0, 0, FaultPatternRange(a, IntervalSet.empty()))
-    first = data.range_table()
-    assert data.range_table() is first
-    data.add(1, 0, FaultPatternRange(a, a))
-    assert data.range_table() is not first
-    assert data.range_table().faults.tolist() == [0, 1]
-    clone = pickle.loads(pickle.dumps(data))
-    assert clone._table is None
-    assert exact(clone.union_mon(1)) == exact(a)
+def test_ranges_view_round_trips_through_the_table():
+    a, b = IntervalSet.single(1.0, 2.0), IntervalSet.single(5.0, 6.0)
+    ranges = {0: {0: FaultPatternRange(a, IntervalSet.empty()),
+                  3: FaultPatternRange(b, a)},
+              2: {1: FaultPatternRange(IntervalSet.empty(), b)}}
+    data = data_of(ranges, 3)
+    assert data.ranges == ranges
+    assert list(data.ranges) == [0, 2]
+    assert list(data.ranges[0]) == [0, 3]
+    assert 1 not in data.ranges and 1 not in data.ranges[0]
+    assert data.ranges.get(1) is None and data.ranges[0].get(1) is None
+    assert data.pairs_for_fault(0) == sorted(ranges[0].items())
+
+
+def _global_names(payload: bytes) -> set[str]:
+    """Every string a pickle stream names, GLOBAL module/name pairs split."""
+    names: set[str] = set()
+    for _op, arg, _pos in pickletools.genops(payload):
+        if isinstance(arg, str):
+            names.update(arg.split())
+    return names
+
+
+def test_stored_form_is_the_table(tmp_path, flow_result_small):
+    import copy
+    import pickle
+
+    from repro.core.stages import DetectionArtifact
+    from repro.experiments.artifact_cache import StageCache
+    from repro.scheduling.schedule import optimize_schedule
+
+    res = flow_result_small
+    data = copy.deepcopy(res.data)
+    data._invalidate()
+    before = dict(data.ranges)
+    # Fill every memo the stored form must leave behind.
+    optimize_schedule(data, res.classification.target, res.clock,
+                      res.configs)
+    assert len(data.table._memo) and len(data._sched_cache)
+
+    store = StageCache(tmp_path)
+    store.store("k" * 64, DetectionArtifact(data=data))
+    payload = next(tmp_path.rglob("*.pkl")).read_bytes()
+    assert not _global_names(payload) & {"IntervalSet", "Interval",
+                                         "FaultPatternRange"}
+    assert "RangeTable" in _global_names(payload)
+    assert pickle.loads(payload).data.table.faults.size
+
+    loaded = store.load("k" * 64).data
+    for got, want in zip(loaded.table.arrays(), data.table.arrays()):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert len(loaded.table._memo) == 0
+    assert loaded.table._union_all is None and loaded.table._union_mon is None
+    assert len(loaded._sched_cache) == 0
+    assert loaded.ranges == before
+    with pytest.raises(TypeError):
+        loaded.ranges[0] = {}
+    fi = next(iter(loaded.ranges))
+    with pytest.raises(TypeError):
+        loaded.ranges[fi][0] = FaultPatternRange(IntervalSet.empty(),
+                                                 IntervalSet.empty())
 
 
 def test_step2_rejects_a_fault_no_row_detects():
-    data = DetectionData(circuit=None, faults=[None, None], patterns=None,
-                         horizon=10.0, monitored_gates=frozenset())
-    data.add(0, 0, FaultPatternRange(IntervalSet.single(1.0, 2.0),
-                                     IntervalSet.empty()))
-    data.add(1, 0, FaultPatternRange(IntervalSet.single(5.0, 6.0),
-                                     IntervalSet.empty()))
+    data = data_of({0: {0: FaultPatternRange(IntervalSet.single(1.0, 2.0),
+                                             IntervalSet.empty())},
+                    1: {0: FaultPatternRange(IntervalSet.single(5.0, 6.0),
+                                             IntervalSet.empty())}}, 2)
     for solver in ("ilp", "greedy"):
         with pytest.raises(ValueError,
                            match=r"1 universe elements not coverable: \[1\]"):
-            _solve_period(data.range_table(), 1.5, frozenset({0, 1}), None,
+            _solve_period(data.table, 1.5, frozenset({0, 1}), None,
                           solver, 10.0)
-    assert _solve_period(data.range_table(), 1.5, frozenset({0}), None,
+    assert _solve_period(data.table, 1.5, frozenset({0}), None,
                          "ilp", 10.0) == [
         ScheduleEntry(period=1.5, pattern=0, config=FF_ONLY_CONFIG)]

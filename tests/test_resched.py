@@ -27,8 +27,6 @@ from repro.scheduling.resched import (
     prepare_state_for_result,
     scenario_alert_stream,
 )
-from repro.scheduling.schedule import pattern_config_rows
-from repro.utils.bitset import matrix_bits
 
 QUICK_CIRCUITS = ("s9234", "s13207")
 #: Seeded random deltas per quick circuit (2 x 25 = 50 total).
@@ -133,35 +131,10 @@ class TestFastPaths:
         assert out_dn.stats["step2_misses"] == 0
 
     def test_caches_are_bounded(self, flow_result_s27):
-        from repro.scheduling.resched import (
-            COMBO_CACHE_SIZE,
-            STEP2_CACHE_SIZE,
-        )
+        from repro.scheduling.resched import STEP2_CACHE_SIZE
 
         state = prepare_state_for_result(flow_result_s27)
         assert state.step2_cache.maxsize == STEP2_CACHE_SIZE
-        assert state.combo_cache.maxsize == COMBO_CACHE_SIZE
-
-
-class TestComboMemo:
-    def test_combo_hits_match_cold_subset_builder(self, flow_result_s27):
-        state = prepare_state_for_result(flow_result_s27)
-        gate = next(iter(state.gate_faults))
-        apply_alert(state, AlertDelta.from_mapping({gate: 2.0}))
-        from repro.scheduling.resched import _fault_combo_hits, _step2_table
-
-        fault_set = frozenset(state.fault_ids)
-        table = _step2_table(state)
-        for period in state.schedule.periods:
-            keys, matrix, elements = pattern_config_rows(
-                table, fault_set, period, state.configs)
-            expected = {k: {elements[b] for b in bits}
-                        for k, bits in zip(keys, matrix_bits(matrix))}
-            got: dict = {}
-            for f in fault_set:
-                for key in _fault_combo_hits(state, period, f):
-                    got.setdefault(key, set()).add(f)
-            assert got == expected, period
 
 
 class TestAlertDelta:

@@ -93,7 +93,7 @@ def _clear_caches(data):
 def _period_rows(data, fault_set, period, configs) -> dict:
     """Step-2 rows ``Φ_(m,n)`` at one period as ``{(m, n): faults}``."""
     keys, matrix, elements = pattern_config_rows(
-        data.range_table(), fault_set, period, configs)
+        data.table, fault_set, period, configs)
     return {k: {elements[b] for b in bits}
             for k, bits in zip(keys, matrix_bits(matrix))}
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg.patterns import PatternPair, TestSet
-from repro.faults.detection import DetectionData, FaultPatternRange
+from repro.faults.detection import DetectionData, FaultPatternRange, RangeTable
 from repro.faults.models import FaultSite, SmallDelayFault
 from repro.monitors.monitor import MonitorConfigSet
 from repro.netlist.circuit import Circuit, GateKind
@@ -48,15 +48,20 @@ def make_data(fault_ranges: list[list[tuple[float, float]]],
         PatternPair((0,) * width, (1,) * width) for _ in range(n_patterns)])
     faults = [SmallDelayFault(FaultSite(1), True, float(i + 1))
               for i in range(len(fault_ranges))]
-    data = DetectionData(circuit=circuit, faults=faults, patterns=patterns,
-                         horizon=T_NOM, monitored_gates=frozenset())
+    ranges: dict = {}
     for fi, intervals in enumerate(fault_ranges):
         for iv in intervals:
             pi = rng.randrange(n_patterns)
-            data.add(fi, pi, FaultPatternRange(
+            ranges.setdefault(fi, {})[pi] = FaultPatternRange(
                 i_all=IntervalSet.from_pairs([iv]),
-                i_mon=IntervalSet.empty()))
-    return data
+                i_mon=IntervalSet.empty())
+    return with_ranges(circuit, faults, patterns, ranges)
+
+
+def with_ranges(circuit, faults, patterns, ranges) -> DetectionData:
+    return DetectionData(circuit=circuit, faults=faults, patterns=patterns,
+                         horizon=T_NOM, monitored_gates=frozenset(),
+                         table=RangeTable.from_ranges(ranges))
 
 
 def brute_force_min_frequencies(data: DetectionData,
@@ -137,9 +142,9 @@ def test_step2_distinct_patterns_need_two_entries():
     data = make_data([[(150.0, 200.0)], [(150.0, 200.0)]],
                      n_patterns=2, seed=3)
     # Force the two faults onto different patterns.
-    data.ranges[0] = {0: data.ranges[0][list(data.ranges[0])[0]]}
-    data.ranges[1] = {1: data.ranges[1][list(data.ranges[1])[0]]}
-    data._invalidate()
+    data = with_ranges(data.circuit, data.faults, data.patterns, {
+        0: {0: data.ranges[0][list(data.ranges[0])[0]]},
+        1: {1: data.ranges[1][list(data.ranges[1])[0]]}})
     sched = optimize_schedule(data, {0, 1}, CLOCK, configs=None)
     assert sched.num_frequencies == 1
     assert sched.num_entries == 2

@@ -36,7 +36,7 @@ def main() -> None:
     rows = []
     for fraction in (0.10, 0.25, 0.50, 1.00):
         res = run_point(name, fraction, (0.05, 0.10, 0.15, 1 / 3))
-        cost = placement_cost(res.placement)
+        cost = placement_cost(res.circuit, res.placement)
         rows.append({
             "monitor_fraction": f"{fraction:.0%}",
             "monitors": res.placement.count,

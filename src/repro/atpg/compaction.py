@@ -79,4 +79,4 @@ def merge_compatible(test_set: TestSet) -> TestSet:
                 break
         else:
             merged.append(pattern)
-    return TestSet(test_set.circuit, merged)
+    return TestSet.of_width(test_set.width, merged)

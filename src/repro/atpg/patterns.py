@@ -67,17 +67,24 @@ class PatternPair:
 
 
 class TestSet:
-    """An ordered collection of pattern pairs for one circuit."""
+    """An ordered collection of pattern pairs over one circuit's sources."""
 
     __test__ = False  # not a pytest test class despite the name
 
     def __init__(self, circuit: Circuit,
                  patterns: Iterable[PatternPair] = ()) -> None:
-        self.circuit = circuit
         self._width = len(circuit.sources())
         self.patterns: list[PatternPair] = []
-        for p in patterns:
-            self.append(p)
+        self.extend(patterns)
+
+    @classmethod
+    def of_width(cls, width: int,
+                 patterns: Iterable[PatternPair] = ()) -> "TestSet":
+        """A set over ``width`` sources (a derived set of one circuit)."""
+        out = cls.__new__(cls)
+        out._width, out.patterns = width, []
+        out.extend(patterns)
+        return out
 
     @property
     def width(self) -> int:
@@ -104,10 +111,12 @@ class TestSet:
         if not any(p.has_dont_cares for p in self.patterns):
             return self
         rng = random.Random(seed)
-        return TestSet(self.circuit, (p.filled(rng) for p in self.patterns))
+        return TestSet.of_width(self._width,
+                               (p.filled(rng) for p in self.patterns))
 
     def subset(self, indices: Sequence[int]) -> "TestSet":
-        return TestSet(self.circuit, (self.patterns[i] for i in indices))
+        return TestSet.of_width(self._width,
+                               (self.patterns[i] for i in indices))
 
     def __len__(self) -> int:
         return len(self.patterns)

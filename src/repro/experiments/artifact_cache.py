@@ -40,9 +40,10 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-#: Global salt over every stage entry — bump on cross-cutting semantic
-#: changes (per-stage changes should bump the stage's own CACHE_VERSION).
-CACHE_VERSION = 2
+#: Global salt over every stage entry — bump on cross-cutting semantic or
+#: stored-form changes (per-stage changes should bump the stage's own
+#: CACHE_VERSION).  v3: no stored artifact holds the circuit.
+CACHE_VERSION = 3
 
 
 def cache_enabled() -> bool:

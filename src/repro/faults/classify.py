@@ -90,12 +90,10 @@ def structural_prefilter(
 class FaultClassification:
     """Simulation-accurate fault partition (Fig. 4 steps 3–5).
 
-    All members hold indices into ``data.faults``.
+    All members hold indices into the ``num_faults`` classified faults.
     """
 
-    data: DetectionData
-    clock: ClockSpec
-    configs: MonitorConfigSet
+    num_faults: int
     conv_detected: set[int] = field(default_factory=set)
     prop_detected: set[int] = field(default_factory=set)
     at_speed: set[int] = field(default_factory=set)
@@ -103,10 +101,6 @@ class FaultClassification:
     timing_redundant: set[int] = field(default_factory=set)
     target: set[int] = field(default_factory=set)
     not_activated: set[int] = field(default_factory=set)
-
-    @property
-    def num_faults(self) -> int:
-        return len(self.data.faults)
 
     @property
     def coverage_gain_percent(self) -> float:
@@ -147,7 +141,7 @@ def classify_faults(data: DetectionData, clock: ClockSpec,
     All five classes come from one pass of the :class:`RangeTable`
     kernel over every fault at once.
     """
-    cls = FaultClassification(data=data, clock=clock, configs=configs)
+    cls = FaultClassification(num_faults=len(data.faults))
     t_min, t_nom = clock.t_min, clock.t_nom
     table = data.table
     delays = tuple(configs)
@@ -155,8 +149,8 @@ def classify_faults(data: DetectionData, clock: ClockSpec,
     def ids(faults: np.ndarray) -> set[int]:
         return set(np.unique(faults).tolist())
 
-    activated = ids(table.faults) & set(range(len(data.faults)))
-    cls.not_activated = set(range(len(data.faults))) - activated
+    activated = ids(table.faults) & set(range(cls.num_faults))
+    cls.not_activated = set(range(cls.num_faults)) - activated
     cls.prop_detected = ids(table.observable(delays, t_min, t_nom).fault)
     cls.timing_redundant = activated - cls.prop_detected
     cls.conv_detected = ids(table.observable((), t_min, t_nom).fault) \

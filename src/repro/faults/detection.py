@@ -418,11 +418,8 @@ class _SortedView(abc.Mapping):
 class DetectionData:
     """Sparse (fault, pattern) → detection-range table plus aggregates."""
 
-    circuit: Circuit
     faults: list[SmallDelayFault]
     patterns: TestSet
-    horizon: float
-    monitored_gates: frozenset[int]
     #: Every non-empty (fault, pattern) range: the stored form.
     table: RangeTable = field(default_factory=RangeTable.empty)
     #: (targets, configs, window, policy) -> (ranges, CandidateSet); the
@@ -653,9 +650,7 @@ def compute_detection_data(
             circuit, faults, patterns, horizon=horizon, monitored=monitored,
             inertial=inertial, glitch_threshold=glitch_threshold,
             progress=progress, timer=timer)
-    return DetectionData(circuit=circuit, faults=faults, patterns=patterns,
-                         horizon=horizon, monitored_gates=monitored,
-                         table=table)
+    return DetectionData(faults=faults, patterns=patterns, table=table)
 
 
 def _run_incremental(circuit: Circuit, faults: Sequence[SmallDelayFault],

@@ -80,10 +80,11 @@ def monitor_gate_equivalents(placement: MonitorPlacement) -> float:
     return GE_FLIP_FLOP + GE_XOR2 + mux + delay_lines
 
 
-def placement_cost(placement: MonitorPlacement) -> MonitorCost:
-    """Full cost report for a monitor placement."""
+def placement_cost(circuit: Circuit,
+                   placement: MonitorPlacement) -> MonitorCost:
+    """Full cost report for a monitor placement in ``circuit``."""
     return MonitorCost(
         monitors=placement.count,
         ge_per_monitor=monitor_gate_equivalents(placement),
-        circuit_ge=circuit_gate_equivalents(placement.circuit),
+        circuit_ge=circuit_gate_equivalents(circuit),
     )

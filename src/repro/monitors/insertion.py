@@ -23,7 +23,6 @@ DEFAULT_COVERAGE_FRACTION = 0.25
 class MonitorPlacement:
     """Result of monitor insertion."""
 
-    circuit: Circuit
     bank: MonitorBank
     points: list[ObservationPoint]
     configs: MonitorConfigSet
@@ -69,5 +68,4 @@ def insert_monitors(
                                  configs=configs)
         for op in chosen
     ])
-    return MonitorPlacement(circuit=circuit, bank=bank, points=chosen,
-                            configs=configs)
+    return MonitorPlacement(bank=bank, points=chosen, configs=configs)

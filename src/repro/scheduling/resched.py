@@ -64,6 +64,7 @@ import numpy as np
 
 from repro.faults.detection import DetectionData, RangeTable
 from repro.monitors.monitor import MonitorConfigSet
+from repro.netlist.circuit import Circuit
 from repro.scheduling.discretize import (
     CandidateSet,
     SweepGrid,
@@ -239,6 +240,7 @@ class ScheduleState:
     mutated — all shifted views live here.
     """
 
+    circuit: Circuit
     data: DetectionData
     targets: frozenset[int]
     clock: ClockSpec
@@ -305,6 +307,7 @@ def _combined_unclipped(data: DetectionData, fault: int,
 
 
 def prepare_state(
+    circuit: Circuit,
     data: DetectionData,
     targets: frozenset[int] | set[int],
     clock: ClockSpec,
@@ -317,8 +320,8 @@ def prepare_state(
 ) -> ScheduleState:
     """Build the re-schedulable state and solve the initial schedule."""
     state = ScheduleState(
-        data=data, targets=frozenset(targets), clock=clock, configs=configs,
-        solver=solver, time_limit=time_limit,
+        circuit=circuit, data=data, targets=frozenset(targets),
+        clock=clock, configs=configs, solver=solver, time_limit=time_limit,
         prune_dominated=prune_dominated, point=point)
     combined = data.table.combined(state.config_delays)
     ids = []
@@ -334,7 +337,7 @@ def prepare_state(
     state.fault_ids = tuple(ids)
     state.fault_bit = {f: b for b, f in enumerate(state.fault_ids)}
     for f in state.fault_ids:
-        g = data.faults[f].site.signal_gate(data.circuit)
+        g = data.faults[f].site.signal_gate(circuit)
         state.fault_gate[f] = g
     by_gate: dict[int, list[int]] = {}
     for f, g in state.fault_gate.items():
@@ -719,12 +722,12 @@ def _solve_two_step(state: ScheduleState, *, warm: bool,
 def _check_gates(state: ScheduleState, delta: AlertDelta) -> None:
     """Reject an alert on a gate the circuit does not have (before any
     state changes)."""
-    n = len(state.data.circuit.gates)
+    n = len(state.circuit.gates)
     for g, _ in delta.shifts:
         if not 0 <= g < n:
             raise ValueError(
                 f"alert on gate {g}, but circuit "
-                f"{state.data.circuit.name!r} has {n} gates (0..{n - 1})")
+                f"{state.circuit.name!r} has {n} gates (0..{n - 1})")
 
 
 def _accumulate(state: ScheduleState, delta: AlertDelta) -> list[int]:
@@ -824,7 +827,8 @@ def prepare_state_for_result(result, *, solver: Solver = "ilp",
                              time_limit: float = DEFAULT_TIME_LIMIT_S
                              ) -> ScheduleState:
     """State over a :class:`FlowResult`'s proposed-schedule inputs."""
-    return prepare_state(result.data, result.classification.target,
+    return prepare_state(result.circuit, result.data,
+                         result.classification.target,
                          result.clock, result.configs, solver=solver,
                          time_limit=time_limit)
 

@@ -88,9 +88,6 @@ class Waveform:
     def num_transitions(self) -> int:
         return len(self.events)
 
-    def transition_times(self) -> list[float]:
-        return [t for t, _ in self.events]
-
     def has_transition(self, *, rising: bool | None = None) -> bool:
         """True when the waveform toggles (optionally restricted by polarity)."""
         events = self.events

@@ -25,7 +25,6 @@ CLOCK_MARGIN = 1.05
 class StaResult:
     """Arrival/required/slack data for one circuit."""
 
-    circuit: Circuit
     arrival_max: list[float]
     arrival_min: list[float]
     required: list[float]
@@ -107,7 +106,6 @@ def run_sta(circuit: Circuit, *, clock_period: float | None = None) -> StaResult
 
     required = [period - down_max[i] for i in range(n)]
     result = StaResult(
-        circuit=circuit,
         arrival_max=a_max,
         arrival_min=a_min,
         required=required,

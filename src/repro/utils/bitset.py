@@ -109,11 +109,6 @@ def matrix_bits(matrix: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(bits[r]) for r in range(matrix.shape[0])]
 
 
-def is_subset(row: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Boolean vector: ``row ⊆ matrix[r]`` for every row ``r``."""
-    return ~np.any(row & ~matrix, axis=1)
-
-
 #: Soft cap (bytes) of the temporary in one dominated_rows chunk test.
 _DOM_CHUNK_BYTES = 8 << 20
 

@@ -10,7 +10,6 @@ from repro.utils import bitset
 from repro.utils.bitset import (
     dominated_rows,
     first_superset,
-    is_subset,
     mask_bits,
     masks_to_matrix,
     matrix_bits,
@@ -90,11 +89,6 @@ class TestMaskConversions:
 
 
 class TestSubsetAndDominance:
-    def test_is_subset(self):
-        m = pack_sets([{0, 1, 2}, {0, 1}, {3}], 70)
-        flags = is_subset(m[1], m)
-        assert flags.tolist() == [True, True, False]
-
     def test_dominated_rows_drops_subsets_and_duplicates(self):
         m = pack_sets([{0, 1, 2}, {0, 1}, {0, 1, 2}, {3}], 64)
         # Scan order = given order: row 1 ⊂ row 0, row 2 == row 0.

@@ -16,7 +16,7 @@ from repro.utils.intervals import EPS
 class TestPartition:
     def test_classes_are_disjoint_and_cover(self, flow_result_small):
         cls = flow_result_small.classification
-        n = len(cls.data.faults)
+        n = cls.num_faults
         everything = (cls.not_activated | cls.timing_redundant
                       | cls.prop_detected)
         assert everything == set(range(n))
@@ -75,7 +75,7 @@ class TestPartition:
     def test_summary_counts(self, flow_result_small):
         cls = flow_result_small.classification
         s = cls.summary()
-        assert s["faults"] == len(cls.data.faults)
+        assert s["faults"] == len(flow_result_small.data.faults)
         assert s["prop"] == len(cls.prop_detected)
         assert (s["at_speed"] + s["monitor_at_speed"] + s["target"]
                 == s["prop"])

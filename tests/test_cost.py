@@ -72,9 +72,10 @@ class TestMonitorArea:
 
 
 class TestPlacementCost:
-    def test_overhead_scales_with_fraction(self, placements):
-        quarter = placement_cost(placements[0.25])
-        full = placement_cost(placements[1.0])
+    def test_overhead_scales_with_fraction(self, small_generated,
+                                           placements):
+        quarter = placement_cost(small_generated, placements[0.25])
+        full = placement_cost(small_generated, placements[1.0])
         assert full.total_ge > quarter.total_ge
         assert full.overhead_percent > quarter.overhead_percent
 
@@ -92,7 +93,7 @@ class TestPlacementCost:
             sta = run_sta(c)
             configs = MonitorConfigSet.paper_default(sta.clock_period)
             placement = insert_monitors(c, sta, configs, fraction=0.25)
-            return placement_cost(placement).overhead_percent
+            return placement_cost(c, placement).overhead_percent
         lean, rich = overhead(60), overhead(300)
         assert 0.0 < rich < lean
 
@@ -100,6 +101,6 @@ class TestPlacementCost:
         sta = run_sta(small_generated)
         configs = MonitorConfigSet.paper_default(sta.clock_period)
         empty = insert_monitors(small_generated, sta, configs, fraction=0.0)
-        cost = placement_cost(empty)
+        cost = placement_cost(small_generated, empty)
         assert cost.total_ge == 0.0
         assert cost.overhead_percent == 0.0

@@ -78,9 +78,7 @@ def observable_range(i_all: IntervalSet, i_mon: IntervalSet,
 
 
 def data_of(ranges: dict, n_faults: int) -> DetectionData:
-    return DetectionData(circuit=None, faults=[None] * n_faults,
-                         patterns=None, horizon=150.0,
-                         monitored_gates=frozenset(),
+    return DetectionData(faults=[None] * n_faults, patterns=None,
                          table=RangeTable.from_ranges(ranges))
 
 

@@ -4,40 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.atpg.patterns import PatternPair, TestSet
 from repro.faults.classify import FaultClassification
-from repro.faults.detection import DetectionData
-from repro.monitors.monitor import MonitorConfigSet
-from repro.netlist.circuit import Circuit, GateKind
-from repro.timing.clock import ClockSpec
-
-
-def _tiny_data():
-    c = Circuit("d")
-    a = c.add_input("a")
-    g = c.add_gate("g", GateKind.NOT, [a])
-    c.mark_output(g)
-    c.finalize()
-    patterns = TestSet(c, [PatternPair((0,), (1,))])
-    return DetectionData(circuit=c, faults=[], patterns=patterns,
-                         horizon=100.0, monitored_gates=frozenset())
 
 
 class TestClassificationMetrics:
     def test_gain_zero_conv_zero_prop(self):
-        cls = FaultClassification(data=_tiny_data(), clock=ClockSpec(100.0),
-                                  configs=MonitorConfigSet((10.0,)))
+        cls = FaultClassification(num_faults=0)
         assert cls.coverage_gain_percent == 0.0
 
     def test_gain_infinite_when_only_monitors_detect(self):
-        cls = FaultClassification(data=_tiny_data(), clock=ClockSpec(100.0),
-                                  configs=MonitorConfigSet((10.0,)))
+        cls = FaultClassification(num_faults=0)
         cls.prop_detected = {0}
         assert cls.coverage_gain_percent == float("inf")
 
     def test_gain_regular(self):
-        cls = FaultClassification(data=_tiny_data(), clock=ClockSpec(100.0),
-                                  configs=MonitorConfigSet((10.0,)))
+        cls = FaultClassification(num_faults=0)
         cls.conv_detected = {0, 1}
         cls.prop_detected = {0, 1, 2}
         assert cls.coverage_gain_percent == pytest.approx(50.0)

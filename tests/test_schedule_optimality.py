@@ -55,12 +55,11 @@ def make_data(fault_ranges: list[list[tuple[float, float]]],
             ranges.setdefault(fi, {})[pi] = FaultPatternRange(
                 i_all=IntervalSet.from_pairs([iv]),
                 i_mon=IntervalSet.empty())
-    return with_ranges(circuit, faults, patterns, ranges)
+    return with_ranges(faults, patterns, ranges)
 
 
-def with_ranges(circuit, faults, patterns, ranges) -> DetectionData:
-    return DetectionData(circuit=circuit, faults=faults, patterns=patterns,
-                         horizon=T_NOM, monitored_gates=frozenset(),
+def with_ranges(faults, patterns, ranges) -> DetectionData:
+    return DetectionData(faults=faults, patterns=patterns,
                          table=RangeTable.from_ranges(ranges))
 
 
@@ -142,7 +141,7 @@ def test_step2_distinct_patterns_need_two_entries():
     data = make_data([[(150.0, 200.0)], [(150.0, 200.0)]],
                      n_patterns=2, seed=3)
     # Force the two faults onto different patterns.
-    data = with_ranges(data.circuit, data.faults, data.patterns, {
+    data = with_ranges(data.faults, data.patterns, {
         0: {0: data.ranges[0][list(data.ranges[0])[0]]},
         1: {1: data.ranges[1][list(data.ranges[1])[0]]}})
     sched = optimize_schedule(data, {0, 1}, CLOCK, configs=None)

@@ -34,6 +34,7 @@ an entry runs whatever code its bytes name.
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import tempfile
@@ -99,13 +100,23 @@ class StageCache:
         A corrupt pickle can raise nearly any exception type (a flipped
         length byte gives ``OverflowError`` or ``MemoryError``, a flipped
         opcode ``TypeError``), so every ``Exception`` counts as a miss.
+
+        The cyclic collector is off while the pickle loads: its repeated
+        passes over the growing object graph, not the bytes, dominate the
+        load of a large entry.  Loads run on several threads, so only a
+        call that found the collector on turns it back on.
         """
         path = self._path(key)
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             with open(path, "rb") as fh:
                 return pickle.load(fh)
         except Exception:
             return None
+        finally:
+            if enabled:
+                gc.enable()
 
     def store(self, key: str, obj: Any) -> None:
         """Atomically persist ``obj`` under ``key`` (best effort)."""

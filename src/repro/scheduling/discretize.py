@@ -136,7 +136,7 @@ class SweepGrid:
     midpoints; ``degenerate`` flags zero-length segments that must never
     become candidates.  The rescheduling engine caches the grid together
     with the raw occupancy matrix so a degradation delta can patch only
-    the dirty faults' rows (see :mod:`repro.scheduling.resched`).
+    the changed faults' bit columns (see :mod:`repro.scheduling.resched`).
     """
 
     pts: np.ndarray

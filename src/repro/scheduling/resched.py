@@ -14,19 +14,21 @@ Pipeline of one incremental re-solve (:func:`apply_alert`):
    shift; all of its detection intervals (per-pattern ``i_all``/``i_mon``
    and therefore the observable union) translate by the gate's cumulative
    shift.  Shifting commutes with the union over patterns and monitor
-   configurations, so the state caches one *unclipped* combined range per
-   fault (``base_combined``) and a dirty fault's new observable range is
-   ``base_combined.shifted(s).clipped(t_min, t_nom)`` — no per-pattern
-   re-union.
-2. **Delta discretization** — the sweep grid is rebuilt from cached
-   per-fault boundaries (only dirty faults' entries change).  When the
-   grid is unchanged, the occupancy matrix is patched in place: dirty
-   bit columns are cleared and refilled.  When the grid moved, clean
-   rows are *remapped*: every new segment copies the old segment
-   containing its midpoint.  This is exact — both grids contain every
-   clean fault's interval boundaries, so no clean boundary lies strictly
-   inside a new segment and membership is constant across it (see
-   ALGORITHMS.md §16 for the argument).
+   configurations, so the state keeps the targets' *unclipped* combined
+   ranges as one :class:`FlatRanges` (``base``, at zero shift) and the
+   current ranges as another (``cur``), both keyed by candidate-matrix
+   bit: a dirty fault's new pieces are its ``base`` pieces moved by its
+   shift and clipped to ``[t_min, t_nom]`` (:func:`clip_pieces`) — no
+   per-pattern re-union.  A fault whose new pieces equal its old ones
+   within ``EPS`` keeps the old ones.
+2. **Delta discretization** — the sweep grid is rebuilt from the
+   endpoints of ``cur``.  When the grid is unchanged, the occupancy
+   matrix is patched in place: changed bit columns are cleared and
+   refilled.  When the grid moved, clean rows are *remapped*: every new
+   segment copies the old segment containing its midpoint.  This is
+   exact — both grids contain every clean fault's interval boundaries, so
+   no clean boundary lies strictly inside a new segment and membership is
+   constant across it (see ALGORITHMS.md §16 for the argument).
 3. **Warm presolve** — :func:`~repro.scheduling.setcover.presolve_cover_warm`
    replays the previous reduction's dominance witnesses (mask values,
    re-verified O(1) against the new columns — unconditionally lossless)
@@ -44,11 +46,13 @@ Pipeline of one incremental re-solve (:func:`apply_alert`):
 
 Every reuse rule above is lossless, so the incremental schedule is
 cost-equal to a cold re-solve (asserted by the randomized suite in
-``tests/test_resched.py``).  The ``cold`` engine
+``tests/test_resched.py``; ``tests/test_resched_golden.py`` pins every
+path and schedule alert by alert).  The ``cold`` engine
 (:func:`apply_alert_cold`) performs the honest full recompute and doubles
 as the equivalence yardstick and the bench baseline.  Rescheduling is
-restricted to full-coverage schedules — the partial-coverage reductions
-are not lossless, so there is nothing exact to warm-start.
+restricted to full-coverage, ILP-optimal schedules with dominance-pruned
+midpoint candidates — the partial-coverage reductions are not lossless,
+so there is nothing exact to warm-start.
 """
 
 from __future__ import annotations
@@ -58,16 +62,24 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.faults.detection import DetectionData, RangeTable
+from repro.faults.detection import (
+    DetectionData,
+    FlatRanges,
+    RangeTable,
+    _concat_ranges,
+    clip_pieces,
+)
 from repro.monitors.monitor import MonitorConfigSet
 from repro.netlist.circuit import Circuit
 from repro.scheduling.discretize import (
     CandidateSet,
     SweepGrid,
+    discretize_pieces,
     finalize_candidates,
     flatten_ranges,
     occupancy,
@@ -76,7 +88,6 @@ from repro.scheduling.discretize import (
 from repro.scheduling.schedule import (
     ScheduleEntry,
     ScheduleResult,
-    Solver,
     _solve_period,
     optimize_from_candidates,
     order_periods_fault_dropping,
@@ -98,7 +109,7 @@ from repro.scheduling.setcover import (
 from repro.timing.clock import ClockSpec
 from repro.utils.bitset import matrix_to_masks, zeros
 from repro.utils.cache import LruCache
-from repro.utils.intervals import IntervalAccumulator, IntervalSet
+from repro.utils.intervals import EPS, IntervalAccumulator, IntervalSet
 
 #: Bound of the per-state step-2 solution memo: alert bursts revisit the
 #: same (period, fault set, shifts) subproblems across re-solves.
@@ -233,11 +244,11 @@ class ReschedOutcome:
 class ScheduleState:
     """Everything a warm re-solve reuses between alerts.
 
-    Built once by :func:`prepare_state`; mutated in place by
+    Built once by :func:`prepare_state_for_result`; mutated in place by
     :func:`apply_alert` (incremental) and :func:`apply_alert_cold` (full
     recompute that still refreshes the caches so the two engines can be
     interleaved).  The underlying :class:`DetectionData` is never
-    mutated — all shifted views live here.
+    mutated — all shifted ranges live here.
     """
 
     circuit: Circuit
@@ -245,26 +256,22 @@ class ScheduleState:
     targets: frozenset[int]
     clock: ClockSpec
     configs: MonitorConfigSet | None
-    solver: Solver
-    time_limit: float
-    prune_dominated: bool
-    point: str
     #: Fault universe of the candidate bit matrix: every target fault with
-    #: a non-empty *unclipped* combined range.  Fixed across deltas so bit
-    #: positions are stable (faults whose shifted range clips away keep
-    #: their bit and simply contribute no segments).
+    #: a non-empty *unclipped* combined range, in ``repr`` order.  Fixed
+    #: across deltas so bit positions are stable (faults whose shifted
+    #: range clips away keep their bit and simply contribute no segments).
     fault_ids: tuple[int, ...] = ()
     fault_bit: dict[int, int] = field(default_factory=dict)
     fault_gate: dict[int, int] = field(default_factory=dict)
     gate_faults: dict[int, tuple[int, ...]] = field(default_factory=dict)
     #: Cumulative per-gate shifts applied so far.
     shifts: dict[int, float] = field(default_factory=dict)
-    #: fault -> unclipped I_FF ∪ ⋃(I_mon + d) at zero shift.
-    base_combined: dict[int, IntervalSet] = field(default_factory=dict)
-    #: fault -> current shifted+clipped observable range.
-    fault_ranges: dict[int, IntervalSet] = field(default_factory=dict)
-    #: fault -> boundaries of the current range (grid rebuild input).
-    fault_boundaries: dict[int, list[float]] = field(default_factory=dict)
+    #: Per bit ``b`` (the key of every piece), the unclipped
+    #: ``I_FF ∪ ⋃(I_mon + d)`` of ``fault_ids[b]`` at zero shift.
+    base: FlatRanges = field(default_factory=FlatRanges.empty)
+    #: Per bit: ``base`` moved by the fault's cumulative gate shift and
+    #: clipped to ``[t_min, t_nom]`` — the current observable range.
+    cur: FlatRanges = field(default_factory=FlatRanges.empty)
     grid: SweepGrid | None = None
     matrix_raw: np.ndarray | None = None       # occupancy pre-degenerate
     cand_set: CandidateSet | None = None
@@ -289,6 +296,15 @@ class ScheduleState:
     def config_delays(self) -> tuple[float, ...]:
         return tuple(self.configs) if self.configs is not None else ()
 
+    @property
+    def fault_ranges(self) -> Mapping[int, IntervalSet]:
+        """Read-only view: each fault of ``fault_ids`` -> its current
+        range (``cur``), possibly empty.  ``bench/workloads.py`` checks
+        schedule coverage against it."""
+        cur = self.cur
+        return MappingProxyType(
+            {f: cur.interval_set(b) for b, f in enumerate(self.fault_ids)})
+
 
 def _combined_unclipped(data: DetectionData, fault: int,
                         config_delays: tuple[float, ...]) -> IntervalSet:
@@ -306,39 +322,26 @@ def _combined_unclipped(data: DetectionData, fault: int,
     return acc.build()
 
 
-def prepare_state(
-    circuit: Circuit,
-    data: DetectionData,
-    targets: frozenset[int] | set[int],
-    clock: ClockSpec,
-    configs: MonitorConfigSet | None,
-    *,
-    solver: Solver = "ilp",
-    time_limit: float = DEFAULT_TIME_LIMIT_S,
-    prune_dominated: bool = True,
-    point: str = "mid",
-) -> ScheduleState:
-    """Build the re-schedulable state and solve the initial schedule."""
+def prepare_state_for_result(result) -> ScheduleState:
+    """Build the re-schedulable state over a :class:`FlowResult`'s
+    proposed-schedule inputs and solve the initial schedule."""
+    circuit, data, clock = result.circuit, result.data, result.clock
     state = ScheduleState(
-        circuit=circuit, data=data, targets=frozenset(targets),
-        clock=clock, configs=configs, solver=solver, time_limit=time_limit,
-        prune_dominated=prune_dominated, point=point)
-    combined = data.table.combined(state.config_delays)
-    ids = []
-    for f in sorted(state.targets, key=repr):
-        base = combined.interval_set(f)
-        if base.is_empty:
-            continue
-        ids.append(f)
-        state.base_combined[f] = base
-        rng = base.clipped(clock.t_min, clock.t_nom)
-        state.fault_ranges[f] = rng
-        state.fault_boundaries[f] = rng.boundaries()
-    state.fault_ids = tuple(ids)
+        circuit=circuit, data=data,
+        targets=frozenset(result.classification.target), clock=clock,
+        configs=result.configs)
+    combined = data.table.combined(state.config_delays).select(state.targets)
+    faults = combined.faults
+    state.fault_ids = tuple(sorted(faults.tolist(), key=repr))
     state.fault_bit = {f: b for b, f in enumerate(state.fault_ids)}
+    bit = np.array([state.fault_bit[f] for f in faults.tolist()],
+                   dtype=np.int64)[np.searchsorted(faults, combined.fault)]
+    order = np.argsort(bit, kind="stable")
+    state.base = FlatRanges(bit[order], combined.lo[order],
+                            combined.hi[order])
+    state.cur = clip_pieces(state.base, clock.t_min, clock.t_nom)
     for f in state.fault_ids:
-        g = data.faults[f].site.signal_gate(circuit)
-        state.fault_gate[f] = g
+        state.fault_gate[f] = data.faults[f].site.signal_gate(circuit)
     by_gate: dict[int, list[int]] = {}
     for f, g in state.fault_gate.items():
         by_gate.setdefault(g, []).append(f)
@@ -352,21 +355,13 @@ def prepare_state(
 # ----------------------------------------------------------------------
 # Candidate (re)construction
 # ----------------------------------------------------------------------
-def _all_boundaries(state: ScheduleState) -> list[float]:
-    out: list[float] = []
-    for f in state.fault_ids:
-        out.extend(state.fault_boundaries[f])
-    return out
+def _sweep_grid(state: ScheduleState) -> SweepGrid:
+    cur = state.cur
+    return sweep_grid(np.concatenate((cur.lo, cur.hi)), state.clock.t_min,
+                      state.clock.t_nom)
 
 
-def _empty_candidates(state: ScheduleState) -> None:
-    state.matrix_raw = zeros(0, len(state.fault_ids))
-    state.cand_set = CandidateSet((), zeros(0, len(state.fault_ids)),
-                                  state.fault_ids)
-
-
-def _finalize_state(state: ScheduleState, *,
-                    prune: bool | None = None) -> None:
+def _finalize_state(state: ScheduleState, *, prune: bool = True) -> None:
     """Apply the degenerate mask and run merge/prune on ``matrix_raw``.
 
     ``prune=False`` skips dominance pruning: the pruning is lossless (the
@@ -379,69 +374,57 @@ def _finalize_state(state: ScheduleState, *,
     if grid.degenerate.any():
         matrix = matrix.copy()
         matrix[grid.degenerate] = 0
-    state.cand_set = finalize_candidates(
-        matrix, grid, state.fault_ids,
-        prune_dominated=(state.prune_dominated if prune is None
-                         else prune),
-        point=state.point)
+    state.cand_set = finalize_candidates(matrix, grid, state.fault_ids,
+                                         prune_dominated=prune)
 
 
 def _occupancy(state: ScheduleState, grid: SweepGrid,
-               faults: Sequence[int]) -> np.ndarray:
-    """Occupancy matrix of the given faults' current ranges only."""
-    bit, lo, hi = flatten_ranges(
-        (state.fault_bit[f], state.fault_ranges[f]) for f in faults)
-    return occupancy(grid, bit, lo, hi, len(state.fault_ids))
+               pieces: FlatRanges) -> np.ndarray:
+    return occupancy(grid, pieces.fault, pieces.lo, pieces.hi,
+                     len(state.fault_ids))
 
 
 def _rebuild_candidates(state: ScheduleState) -> None:
     """Cold sweep: full grid + occupancy fill from the current ranges."""
-    state.grid = sweep_grid(_all_boundaries(state), state.clock.t_min,
-                            state.clock.t_nom)
+    state.grid = _sweep_grid(state)
     if state.grid.n_segments == 0 or not state.fault_ids:
-        _empty_candidates(state)
+        n = len(state.fault_ids)
+        state.matrix_raw = zeros(0, n)
+        state.cand_set = CandidateSet((), zeros(0, n), state.fault_ids)
         return
-    state.matrix_raw = _occupancy(state, state.grid, state.fault_ids)
+    state.matrix_raw = _occupancy(state, state.grid, state.cur)
     _finalize_state(state)
 
 
-def _patch_candidates(state: ScheduleState,
-                      dirty: Sequence[int]) -> str:
+def _patch_candidates(state: ScheduleState, changed: np.ndarray,
+                      pieces: FlatRanges) -> str:
     """Delta discretization: patch or remap instead of resweeping.
 
-    Returns the path taken (``"patched"`` — grid unchanged, rows edited
-    in place; ``"remapped"`` — clean rows gathered from the old grid by
-    midpoint lookup).  Exactness of the remap: both grids contain every
-    clean fault's boundaries, so a clean fault's membership is constant
-    across each new segment and equals its membership at the midpoint of
-    the old segment containing it (ALGORITHMS.md §16).
+    ``changed`` are the bits whose ranges moved and ``pieces`` their new
+    pieces.  Only a fault with pieces inside the window can change, so
+    the window has segments here.  Returns the path taken
+    (``"patched"`` — grid unchanged, rows edited in place;
+    ``"remapped"`` — clean rows gathered from the old grid by midpoint
+    lookup).  Exactness of the remap: both grids contain every clean
+    fault's boundaries, so a clean fault's membership is constant across
+    each new segment and equals its membership at the midpoint of the
+    old segment containing it (ALGORITHMS.md §16).
     """
     old_grid, old_matrix = state.grid, state.matrix_raw
-    new_grid = sweep_grid(_all_boundaries(state), state.clock.t_min,
-                          state.clock.t_nom)
+    new_grid = _sweep_grid(state)
     state.grid = new_grid
-    if new_grid.n_segments == 0 or not state.fault_ids:
-        _empty_candidates(state)
-        return "emptied"
-    if (old_grid is not None and old_matrix is not None
-            and old_grid.n_segments > 0
-            and np.array_equal(new_grid.pts, old_grid.pts)):
+    if np.array_equal(new_grid.pts, old_grid.pts):
         matrix = old_matrix          # replaced below; safe to edit in place
         path = "patched"
     else:
-        if old_grid is None or old_matrix is None \
-                or old_grid.n_segments == 0:
-            _rebuild_candidates(state)
-            return "rebuilt"
         idx = np.searchsorted(old_grid.pts, new_grid.mids,
                               side="right") - 1
         np.clip(idx, 0, old_grid.n_segments - 1, out=idx)
         matrix = old_matrix[idx]
         path = "remapped"
-    for f in dirty:
-        b = state.fault_bit[f]
+    for b in changed.tolist():
         matrix[:, b >> 6] &= _WORD_MASK ^ np.uint64(1 << (b & 63))
-    matrix |= _occupancy(state, new_grid, dirty)
+    matrix |= _occupancy(state, new_grid, pieces)
     state.matrix_raw = matrix
     _finalize_state(state, prune=False)
     return path
@@ -552,7 +535,7 @@ def _step1_warm(state: ScheduleState, masks: list[int], full: int,
         stats["step1_path"] = "presolve-ilp"
         red = presolve_cover(problem)
     state.reduction = red
-    chosen = solve_reduction(red, state.time_limit, cuts=True)
+    chosen = solve_reduction(red, cuts=True)
     stats["early_exit_components"] = red.stats.get(
         "early_exit_components", 0)
     if chosen is None:       # ILP timeout: greedy fallback like ilp_cover
@@ -574,7 +557,7 @@ def _step1_cold(state: ScheduleState, stats: dict) -> list[int]:
         return []
     red = presolve_cover(problem)
     state.reduction = red
-    chosen = solve_reduction(red, state.time_limit)
+    chosen = solve_reduction(red)
     if chosen is None:       # ILP timeout: greedy fallback like ilp_cover
         return greedy_cover(problem)
     return sorted(chosen)
@@ -618,8 +601,7 @@ def _solve_period_warm(state: ScheduleState, table: RangeTable,
     greedy = greedy_cover_masks(masks, full) if full else []
     if full and len(greedy) > lb:
         stats["step2_ilp"] = stats.get("step2_ilp", 0) + 1
-        greedy = ilp_cover(CoverProblem.from_matrix(matrix, elements),
-                           time_limit=state.time_limit)
+        greedy = ilp_cover(CoverProblem.from_matrix(matrix, elements))
     picked = [keys[j] for j in greedy]
     state.period_prev[period] = tuple(picked)
     return [ScheduleEntry(period=period, pattern=p, config=c)
@@ -643,9 +625,7 @@ def _solve_two_step(state: ScheduleState, *, warm: bool,
         full |= m
     fingerprint = state.cand_set.matrix.tobytes()
 
-    if (warm and fingerprint == state.fingerprint
-            and state.chosen_idx is not None
-            and all(j < len(candidates) for j in state.chosen_idx)):
+    if warm and fingerprint == state.fingerprint:
         # Structure hit: the delta moved segment times but left every
         # candidate's fault set unchanged, so the previous step-1 optimum
         # solves the identical cover problem.
@@ -654,11 +634,7 @@ def _solve_two_step(state: ScheduleState, *, warm: bool,
         stats["step1_path"] = "structure"
     else:
         stats["structure_hit"] = False
-        if state.solver == "greedy":
-            chosen_idx = (greedy_cover_masks(masks, full) if masks and full
-                          else [])
-            stats["step1_path"] = "greedy"
-        elif warm:
+        if warm:
             chosen_idx = _step1_warm(state, masks, full, stats)
         else:
             chosen_idx = _step1_cold(state, stats)
@@ -691,15 +667,14 @@ def _solve_two_step(state: ScheduleState, *, warm: bool,
             misses += 1
         if table is None:
             table = _step2_table(state)
-        if warm and state.solver == "ilp":
+        if warm:
             picked = tuple(_solve_period_warm(
                 state, table, cand.time, fault_set, stats))
+            state.step2_cache[key] = picked
         else:
             picked = tuple(_solve_period(
-                table, cand.time, fault_set, state.configs,
-                state.solver, state.time_limit))
-        if warm:
-            state.step2_cache[key] = picked
+                table, cand.time, fault_set, state.configs, "ilp",
+                DEFAULT_TIME_LIMIT_S))
         entries.extend(picked)
     stats["step2_hits"] = hits
     stats["step2_misses"] = misses
@@ -710,7 +685,7 @@ def _solve_two_step(state: ScheduleState, *, warm: bool,
         entries=sorted(entries),
         targets=state.targets,
         covered=covered,
-        method=state.solver,
+        method="ilp",
         num_candidates=len(candidates),
         per_period_faults=per_period,
     )
@@ -739,22 +714,57 @@ def _accumulate(state: ScheduleState, delta: AlertDelta) -> list[int]:
     return sorted(dirty)
 
 
-def _update_fault(state: ScheduleState, f: int) -> bool:
-    """Refresh one dirty fault's clipped combined range.
+def _slices(key: np.ndarray, keys: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop of each of ``keys``' pieces in ascending ``key``."""
+    return (np.searchsorted(key, keys, side="left"),
+            np.searchsorted(key, keys, side="right"))
 
-    Returns True when it changed, i.e. the candidate matrix needs a patch.
-    Step 2 reads the per-pattern ranges from the table shifted by
-    ``state.shifts`` at solve time, so they move even when the window
-    clip masks the translation here.
+
+def _update_ranges(state: ScheduleState, dirty: list[int]
+                   ) -> tuple[np.ndarray, FlatRanges]:
+    """Move the dirty faults' pieces of ``cur`` to their gates' cumulative
+    shifts.  Returns the bits whose pieces changed (ascending) and their
+    new pieces.
+
+    A fault is unchanged when its new pieces match its old ones in count
+    and every endpoint within ``EPS`` (:class:`IntervalSet` equality); it
+    keeps its old pieces, so the grid cannot drift.  Step 2 reads the
+    per-pattern ranges from the table shifted by ``state.shifts`` at solve
+    time, so they move even when the window clip masks the translation
+    here.
     """
-    s = state.shifts.get(state.fault_gate[f], 0.0)
-    new_rng = state.base_combined[f].shifted(s).clipped(
-        state.clock.t_min, state.clock.t_nom)
-    if new_rng == state.fault_ranges[f]:
-        return False
-    state.fault_ranges[f] = new_rng
-    state.fault_boundaries[f] = new_rng.boundaries()
-    return True
+    dirty = sorted(dirty, key=state.fault_bit.__getitem__)
+    d = np.array([state.fault_bit[f] for f in dirty], dtype=np.int64)
+    shift = np.array([state.shifts.get(state.fault_gate[f], 0.0)
+                      for f in dirty])
+    base, cur = state.base, state.cur
+    b0, b1 = _slices(base.fault, d)
+    at = _concat_ranges(b0, b1)
+    s = np.repeat(shift, b1 - b0)
+    new = clip_pieces(FlatRanges(base.fault[at], base.lo[at] + s,
+                                 base.hi[at] + s),
+                      state.clock.t_min, state.clock.t_nom)
+    c0, c1 = _slices(cur.fault, d)
+    n0, n1 = _slices(new.fault, d)
+    count = c1 - c0
+    changed = count != n1 - n0
+    same = np.flatnonzero(~changed)
+    old_at = _concat_ranges(c0[same], c1[same])
+    new_at = _concat_ranges(n0[same], n1[same])
+    moved = ((np.abs(cur.lo[old_at] - new.lo[new_at]) > EPS)
+             | (np.abs(cur.hi[old_at] - new.hi[new_at]) > EPS))
+    changed[np.repeat(same, count[same])[moved]] = True
+    take = _concat_ranges(n0[changed], n1[changed])
+    pieces = FlatRanges(new.fault[take], new.lo[take], new.hi[take])
+    keep = np.ones(cur.fault.size, dtype=bool)
+    keep[_concat_ranges(c0[changed], c1[changed])] = False
+    fault = np.concatenate((cur.fault[keep], pieces.fault))
+    order = np.argsort(fault, kind="stable")
+    state.cur = FlatRanges(
+        fault[order], np.concatenate((cur.lo[keep], pieces.lo))[order],
+        np.concatenate((cur.hi[keep], pieces.hi))[order])
+    return d[changed], pieces
 
 
 def apply_alert(state: ScheduleState, delta: AlertDelta) -> ReschedOutcome:
@@ -777,10 +787,10 @@ def apply_alert(state: ScheduleState, delta: AlertDelta) -> ReschedOutcome:
     stats["dirty_faults"] = len(dirty)
     if not dirty:
         return _fast("no-dirty-faults")
-    changed = [f for f in dirty if _update_fault(state, f)]
-    stats["changed_faults"] = len(changed)
-    if changed:
-        stats["grid"] = _patch_candidates(state, changed)
+    changed, pieces = _update_ranges(state, dirty)
+    stats["changed_faults"] = int(changed.size)
+    if changed.size:
+        stats["grid"] = _patch_candidates(state, changed, pieces)
     else:
         # Shifts swallowed by the window clip: the candidate matrix is
         # still exact and step 1 replays via the structure fingerprint,
@@ -801,6 +811,9 @@ def apply_alert_cold(state: ScheduleState,
     the memo key does not know about shifts), full sweep discretization,
     cold presolve and uncut ILPs, fresh per-period step-2 covers.  State
     caches are refreshed afterwards so incremental calls may follow.
+    The unions stay a per-fault :class:`IntervalSet` rebuild, converted
+    to ``cur`` once: the baseline the incremental path is measured
+    against (ALGORITHMS.md §16).
     """
     t0 = time.perf_counter()
     stats: dict = {"dirty_gates": len(delta.gates)}
@@ -810,12 +823,13 @@ def apply_alert_cold(state: ScheduleState,
     # Honest cold cost: rebuild every fault's observable union from the
     # per-pattern data, the work detection_range would redo in the field.
     delays = state.config_delays
-    for f in state.fault_ids:
+    ranges = []
+    for b, f in enumerate(state.fault_ids):
         s = state.shifts.get(state.fault_gate[f], 0.0)
         base = _combined_unclipped(state.data, f, delays)
-        rng = base.shifted(s).clipped(state.clock.t_min, state.clock.t_nom)
-        state.fault_ranges[f] = rng
-        state.fault_boundaries[f] = rng.boundaries()
+        ranges.append(
+            (b, base.shifted(s).clipped(state.clock.t_min, state.clock.t_nom)))
+    state.cur = FlatRanges(*flatten_ranges(ranges))
     _rebuild_candidates(state)
     schedule = _solve_two_step(state, warm=False, stats=stats)
     state.schedule = schedule
@@ -823,33 +837,19 @@ def apply_alert_cold(state: ScheduleState,
     return ReschedOutcome(schedule, time.perf_counter() - t0, None, stats)
 
 
-def prepare_state_for_result(result, *, solver: Solver = "ilp",
-                             time_limit: float = DEFAULT_TIME_LIMIT_S
-                             ) -> ScheduleState:
-    """State over a :class:`FlowResult`'s proposed-schedule inputs."""
-    return prepare_state(result.circuit, result.data,
-                         result.classification.target,
-                         result.clock, result.configs, solver=solver,
-                         time_limit=time_limit)
-
-
 def cold_schedule_result(state: ScheduleState) -> ScheduleResult:
     """Cold reference schedule for the state's *current* shifts.
 
-    Recomputes via the stock :func:`optimize_from_candidates` path on a
-    throwaway copy of the ranges — used by equivalence tests to compare
-    against a solve that shares no warm-start machinery with the state.
+    Recomputes via the stock :func:`discretize_pieces` /
+    :func:`optimize_from_candidates` path from the current ranges alone —
+    used by equivalence tests to compare against a solve that shares no
+    warm-start machinery with the state.
     """
-    from repro.scheduling.discretize import discretize_candidate_set
-
-    ranges = {f: rng for f, rng in state.fault_ranges.items()
-              if not rng.is_empty}
-    cand_set = discretize_candidate_set(
-        ranges, state.clock.t_min, state.clock.t_nom,
-        prune_dominated=state.prune_dominated, point=state.point)
+    cur = state.cur
+    cand_set = discretize_pieces(state.fault_ids, cur.fault, cur.lo, cur.hi,
+                                 state.clock.t_min, state.clock.t_nom)
     return optimize_from_candidates(
-        _step2_table(state), cand_set, state.targets, state.configs,
-        solver=state.solver, time_limit=state.time_limit)
+        _step2_table(state), cand_set, state.targets, state.configs)
 
 
 __all__ = [
@@ -860,7 +860,6 @@ __all__ = [
     "apply_alert_cold",
     "cold_schedule_result",
     "load_alert_stream",
-    "prepare_state",
     "prepare_state_for_result",
     "scenario_alert_stream",
 ]

@@ -119,11 +119,6 @@ def mask_row(width: int) -> np.ndarray:
     return row
 
 
-def row_to_mask(row: np.ndarray) -> int:
-    """One packed ``(W,)`` row as an arbitrary-width Python int mask."""
-    return int.from_bytes(np.ascontiguousarray(row).tobytes(), "little")
-
-
 class BitParallelSimulator:
     """Packed-pattern logic simulation of a finalized circuit."""
 

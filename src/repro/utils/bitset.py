@@ -30,7 +30,7 @@ concatenation of the words.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -67,18 +67,6 @@ def popcount(words: np.ndarray) -> np.ndarray:
     return v.sum(axis=-1, dtype=np.int64)
 
 
-def pack_sets(sets: Iterable[Iterable[int]], n_bits: int) -> np.ndarray:
-    """Pack an iterable of bit-position collections into a bit matrix."""
-    rows = [np.fromiter(s, dtype=np.int64) for s in sets]
-    out = zeros(len(rows), n_bits)
-    for r, pos in enumerate(rows):
-        if pos.size:
-            np.bitwise_or.at(out[r], pos >> 6,
-                             np.uint64(1) << (pos.astype(np.uint64)
-                                              & np.uint64(63)))
-    return out
-
-
 def unpack_bits(matrix: np.ndarray, n_bits: int) -> np.ndarray:
     """Boolean incidence ``(rows, n_bits)`` of a bit matrix."""
     bits = np.unpackbits(np.ascontiguousarray(matrix).view(np.uint8),
@@ -99,14 +87,6 @@ def row_bits(row: np.ndarray) -> np.ndarray:
     """Set bit positions of one packed row, ascending."""
     bits = np.unpackbits(row.view(np.uint8), bitorder="little")
     return np.flatnonzero(bits)
-
-
-def matrix_bits(matrix: np.ndarray) -> list[np.ndarray]:
-    """Set bit positions of every row (one unpack for the whole matrix)."""
-    if matrix.size == 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(matrix.shape[0])]
-    bits = np.unpackbits(matrix.view(np.uint8), bitorder="little", axis=1)
-    return [np.flatnonzero(bits[r]) for r in range(matrix.shape[0])]
 
 
 #: Soft cap (bytes) of the temporary in one dominated_rows chunk test.

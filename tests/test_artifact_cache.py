@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import pickle
+import sys
+import threading
 from pathlib import Path
 
 from repro.experiments.artifact_cache import (
@@ -52,6 +55,46 @@ class TestArtifactCache:
         cache.store(KEY, "payload")
         (cache.root / KEY[:2] / f"{KEY}.pkl").write_bytes(b"\x80garbage")
         assert cache.load(KEY) is None
+
+    def test_load_restores_the_collector(self, tmp_path):
+        cache = StageCache(tmp_path)
+        cache.store(KEY, list(range(100)))
+        other = hashlib.sha256(b"other").hexdigest()
+        cache.store(other, "payload")
+        (cache.root / other[:2] / f"{other}.pkl").write_bytes(b"\x80garbage")
+        missing = hashlib.sha256(b"missing").hexdigest()
+        assert gc.isenabled()
+        assert cache.load(KEY) == list(range(100))
+        assert gc.isenabled()
+        assert cache.load(other) is None
+        assert gc.isenabled()
+        assert cache.load(missing) is None
+        assert gc.isenabled()
+        # A caller that turned the collector off keeps it off.
+        gc.disable()
+        try:
+            assert cache.load(KEY) == list(range(100))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_concurrent_loads_leave_the_collector_on(self, tmp_path):
+        cache = StageCache(tmp_path)
+        cache.store(KEY, list(range(1000)))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: [cache.load(KEY) for _ in range(200)])
+                for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert gc.isenabled()
 
     def test_store_is_best_effort(self, tmp_path):
         target = tmp_path / "blocked"

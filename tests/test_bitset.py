@@ -12,16 +12,20 @@ from repro.utils.bitset import (
     first_superset,
     mask_bits,
     masks_to_matrix,
-    matrix_bits,
     matrix_to_masks,
     num_words,
     pack_bits,
-    pack_sets,
     popcount,
     row_bits,
     unpack_bits,
     zeros,
 )
+
+
+def pack_sets(sets, n_bits: int) -> np.ndarray:
+    """Bit matrix with one row per collection of bit positions."""
+    return masks_to_matrix([sum(1 << b for b in set(s)) for s in sets],
+                           n_bits)
 
 
 class TestShapes:
@@ -51,12 +55,8 @@ class TestPackUnpack:
         sets = [{0, 63, 64, 127, 130}, {64}, {129, 130}]
         m = pack_sets(sets, 131)
         assert m.shape == (3, 3)
-        assert matrix_bits(m)[0].tolist() == [0, 63, 64, 127, 130]
-        assert [set(b) for b in matrix_bits(m)] == [set(s) for s in sets]
-
-    def test_matrix_bits_empty(self):
-        m = zeros(0, 10)
-        assert matrix_bits(m) == []
+        assert row_bits(m[0]).tolist() == [0, 63, 64, 127, 130]
+        assert [set(row_bits(r)) for r in m] == [set(s) for s in sets]
 
 
 class TestPopcount:
@@ -117,7 +117,7 @@ def test_property_pack_mask_roundtrip(sets):
     n_bits = 141
     m = pack_sets(sets, n_bits)
     masks = matrix_to_masks(m)
-    for s, mask, bits in zip(sets, masks, matrix_bits(m)):
+    for s, mask, bits in zip(sets, masks, map(row_bits, m)):
         assert mask == sum(1 << b for b in s)
         assert set(bits) == s
     assert np.array_equal(masks_to_matrix(masks, n_bits), m)

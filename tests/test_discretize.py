@@ -9,7 +9,7 @@ from repro.scheduling.discretize import (
     discretize_candidate_set,
     discretize_observation_times,
 )
-from repro.utils.bitset import matrix_bits
+from repro.utils.bitset import row_bits
 from repro.utils.intervals import EPS, IntervalSet
 
 
@@ -106,7 +106,7 @@ class TestPackedView:
         cs = discretize_candidate_set(ranges, 0.0, 10.0,
                                       prune_dominated=False)
         assert cs.matrix.shape[0] == len(cs.candidates)
-        for cand, bits in zip(cs.candidates, matrix_bits(cs.matrix)):
+        for cand, bits in zip(cs.candidates, map(row_bits, cs.matrix)):
             assert frozenset(cs.fault_ids[b] for b in bits) == cand.faults
 
     def test_masks_are_python_ints(self):

@@ -22,8 +22,8 @@ from repro.simulation.parallel_sim import (
     BitParallelSimulator,
     mask_row,
     num_words,
-    row_to_mask,
 )
+from repro.utils.bitset import matrix_to_masks
 
 
 def _workload(circuit, count, seed=3):
@@ -58,7 +58,7 @@ class TestWordHelpers:
     def test_mask_row_roundtrip(self, width):
         row = mask_row(width)
         assert row.dtype == np.uint64
-        assert row_to_mask(row) == (1 << width) - 1
+        assert matrix_to_masks(row[None]) == [(1 << width) - 1]
 
 
 class TestMatrixVsBigInt:
@@ -70,8 +70,9 @@ class TestMatrixVsBigInt:
         matrix, mwidth = sim.pack_vectors_words(vectors)
         assert mwidth == width
         good_m = sim.simulate_words(matrix, width)
+        masks = matrix_to_masks(good_m)
         for g in range(len(good)):
-            assert row_to_mask(good_m[g]) == good[g], g
+            assert masks[g] == good[g], g
 
     @pytest.mark.parametrize("count", [3, 70])
     def test_stuck_at_detection_matches(self, s27, count):

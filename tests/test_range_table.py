@@ -43,7 +43,7 @@ from repro.scheduling.schedule import (
     pattern_config_rows,
 )
 from repro.timing.clock import ClockSpec
-from repro.utils.bitset import matrix_bits
+from repro.utils.bitset import row_bits
 from repro.utils.intervals import EPS, IntervalAccumulator, IntervalSet
 
 #: Monitor delays whose sums with the piece ends round in binary.
@@ -185,7 +185,7 @@ def reference_rows(ranges, fault_set, period, configs) -> dict:
 
 def rows_as_sets(keys, matrix, elements) -> dict:
     return {k: {elements[b] for b in bits}
-            for k, bits in zip(keys, matrix_bits(matrix))}
+            for k, bits in zip(keys, map(row_bits, matrix))}
 
 
 def edge_periods(data, shift, configs) -> list[float]:

@@ -10,7 +10,7 @@ after every alert it holds:
 * the fast path (``empty-delta``/``no-dirty-faults``) or the step-1 path
   (``structure``, ``repair``, ``greedy-certified``, ...);
 * the delta-discretization path ``stats["grid"]`` (``patched``,
-  ``remapped``, ``rebuilt``, ``emptied`` or ``unchanged``);
+  ``remapped`` or ``unchanged``);
 * the schedule: periods, the sorted ``(period, pattern, config)``
   entries and the covered-fault count;
 * the target faults whose current range ``state.fault_ranges[f]`` is
@@ -18,7 +18,10 @@ after every alert it holds:
 
 A refactor of the rescheduler must keep every record: a different grid
 path or step-1 path changes what later alerts reuse, and a different
-optimum changes the schedule the field applies.
+optimum changes the schedule the field applies.  Beside the pin,
+:func:`test_ranges_follow_the_shift_definition` checks every current
+range against its definition, ``(I_FF ∪ ⋃(I_mon + d)) + s`` clipped to
+the window, after each alert of all three kinds of stream.
 
 Regenerate (only for a deliberate, reviewed behaviour change) with::
 
@@ -83,6 +86,21 @@ def bench_stream(res, state) -> list[AlertDelta]:
     return alert_stream_for_state(res.circuit, state)
 
 
+def fine_stream(res, state) -> list[AlertDelta]:
+    """Shifts of a fraction of a picosecond to a picosecond, then their
+    reversal; then one fault's range moved across ``t_nom`` so that its
+    start moves in small steps while its clipped end stays put."""
+    gates = sorted(state.gate_faults)[:6]
+    up = [{g: 0.25 * (1 + k % 4)} for k, g in enumerate(gates)]
+    g = gates[0]
+    span = res.data.table.combined(state.config_delays).interval_set(
+        state.gate_faults[g][0]).span
+    across = res.clock.t_nom - span.midpoint
+    return [AlertDelta.from_mapping(m) for m in
+            up + [{g: -s for g, s in m.items()} for m in up]
+            + [{g: across}, {g: 0.5}, {g: 0.25}, {g: -across - 0.75}]]
+
+
 S27 = _small(lambda: embedded_circuit("s27"))
 GEN60 = _small(lambda: generate_circuit(CircuitProfile(
     name="gen60", n_gates=60, n_ffs=12, n_inputs=8, n_outputs=4, depth=7,
@@ -139,6 +157,21 @@ def test_replay_matches_golden(golden, case):
     for k, (g, w) in enumerate(zip(got, want)):
         for key in w:
             assert g[key] == w[key], (case, k - 1, key)
+
+
+@pytest.mark.parametrize("build", [S27, GEN60], ids=["s27", "gen60"])
+def test_ranges_follow_the_shift_definition(build):
+    res = build()
+    lo, hi = res.clock.t_min, res.clock.t_nom
+    for stream in (bench_stream, push_stream, fine_stream):
+        state = prepare_state_for_result(res)
+        combined = res.data.table.combined(state.config_delays)
+        for delta in stream(res, state):
+            apply_alert(state, delta)
+            for f, rng in state.fault_ranges.items():
+                s = state.shifts.get(state.fault_gate[f], 0.0)
+                want = combined.interval_set(f).shifted(s).clipped(lo, hi)
+                assert rng == want, (stream.__name__, delta, f)
 
 
 if __name__ == "__main__":  # pragma: no cover

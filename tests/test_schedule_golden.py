@@ -53,7 +53,7 @@ from repro.scheduling.schedule import (
     target_ranges,
 )
 from repro.scheduling.setcover import CoverProblem, branch_and_bound_cover
-from repro.utils.bitset import matrix_bits
+from repro.utils.bitset import row_bits
 
 GOLDEN_FILE = (Path(__file__).resolve().parent / "data"
                / "schedule_golden_small.json")
@@ -95,7 +95,7 @@ def _period_rows(data, fault_set, period, configs) -> dict:
     keys, matrix, elements = pattern_config_rows(
         data.table, fault_set, period, configs)
     return {k: {elements[b] for b in bits}
-            for k, bits in zip(keys, matrix_bits(matrix))}
+            for k, bits in zip(keys, map(row_bits, matrix))}
 
 
 def _t(x: float) -> str:

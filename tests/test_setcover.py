@@ -63,14 +63,15 @@ class TestCoverProblem:
         assert p.covered_by([1]) == frozenset({2, 3})
 
     def test_from_matrix_drops_uncovered_elements(self):
-        from repro.utils.bitset import pack_sets
+        from repro.utils.bitset import masks_to_matrix
 
         # Element bit 1 ("b") is in no row: the packed view must equal the
         # frozenset construction over the covered universe.
         elements = ("a", "b", "c", "d")
         rows = [{0, 2}, {2, 3}, {3}]
         subsets = [frozenset(elements[b] for b in r) for r in rows]
-        built = CoverProblem.from_matrix(pack_sets(rows, 4), elements)
+        matrix = masks_to_matrix([sum(1 << b for b in r) for r in rows], 4)
+        built = CoverProblem.from_matrix(matrix, elements)
         ref = CoverProblem(subsets=subsets)
         assert built.universe == ref.universe == frozenset("acd")
         a, b = built.packed(), ref.packed()

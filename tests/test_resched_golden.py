@@ -4,8 +4,11 @@
 quick-suite s9234, what :func:`apply_alert` does with the deterministic
 bench alert stream (:func:`alert_stream_for_state`), and on s27 and
 gen60 also with a stream that pushes faults out of the observable
-window and back (:func:`push_stream`).  For the initial schedule and
-after every alert it holds:
+window and back (:func:`push_stream`), and on all four the bench stream
+with every second alert applied by :func:`apply_alert_cold` (the
+``*/interleaved`` cases: a cold refresh between warm re-solves is what
+exercises the state a cold solve leaves behind).  For the initial
+schedule and after every alert it holds:
 
 * the fast path (``empty-delta``/``no-dirty-faults``) or the step-1 path
   (``structure``, ``repair``, ``greedy-certified``, ...);
@@ -50,6 +53,7 @@ from repro.experiments.runner import SuiteRunConfig, run_suite
 from repro.scheduling.resched import (
     AlertDelta,
     apply_alert,
+    apply_alert_cold,
     prepare_state_for_result,
 )
 
@@ -106,14 +110,22 @@ GEN60 = _small(lambda: generate_circuit(CircuitProfile(
     name="gen60", n_gates=60, n_ffs=12, n_inputs=8, n_outputs=4, depth=7,
     seed=5, endpoint_side_gates=1, short_path_ppo_fraction=0.3)))
 
-#: Case name -> (flow result builder, alert stream of a fresh state).
+C17 = _small(lambda: embedded_circuit("c17"))
+S9234 = _quick("s9234")
+
+#: Case name -> (flow result builder, alert stream of a fresh state[,
+#: interleaved]).
 CASES = {
     "s27": (S27, bench_stream),
-    "c17": (_small(lambda: embedded_circuit("c17")), bench_stream),
+    "c17": (C17, bench_stream),
     "gen60": (GEN60, bench_stream),
-    "s9234": (_quick("s9234"), bench_stream),
+    "s9234": (S9234, bench_stream),
     "s27/push": (S27, push_stream),
     "gen60/push": (GEN60, push_stream),
+    "s27/interleaved": (S27, bench_stream, True),
+    "c17/interleaved": (C17, bench_stream, True),
+    "gen60/interleaved": (GEN60, bench_stream, True),
+    "s9234/interleaved": (S9234, bench_stream, True),
 }
 
 
@@ -132,14 +144,19 @@ def _record(state, out=None) -> dict:
     }
 
 
-def replay(build, stream) -> list[dict]:
-    """The initial record, then one record per alert of the stream."""
+def replay(build, stream, interleaved: bool = False) -> list[dict]:
+    """The initial record, then one record per alert of the stream.
+
+    ``interleaved`` applies every second alert (the 2nd, 4th, ...) with
+    :func:`apply_alert_cold` instead of :func:`apply_alert`.
+    """
     res = build()
     state = prepare_state_for_result(res)
     alerts = stream(res, state)
     records = [_record(state)]
-    for delta in alerts:
-        records.append(_record(state, apply_alert(state, delta)))
+    for k, delta in enumerate(alerts):
+        apply = apply_alert_cold if interleaved and k % 2 else apply_alert
+        records.append(_record(state, apply(state, delta)))
     return records
 
 

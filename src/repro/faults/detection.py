@@ -619,11 +619,10 @@ def compute_detection_data(
     event storage; default) or ``"incremental"`` (bit-parallel pre-grading
     + change-driven cone-schedule propagation).  Both return bit-identical
     data; ``wordwave`` falls back to ``incremental`` for workloads outside
-    its envelope (don't-care patterns, gate kinds without truth-table
-    kernels, fan-in above the kernel limit, or a degenerate inertial
-    threshold).  ``timer``, when given, accumulates the per-stage
-    wall-clock split (``pregrade`` / ``base_sim`` / ``site_inject`` /
-    ``faulty_sim`` / ``intervals``).
+    its envelope (don't-care patterns, fan-in above the kernel limit, or
+    a degenerate inertial threshold).  ``timer``, when given, accumulates
+    the per-stage wall-clock split (``pregrade`` / ``base_sim`` /
+    ``site_inject`` / ``faulty_sim`` / ``intervals``).
     """
     if glitch_threshold is None:
         glitch_threshold = inertial
@@ -644,8 +643,9 @@ def compute_detection_data(
             progress(len(patterns), len(patterns))
     if table is None:
         # The incremental engine, or a workload outside the array kernels'
-        # envelope (don't-cares, exotic gate kinds or fault sites,
-        # degenerate inertial): the identical table, just event-driven.
+        # envelope (don't-cares, wide gates, fault sites off combinational
+        # gates, degenerate inertial): the identical table, just
+        # event-driven.
         table = _run_incremental(
             circuit, faults, patterns, horizon=horizon, monitored=monitored,
             inertial=inertial, glitch_threshold=glitch_threshold,

@@ -36,20 +36,28 @@ Pipeline of one incremental re-solve (:func:`apply_alert`):
 4. **Warm step 1** — when the merged candidate matrix is bit-identical to
    the previous solve (a *structure hit*: the delta moved segment times
    but not fault sets), the previous chosen rows are reused outright.
-   Otherwise the reduced components are solved with lossless cuts: a
-   greedy incumbent bounds the ILP (``Σx ≤ ub``) and components whose
-   incumbent matches the covering lower bound skip the ILP entirely.
+   Otherwise one certificate ladder (:func:`_certified_cover`, shared
+   with step 2) accepts the repaired previous optimum or the greedy
+   cover when it meets :func:`independent_rows_bound_matrix`, and else
+   solves the reduced components with lossless cuts: a greedy incumbent
+   bounds the ILP (``Σx ≤ ub``) and components whose incumbent matches
+   the covering lower bound skip the ILP entirely.
 5. **Step-2 memo** — per-period covers are cached by
-   ``(period, fault set, per-fault shifts)``; periods a delta did not
-   touch replay their previous optimum without building the cover
-   problem.
+   ``(period, fault set, per-fault shifts)``; on a miss the same ladder
+   runs with the period's previous optimum as its first rung and
+   ``ilp_cover`` as its exact rung.
 
-Every reuse rule above is lossless, so the incremental schedule is
-cost-equal to a cold re-solve (asserted by the randomized suite in
+Fault dropping, step 2's order and the result are the flow's own
+(:func:`~repro.scheduling.schedule.schedule_from_chosen`); the warm path
+passes its memoized step 2 and the cold one the flow's.  Every reuse
+rule above is lossless, so the incremental schedule is cost-equal to a
+cold re-solve (asserted by the randomized suite in
 ``tests/test_resched.py``; ``tests/test_resched_golden.py`` pins every
-path and schedule alert by alert).  The ``cold`` engine
-(:func:`apply_alert_cold`) performs the honest full recompute and doubles
-as the equivalence yardstick and the bench baseline.  Rescheduling is
+path and schedule alert by alert, also with cold and warm re-solves
+interleaved).  The ``cold`` engine (:func:`apply_alert_cold`) performs
+the honest full recompute — the flow's ``ilp_cover`` step 1 and
+per-period ILPs on the rebuilt candidates — and doubles as the
+equivalence yardstick and the bench baseline.  Rescheduling is
 restricted to full-coverage, ILP-optimal schedules with dominance-pruned
 midpoint candidates — the partial-coverage reductions are not lossless,
 so there is nothing exact to warm-start.
@@ -63,7 +71,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,19 +96,16 @@ from repro.scheduling.discretize import (
 from repro.scheduling.schedule import (
     ScheduleEntry,
     ScheduleResult,
-    _solve_period,
+    _step2_solver,
     optimize_from_candidates,
-    order_periods_fault_dropping,
     pattern_config_rows,
+    schedule_from_chosen,
 )
 from repro.scheduling.setcover import (
-    DEFAULT_TIME_LIMIT_S,
     CoverProblem,
     PresolveReduction,
-    greedy_cover,
     greedy_cover_masks,
     ilp_cover,
-    independent_rows_bound_masks,
     independent_rows_bound_matrix,
     presolve_cover,
     presolve_cover_warm,
@@ -275,6 +280,8 @@ class ScheduleState:
     grid: SweepGrid | None = None
     matrix_raw: np.ndarray | None = None       # occupancy pre-degenerate
     cand_set: CandidateSet | None = None
+    #: Last warm exact step 1's presolve (its dominance witnesses are
+    #: replayed); a cold solve leaves None.
     reduction: PresolveReduction | None = None
     fingerprint: bytes | None = None           # merged-matrix structure
     chosen_idx: list[int] = field(default_factory=list)
@@ -348,7 +355,7 @@ def prepare_state_for_result(result) -> ScheduleState:
     state.gate_faults = {g: tuple(sorted(fs)) for g, fs in by_gate.items()}
 
     _rebuild_candidates(state)
-    state.schedule = _solve_two_step(state, warm=False)
+    state.schedule = _solve_cold(state, {})
     return state
 
 
@@ -431,7 +438,7 @@ def _patch_candidates(state: ScheduleState, changed: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Two-step solve (shared by cold refresh and warm re-solve)
+# Step 1 and step 2 of the cold refresh and the warm re-solve
 # ----------------------------------------------------------------------
 def _repair_previous(prev_masks: tuple[int, ...], masks: list[int],
                      full: int) -> list[int] | None:
@@ -493,74 +500,83 @@ def _repair_previous(prev_masks: tuple[int, ...], masks: list[int],
     return None
 
 
-def _step1_warm(state: ScheduleState, masks: list[int], full: int,
-                stats: dict) -> list[int]:
-    """Warm minimal frequency selection — cost-equal to ``ilp_cover``.
+def _certified_cover(masks: list[int], full: int, lb: int,
+                     prev: list[int] | None,
+                     exact: Callable[[list[int]], list[int]]
+                     ) -> tuple[list[int], int]:
+    """Certificate ladder of the warm steps 1 and 2; returns the picks
+    and the rung that produced them.
 
-    Certificate ladder, cheapest first:
+    0. ``prev`` — the previous optimum mapped into the new rows — when it
+       still covers ``full`` and meets the lower bound ``lb``;
+    1. the deterministic greedy cover when it meets ``lb``;
+    2. otherwise ``exact(greedy)``, the caller's exact solve.
 
-    1. repair the previous optimum into the new columns; if it meets the
-       independent-elements lower bound it *is* a new optimum — no
-       presolve, no ILP;
-    2. same test for the greedy cover;
-    3. otherwise the exact path.  When the previous reduction recorded
-       dominance witnesses (unpruned candidate sets), replay them through
-       the witness-warmed presolve and solve the components with the
-       lossless incumbent cut; with pre-pruned candidates rule 1 provably
-       cannot fire, so presolve is skipped and one direct HiGHS ILP runs
-       with the best known upper bound as a cardinality cut.
+    Rungs 0 and 1 accept only a cover whose size meets a lower bound, so
+    each is a proven optimum and the ladder never changes the cost.
     """
-    if not masks or not full:
-        return []
-    lb = independent_rows_bound_matrix(state.cand_set.matrix)
-    stats["step1_lb"] = lb
-    repaired = _repair_previous(state.prev_chosen_masks, masks, full)
-    if repaired is not None and len(repaired) <= lb:
-        stats["step1_path"] = "repair"
-        return repaired
+    if prev is not None and len(prev) <= lb:
+        union = 0
+        for j in prev:
+            union |= masks[j]
+        if union == full:
+            return prev, 0
     greedy = greedy_cover_masks(masks, full)
     if len(greedy) <= lb:
-        stats["step1_path"] = "greedy-certified"
-        return greedy
-    # Exact fallback.  The patch path skips dominance pruning, so the
-    # presolve's dominated-column rule has real work to do here; replay
-    # the previous reduction's witnesses when one exists.
-    problem = _step1_problem(state)
-    if state.reduction is not None and state.reduction.dominators:
-        stats["step1_path"] = "warm-presolve-ilp"
-        red = presolve_cover_warm(problem, state.reduction)
-        stats["warm_dropped_columns"] = red.stats.get(
-            "warm_dropped_columns", 0)
-    else:
-        stats["step1_path"] = "presolve-ilp"
-        red = presolve_cover(problem)
-    state.reduction = red
-    chosen = solve_reduction(red, cuts=True)
-    stats["early_exit_components"] = red.stats.get(
-        "early_exit_components", 0)
-    if chosen is None:       # ILP timeout: greedy fallback like ilp_cover
-        return greedy
-    return sorted(chosen)
+        return greedy, 1
+    return exact(greedy), 2
 
 
 def _step1_problem(state: ScheduleState) -> CoverProblem:
-    """Step-1 cover problem over the packed candidate rows (no frozenset
-    hashing; bit order is the repr-sorted universe, as the cold path's)."""
+    """Step-1 cover problem over the packed candidate rows (bit order is
+    the repr-sorted universe, as the flow's)."""
     cand_set = state.cand_set
     return CoverProblem.from_matrix(cand_set.matrix, cand_set.fault_ids)
 
 
-def _step1_cold(state: ScheduleState, stats: dict) -> list[int]:
-    """Cold minimal frequency selection — the seed ``ilp_cover`` path."""
-    problem = _step1_problem(state)
-    if problem.num_subsets == 0 or not problem.universe:
+def _step1_warm(state: ScheduleState, stats: dict) -> list[int]:
+    """Warm minimal frequency selection — cost-equal to ``ilp_cover``.
+
+    The ladder of :func:`_certified_cover` with the previous optimum
+    repaired into the new rows (:func:`_repair_previous`).  Its exact rung
+    is presolve — replaying the previous reduction's dominance witnesses
+    when it recorded any (the patch path skips dominance pruning, so rule
+    1 has real work) — and the component ILPs with the lossless incumbent
+    cut (``solve_reduction(cuts=True)``).
+    """
+    matrix = state.cand_set.matrix
+    if not matrix.any():
         return []
-    red = presolve_cover(problem)
-    state.reduction = red
-    chosen = solve_reduction(red)
-    if chosen is None:       # ILP timeout: greedy fallback like ilp_cover
-        return greedy_cover(problem)
-    return sorted(chosen)
+    masks = matrix_to_masks(matrix)
+    full = 0
+    for m in masks:
+        full |= m
+
+    def exact(greedy: list[int]) -> list[int]:
+        problem = _step1_problem(state)
+        if state.reduction is not None and state.reduction.dominators:
+            stats["step1_path"] = "warm-presolve-ilp"
+            red = presolve_cover_warm(problem, state.reduction)
+            stats["warm_dropped_columns"] = red.stats.get(
+                "warm_dropped_columns", 0)
+        else:
+            stats["step1_path"] = "presolve-ilp"
+            red = presolve_cover(problem)
+        state.reduction = red
+        chosen = solve_reduction(red, cuts=True)
+        stats["early_exit_components"] = red.stats.get(
+            "early_exit_components", 0)
+        if chosen is None:   # ILP timeout: greedy fallback like ilp_cover
+            return greedy
+        return sorted(chosen)
+
+    lb = independent_rows_bound_matrix(matrix)
+    stats["step1_lb"] = lb
+    repaired = _repair_previous(state.prev_chosen_masks, masks, full)
+    chosen, rung = _certified_cover(masks, full, lb, repaired, exact)
+    if rung < 2:
+        stats["step1_path"] = ("repair", "greedy-certified")[rung]
+    return chosen
 
 
 def _step2_key(state: ScheduleState, period: float,
@@ -574,38 +590,35 @@ def _step2_key(state: ScheduleState, period: float,
 def _solve_period_warm(state: ScheduleState, table: RangeTable,
                        period: float, fault_set: frozenset[int],
                        stats: dict) -> list[ScheduleEntry]:
-    """Step-2 covering with the same certificate ladder as step 1.
+    """Step-2 covering through the ladder of :func:`_certified_cover`.
 
     The rows are cold step 2's (:func:`pattern_config_rows` on the shifted
-    table), and the entry *count* per period is the optimal cover
-    cardinality either way, so replacing the ILP with a certified greedy
-    cover keeps the schedule cost identical to the cold path.
+    table), the previous optimum here (``period_prev``) is rung 0 when all
+    of its keys are still rows, and ``ilp_cover`` is the exact rung, so
+    the entry count per period is the optimal cover cardinality either
+    way.
     """
     keys, matrix, elements = pattern_config_rows(table, fault_set, period,
                                                  state.configs)
     masks = matrix_to_masks(matrix)
-    full = (1 << len(elements)) - 1
-    lb = (independent_rows_bound_masks(masks, len(elements)) if full else 0)
-    prev = state.period_prev.get(period)
-    if prev is not None and full and len(prev) <= lb:
-        masks_by_key = dict(zip(keys, masks))
-        union = 0
-        for k in prev:
-            union |= masks_by_key.get(k, 0)
-        if union == full:
-            # The previous optimum here still covers under the new shifts
-            # and matches the lower bound: certified, no cover solve.
-            stats["step2_prev"] = stats.get("step2_prev", 0) + 1
-            return [ScheduleEntry(period=period, pattern=p, config=c)
-                    for p, c in prev]
-    greedy = greedy_cover_masks(masks, full) if full else []
-    if full and len(greedy) > lb:
+    prev = None
+    if period in state.period_prev:
+        row_of = {k: j for j, k in enumerate(keys)}
+        prev = [row_of.get(k) for k in state.period_prev[period]]
+        if None in prev:
+            prev = None
+    picked, rung = _certified_cover(
+        masks, (1 << len(elements)) - 1,
+        independent_rows_bound_matrix(matrix), prev,
+        lambda greedy: ilp_cover(CoverProblem.from_matrix(matrix, elements)))
+    if rung == 0:
+        stats["step2_prev"] = stats.get("step2_prev", 0) + 1
+    elif rung == 2:
         stats["step2_ilp"] = stats.get("step2_ilp", 0) + 1
-        greedy = ilp_cover(CoverProblem.from_matrix(matrix, elements))
-    picked = [keys[j] for j in greedy]
-    state.period_prev[period] = tuple(picked)
+    keys_picked = tuple(keys[j] for j in picked)
+    state.period_prev[period] = keys_picked
     return [ScheduleEntry(period=period, pattern=p, config=c)
-            for p, c in picked]
+            for p, c in keys_picked]
 
 
 def _step2_table(state: ScheduleState) -> RangeTable:
@@ -615,80 +628,68 @@ def _step2_table(state: ScheduleState) -> RangeTable:
         f: state.shifts.get(g, 0.0) for f, g in state.fault_gate.items()})
 
 
-def _solve_two_step(state: ScheduleState, *, warm: bool,
-                    stats: dict | None = None) -> ScheduleResult:
-    stats = stats if stats is not None else {}
-    candidates = state.cand_set.candidates
-    masks = state.cand_set.masks
-    full = 0
-    for m in masks:
-        full |= m
-    fingerprint = state.cand_set.matrix.tobytes()
+def _schedule(state: ScheduleState, chosen_idx: list[int],
+              solve_period: Callable[[float, frozenset[int]],
+                                     Sequence[ScheduleEntry]]
+              ) -> ScheduleResult:
+    """Record step 1's optimum for the next re-solve and finish the
+    schedule with the flow's two-step tail."""
+    matrix = state.cand_set.matrix
+    state.fingerprint = matrix.tobytes()
+    state.chosen_idx = list(chosen_idx)
+    state.prev_chosen_masks = tuple(matrix_to_masks(matrix[chosen_idx]))
+    state.revision += 1
+    return schedule_from_chosen(state.cand_set, chosen_idx, state.targets,
+                                "ilp", solve_period)
 
-    if warm and fingerprint == state.fingerprint:
+
+def _solve_cold(state: ScheduleState, stats: dict) -> ScheduleResult:
+    """The flow's two steps on the state's candidates: ``ilp_cover`` for
+    step 1, the flow's per-period ILP on the shifted table.
+
+    It stores no presolve reduction: one over dominance-pruned
+    candidates records no witness, so there is nothing to replay.
+    """
+    state.reduction = None
+    stats["step1_path"] = "cold-ilp"
+    chosen_idx = ilp_cover(_step1_problem(state))
+    return _schedule(state, chosen_idx,
+                     _step2_solver(_step2_table(state), state.configs))
+
+
+def _solve_warm(state: ScheduleState, stats: dict) -> ScheduleResult:
+    """Warm step 1 (structure hit, else :func:`_step1_warm`) and step 2
+    memoized by :func:`_step2_key` over :func:`_solve_period_warm`."""
+    if state.cand_set.matrix.tobytes() == state.fingerprint:
         # Structure hit: the delta moved segment times but left every
         # candidate's fault set unchanged, so the previous step-1 optimum
         # solves the identical cover problem.
         chosen_idx = list(state.chosen_idx)
-        stats["structure_hit"] = True
         stats["step1_path"] = "structure"
     else:
-        stats["structure_hit"] = False
-        if warm:
-            chosen_idx = _step1_warm(state, masks, full, stats)
-        else:
-            chosen_idx = _step1_cold(state, stats)
-            stats["step1_path"] = "cold-ilp"
-    state.fingerprint = fingerprint
-    state.chosen_idx = list(chosen_idx)
-    state.prev_chosen_masks = tuple(masks[j] for j in chosen_idx)
-
-    chosen = [candidates[j] for j in chosen_idx]
-    covered_acc: set[int] = set()
-    for c in chosen:
-        covered_acc |= c.faults
-    covered = frozenset(covered_acc)
-
-    dropping = order_periods_fault_dropping(chosen, covered)
-    per_period = {cand.time: fs for cand, fs in dropping}
-    entries = []
-    hits = misses = 0
+        chosen_idx = _step1_warm(state, stats)
+    stats["step2_hits"] = stats["step2_misses"] = 0
     table = None
-    for cand, fault_set in dropping:
-        if warm:
-            key = _step2_key(state, cand.time, fault_set)
-            picked = state.step2_cache.get(key)
-            if picked is not None:
-                hits += 1
-                state.period_prev[cand.time] = tuple(
-                    (e.pattern, e.config) for e in picked)
-                entries.extend(picked)
-                continue
-            misses += 1
+
+    def solve_period(period: float, fault_set: frozenset[int]
+                     ) -> tuple[ScheduleEntry, ...]:
+        nonlocal table
+        key = _step2_key(state, period, fault_set)
+        picked = state.step2_cache.get(key)
+        if picked is not None:
+            stats["step2_hits"] += 1
+            state.period_prev[period] = tuple(
+                (e.pattern, e.config) for e in picked)
+            return picked
+        stats["step2_misses"] += 1
         if table is None:
             table = _step2_table(state)
-        if warm:
-            picked = tuple(_solve_period_warm(
-                state, table, cand.time, fault_set, stats))
-            state.step2_cache[key] = picked
-        else:
-            picked = tuple(_solve_period(
-                table, cand.time, fault_set, state.configs, "ilp",
-                DEFAULT_TIME_LIMIT_S))
-        entries.extend(picked)
-    stats["step2_hits"] = hits
-    stats["step2_misses"] = misses
+        picked = tuple(_solve_period_warm(state, table, period, fault_set,
+                                          stats))
+        state.step2_cache[key] = picked
+        return picked
 
-    state.revision += 1
-    return ScheduleResult(
-        periods=sorted(per_period),
-        entries=sorted(entries),
-        targets=state.targets,
-        covered=covered,
-        method="ilp",
-        num_candidates=len(candidates),
-        per_period_faults=per_period,
-    )
+    return _schedule(state, chosen_idx, solve_period)
 
 
 # ----------------------------------------------------------------------
@@ -797,7 +798,7 @@ def apply_alert(state: ScheduleState, delta: AlertDelta) -> ReschedOutcome:
         # but the per-pattern ranges moved, so step 2 must re-solve the
         # dirty periods (the shift-aware cache keys force the misses).
         stats["grid"] = "unchanged"
-    schedule = _solve_two_step(state, warm=True, stats=stats)
+    schedule = _solve_warm(state, stats)
     state.schedule = schedule
     return ReschedOutcome(schedule, time.perf_counter() - t0, None, stats)
 
@@ -809,8 +810,9 @@ def apply_alert_cold(state: ScheduleState,
     Applies the delta, then recomputes the entire pipeline from the
     detection data: per-fault observable unions (rebuilt, not memoized —
     the memo key does not know about shifts), full sweep discretization,
-    cold presolve and uncut ILPs, fresh per-period step-2 covers.  State
-    caches are refreshed afterwards so incremental calls may follow.
+    the flow's ``ilp_cover`` step 1 and fresh per-period step-2 ILPs.
+    The step-1 optimum and the candidate fingerprint are recorded
+    afterwards so incremental calls may follow.
     The unions stay a per-fault :class:`IntervalSet` rebuild, converted
     to ``cur`` once: the baseline the incremental path is measured
     against (ALGORITHMS.md §16).
@@ -831,7 +833,7 @@ def apply_alert_cold(state: ScheduleState,
             (b, base.shifted(s).clipped(state.clock.t_min, state.clock.t_nom)))
     state.cur = FlatRanges(*flatten_ranges(ranges))
     _rebuild_candidates(state)
-    schedule = _solve_two_step(state, warm=False, stats=stats)
+    schedule = _solve_cold(state, stats)
     state.schedule = schedule
     stats["grid"] = "rebuilt"
     return ReschedOutcome(schedule, time.perf_counter() - t0, None, stats)

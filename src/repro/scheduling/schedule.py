@@ -28,8 +28,14 @@ Performance structure (the bitset pipeline):
   ``(targets, configs, window, policy)`` tuple and are cached on the
   :class:`DetectionData` (the heuristic, proposed and relaxed-coverage
   schedules all share one candidate set),
-* fault dropping accumulates coverage incrementally on int bitmasks
-  instead of re-intersecting every pool candidate per round.
+* step 1 is the only part the callers choose: :func:`schedule_from_chosen`
+  turns chosen candidate rows into the schedule — covered set, fault
+  dropping, per-period step 2 and the :class:`ScheduleResult` — for both
+  :func:`optimize_from_candidates` and the in-field rescheduler
+  (:mod:`repro.scheduling.resched`), which passes its memoized step 2,
+* fault dropping reads the chosen rows of the candidate matrix, one int
+  per row, and accumulates coverage with one AND + popcount per pool
+  candidate per round.
 
 ``timer`` collects the per-stage wall-clock split (``target_ranges`` /
 ``discretize`` / ``step1`` / ``step2``, plus ``presolve`` nested inside
@@ -42,7 +48,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Literal
+from itertools import chain
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -61,7 +68,7 @@ from repro.scheduling.setcover import (
     ilp_cover,
 )
 from repro.timing.clock import ClockSpec
-from repro.utils.bitset import mask_bits, pack_bits
+from repro.utils.bitset import mask_bits, matrix_to_masks, pack_bits
 from repro.utils.intervals import IntervalSet
 from repro.utils.profiling import StageTimer
 
@@ -170,24 +177,24 @@ def _discretize_targets(pieces: FlatRanges, clock: ClockSpec,
 
 
 def order_periods_fault_dropping(
-    chosen: list[PeriodCandidate],
-    covered: frozenset[int],
+    chosen: Sequence[PeriodCandidate],
+    rows: np.ndarray,
+    fault_ids: Sequence[int],
 ) -> list[tuple[PeriodCandidate, frozenset[int]]]:
     """Assign every covered fault to exactly one selected period.
 
     Implements the paper's "heuristic selection that uses fault dropping":
     periods are ranked by how many still-unassigned faults they detect; each
-    iteration takes the richest period and drops its faults.  Coverage is
-    accumulated incrementally on int bitmasks — one AND + popcount per pool
-    candidate per round — rather than re-intersecting frozensets; selection
-    order and tie-breaking (highest gain, then latest period, first
-    candidate wins) are unchanged from the seed.
+    iteration takes the richest period and drops its faults.  ``rows[i]``
+    is the packed fault set of ``chosen[i]`` (bit ``b`` is
+    ``fault_ids[b]``); coverage is accumulated on one int mask per row —
+    one AND + popcount per pool candidate per round.  The highest gain
+    wins; ties go to the later period, then to the first candidate.
     """
-    ids = tuple(sorted(covered, key=repr))
-    index = {f: b for b, f in enumerate(ids)}
-    masks = [sum(1 << index[f] for f in c.faults if f in index)
-             for c in chosen]
-    remaining = (1 << len(ids)) - 1
+    masks = matrix_to_masks(rows)
+    remaining = 0
+    for m in masks:
+        remaining |= m
     pool = list(range(len(chosen)))
     ordered: list[tuple[PeriodCandidate, frozenset[int]]] = []
     while pool and remaining:
@@ -200,7 +207,7 @@ def order_periods_fault_dropping(
         if not take:
             continue
         ordered.append((chosen[j],
-                        frozenset(ids[b] for b in mask_bits(take))))
+                        frozenset(fault_ids[b] for b in mask_bits(take))))
         remaining &= ~take
     return ordered
 
@@ -301,6 +308,16 @@ def _solve_period(
             for j in picked]
 
 
+def _step2_solver(table: RangeTable, configs: MonitorConfigSet | None,
+                  solver: Solver = "ilp",
+                  time_limit: float = DEFAULT_TIME_LIMIT_S
+                  ) -> Callable[[float, frozenset[int]], list[ScheduleEntry]]:
+    """:func:`_solve_period` on ``table`` as :func:`schedule_from_chosen`
+    calls it: ``(period, fault_set) -> entries``."""
+    return lambda period, fault_set: _solve_period(
+        table, period, fault_set, configs, solver, time_limit)
+
+
 def optimize_schedule(
     data: DetectionData,
     targets: set[int] | frozenset[int],
@@ -349,45 +366,51 @@ def optimize_from_candidates(
 ) -> ScheduleResult:
     """Step 1 + step 2 from an explicit candidate set and range table.
 
-    Extracted core of :func:`optimize_schedule` so the rescheduling engine
-    can inject delta-patched candidates and a shifted table instead of the
-    cached artifacts derived from a :class:`DetectionData`.  Only the
-    chosen candidates are materialized.
+    Extracted core of :func:`optimize_schedule` so a caller can pass
+    candidates and a table that are not the cached artifacts of a
+    :class:`DetectionData` (the rescheduler's cold reference passes its
+    current candidates and shifted table).
     """
-    candidates = cand_set.candidates
-
-    # ------------------------------------------------------------------
-    # Step 1: minimal frequency selection, on the packed candidate rows.
-    # ------------------------------------------------------------------
     with (timer.stage("step1") if timer is not None else nullcontext()):
         problem = CoverProblem.from_matrix(cand_set.matrix,
                                            cand_set.fault_ids)
         chosen_idx = _solve(problem, solver, coverage, time_limit, timer)
-    chosen = [candidates[j] for j in chosen_idx]
-    covered_acc: set[int] = set()
-    for c in chosen:
-        covered_acc |= c.faults
-    covered = frozenset(covered_acc)
+    return schedule_from_chosen(
+        cand_set, chosen_idx, targets, solver,
+        _step2_solver(table, configs, solver, time_limit), timer=timer)
 
-    # ------------------------------------------------------------------
-    # Step 2: per-frequency pattern/config selection.
-    # ------------------------------------------------------------------
-    entries: list[ScheduleEntry] = []
+
+def schedule_from_chosen(
+    cand_set: CandidateSet,
+    chosen_idx: Sequence[int],
+    targets: frozenset[int],
+    method: str,
+    solve_period: Callable[[float, frozenset[int]], Sequence[ScheduleEntry]],
+    *,
+    timer: StageTimer | None = None,
+) -> ScheduleResult:
+    """Step 2 and the result, given step 1's chosen candidate rows.
+
+    The covered set is the union of the chosen rows; fault dropping
+    assigns each covered fault to one chosen period, and
+    ``solve_period(period, fault_set)`` picks that period's
+    (pattern, config) entries.  Only the chosen candidates are
+    materialized.
+    """
+    chosen = [cand_set.candidates[j] for j in chosen_idx]
     with (timer.stage("step2") if timer is not None else nullcontext()):
-        dropping = order_periods_fault_dropping(chosen, covered)
-        per_period: dict[float, frozenset[int]] = {
-            cand.time: fault_set for cand, fault_set in dropping}
+        dropping = order_periods_fault_dropping(
+            chosen, cand_set.matrix[list(chosen_idx)], cand_set.fault_ids)
+        entries: list[ScheduleEntry] = []
         for cand, fault_set in dropping:
-            entries.extend(_solve_period(
-                table, cand.time, fault_set, configs, solver,
-                time_limit))
-
+            entries.extend(solve_period(cand.time, fault_set))
+    per_period = {cand.time: fault_set for cand, fault_set in dropping}
     return ScheduleResult(
         periods=sorted(per_period),
         entries=sorted(entries),
         targets=targets,
-        covered=covered,
-        method=solver,
-        num_candidates=len(candidates),
+        covered=frozenset(chain.from_iterable(fs for _, fs in dropping)),
+        method=method,
+        num_candidates=len(cand_set.candidates),
         per_period_faults=per_period,
     )

@@ -26,6 +26,9 @@ the bit matrix, and so does the ILP model build of each component.  See
 ALGORITHMS.md §9 for the losslessness argument.  Callers that already
 hold the packed rows (the scheduler's candidate matrix) build the problem
 with :meth:`CoverProblem.from_matrix` and skip the frozenset hashing.
+:func:`independent_rows_bound_matrix` is the one lower bound: the
+rescheduler's warm steps accept a greedy or repaired cover without the
+ILP when its size meets it.
 """
 
 from __future__ import annotations
@@ -220,49 +223,19 @@ def greedy_cover(problem: CoverProblem, *, coverage: float = 1.0) -> list[int]:
                               need=problem.required_count(coverage))
 
 
-def independent_rows_bound(masks: Sequence[int], universe: int) -> int:
-    """Combinatorial lower bound on the full-coverage optimum.
+def independent_rows_bound_matrix(matrix: np.ndarray) -> int:
+    """Combinatorial lower bound on the full-coverage optimum over the
+    rows of a packed bit matrix; the universe is the union of the rows.
 
     Greedily collects *independent* elements — no two share a covering
-    subset — rarest-covered first.  Every cover spends a distinct subset
-    per independent element, so their count bounds the optimum from
-    below.  On the interval-structured cover problems the scheduler
-    produces, the bound is routinely tight, which lets the rescheduling
-    engine certify a repaired previous solution as optimal without
-    touching the ILP (see :mod:`repro.scheduling.resched`).  Deterministic:
-    ties are broken by lowest element bit.
-    """
-    covering: dict[int, list[int]] = {}
-    for cm in masks:
-        m = cm & universe
-        while m:
-            e = m & -m
-            m ^= e
-            covering.setdefault(e, []).append(cm)
-    order = sorted(covering, key=lambda e: (len(covering[e]), e))
-    remaining = universe
-    bound = 0
-    for e in order:
-        if not remaining & e:
-            continue
-        union = 0
-        for cm in covering[e]:
-            union |= cm
-        remaining &= ~union
-        bound += 1
-    # Elements no subset covers cannot raise a *feasible* optimum's bound;
-    # callers only certify against feasible covers, so ignore them.
-    return bound
-
-
-def independent_rows_bound_matrix(matrix: np.ndarray) -> int:
-    """:func:`independent_rows_bound` over a packed bit matrix.
-
-    Same greedy, same tie-breaking (rarest element first, lowest bit on
-    ties), but vectorized: one ``unpackbits`` gives the element-by-column
-    incidence, so each of the ≤ *bound* iterations is a masked column
-    reduction instead of a Python scan over all masks.  The universe is
-    the union of the rows — the only way the scheduler calls the bound.
+    row — rarest-covered first, lowest bit on ties.  Every cover spends a
+    distinct row per independent element, so their count bounds the
+    optimum from below.  On the interval-structured problems the
+    scheduler produces the bound is routinely tight, which lets the
+    rescheduling engine certify a cover as optimal without the ILP (see
+    :mod:`repro.scheduling.resched`).  One ``unpackbits`` gives the
+    element-by-row incidence, so each of the ≤ *bound* iterations is a
+    masked column reduction.
     """
     if matrix.shape[0] == 0:
         return 0
@@ -281,14 +254,6 @@ def independent_rows_bound_matrix(matrix: np.ndarray) -> int:
         remaining &= ~union
         bound += 1
     return bound
-
-
-def independent_rows_bound_masks(masks: Sequence[int], n_bits: int) -> int:
-    """:func:`independent_rows_bound_matrix` for int-mask subproblems
-    whose universe is the union of the masks (step-2 covers)."""
-    if not masks or n_bits <= 0:
-        return 0
-    return independent_rows_bound_matrix(masks_to_matrix(masks, n_bits))
 
 
 # ----------------------------------------------------------------------

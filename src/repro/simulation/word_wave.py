@@ -52,7 +52,7 @@ The engine is bit-identical to ``engine="incremental"`` (guarded by the
 randomized golden suite in ``tests/test_wordwave_golden.py``) whenever it
 is applicable; :func:`wordwave_fallback_reason` names the cases where the
 caller must fall back to the incremental engine (don't-care patterns,
-degenerate inertial thresholds, exotic gate arities/kinds).
+degenerate inertial thresholds, gate arities above the LUT limit).
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ GROUP_EPS = 1e-9
 #: uint64 word (2**6 = 64 entries).
 MAX_ARITY = 6
 
-_SUPPORTED_KINDS = frozenset({
-    GateKind.AND, GateKind.NAND, GateKind.OR, GateKind.NOR,
-    GateKind.XOR, GateKind.XNOR, GateKind.NOT, GateKind.BUF,
-})
-
-
 def wordwave_fallback_reason(circuit: Circuit, patterns,
                              inertial: float) -> str | None:
     """Why the wordwave engine cannot run this workload (None = it can).
@@ -95,11 +89,7 @@ def wordwave_fallback_reason(circuit: Circuit, patterns,
     if inertial <= 2 * EPS:
         return "inertial threshold too small for canonical-schedule kernels"
     for g in circuit.gates:
-        if not GateKind.is_combinational(g.kind):
-            continue
-        if g.kind not in _SUPPORTED_KINDS:
-            return f"unsupported gate kind {g.kind!r}"
-        if g.arity > MAX_ARITY:
+        if GateKind.is_combinational(g.kind) and g.arity > MAX_ARITY:
             return f"gate arity {g.arity} exceeds LUT limit {MAX_ARITY}"
     if any(p.has_dont_cares for p in patterns):
         return "patterns contain don't-cares"

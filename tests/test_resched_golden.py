@@ -56,6 +56,7 @@ from repro.scheduling.resched import (
     apply_alert_cold,
     prepare_state_for_result,
 )
+from repro.scheduling.setcover import CoverProblem, presolve_cover
 
 GOLDEN_FILE = Path(__file__).resolve().parent / "data" / "resched_golden.json"
 
@@ -189,6 +190,29 @@ def test_ranges_follow_the_shift_definition(build):
                 s = state.shifts.get(state.fault_gate[f], 0.0)
                 want = combined.interval_set(f).shifted(s).clipped(lo, hi)
                 assert rng == want, (stream.__name__, delta, f)
+
+
+@pytest.mark.parametrize("build", [S27, C17, GEN60],
+                         ids=["s27", "c17", "gen60"])
+def test_cold_candidates_leave_no_dominance_witness(build):
+    """A cold solve keeps no presolve reduction for the next warm one:
+    its candidates are dominance-pruned, so presolve over them records
+    no witness to replay."""
+    res = build()
+    state = prepare_state_for_result(res)
+
+    def witnesses():
+        cand_set = state.cand_set
+        return presolve_cover(CoverProblem.from_matrix(
+            cand_set.matrix, cand_set.fault_ids)).dominators
+
+    assert state.cand_set.matrix.shape[0]
+    assert witnesses() == ()
+    assert state.reduction is None
+    for delta in bench_stream(res, state):
+        apply_alert_cold(state, delta)
+        assert witnesses() == (), delta
+        assert state.reduction is None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,7 +12,17 @@ from repro.scheduling.schedule import (
     target_ranges,
 )
 from repro.scheduling.discretize import PeriodCandidate
+from repro.utils.bitset import masks_to_matrix
 from repro.utils.intervals import Interval
+
+
+def _dropping(chosen):
+    """``order_periods_fault_dropping`` over the candidates' packed rows."""
+    fault_ids = sorted(set().union(*(c.faults for c in chosen)), key=repr)
+    rows = masks_to_matrix(
+        [sum(1 << fault_ids.index(f) for f in c.faults) for c in chosen],
+        len(fault_ids))
+    return order_periods_fault_dropping(chosen, rows, fault_ids)
 
 
 class TestScheduleResult:
@@ -101,8 +111,7 @@ class TestHelpers:
         c1 = PeriodCandidate(1.0, Interval(0.5, 1.5),
                              frozenset({1, 2, 3}))
         c2 = PeriodCandidate(2.0, Interval(1.5, 2.5), frozenset({3, 4}))
-        ordered = order_periods_fault_dropping([c2, c1],
-                                               frozenset({1, 2, 3, 4}))
+        ordered = _dropping([c2, c1])
         assert ordered[0][0] is c1
         assert ordered[0][1] == frozenset({1, 2, 3})
         assert ordered[1][1] == frozenset({4})  # 3 was dropped
@@ -110,7 +119,7 @@ class TestHelpers:
     def test_order_skips_empty_contribution(self):
         c1 = PeriodCandidate(1.0, Interval(0.5, 1.5), frozenset({1}))
         c2 = PeriodCandidate(2.0, Interval(1.5, 2.5), frozenset({1}))
-        ordered = order_periods_fault_dropping([c1, c2], frozenset({1}))
+        ordered = _dropping([c1, c2])
         assert len(ordered) == 1
 
     def test_target_ranges_excludes_unobservable(self, flow_result_small):

@@ -254,38 +254,18 @@ def test_property_partial_solvers_agree(p, coverage):
 
 
 # ----------------------------------------------------------------------
-# Certificate machinery of the rescheduling engine: lower bounds, the
+# Certificate machinery of the rescheduling engine: the lower bound, the
 # deterministic greedy core, and the warm-started presolve must stay
 # sound on arbitrary problems — they are what lets an incremental
 # re-solve skip the ILP without ever changing the answer.
 # ----------------------------------------------------------------------
 @settings(max_examples=50, deadline=None)
 @given(random_problems())
-def test_property_bound_variants_agree(p):
-    """Int-mask, matrix and masks-wrapper bounds are the same function."""
-    from repro.scheduling.setcover import (
-        independent_rows_bound,
-        independent_rows_bound_masks,
-        independent_rows_bound_matrix,
-    )
-    from repro.utils.bitset import masks_to_matrix
-
-    packed = p.packed()
-    n_bits = len(packed.elements)
-    scalar = independent_rows_bound(packed.masks, packed.full)
-    assert scalar == independent_rows_bound_masks(packed.masks, n_bits)
-    assert scalar == independent_rows_bound_matrix(
-        masks_to_matrix(packed.masks, n_bits))
-
-
-@settings(max_examples=50, deadline=None)
-@given(random_problems())
 def test_property_bound_never_exceeds_optimum(p):
     """The certificate is sound: bound <= exact optimum, and >= 1."""
-    from repro.scheduling.setcover import independent_rows_bound
+    from repro.scheduling.setcover import independent_rows_bound_matrix
 
-    packed = p.packed()
-    bound = independent_rows_bound(packed.masks, packed.full)
+    bound = independent_rows_bound_matrix(p.packed().matrix)
     assert 1 <= bound <= len(branch_and_bound_cover(p))
 
 

@@ -23,7 +23,6 @@ from repro.simulation.wave_sim import WaveformSimulator
 from repro.simulation.waveform import Waveform, sequential_schedule
 from repro.simulation.word_wave import (
     MAX_ARITY,
-    _SUPPORTED_KINDS,
     _kind_lut,
     _plan_for,
     wordwave_fallback_reason,
@@ -47,7 +46,7 @@ def _scalar_gate(kind, inputs):
 
 
 class TestKindLut:
-    @pytest.mark.parametrize("kind", sorted(_SUPPORTED_KINDS))
+    @pytest.mark.parametrize("kind", sorted(GateKind.COMBINATIONAL))
     def test_lut_matches_truth_table(self, kind):
         arities = ([1] if kind in (GateKind.NOT, GateKind.BUF)
                    else [2] if kind in (GateKind.XOR, GateKind.XNOR)

@@ -108,7 +108,7 @@ def _cover_instance(seed=0, n_elements=120, n_subsets=80):
                for _ in range(n_subsets)]
     subsets.append(frozenset(range(n_elements)) - subsets[0] or subsets[0])
     subsets.append(frozenset(range(n_elements)))
-    return CoverProblem(subsets=subsets)
+    return CoverProblem.from_sets(subsets)
 
 
 def test_setcover_greedy(benchmark):

@@ -36,7 +36,6 @@ import numpy as np
 from repro.utils.bitset import (
     RowSets,
     dominated_rows,
-    matrix_to_masks,
     num_words,
     popcount,
     zeros,
@@ -75,11 +74,6 @@ class CandidateSet:
     candidates: Sequence[PeriodCandidate]
     matrix: np.ndarray          # (n_candidates, n_words) uint64
     fault_ids: tuple[Hashable, ...]
-
-    @property
-    def masks(self) -> list[int]:
-        """Python int bitmask per candidate (bit b = ``fault_ids[b]``)."""
-        return matrix_to_masks(self.matrix)
 
 
 class _RowCandidates(Sequence[PeriodCandidate]):

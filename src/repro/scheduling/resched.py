@@ -30,8 +30,8 @@ Pipeline of one incremental re-solve (:func:`apply_alert`):
    no clean boundary lies strictly inside a new segment and membership is
    constant across it (see ALGORITHMS.md §16 for the argument).
 3. **Warm presolve** — :func:`~repro.scheduling.setcover.presolve_cover_warm`
-   replays the previous reduction's dominance witnesses (mask values,
-   re-verified O(1) against the new columns — unconditionally lossless)
+   replays the previous reduction's dominance witnesses (row values,
+   each re-verified against the new rows — unconditionally lossless)
    before running the normal fixpoint.
 4. **Warm step 1** — when the merged candidate matrix is bit-identical to
    the previous solve (a *structure hit*: the delta moved segment times
@@ -104,7 +104,7 @@ from repro.scheduling.schedule import (
 from repro.scheduling.setcover import (
     CoverProblem,
     PresolveReduction,
-    greedy_cover_masks,
+    greedy_cover_rows,
     ilp_cover,
     independent_rows_bound_matrix,
     presolve_cover,
@@ -112,7 +112,7 @@ from repro.scheduling.setcover import (
     solve_reduction,
 )
 from repro.timing.clock import ClockSpec
-from repro.utils.bitset import matrix_to_masks, zeros
+from repro.utils.bitset import popcount, union_row, zeros
 from repro.utils.cache import LruCache
 from repro.utils.intervals import EPS, IntervalAccumulator, IntervalSet
 
@@ -285,16 +285,17 @@ class ScheduleState:
     reduction: PresolveReduction | None = None
     fingerprint: bytes | None = None           # merged-matrix structure
     chosen_idx: list[int] = field(default_factory=list)
-    #: Mask values of the last step-1 optimum — the repair candidate the
-    #: warm solve promotes when the lower bound certifies it.
-    prev_chosen_masks: tuple[int, ...] = ()
+    #: Rows of the last step-1 optimum — the repair candidate the warm
+    #: solve promotes when the lower bound certifies it.
+    prev_chosen_rows: np.ndarray = field(default_factory=lambda: zeros(0, 0))
     step2_cache: LruCache = field(
         default_factory=lambda: LruCache(maxsize=STEP2_CACHE_SIZE))
     #: period -> (pattern, config) keys of the last step-2 optimum there,
     #: shift-agnostic: the repair candidate the warm step 2 re-validates
-    #: against the current rows before certifying it optimal.
-    period_prev: dict[float, tuple[tuple[int, int], ...]] = \
-        field(default_factory=dict)
+    #: against the current rows before certifying it optimal.  Bounded
+    #: like ``step2_cache``: every new step-2 period adds a key.
+    period_prev: LruCache = field(
+        default_factory=lambda: LruCache(maxsize=STEP2_CACHE_SIZE))
     schedule: ScheduleResult | None = None
     #: Monotonic re-solve counter (prepare counts as solve 0).
     revision: int = 0
@@ -440,88 +441,74 @@ def _patch_candidates(state: ScheduleState, changed: np.ndarray,
 # ----------------------------------------------------------------------
 # Step 1 and step 2 of the cold refresh and the warm re-solve
 # ----------------------------------------------------------------------
-def _repair_previous(prev_masks: tuple[int, ...], masks: list[int],
-                     full: int) -> list[int] | None:
-    """Map the previous step-1 optimum into the new candidate set.
+def _repair_previous(prev: np.ndarray, rows: np.ndarray
+                     ) -> list[int] | None:
+    """Map the previous step-1 optimum into the new candidate rows.
 
-    Each previously chosen mask value is matched to a new column — by
-    identical value, else any superset, else the largest overlap (a delta
-    typically nudges one chosen candidate's composition).  If the mapped
-    picks leave elements uncovered, two cheap completions are tried while
-    staying within the previous cardinality: fill unused slots greedily,
-    then a single-column swap.  Returns column picks covering the
-    universe with at most ``len(prev_masks)`` columns — a feasible warm
-    upper bound the caller checks against the lower bound — or None.
+    Each previously chosen row is matched to a new row — the first equal
+    one, else the first superset, else the largest overlap, lowest index
+    on ties (a delta typically nudges one chosen candidate's
+    composition).  If the mapped picks leave elements of the union of
+    ``rows`` uncovered, two cheap completions are tried while staying
+    within the previous cardinality: fill unused slots greedily, then a
+    single-row swap.  Returns row picks covering the union with at most
+    ``len(prev)`` rows — a feasible warm upper bound the caller checks
+    against the lower bound — or None.
     """
-    if not prev_masks or not masks:
+    if not prev.shape[0] or not rows.shape[0]:
         return None
-    budget = len(prev_masks)
-    by_value: dict[int, int] = {}
-    for j, m in enumerate(masks):
-        by_value.setdefault(m, j)
+    budget = prev.shape[0]
+    full = union_row(rows)
+    superset = ~(prev[:, None, :] & ~rows[None, :, :]).any(axis=2)
+    equal = superset & (popcount(rows) == popcount(prev)[:, None])
     picks: set[int] = set()
-    for pm in prev_masks:
-        j = by_value.get(pm)
-        if j is None:
-            j = next((k for k, m in enumerate(masks)
-                      if pm & ~m == 0), None)
-        if j is None:
-            j = max(range(len(masks)),
-                    key=lambda k: ((masks[k] & pm).bit_count(), -k))
-        picks.add(j)
-    union = 0
-    for j in picks:
-        union |= masks[j]
+    for eq, sup, row in zip(equal, superset, prev):
+        match = eq if eq.any() else sup if sup.any() else popcount(rows & row)
+        picks.add(int(match.argmax()))
+    union = union_row(rows[sorted(picks)])
     # Greedy completion into slots freed by deduplication.
-    while union & full != full and len(picks) < budget:
-        uncovered = full & ~union
-        j = max(range(len(masks)),
-                key=lambda k: ((masks[k] & uncovered).bit_count(), -k))
-        if not masks[j] & uncovered:
+    while (full & ~union).any() and len(picks) < budget:
+        gains = popcount(rows & ~union)
+        if not gains.any():
             return None
+        j = int(gains.argmax())
         picks.add(j)
-        union |= masks[j]
-    if union & full == full:
-        return sorted(picks)
-    # One-column swap: replace a single pick so the union closes.
-    uncovered = full & ~union
+        union |= rows[j]
     ordered = sorted(picks)
-    for j_new in range(len(masks)):
-        if not masks[j_new] & uncovered:
-            continue
-        for p in ordered:
-            u = masks[j_new]
-            for q in ordered:
-                if q != p:
-                    u |= masks[q]
-            if u & full == full:
-                out = [j for j in ordered if j != p] + [j_new]
-                return sorted(set(out))
-    return None
+    if not (full & ~union).any():
+        return ordered
+    # One-row swap: closes[p, j] when row j with every pick but
+    # ordered[p] covers the union; the lowest j wins, then the lowest p.
+    closes = np.array([
+        ~(full & ~union_row(rows[[q for q in ordered if q != p]])
+          & ~rows).any(axis=1) for p in ordered])
+    hits = np.argwhere(closes.T)
+    if not hits.size:
+        return None
+    j_new, p = hits[0]
+    return sorted({q for q in ordered if q != ordered[p]} | {int(j_new)})
 
 
-def _certified_cover(masks: list[int], full: int, lb: int,
+def _certified_cover(rows: np.ndarray, need: int, lb: int,
                      prev: list[int] | None,
                      exact: Callable[[list[int]], list[int]]
                      ) -> tuple[list[int], int]:
-    """Certificate ladder of the warm steps 1 and 2; returns the picks
-    and the rung that produced them.
+    """Certificate ladder of the warm steps 1 and 2 over ``rows``, which
+    must cover ``need`` elements; returns the picks and the rung that
+    produced them.
 
     0. ``prev`` — the previous optimum mapped into the new rows — when it
-       still covers ``full`` and meets the lower bound ``lb``;
+       still covers ``need`` elements and meets the lower bound ``lb``;
     1. the deterministic greedy cover when it meets ``lb``;
     2. otherwise ``exact(greedy)``, the caller's exact solve.
 
     Rungs 0 and 1 accept only a cover whose size meets a lower bound, so
     each is a proven optimum and the ladder never changes the cost.
     """
-    if prev is not None and len(prev) <= lb:
-        union = 0
-        for j in prev:
-            union |= masks[j]
-        if union == full:
-            return prev, 0
-    greedy = greedy_cover_masks(masks, full)
+    if (prev is not None and len(prev) <= lb
+            and popcount(union_row(rows[prev])) == need):
+        return prev, 0
+    greedy = greedy_cover_rows(rows, need)
     if len(greedy) <= lb:
         return greedy, 1
     return exact(greedy), 2
@@ -547,10 +534,6 @@ def _step1_warm(state: ScheduleState, stats: dict) -> list[int]:
     matrix = state.cand_set.matrix
     if not matrix.any():
         return []
-    masks = matrix_to_masks(matrix)
-    full = 0
-    for m in masks:
-        full |= m
 
     def exact(greedy: list[int]) -> list[int]:
         problem = _step1_problem(state)
@@ -572,8 +555,9 @@ def _step1_warm(state: ScheduleState, stats: dict) -> list[int]:
 
     lb = independent_rows_bound_matrix(matrix)
     stats["step1_lb"] = lb
-    repaired = _repair_previous(state.prev_chosen_masks, masks, full)
-    chosen, rung = _certified_cover(masks, full, lb, repaired, exact)
+    repaired = _repair_previous(state.prev_chosen_rows, matrix)
+    chosen, rung = _certified_cover(matrix, int(popcount(union_row(matrix))),
+                                    lb, repaired, exact)
     if rung < 2:
         stats["step1_path"] = ("repair", "greedy-certified")[rung]
     return chosen
@@ -600,7 +584,6 @@ def _solve_period_warm(state: ScheduleState, table: RangeTable,
     """
     keys, matrix, elements = pattern_config_rows(table, fault_set, period,
                                                  state.configs)
-    masks = matrix_to_masks(matrix)
     prev = None
     if period in state.period_prev:
         row_of = {k: j for j, k in enumerate(keys)}
@@ -608,8 +591,7 @@ def _solve_period_warm(state: ScheduleState, table: RangeTable,
         if None in prev:
             prev = None
     picked, rung = _certified_cover(
-        masks, (1 << len(elements)) - 1,
-        independent_rows_bound_matrix(matrix), prev,
+        matrix, len(elements), independent_rows_bound_matrix(matrix), prev,
         lambda greedy: ilp_cover(CoverProblem.from_matrix(matrix, elements)))
     if rung == 0:
         stats["step2_prev"] = stats.get("step2_prev", 0) + 1
@@ -637,7 +619,7 @@ def _schedule(state: ScheduleState, chosen_idx: list[int],
     matrix = state.cand_set.matrix
     state.fingerprint = matrix.tobytes()
     state.chosen_idx = list(chosen_idx)
-    state.prev_chosen_masks = tuple(matrix_to_masks(matrix[chosen_idx]))
+    state.prev_chosen_rows = matrix[chosen_idx]
     state.revision += 1
     return schedule_from_chosen(state.cand_set, chosen_idx, state.targets,
                                 "ilp", solve_period)

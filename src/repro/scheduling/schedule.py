@@ -33,9 +33,8 @@ Performance structure (the bitset pipeline):
   dropping, per-period step 2 and the :class:`ScheduleResult` — for both
   :func:`optimize_from_candidates` and the in-field rescheduler
   (:mod:`repro.scheduling.resched`), which passes its memoized step 2,
-* fault dropping reads the chosen rows of the candidate matrix, one int
-  per row, and accumulates coverage with one AND + popcount per pool
-  candidate per round.
+* fault dropping reads the chosen rows of the candidate matrix and
+  scores each round with one popcount over the pool's rows.
 
 ``timer`` collects the per-stage wall-clock split (``target_ranges`` /
 ``discretize`` / ``step1`` / ``step2``, plus ``presolve`` nested inside
@@ -68,7 +67,7 @@ from repro.scheduling.setcover import (
     ilp_cover,
 )
 from repro.timing.clock import ClockSpec
-from repro.utils.bitset import mask_bits, matrix_to_masks, pack_bits
+from repro.utils.bitset import pack_bits, popcount, row_bits, union_row
 from repro.utils.intervals import IntervalSet
 from repro.utils.profiling import StageTimer
 
@@ -187,27 +186,23 @@ def order_periods_fault_dropping(
     periods are ranked by how many still-unassigned faults they detect; each
     iteration takes the richest period and drops its faults.  ``rows[i]``
     is the packed fault set of ``chosen[i]`` (bit ``b`` is
-    ``fault_ids[b]``); coverage is accumulated on one int mask per row —
-    one AND + popcount per pool candidate per round.  The highest gain
-    wins; ties go to the later period, then to the first candidate.
+    ``fault_ids[b]``); each round scores the pool with one popcount over
+    ``rows & remaining``.  The highest gain wins; ties go to the later
+    period, then to the first candidate.
     """
-    masks = matrix_to_masks(rows)
-    remaining = 0
-    for m in masks:
-        remaining |= m
+    remaining = union_row(rows)
+    times = [cand.time for cand in chosen]
     pool = list(range(len(chosen)))
     ordered: list[tuple[PeriodCandidate, frozenset[int]]] = []
-    while pool and remaining:
-        best_pos = max(
-            range(len(pool)),
-            key=lambda p: ((masks[pool[p]] & remaining).bit_count(),
-                           chosen[pool[p]].time))
-        j = pool.pop(best_pos)
-        take = masks[j] & remaining
-        if not take:
+    while pool and remaining.any():
+        gains = popcount(rows & remaining).tolist()
+        j = max(pool, key=lambda i: (gains[i], times[i]))
+        pool.remove(j)
+        take = rows[j] & remaining
+        if not take.any():
             continue
         ordered.append((chosen[j],
-                        frozenset(fault_ids[b] for b in mask_bits(take))))
+                        frozenset(fault_ids[b] for b in row_bits(take))))
         remaining &= ~take
     return ordered
 

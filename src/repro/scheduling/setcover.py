@@ -12,20 +12,21 @@ part of the universe, minimizing the number of chosen subsets.  *Partial*
 covering (``coverage < 1.0``) asks that at least ``ceil(coverage * |U|)``
 elements be covered (Table III's relaxed coverage targets).
 
-Internally every solver runs on a packed bitset view of the problem
-(:meth:`CoverProblem.packed`): elements are numbered deterministically
-(sorted by ``repr``) and each subset becomes both a row of a ``uint64``
-bit matrix and an int bitmask.  The sequential loops (greedy gain
-scoring, branch-and-bound, the warm witness replay) run on the int masks,
-where a popcount or subset test is one int operation.  Full-coverage ILPs
-additionally pass through :func:`presolve_cover`, a provably lossless
-reduction (duplicate-row/column collapse, dominated-column elimination,
-essential-subset forcing, connected-component splitting) that shrinks —
-often eliminates — the matrix ``milp`` sees; it runs as numpy kernels over
-the bit matrix, and so does the ILP model build of each component.  See
-ALGORITHMS.md §9 for the losslessness argument.  Callers that already
-hold the packed rows (the scheduler's candidate matrix) build the problem
-with :meth:`CoverProblem.from_matrix` and skip the frozenset hashing.
+A problem is one packed bit matrix: row ``j`` is subset ``j`` as
+``uint64`` words and bit ``b`` carries ``elements[b]``, the universe
+sorted by ``repr``.  Callers that already hold packed rows (the
+scheduler's candidate matrix, step 2's pattern-config rows) build it
+with :meth:`CoverProblem.from_matrix` and never hash an element;
+:meth:`CoverProblem.from_sets` packs frozensets.  Every solver reads the
+rows: greedy scores each pick as one popcount over ``rows & uncovered``,
+and full-coverage ILPs first pass through :func:`presolve_cover`, a
+provably lossless reduction (duplicate-row/column collapse,
+dominated-column elimination, essential-subset forcing,
+connected-component splitting) that shrinks — often eliminates — the
+matrix ``milp`` sees.  The fixpoint, the components and each
+component's ILP model are numpy kernels over the same rows; see
+ALGORITHMS.md §9 for the losslessness argument.  Only the test oracle
+:func:`branch_and_bound_cover` turns rows into Python ints.
 :func:`independent_rows_bound_matrix` is the one lower bound: the
 rescheduler's warm steps accept a greedy or repaired cover without the
 ILP when its size meets it.
@@ -44,14 +45,12 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse.csgraph import connected_components
 
 from repro.utils.bitset import (
-    RowSets,
     dominated_rows,
     first_superset,
-    mask_bits,
-    masks_to_matrix,
-    matrix_to_masks,
     pack_bits,
     popcount,
+    row_bits,
+    union_row,
     unpack_bits,
 )
 from repro.utils.profiling import StageTimer
@@ -59,27 +58,6 @@ from repro.utils.profiling import StageTimer
 #: Default wall-clock limit per ILP, mirroring the paper's 1 h timeout but
 #: scaled to interactive experiment sizes.
 DEFAULT_TIME_LIMIT_S = 60.0
-
-
-@dataclass(frozen=True)
-class PackedCover:
-    """Bitset view of a :class:`CoverProblem`.
-
-    ``elements[b]`` is the universe element carried by bit ``b`` (sorted by
-    ``repr`` — the same deterministic order the seed ILP used for its
-    constraint rows); ``masks[j]`` is subset ``j`` restricted to the
-    universe and ``matrix[j]`` the same row as ``uint64`` words; ``full``
-    has every universe bit set.
-    """
-
-    elements: tuple[Hashable, ...]
-    masks: tuple[int, ...]
-    full: int
-    matrix: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def num_elements(self) -> int:
-        return len(self.elements)
 
 
 def check_coverable(universe: frozenset[Hashable],
@@ -95,115 +73,99 @@ def check_coverable(universe: frozenset[Hashable],
                          f"{sorted(missing, key=repr)}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CoverProblem:
-    """A set-covering instance over hashable elements.
+    """A set-covering instance as one packed bit matrix.
 
-    Built from ``subsets`` (the universe defaults to their union) or, when
-    the packed rows already exist, with :meth:`from_matrix`.
+    Row ``j`` of ``matrix`` is subset ``j`` and bit ``b`` is
+    ``elements[b]``; every element lies in some row, so the universe is
+    the union of the rows.  Built with :meth:`from_matrix` or
+    :meth:`from_sets`.
     """
 
-    subsets: list[frozenset[Hashable]]
-    universe: frozenset[Hashable] = field(default_factory=frozenset)
-    _packed: PackedCover | None = field(default=None, repr=False,
-                                        compare=False)
-
-    def __post_init__(self) -> None:
-        if self._packed is not None:
-            return      # from_matrix: universe and masks already packed
-        # Single accumulating union: frozenset().union(*subsets) builds a
-        # fresh frozenset per argument-tuple element on large instances;
-        # in-place |= over one set is linear in the total subset size.
-        covered: set[Hashable] = set()
-        for s in self.subsets:
-            covered |= s
-        if not self.universe:
-            self.universe = frozenset(covered)
-        else:
-            check_coverable(self.universe, covered)
+    matrix: np.ndarray = field(repr=False)
+    elements: tuple[Hashable, ...]
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, elements: Sequence[Hashable]
                     ) -> CoverProblem:
         """Problem over the rows of a packed bit matrix.
 
-        Bit ``b`` of ``matrix`` carries ``elements[b]``; each row's set is
-        built on first access (the solvers read only the packed view).
-        Elements no row covers are dropped, so with ``elements`` sorted by
-        ``repr`` the packed view is bit for bit the one the frozenset
-        constructor would build — without hashing a single element.
+        Bit ``b`` of ``matrix`` carries ``elements[b]``.  Elements no row
+        covers are dropped, so with ``elements`` sorted by ``repr`` the
+        problem is bit for bit the one :meth:`from_sets` builds —
+        without hashing a single element.
         """
         incidence = unpack_bits(matrix, len(elements))
         present = incidence.any(axis=0)
         if not present.all():
             matrix = pack_bits(incidence[:, present])
-        kept = tuple(e for e, p in zip(elements, present.tolist()) if p)
-        packed = PackedCover(elements=kept, masks=tuple(
-            matrix_to_masks(matrix)), full=(1 << len(kept)) - 1,
-            matrix=matrix)
-        return cls(subsets=RowSets(matrix, kept), universe=frozenset(kept),
-                   _packed=packed)
+        return cls(matrix, tuple(
+            e for e, p in zip(elements, present.tolist()) if p))
+
+    @classmethod
+    def from_sets(cls, subsets: Sequence[AbstractSet[Hashable]],
+                  universe: AbstractSet[Hashable] = frozenset()
+                  ) -> CoverProblem:
+        """Problem over ``subsets``; the universe defaults to their union.
+
+        Elements are numbered in ``repr`` order and each subset is
+        restricted to the universe.  Raises ``ValueError`` when the
+        subsets leave part of a given ``universe`` uncovered.
+        """
+        covered: set[Hashable] = set()
+        for s in subsets:
+            covered |= s
+        if universe:
+            check_coverable(frozenset(universe), covered)
+        else:
+            universe = covered
+        elements = tuple(sorted(universe, key=repr))
+        bit = {e: b for b, e in enumerate(elements)}
+        incidence = np.zeros((len(subsets), len(elements)), dtype=bool)
+        for j, s in enumerate(subsets):
+            incidence[j, [bit[e] for e in s if e in bit]] = True
+        return cls(pack_bits(incidence), elements)
+
+    @property
+    def universe(self) -> frozenset[Hashable]:
+        return frozenset(self.elements)
 
     @property
     def num_subsets(self) -> int:
-        return len(self.subsets)
-
-    def packed(self) -> PackedCover:
-        """Bitset view (built lazily, cached; subsets must not mutate)."""
-        if self._packed is None:
-            elements = tuple(sorted(self.universe, key=repr))
-            index = {e: b for b, e in enumerate(elements)}
-            masks = tuple(
-                sum(1 << index[e] for e in s if e in index)
-                for s in self.subsets)
-            self._packed = PackedCover(
-                elements=elements, masks=masks,
-                full=(1 << len(elements)) - 1,
-                matrix=masks_to_matrix(masks, len(elements)))
-        return self._packed
+        return self.matrix.shape[0]
 
     def required_count(self, coverage: float) -> int:
         if not 0.0 < coverage <= 1.0:
             raise ValueError("coverage must lie in (0, 1]")
-        return math.ceil(coverage * len(self.universe) - 1e-9)
+        return math.ceil(coverage * len(self.elements) - 1e-9)
 
     def covered_by(self, chosen: Sequence[int]) -> frozenset[Hashable]:
-        out: set[Hashable] = set()
-        for j in chosen:
-            out |= self.subsets[j]
-        return frozenset(out)
+        union = union_row(self.matrix[list(chosen)])
+        return frozenset(self.elements[b] for b in row_bits(union))
 
 
-def greedy_cover_masks(masks: Sequence[int], universe: int,
-                       need: int | None = None) -> list[int]:
-    """Greedy cover on raw int bitmasks (shared deterministic core).
+def greedy_cover_rows(rows: np.ndarray, need: int) -> list[int]:
+    """Greedy cover of ``need`` elements of the union of ``rows`` (the
+    deterministic core of every greedy pick).
 
-    Tie-breaking is *explicitly* deterministic: candidates are ranked by
-    ``(gain, -index)`` and the maximum wins, i.e. highest popcount gain
-    first, lowest subset index among equals — independent of the order in
-    which the caller's container happens to iterate.  Returns subset
-    indices in ascending order; raises when the requested count cannot be
-    reached.  ``need`` defaults to full coverage of ``universe``.
+    Each step takes the row covering the most still-uncovered elements —
+    one popcount over ``rows & uncovered`` — and ``argmax`` breaks ties
+    to the lowest row index, whatever order a caller's container has.
+    Returns row indices ascending; raises when ``need`` cannot be
+    reached.
     """
-    if need is None:
-        need = universe.bit_count()
-    uncovered = universe
+    uncovered = union_row(rows)
     chosen: list[int] = []
-    remaining = [(j, m & uncovered) for j, m in enumerate(masks)]
-    covered_count = 0
-    while covered_count < need:
-        if not remaining:
+    covered = 0
+    while covered < need:
+        gains = popcount(rows & uncovered)
+        if not gains.any():
             raise RuntimeError("greedy cover stalled before reaching coverage")
-        j_best, gain_neg = max(
-            remaining, key=lambda jm: (jm[1].bit_count(), -jm[0]))
-        gain_best = gain_neg.bit_count()
-        if gain_best == 0:
-            raise RuntimeError("greedy cover stalled before reaching coverage")
-        chosen.append(j_best)
-        covered_count += gain_best
-        uncovered &= ~gain_neg
-        remaining = [(j, m & uncovered) for j, m in remaining
-                     if j != j_best and m & uncovered]
+        j = int(gains.argmax())
+        chosen.append(j)
+        covered += int(gains[j])
+        uncovered &= ~rows[j]
     chosen.sort()
     return chosen
 
@@ -212,15 +174,11 @@ def greedy_cover(problem: CoverProblem, *, coverage: float = 1.0) -> list[int]:
     """Classic greedy heuristic: repeatedly pick the subset covering the most
     still-uncovered elements (the [17]-style baseline).
 
-    Runs on the packed bitmasks with popcount scoring via
-    :func:`greedy_cover_masks`; ties go to the lowest index through an
-    explicit ``(gain, -index)`` sort key instead of scan order, so
-    warm-start equivalence tests are stable across platforms and
-    container orderings.
+    Runs :func:`greedy_cover_rows` on the problem's rows: popcount
+    scoring, ties to the lowest index, so warm-start equivalence tests
+    are stable across platforms and container orderings.
     """
-    p = problem.packed()
-    return greedy_cover_masks(p.masks, p.full,
-                              need=problem.required_count(coverage))
+    return greedy_cover_rows(problem.matrix, problem.required_count(coverage))
 
 
 def independent_rows_bound_matrix(matrix: np.ndarray) -> int:
@@ -266,31 +224,39 @@ class PresolveReduction:
     ``forced`` — original subset indices every minimum cover must contain
     (essential columns, discovered transitively).  ``components`` — the
     irreducible kernel, split into independent subproblems: each entry is
-    ``(columns, masks, uncovered)`` with original column indices, their
-    masks restricted to the component, and the component's element mask.
-    An empty ``components`` list means presolve solved the instance
-    outright.  ``stats`` counts eliminations per rule.
+    ``(columns, rows, covered)`` with original column indices, their rows
+    restricted to the component, and the component's element row (the
+    union of ``rows``).  An empty ``components`` list means presolve
+    solved the instance outright.  ``stats`` counts eliminations per rule.
 
-    ``column_masks`` / ``dominators`` feed the warm-start path of the
-    rescheduling engine: the original packed column masks, and the
-    dominance *witnesses* ``(dropped_mask, keeper_mask)`` recorded the
-    first time rule 1 ran (mask values, not indices, so they survive
-    column renumbering between re-solves).  Both default empty so
-    hand-built reductions stay valid.
+    ``dominators`` feeds the warm-start path of the rescheduling engine:
+    the dominance *witnesses* ``(dropped, keeper)`` recorded the first
+    time rule 1 ran, each a row's bytes without trailing zero bytes
+    (values, not indices, so they survive column renumbering between
+    re-solves).  It defaults empty so hand-built reductions stay valid.
     """
 
     forced: tuple[int, ...]
-    components: tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]
+    components: tuple[tuple[tuple[int, ...], np.ndarray, np.ndarray], ...]
     stats: dict[str, int]
-    column_masks: tuple[int, ...] = ()
-    dominators: tuple[tuple[int, int], ...] = ()
+    dominators: tuple[tuple[bytes, bytes], ...] = ()
 
     @property
     def solved(self) -> bool:
         return not self.components
 
 
-def _presolve_packed(p: PackedCover, skip: frozenset[int] = frozenset(),
+def _row_values(matrix: np.ndarray) -> list[bytes]:
+    """Each row's little-endian bytes without trailing zero bytes: equal
+    exactly when the rows hold the same set, whatever the word count."""
+    width = matrix.shape[1] * 8
+    raw = matrix.tobytes()
+    return [raw[a:a + width].rstrip(b"\0")
+            for a in range(0, len(raw), width)]
+
+
+def _presolve_packed(problem: CoverProblem,
+                     skip: frozenset[int] = frozenset(),
                      warm_dropped: int = 0) -> PresolveReduction:
     """Bit-matrix fixpoint shared by :func:`presolve_cover` (cold) and
     :func:`presolve_cover_warm` (columns in ``skip`` are pre-dropped by a
@@ -299,17 +265,17 @@ def _presolve_packed(p: PackedCover, skip: frozenset[int] = frozenset(),
     ``work`` holds every column restricted to the still-uncovered
     elements; ``alive`` lists the surviving column indices, ascending.
     """
-    n_bits = p.num_elements
-    work = p.matrix.copy()
-    alive = np.array([j for j in range(len(p.masks)) if j not in skip],
+    n_bits = len(problem.elements)
+    work = problem.matrix.copy()
+    alive = np.array([j for j in range(work.shape[0]) if j not in skip],
                      dtype=np.int64)
     alive = alive[work[alive].any(axis=1)]
-    uncovered = masks_to_matrix([p.full], n_bits)[0]
+    uncovered = union_row(work)
     forced: list[int] = []
     stats = {"dominated_columns": 0, "essential_columns": 0,
              "duplicate_rows": 0, "components": 0,
              "warm_dropped_columns": warm_dropped}
-    witnesses: list[tuple[int, int]] = []
+    witnesses: list[tuple[bytes, bytes]] = []
 
     first_pass = True
     changed = True
@@ -328,8 +294,8 @@ def _presolve_packed(p: PackedCover, skip: frozenset[int] = frozenset(),
                 # so (value, value) witnesses are replayable against a
                 # future problem over the same element order.
                 keepers = first_superset(work, dropped, kept)
-                witnesses = [(p.masks[d], p.masks[k]) for d, k in
-                             zip(dropped.tolist(), keepers.tolist())]
+                witnesses = list(zip(_row_values(work[dropped]),
+                                     _row_values(work[keepers])))
             stats["dominated_columns"] += int(dropped.size)
             alive = np.sort(kept)
             changed = True
@@ -341,7 +307,7 @@ def _presolve_packed(p: PackedCover, skip: frozenset[int] = frozenset(),
         if single.size:
             essential = np.unique(alive[incidence[:, single].argmax(axis=0)])
             forced.extend(essential.tolist())
-            uncovered &= ~np.bitwise_or.reduce(work[essential], axis=0)
+            uncovered &= ~union_row(work[essential])
             taken = np.zeros(work.shape[0], dtype=bool)
             taken[essential] = True
             alive = alive[~taken[alive]]
@@ -351,14 +317,15 @@ def _presolve_packed(p: PackedCover, skip: frozenset[int] = frozenset(),
             work[alive] &= uncovered
             alive = alive[work[alive].any(axis=1)]
 
-    components: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+    components: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
     if uncovered.any():
         # Columns and elements as one bipartite graph: node c < len(alive)
         # is column alive[c], node len(alive) + b is element bit b.  Every
         # uncovered element keeps a covering column, so each component's
-        # element mask is the union of its columns' masks.
+        # elements are the union of its columns' rows.
         n_cols = alive.size
-        cols_idx, bits_idx = np.nonzero(unpack_bits(work[alive], n_bits))
+        rows = work[alive]
+        cols_idx, bits_idx = np.nonzero(unpack_bits(rows, n_bits))
         n_nodes = n_cols + n_bits
         graph = sparse.csr_matrix(
             (np.ones(cols_idx.size, dtype=np.int8),
@@ -367,24 +334,18 @@ def _presolve_packed(p: PackedCover, skip: frozenset[int] = frozenset(),
         groups: dict[int, list[int]] = {}
         for c, label in enumerate(labels[:n_cols].tolist()):
             groups.setdefault(label, []).append(c)
-        col_masks = matrix_to_masks(work[alive])
-        alive_list = alive.tolist()
         for members in groups.values():
-            masks = tuple(col_masks[c] for c in members)
-            comp_mask = 0
-            for m in masks:
-                comp_mask |= m
-            components.append(
-                (tuple(alive_list[c] for c in members), masks, comp_mask))
+            comp_rows = rows[members]
+            components.append((tuple(alive[members].tolist()), comp_rows,
+                               union_row(comp_rows)))
         # Lowest element first; callers sort the chosen columns, so the
         # component order never reaches a result.
-        components.sort(key=lambda comp: comp[2] & -comp[2])
+        components.sort(key=lambda comp: int(row_bits(comp[2])[0]))
         stats["components"] = len(components)
 
     forced.sort()
     return PresolveReduction(forced=tuple(forced),
                              components=tuple(components), stats=stats,
-                             column_masks=p.masks,
                              dominators=tuple(witnesses))
 
 
@@ -404,58 +365,60 @@ def presolve_cover(problem: CoverProblem) -> PresolveReduction:
     3. **Duplicate rows** — elements covered by identical subset
        collections impose identical constraints; collapsing them changes
        nothing (applied when building the ILP matrix, via the component
-       element masks).
+       element rows).
 
     Connected-component splitting is exact because the constraint matrix
     is block-diagonal over components: a cover of the union is the
     disjoint union of covers, so the minima add.
     """
-    return _presolve_packed(problem.packed())
+    return _presolve_packed(problem)
 
 
 def presolve_cover_warm(problem: CoverProblem,
                         prev: PresolveReduction) -> PresolveReduction:
     """Warm-started presolve: replay ``prev``'s dominance witnesses first.
 
-    Each witness is a ``(dropped_mask, keeper_mask)`` value pair from a
+    Each witness is a ``(dropped, keeper)`` row-value pair from a
     previous :func:`presolve_cover` over the *same element ordering* (the
     rescheduling engine guarantees this — the fault universe is constant
     across deltas).  A witness is replayed only after re-verifying, on the
-    NEW masks, that (a) a column with the keeper's mask value still exists
-    and (b) containment ``dropped & ~keeper == 0`` still holds — an O(1)
-    check per witness — so every pre-dropped column is dominated *in the
-    new problem* and the reduction stays unconditionally lossless even
+    NEW rows, that (a) a column with the keeper's value still exists and
+    (b) containment ``dropped & ~keeper == 0`` still holds — one row test
+    for all witnesses — so every pre-dropped column is dominated *in the new
+    problem* and the reduction stays unconditionally lossless even
     against a stale or mismatched witness list.  Columns untouched by the
     delta typically re-verify wholesale, skipping most of the quadratic
     rule-1 scan; the normal fixpoint then runs on the survivors and picks
     up any dominance the delta newly created.
     """
-    p = problem.packed()
-    cols_by_value: dict[int, list[int]] = {}
-    for j, m in enumerate(p.masks):
-        if m:
-            cols_by_value.setdefault(m, []).append(j)
+    matrix = problem.matrix
+    cols_by_value: dict[bytes, list[int]] = {}
+    for j, value in enumerate(_row_values(matrix)):
+        if value:
+            cols_by_value.setdefault(value, []).append(j)
     skip: set[int] = set()
-    for dropped_mask, keeper_mask in prev.dominators:
-        keepers = cols_by_value.get(keeper_mask)
+    pairs: list[tuple[list[int], int]] = []
+    for dropped, keeper in prev.dominators:
+        keepers = cols_by_value.get(keeper)
         if not keepers:
             continue
-        if dropped_mask == keeper_mask:
+        if dropped == keeper:
             # Duplicate-column witness: keep the lowest index of the value.
             skip.update(keepers[1:])
-            continue
-        if dropped_mask & ~keeper_mask:
-            continue        # containment no longer holds; witness is stale
-        keeper = keepers[0]
-        for j in cols_by_value.get(dropped_mask, ()):
-            if j != keeper:
-                skip.add(j)
-    return _presolve_packed(p, skip=frozenset(skip),
+        elif dropped in cols_by_value:
+            pairs.append((cols_by_value[dropped], keepers[0]))
+    if pairs:
+        holds = ~(matrix[[cols[0] for cols, _k in pairs]]
+                  & ~matrix[[k for _cols, k in pairs]]).any(axis=1)
+        for (cols, _k), ok in zip(pairs, holds.tolist()):
+            if ok:
+                skip.update(cols)
+    return _presolve_packed(problem, skip=frozenset(skip),
                             warm_dropped=len(skip))
 
 
-def _milp_component(cols: Sequence[int], masks: Sequence[int],
-                    uncovered: int, time_limit: float,
+def _milp_component(cols: Sequence[int], rows: np.ndarray,
+                    covered: np.ndarray, time_limit: float,
                     stats: dict[str, int] | None = None,
                     ub: int | None = None) -> list[int] | None:
     """Exact minimum cover of one presolved component via HiGHS.
@@ -466,14 +429,12 @@ def _milp_component(cols: Sequence[int], masks: Sequence[int],
     the optimum can only be smaller).  Returns original column indices, or
     None when HiGHS yields no incumbent.
     """
-    n_bits = uncovered.bit_length()
-    elements = np.flatnonzero(
-        unpack_bits(masks_to_matrix([uncovered], n_bits), n_bits)[0])
+    elements = row_bits(covered)
     n_el, n_sub = int(elements.size), len(cols)
     # Signature of an element = the set of local columns covering it; one
     # row per distinct signature (deduplicated as packed bytes), in the
     # seed's sorted-tuple order so HiGHS receives the identical model.
-    incidence = unpack_bits(masks_to_matrix(masks, n_bits), n_bits)
+    incidence = unpack_bits(rows, rows.shape[1] * 64)
     packed_sigs = np.packbits(incidence[:, elements].T, axis=1)
     distinct = np.unpackbits(
         np.frombuffer(b"".join({row.tobytes() for row in packed_sigs}),
@@ -522,19 +483,19 @@ def solve_reduction(red: PresolveReduction,
     (caller falls back to greedy, matching :func:`ilp_cover`).
     """
     chosen = list(red.forced)
-    for cols, masks, comp_mask in red.components:
+    for cols, rows, covered in red.components:
         ub: int | None = None
         if cuts:
-            g_local = greedy_cover_masks(masks, comp_mask)
-            largest = max(m.bit_count() for m in masks)
-            lb = math.ceil(comp_mask.bit_count() / largest)
+            n_el = int(popcount(covered))
+            g_local = greedy_cover_rows(rows, n_el)
+            lb = math.ceil(n_el / int(popcount(rows).max()))
             if len(g_local) <= lb:
                 red.stats["early_exit_components"] = (
                     red.stats.get("early_exit_components", 0) + 1)
                 chosen.extend(cols[c] for c in g_local)
                 continue
             ub = len(g_local)
-        picks = _milp_component(cols, masks, comp_mask, time_limit,
+        picks = _milp_component(cols, rows, covered, time_limit,
                                 red.stats, ub=ub)
         if picks is None:
             return None
@@ -562,9 +523,7 @@ def ilp_cover(problem: CoverProblem, *, coverage: float = 1.0,
     without an incumbent (documented behaviour of the paper's flow, which
     aborted its commercial solver after one hour).
     """
-    n_sub = problem.num_subsets
-    n_el = len(problem.universe)
-    if n_sub == 0 or n_el == 0:
+    if problem.num_subsets == 0 or not problem.elements:
         return []
 
     full_coverage = coverage >= 1.0 - 1e-12
@@ -586,11 +545,8 @@ def ilp_cover(problem: CoverProblem, *, coverage: float = 1.0,
     chosen.sort()
     # Defensive: HiGHS can return a feasible-but-suboptimal incumbent on
     # timeout; verify feasibility and fall back to greedy on violation.
-    masks = problem.packed().masks
-    covered = 0
-    for j in chosen:
-        covered |= masks[j]
-    if covered.bit_count() < problem.required_count(coverage):
+    covered = union_row(problem.matrix[chosen])
+    if popcount(covered) < problem.required_count(coverage):
         return greedy_cover(problem, coverage=coverage)
     return chosen
 
@@ -609,37 +565,28 @@ def _milp_partial_aggregated(problem: CoverProblem, coverage: float,
     element multiplicity and optional coverage break them — so this is the
     only presolve rule the partial path applies.)
     """
-    p = problem.packed()
     need = problem.required_count(coverage)
-    # Element signature = int mask over columns covering it.
-    sigs = [0] * p.num_elements
-    for j, m in enumerate(p.masks):
-        for e in mask_bits(m):
-            sigs[e] |= 1 << j
-    groups: dict[int, int] = {}
-    for sig in sigs:
-        if sig:
-            groups[sig] = groups.get(sig, 0) + 1
-    signatures = sorted(groups)
-    n_sub, n_grp = len(p.masks), len(signatures)
+    n_sub = problem.num_subsets
+    # Element signature = the columns covering it.  ``np.unique`` on the
+    # signatures with the columns reversed sorts them by their int value
+    # Σ 2^j (the highest column decides first), the seed's group order.
+    incidence = unpack_bits(problem.matrix, len(problem.elements))
+    sigs, sizes = np.unique(incidence.T[:, ::-1], axis=0,
+                            return_counts=True)
+    nonempty = sigs.any(axis=1)
+    groups, sizes = sigs[nonempty][:, ::-1], sizes[nonempty]
+    n_grp = groups.shape[0]
     if n_grp == 0:
         return []       # nothing coverable; need == 0 handled by caller
-    # Variables: [x_1..x_S, y_1..y_G]
+    # Variables: [x_1..x_S, y_1..y_G]; row g links y_g to its columns.
     c = np.concatenate([np.ones(n_sub), np.zeros(n_grp)])
-    rows_idx, cols_idx, vals = [], [], []
-    for g, sig in enumerate(signatures):
-        for j in mask_bits(sig):
-            rows_idx.append(g)
-            cols_idx.append(j)
-            vals.append(1.0)
-        rows_idx.append(g)
-        cols_idx.append(n_sub + g)
-        vals.append(-1.0)
-    link = sparse.csr_matrix((vals, (rows_idx, cols_idx)),
-                             shape=(n_grp, n_sub + n_grp))
-    weights = np.concatenate([
-        np.zeros(n_sub),
-        np.array([float(groups[sig]) for sig in signatures])])
+    grp_idx, col_idx = np.nonzero(groups)
+    link = sparse.csr_matrix(
+        (np.concatenate([np.ones(grp_idx.size), -np.ones(n_grp)]),
+         (np.concatenate([grp_idx, np.arange(n_grp)]),
+          np.concatenate([col_idx, n_sub + np.arange(n_grp)]))),
+        shape=(n_grp, n_sub + n_grp))
+    weights = np.concatenate([np.zeros(n_sub), sizes.astype(float)])
     # Greedy incumbent as a cardinality cut: greedy is feasible, so the
     # optimum satisfies Σx ≤ |greedy| — a lossless bound that lets the
     # solver prune most of its branch-and-bound tree up front.
@@ -661,7 +608,7 @@ def _milp_partial_aggregated(problem: CoverProblem, coverage: float,
 def branch_and_bound_cover(problem: CoverProblem, *,
                            coverage: float = 1.0,
                            max_nodes: int = 200_000) -> list[int]:
-    """Exact set cover by branch-and-bound on the packed bitmasks.
+    """Exact set cover by branch-and-bound on Python int masks of the rows.
 
     Dependency-free reference used to cross-check :func:`ilp_cover` in the
     test suite.  Full coverage branches on the least-covered element and
@@ -670,17 +617,19 @@ def branch_and_bound_cover(problem: CoverProblem, *,
     include/exclude branching on the highest-gain subset, which stays
     exact for the partial objective.
     """
-    p = problem.packed()
+    from repro.utils.bitset import mask_bits, matrix_to_masks
+
     need = problem.required_count(coverage)
     if need == 0:
         return []
-    masks = p.masks
+    masks = matrix_to_masks(problem.matrix)
+    full = (1 << len(problem.elements)) - 1
     best = greedy_cover(problem, coverage=coverage)
     best_len = len(best)
     nodes = 0
 
     if coverage >= 1.0 - 1e-12:
-        covers: list[list[int]] = [[] for _ in range(p.num_elements)]
+        covers: list[list[int]] = [[] for _ in problem.elements]
         for j, m in enumerate(masks):
             for e in mask_bits(m):
                 covers[e].append(j)
@@ -711,7 +660,7 @@ def branch_and_bound_cover(problem: CoverProblem, *,
             for j in options:
                 recurse(uncovered & ~masks[j], chosen + [j])
 
-        recurse(p.full, [])
+        recurse(full, [])
         return sorted(best)
 
     # Partial coverage: include/exclude on the current highest-gain subset.
@@ -740,5 +689,5 @@ def branch_and_bound_cover(problem: CoverProblem, *,
                         need_rem - largest, chosen + [j])
         recurse_partial(rest, uncovered, need_rem, chosen)
 
-    recurse_partial(list(range(len(masks))), p.full, need, [])
+    recurse_partial(list(range(len(masks))), full, need, [])
     return sorted(best)

@@ -11,20 +11,21 @@ into ``ceil(n/64)`` numpy ``uint64`` words (one bit per element) so that
 * dominance pruning over *m* candidate rows is a vectorized
   ``(row & ~matrix) == 0`` sweep instead of m² frozenset comparisons.
 
-Two representations interoperate:
+The bit matrix (``np.ndarray`` of shape ``(rows, words)``, dtype
+``uint64``) is the one set representation of the scheduling pipeline:
+discretization, the set-cover presolve and ILP model build, the greedy
+and fault-dropping loops and the rescheduler's certificate ladder all
+pass rows around.  A sequential loop scores all rows at once — one
+``popcount(rows & uncovered)`` per pick — which on the scheduler's
+matrices costs no more than the per-row int operations it replaced,
+without converting every problem to ints first.
 
-* a **bit matrix** (``np.ndarray`` of shape ``(rows, words)``, dtype
-  ``uint64``) for the vectorized bulk operations — discretization, the
-  set-cover presolve fixpoint and the ILP model build — and
-* **Python int masks** (arbitrary-precision, bit *i* = element *i*) for the
-  sequential solver loops (greedy, branch-and-bound, certificate repair)
-  where ``int.bit_count()`` and ``&``/``|``/``~`` on native ints beat
-  array ops on tiny operands.
-
-``matrix_to_masks`` / ``masks_to_matrix`` convert between the two, and
-``unpack_bits`` / ``pack_bits`` between a bit matrix and its boolean
-incidence (rows × elements); all use the same convention: element *i*
-lives in word ``i >> 6``, bit ``i & 63``, i.e. ints are the little-endian
+``unpack_bits`` / ``pack_bits`` convert between a bit matrix and its
+boolean incidence (rows × elements).  ``matrix_to_masks`` /
+``masks_to_matrix`` convert to and from Python int masks, for callers
+outside the scheduler (compaction) and the branch-and-bound test
+oracle.  All use the same convention: element *i* lives in word
+``i >> 6``, bit ``i & 63``, i.e. ints are the little-endian
 concatenation of the words.
 """
 
@@ -81,6 +82,11 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     packed = np.packbits(bits, axis=1, bitorder="little")
     out.view(np.uint8)[:, :packed.shape[1]] = packed
     return out
+
+
+def union_row(rows: np.ndarray) -> np.ndarray:
+    """Bitwise OR of the rows of a bit matrix (all zero for no rows)."""
+    return np.bitwise_or.reduce(rows, axis=0)
 
 
 def row_bits(row: np.ndarray) -> np.ndarray:

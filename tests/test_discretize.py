@@ -109,13 +109,6 @@ class TestPackedView:
         for cand, bits in zip(cs.candidates, map(row_bits, cs.matrix)):
             assert frozenset(cs.fault_ids[b] for b in bits) == cand.faults
 
-    def test_masks_are_python_ints(self):
-        ranges = {1: iset((1.0, 4.0)), 2: iset((3.0, 7.0))}
-        cs = discretize_candidate_set(ranges, 0.0, 10.0)
-        for cand, mask in zip(cs.candidates, cs.masks):
-            assert isinstance(mask, int)
-            assert mask.bit_count() == cand.fault_count
-
     def test_times_are_native_floats(self):
         # numpy scalars leaking out of the sweep broke schedule export once;
         # candidate times and segment bounds must be plain floats.

@@ -50,10 +50,12 @@ from repro.circuits.library import embedded_circuit
 from repro.core import FlowConfig, HdfTestFlow
 from repro.experiments.resched import alert_stream_for_state
 from repro.experiments.runner import SuiteRunConfig, run_suite
+from repro.scheduling import resched
 from repro.scheduling.resched import (
     AlertDelta,
     apply_alert,
     apply_alert_cold,
+    cold_schedule_result,
     prepare_state_for_result,
 )
 from repro.scheduling.setcover import CoverProblem, presolve_cover
@@ -203,8 +205,10 @@ def test_cold_candidates_leave_no_dominance_witness(build):
 
     def witnesses():
         cand_set = state.cand_set
-        return presolve_cover(CoverProblem.from_matrix(
-            cand_set.matrix, cand_set.fault_ids)).dominators
+        red = presolve_cover(CoverProblem.from_matrix(
+            cand_set.matrix, cand_set.fault_ids))
+        return tuple((int.from_bytes(d, "little"), int.from_bytes(k, "little"))
+                     for d, k in red.dominators)
 
     assert state.cand_set.matrix.shape[0]
     assert witnesses() == ()
@@ -213,6 +217,25 @@ def test_cold_candidates_leave_no_dominance_witness(build):
         apply_alert_cold(state, delta)
         assert witnesses() == (), delta
         assert state.reduction is None
+
+
+def test_period_prev_is_bounded(monkeypatch):
+    """Every new step-2 period adds a ``period_prev`` key; like the step-2
+    memo it keeps only the ``STEP2_CACHE_SIZE`` most recent, and the
+    evictions leave every schedule cost-equal to a cold re-solve."""
+    cap = 4
+    monkeypatch.setattr(resched, "STEP2_CACHE_SIZE", cap)
+    res = S27()
+    state = prepare_state_for_result(res)
+    periods = set(state.schedule.periods)
+    for delta in fine_stream(res, state):
+        out = apply_alert(state, delta)
+        periods.update(out.schedule.periods)
+        assert len(state.period_prev) <= cap, delta
+        cold = cold_schedule_result(state)
+        assert out.cost == (cold.num_frequencies, len(cold.covered)), delta
+        assert out.schedule.num_entries == cold.num_entries, delta
+    assert len(periods) > cap, "the stream must visit more periods than fit"
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -169,7 +169,7 @@ def _step1_optimum(res, targets, configs, coverage) -> int:
     ranges = target_ranges(res.data, targets, res.clock, configs)
     cands = discretize_observation_times(ranges, res.clock.t_min,
                                          res.clock.t_nom)
-    problem = CoverProblem(subsets=[c.faults for c in cands])
+    problem = CoverProblem.from_sets([c.faults for c in cands])
     return len(branch_and_bound_cover(problem, coverage=coverage))
 
 

@@ -10,10 +10,11 @@ schedule (conv/heur/prop) it holds:
 * the selected periods, the (period, pattern, config) entries and the
   candidate count,
 * the step-1 :class:`PresolveReduction` of the schedule's candidate set:
-  ``forced``, ``stats``, sha256 digests of ``column_masks`` and
+  ``forced``, ``stats``, sha256 digests of the problem's columns and of
   ``dominators``, and the components (column tuple plus a digest of
-  their masks), compared as a set because component order is not part
-  of the contract.
+  their rows), compared as a set because component order is not part
+  of the contract.  Rows are digested as the int value of their bits
+  (bit ``b`` = 2^b).
 
 It also pins the cold and warm (:func:`presolve_cover_warm`) reductions
 of 40 seeded random cover instances.  Speed work on presolve or the ILP
@@ -47,6 +48,7 @@ from repro.scheduling.setcover import (
     presolve_cover,
     presolve_cover_warm,
 )
+from repro.utils.bitset import matrix_to_masks
 
 GOLDEN_FILE = (Path(__file__).resolve().parent / "data"
                / "schedule_golden.json")
@@ -65,16 +67,22 @@ def _digest(items) -> str:
     return h.hexdigest()
 
 
-def reduction_fingerprint(red) -> dict:
-    """The pinned summary of one :class:`PresolveReduction`."""
+def _value(row: bytes) -> int:
+    return int.from_bytes(row, "little")
+
+
+def reduction_fingerprint(problem, red) -> dict:
+    """The pinned summary of ``problem``'s :class:`PresolveReduction`."""
     return {
         "forced": list(red.forced),
         "stats": dict(sorted(red.stats.items())),
-        "column_masks_sha256": _digest(red.column_masks),
-        "dominators_sha256": _digest(red.dominators),
+        "column_masks_sha256": _digest(matrix_to_masks(problem.matrix)),
+        "dominators_sha256": _digest(
+            (_value(d), _value(k)) for d, k in red.dominators),
         "components": sorted(
-            [list(cols), _digest([*masks, comp_mask])]
-            for cols, masks, comp_mask in red.components),
+            [list(cols), _digest([*matrix_to_masks(rows),
+                                  _value(covered.tobytes())])]
+            for cols, rows, covered in red.components),
     }
 
 
@@ -105,7 +113,7 @@ def step1_problems(res, *, packed: bool = True) -> dict[str, CoverProblem]:
             None)
         out[key] = (CoverProblem.from_matrix(cand_set.matrix,
                                              cand_set.fault_ids)
-                    if packed else CoverProblem(subsets=[
+                    if packed else CoverProblem.from_sets([
                         c.faults for c in cand_set.candidates]))
     return out
 
@@ -120,13 +128,16 @@ def circuit_fingerprint(res) -> dict:
             "entries": [[e.period, e.pattern, e.config]
                         for e in sched.entries],
             "num_candidates": sched.num_candidates,
-            "step1": reduction_fingerprint(presolve_cover(problems[key])),
+            "step1": reduction_fingerprint(
+                problems[key], presolve_cover(problems[key])),
         }
     return out
 
 
-def random_instance(seed: int) -> tuple[CoverProblem, CoverProblem]:
-    """A seeded block-structured cover instance and a perturbed successor.
+def random_instance(seed: int
+                    ) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """The subsets of a seeded block-structured cover instance and of a
+    perturbed successor.
 
     Elements fall into 1-6 blocks; most columns stay inside one block, a
     few straddle two, and some are copies or subsets of earlier columns, so
@@ -167,18 +178,18 @@ def random_instance(seed: int) -> tuple[CoverProblem, CoverProblem]:
     everything = frozenset(range(n_el))
     cols.append(everything - frozenset().union(*cols) or cols[0])
     new.append(everything - frozenset().union(*new) or new[0])
-    return CoverProblem(subsets=cols), CoverProblem(subsets=new)
+    return cols, new
 
 
 def instance_fingerprint(seed: int) -> dict:
-    prev, new = random_instance(seed)
+    cols, new_cols = random_instance(seed)
+    prev, new = CoverProblem.from_sets(cols), CoverProblem.from_sets(new_cols)
     cold = presolve_cover(prev)
     return {
         "instance_sha256": _digest(
-            [sorted(s) for s in prev.subsets]
-            + [sorted(s) for s in new.subsets]),
-        "cold": reduction_fingerprint(cold),
-        "warm": reduction_fingerprint(presolve_cover_warm(new, cold)),
+            [sorted(s) for s in cols] + [sorted(s) for s in new_cols]),
+        "cold": reduction_fingerprint(prev, cold),
+        "warm": reduction_fingerprint(new, presolve_cover_warm(new, cold)),
     }
 
 
@@ -215,10 +226,9 @@ def test_frozenset_construction_matches_golden(scale_result, golden):
     want = golden["circuits"][name]
     packed = step1_problems(res)
     for key, problem in step1_problems(res, packed=False).items():
-        a, b = problem.packed(), packed[key].packed()
-        assert (a.elements, a.masks, a.full) == (b.elements, b.masks, b.full)
-        assert (a.matrix == b.matrix).all()
-        assert (reduction_fingerprint(presolve_cover(problem))
+        assert problem.elements == packed[key].elements
+        assert (problem.matrix == packed[key].matrix).all()
+        assert (reduction_fingerprint(problem, presolve_cover(problem))
                 == want[key]["step1"]), (name, key)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,13 +10,16 @@ from repro.scheduling.setcover import (
     CoverProblem,
     branch_and_bound_cover,
     greedy_cover,
+    greedy_cover_rows,
     ilp_cover,
     presolve_cover,
 )
+from repro.utils import bitset
+from repro.utils.bitset import masks_to_matrix, pack_bits, unpack_bits
 
 
 def problem(*subsets):
-    return CoverProblem(subsets=[frozenset(s) for s in subsets])
+    return CoverProblem.from_sets([frozenset(s) for s in subsets])
 
 
 class TestCoverProblem:
@@ -25,8 +29,8 @@ class TestCoverProblem:
 
     def test_uncoverable_universe_rejected(self):
         with pytest.raises(ValueError, match="not coverable"):
-            CoverProblem(subsets=[frozenset({1})],
-                         universe=frozenset({1, 2}))
+            CoverProblem.from_sets([frozenset({1})],
+                                   universe=frozenset({1, 2}))
 
     def test_required_count(self):
         p = problem({1}, {2}, {3}, {4})
@@ -54,8 +58,8 @@ class TestCoverProblem:
 
     def test_uncoverable_report_is_deterministic_and_complete(self):
         with pytest.raises(ValueError) as exc:
-            CoverProblem(subsets=[frozenset({1})],
-                         universe=frozenset({1, 2, 4, 3}))
+            CoverProblem.from_sets([frozenset({1})],
+                                   universe=frozenset({1, 2, 4, 3}))
         assert "3 universe elements not coverable: [2, 3, 4]" in str(exc.value)
 
     def test_covered_by(self):
@@ -63,20 +67,17 @@ class TestCoverProblem:
         assert p.covered_by([1]) == frozenset({2, 3})
 
     def test_from_matrix_drops_uncovered_elements(self):
-        from repro.utils.bitset import masks_to_matrix
-
-        # Element bit 1 ("b") is in no row: the packed view must equal the
+        # Element bit 1 ("b") is in no row: the problem must equal the
         # frozenset construction over the covered universe.
         elements = ("a", "b", "c", "d")
         rows = [{0, 2}, {2, 3}, {3}]
         subsets = [frozenset(elements[b] for b in r) for r in rows]
         matrix = masks_to_matrix([sum(1 << b for b in r) for r in rows], 4)
         built = CoverProblem.from_matrix(matrix, elements)
-        ref = CoverProblem(subsets=subsets)
+        ref = CoverProblem.from_sets(subsets)
         assert built.universe == ref.universe == frozenset("acd")
-        a, b = built.packed(), ref.packed()
-        assert (a.elements, a.masks, a.full) == (b.elements, b.masks, b.full)
-        assert (a.matrix == b.matrix).all()
+        assert built.elements == ref.elements
+        assert (built.matrix == ref.matrix).all()
         assert ilp_cover(built) == ilp_cover(ref) == [0, 1]
 
 
@@ -116,7 +117,7 @@ class TestIlp:
         assert len(chosen) == 3  # each subset covers exactly one element
 
     def test_empty_problem(self):
-        assert ilp_cover(CoverProblem(subsets=[])) == []
+        assert ilp_cover(CoverProblem.from_sets([])) == []
 
 
 class TestPresolve:
@@ -181,16 +182,24 @@ class TestBranchAndBound:
 # cardinality and are never worse than greedy.
 # ----------------------------------------------------------------------
 @st.composite
-def random_problems(draw):
+def random_subsets(draw):
+    """``(n_elements, subsets)``: 1-8 non-empty subsets of
+    ``range(n_elements)``, not necessarily covering it."""
     n_elements = draw(st.integers(1, 10))
     n_subsets = draw(st.integers(1, 8))
     subsets = []
     for _ in range(n_subsets):
         s = draw(st.sets(st.integers(0, n_elements - 1), min_size=1))
         subsets.append(frozenset(s))
+    return n_elements, subsets
+
+
+@st.composite
+def random_problems(draw):
+    n_elements, subsets = draw(random_subsets())
     # Guarantee coverability.
     subsets.append(frozenset(range(n_elements)))
-    return CoverProblem(subsets=subsets)
+    return CoverProblem.from_sets(subsets)
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,15 +236,28 @@ def test_property_presolve_is_lossless(p):
     assert set(red.forced) <= set(reduced)
 
 
+def _same_reduction(a, b) -> bool:
+    return ((a.forced, a.stats, a.dominators) == (b.forced, b.stats,
+                                                  b.dominators)
+            and len(a.components) == len(b.components)
+            and all(ca[0] == cb[0] and np.array_equal(ca[1], cb[1])
+                    and np.array_equal(ca[2], cb[2])
+                    for ca, cb in zip(a.components, b.components)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(random_problems())
 def test_property_matrix_construction_same_reduction(p):
-    """Building from the packed rows reproduces the frozenset problem."""
-    pk = p.packed()
-    built = CoverProblem.from_matrix(pk.matrix, pk.elements)
-    assert built.universe == p.universe
-    assert built.packed().masks == pk.masks
-    assert presolve_cover(built) == presolve_cover(p)
+    """Building from packed rows with an element no row covers (here
+    the first bit) reproduces the frozenset problem."""
+    incidence = unpack_bits(p.matrix, len(p.elements))
+    padded = np.hstack([np.zeros((incidence.shape[0], 1), dtype=bool),
+                        incidence])
+    built = CoverProblem.from_matrix(pack_bits(padded),
+                                     ("absent",) + p.elements)
+    assert built.elements == p.elements
+    assert np.array_equal(built.matrix, p.matrix)
+    assert _same_reduction(presolve_cover(built), presolve_cover(p))
     assert ilp_cover(built) == ilp_cover(p)
 
 
@@ -265,29 +287,60 @@ def test_property_bound_never_exceeds_optimum(p):
     """The certificate is sound: bound <= exact optimum, and >= 1."""
     from repro.scheduling.setcover import independent_rows_bound_matrix
 
-    bound = independent_rows_bound_matrix(p.packed().matrix)
+    bound = independent_rows_bound_matrix(p.matrix)
     assert 1 <= bound <= len(branch_and_bound_cover(p))
 
 
 class TestGreedyMasks:
-    def test_tie_break_prefers_lowest_index(self):
-        from repro.scheduling.setcover import greedy_cover_masks
+    """The greedy core on rows written as bit masks."""
 
-        # Subsets 0 and 1 offer the same gain; the deterministic
-        # (gain, -index) rank must pick subset 0 regardless of order.
-        assert greedy_cover_masks([0b011, 0b011, 0b100], 0b111) == [0, 2]
-        assert greedy_cover_masks([0b100, 0b011, 0b011], 0b111) == [0, 1]
+    def test_tie_break_prefers_lowest_index(self):
+        # Subsets 0 and 1 offer the same gain; the lowest index must win
+        # regardless of order.
+        assert greedy_cover_rows(masks_to_matrix([0b011, 0b011, 0b100], 3),
+                                 3) == [0, 2]
+        assert greedy_cover_rows(masks_to_matrix([0b100, 0b011, 0b011], 3),
+                                 3) == [0, 1]
 
     def test_need_short_circuits(self):
-        from repro.scheduling.setcover import greedy_cover_masks
-
-        assert greedy_cover_masks([0b11, 0b100], 0b111, need=2) == [0]
+        assert greedy_cover_rows(masks_to_matrix([0b11, 0b100], 3),
+                                 2) == [0]
 
     def test_infeasible_raises(self):
-        from repro.scheduling.setcover import greedy_cover_masks
-
         with pytest.raises(RuntimeError, match="stalled"):
-            greedy_cover_masks([0b01], 0b11)
+            greedy_cover_rows(masks_to_matrix([0b01], 2), 2)
+
+
+def _greedy_reference(subsets, need: int) -> list[int]:
+    """Greedy from its definition, on frozensets: take the subset with
+    the most new elements, the lowest index on ties, until ``need``
+    elements are covered."""
+    covered: set = set()
+    chosen: list[int] = []
+    while len(covered) < need:
+        gains = [len(s - covered) for s in subsets]
+        j = gains.index(max(gains))
+        assert gains[j], "the union holds every element"
+        chosen.append(j)
+        covered |= subsets[j]
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("bitwise_count", [True, False],
+                         ids=["bitwise_count", "swar"])
+@settings(max_examples=40, deadline=None)
+@given(drawn=random_subsets(),
+       coverage=st.sampled_from([1.0, 0.8, 0.5, 0.3]))
+def test_property_greedy_matches_definition(bitwise_count, drawn, coverage):
+    """``greedy_cover`` over the union of the subsets equals the
+    frozenset greedy, under both popcount paths (the SWAR fallback
+    stands in for numpy without ``bitwise_count``)."""
+    _n, subsets = drawn
+    p = CoverProblem.from_sets(subsets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitset, "_HAS_BITWISE_COUNT", bitwise_count)
+        assert (greedy_cover(p, coverage=coverage)
+                == _greedy_reference(subsets, p.required_count(coverage)))
 
 
 @settings(max_examples=40, deadline=None)

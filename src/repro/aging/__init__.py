@@ -26,7 +26,6 @@ from repro.aging.fleet import (
     FleetPopulation,
     FleetResult,
     sample_population,
-    simulate_fleet,
     simulate_fleet_reference,
     simulate_fleet_vectorized,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "WeibullHazard",
     "WeibullMixture",
     "sample_population",
-    "simulate_fleet",
     "simulate_fleet_reference",
     "simulate_fleet_vectorized",
     "predict_fleet",

@@ -13,14 +13,14 @@ device populations:
   (:class:`~repro.aging.hazard.WeibullMixture`), a per-device aging
   time-scale coupling the lifetime draw to the degradation laws, and weak
   (marginal-defect) gates for the infant-mortality devices.
-* Two engines evaluate every device at every lifetime checkpoint against
-  an STA-level surrogate of the monitor bank:
-
-  - ``reference`` — a per-device Python loop, the semantics pin;
-  - ``vectorized`` — NumPy kernels over ``(gates, devices)`` delay-factor
-    blocks, bit-identical to the reference loop by construction (both
-    consume the same population draws and perform the same IEEE-754
-    operations in the same order).
+* :func:`simulate_fleet_vectorized` evaluates every device at every
+  lifetime checkpoint against an STA-level surrogate of the monitor bank,
+  with NumPy kernels over ``(gates, devices)`` delay-factor blocks,
+  optionally sharded over worker processes.
+  :func:`simulate_fleet_reference`, a single-process per-device Python
+  loop, is the semantics pin the tests compare it against: the two are
+  bit-identical by construction (both consume the same population draws
+  and perform the same IEEE-754 operations in the same order).
 
 The surrogate models each monitor as watching the maximum arrival time of
 its observation point: configuration ``c`` (delay element ``d_c``) alerts
@@ -147,7 +147,6 @@ class FleetResult:
     """
 
     spec: ScenarioSpec
-    engine: str
     clock_period: float
     config_delays: tuple[float, ...]
     times: np.ndarray
@@ -241,7 +240,7 @@ def _prepare(circuit: Circuit, spec: ScenarioSpec, *,
 
 
 # ----------------------------------------------------------------------
-# Multi-process sharding (shared by both engines)
+# Multi-process sharding of the vectorized engine
 # ----------------------------------------------------------------------
 def _population_slice(pop: FleetPopulation, lo: int,
                       hi: int) -> FleetPopulation:
@@ -256,16 +255,16 @@ def _population_slice(pop: FleetPopulation, lo: int,
 
 
 def _shard_worker(payload):
-    engine, circuit, spec, shard, setup, kwargs = payload
-    return FLEET_ENGINES[engine](circuit, spec, shard, setup=setup,
-                                 jobs=1, **kwargs)
+    circuit, spec, shard, setup, block = payload
+    return simulate_fleet_vectorized(circuit, spec, shard, setup=setup,
+                                     block=block)
 
 
-def _sharded_run(engine: str, circuit: Circuit, spec: ScenarioSpec,
+def _sharded_run(circuit: Circuit, spec: ScenarioSpec,
                  population: FleetPopulation, jobs: int, *,
                  monitor_fraction: float, clock_period: float | None,
                  setup: "_FleetSetup | None",
-                 **kwargs) -> "FleetResult | None":
+                 block: int) -> "FleetResult | None":
     """Fan a population out over worker processes; ``None`` = run inline.
 
     Shards are contiguous device ranges and every per-device computation is
@@ -279,14 +278,14 @@ def _sharded_run(engine: str, circuit: Circuit, spec: ScenarioSpec,
                           clock_period=clock_period)
     n = min(jobs, population.devices)
     bounds = np.linspace(0, population.devices, n + 1).astype(int)
-    payloads = [(engine, circuit, spec,
-                 _population_slice(population, int(lo), int(hi)), s, kwargs)
+    payloads = [(circuit, spec,
+                 _population_slice(population, int(lo), int(hi)), s, block)
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
         parts = list(pool.map(_shard_worker, payloads))
     first = parts[0]
     return FleetResult(
-        spec=spec, engine=engine, clock_period=first.clock_period,
+        spec=spec, clock_period=first.clock_period,
         config_delays=first.config_delays, times=first.times,
         slack=np.concatenate([p.slack for p in parts], axis=0),
         first_alert=np.concatenate([p.first_alert for p in parts], axis=1),
@@ -302,19 +301,13 @@ def simulate_fleet_reference(circuit: Circuit, spec: ScenarioSpec,
                              population: FleetPopulation, *,
                              monitor_fraction: float = DEFAULT_COVERAGE_FRACTION,
                              clock_period: float | None = None,
-                             jobs: int = 1,
                              setup: _FleetSetup | None = None) -> FleetResult:
-    """Scalar per-device evaluation loop.
+    """Scalar per-device evaluation loop (single process; a test oracle).
 
     Deliberately written with plain Python floats in the *same* operation
     order as the vectorized kernels; the golden parity test pins the two
     bit-identical.
     """
-    sharded = _sharded_run("reference", circuit, spec, population, jobs,
-                           monitor_fraction=monitor_fraction,
-                           clock_period=clock_period, setup=setup)
-    if sharded is not None:
-        return sharded
     s = setup or _prepare(circuit, spec, monitor_fraction=monitor_fraction,
                           clock_period=clock_period)
     d = population.devices
@@ -382,7 +375,7 @@ def simulate_fleet_reference(circuit: Circuit, spec: ScenarioSpec,
                 if first_alert[ci, dev] < 0 and margin < s.config_delays[ci]:
                     first_alert[ci, dev] = ti
     return FleetResult(
-        spec=spec, engine="reference", clock_period=period,
+        spec=spec, clock_period=period,
         config_delays=s.config_delays, times=times, slack=slack,
         first_alert=first_alert, failure=failure, population=population,
     )
@@ -406,7 +399,7 @@ def simulate_fleet_vectorized(circuit: Circuit, spec: ScenarioSpec,
     """
     if block < 1:
         raise ValueError("block size must be positive")
-    sharded = _sharded_run("vectorized", circuit, spec, population, jobs,
+    sharded = _sharded_run(circuit, spec, population, jobs,
                            monitor_fraction=monitor_fraction,
                            clock_period=clock_period, block=block,
                            setup=setup)
@@ -483,33 +476,8 @@ def simulate_fleet_vectorized(circuit: Circuit, spec: ScenarioSpec,
                          & (margin < s.config_delays[ci]))
                 first_alert[ci, lo:hi][newly] = ti
     return FleetResult(
-        spec=spec, engine="vectorized", clock_period=period,
+        spec=spec, clock_period=period,
         config_delays=s.config_delays, times=times, slack=slack,
         first_alert=first_alert, failure=failure, population=population,
     )
 
-
-#: Engine-name dispatch of :func:`simulate_fleet` and the shard workers.
-FLEET_ENGINES = {
-    "reference": simulate_fleet_reference,
-    "vectorized": simulate_fleet_vectorized,
-}
-
-
-def simulate_fleet(circuit: Circuit, spec: ScenarioSpec, devices: int, *,
-                   engine: str = "vectorized",
-                   monitor_fraction: float = DEFAULT_COVERAGE_FRACTION,
-                   clock_period: float | None = None,
-                   population: FleetPopulation | None = None,
-                   **kwargs) -> FleetResult:
-    """Sample a population (unless given) and run the selected engine."""
-    if engine not in FLEET_ENGINES:
-        known = ", ".join(sorted(FLEET_ENGINES))
-        raise ValueError(f"unknown fleet engine {engine!r} "
-                         f"(registered: {known})")
-    pop = population or sample_population(circuit, spec, devices)
-    if pop.devices != devices:
-        raise ValueError("population size does not match requested devices")
-    return FLEET_ENGINES[engine](
-        circuit, spec, pop, monitor_fraction=monitor_fraction,
-        clock_period=clock_period, **kwargs)

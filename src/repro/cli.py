@@ -50,7 +50,12 @@ import sys
 from pathlib import Path
 
 from repro.circuits.generators import CircuitProfile, generate_circuit
-from repro.core import FlowConfig, HdfTestFlow
+from repro.core import HdfTestFlow
+from repro.core.config import (
+    DEFAULT_ATPG_SEED,
+    DEFAULT_COVERAGE_FRACTION,
+    DEFAULT_FAST_RATIO,
+)
 from repro.netlist.bench import save_bench
 from repro.netlist.circuit import Circuit
 
@@ -66,13 +71,20 @@ def _load_circuit(spec: str) -> Circuit:
         raise SystemExit(f"error: {exc}")
 
 
-def _flow_config(args: argparse.Namespace) -> FlowConfig:
-    return FlowConfig(
-        fast_ratio=args.fast_ratio,
-        monitor_fraction=args.monitor_fraction,
-        pattern_cap=args.pattern_cap,
-        atpg_seed=args.seed,
-    )
+def _flow_job(cls, args: argparse.Namespace, **fields):
+    """The ``cls`` job of a flow-parameter verb (``flow``/``fig3``/``resched``).
+
+    The job validates the flow flags; an invalid value prints ``error: …``
+    and gives ``None``, on which the verb exits with status 2.
+    """
+    try:
+        return cls(circuit=args.circuit, fast_ratio=args.fast_ratio,
+                   monitor_fraction=args.monitor_fraction,
+                   pattern_cap=args.pattern_cap, atpg_seed=args.seed,
+                   **fields)
+    except ValueError as exc:   # SpecError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _run_job(job, **options):
@@ -124,12 +136,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
     from repro.core.spec import FlowJob
     from repro.experiments.reporting import format_table
 
-    job = FlowJob(circuit=args.circuit,
-                  fast_ratio=args.fast_ratio,
-                  monitor_fraction=args.monitor_fraction,
-                  pattern_cap=args.pattern_cap,
-                  atpg_seed=args.seed,
-                  with_schedules=True)
+    job = _flow_job(FlowJob, args, with_schedules=True)
+    if job is None:
+        return 2
     outcome = _run_job(job,
                        store=_stage_cache(args),
                        recompute_from=_recompute_from(args),
@@ -185,11 +194,15 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_fig3(args: argparse.Namespace) -> int:
+    from repro.core.spec import FlowJob
     from repro.experiments.fig3 import fig3_series
     from repro.experiments.reporting import format_table
 
+    job = _flow_job(FlowJob, args)
+    if job is None:
+        return 2
     circuit = _load_circuit(args.circuit)
-    result = HdfTestFlow(circuit, _flow_config(args)).run(
+    result = HdfTestFlow(circuit, job.flow_config()).run(
         with_schedules=False, cache=_stage_cache(args))
     rows = [
         {"fmax/fnom": p.fmax_ratio,
@@ -333,19 +346,16 @@ def cmd_resched(args: argparse.Namespace) -> int:
     from repro.core.spec import ReschedJob, ScenarioSpec
 
     try:
-        job = ReschedJob(
-            circuit=args.circuit,
-            fast_ratio=args.fast_ratio,
-            monitor_fraction=args.monitor_fraction,
-            pattern_cap=args.pattern_cap,
-            atpg_seed=args.seed,
-            alerts=(ReschedJob.alerts_from_deltas(
-                _load_alert_stream(args.alerts)) if args.alerts else ()),
-            scenario=(ScenarioSpec.load(args.scenario)
-                      if args.scenario else None),
-            max_gates=args.max_gates)
+        alerts = (ReschedJob.alerts_from_deltas(
+            _load_alert_stream(args.alerts)) if args.alerts else ())
+        scenario = (ScenarioSpec.load(args.scenario)
+                    if args.scenario else None)
     except (OSError, ValueError) as exc:   # SpecError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    job = _flow_job(ReschedJob, args, alerts=alerts, scenario=scenario,
+                    max_gates=args.max_gates)
+    if job is None:
         return 2
     try:
         outcome = _run_job(job, store=_stage_cache(args),
@@ -490,10 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_flow_args(p):
         p.add_argument("circuit", help=".bench/.v file, embedded (s27, c17) "
                                        "or suite circuit name")
-        p.add_argument("--fast-ratio", type=float, default=3.0)
-        p.add_argument("--monitor-fraction", type=float, default=0.25)
+        p.add_argument("--fast-ratio", type=float,
+                       default=DEFAULT_FAST_RATIO)
+        p.add_argument("--monitor-fraction", type=float,
+                       default=DEFAULT_COVERAGE_FRACTION)
         p.add_argument("--pattern-cap", type=int, default=None)
-        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--seed", type=int, default=DEFAULT_ATPG_SEED)
 
     def add_cache_args(p):
         p.add_argument("--recompute-from", nargs="+", metavar="STAGE",

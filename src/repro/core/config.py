@@ -6,10 +6,11 @@ from dataclasses import dataclass, field
 
 from repro.monitors.insertion import DEFAULT_COVERAGE_FRACTION
 from repro.monitors.monitor import PAPER_DELAY_FRACTIONS
-from repro.scheduling.setcover import DEFAULT_TIME_LIMIT_S
-from repro.simulation.wave_sim import DEFAULT_INERTIAL_PS
 from repro.timing.clock import DEFAULT_FAST_RATIO
-from repro.timing.variation import N_SIGMA, SIGMA_FRACTION
+from repro.timing.variation import N_SIGMA
+
+#: Seed of the ATPG random phase and of the don't-care fill.
+DEFAULT_ATPG_SEED = 7
 
 
 @dataclass
@@ -19,7 +20,10 @@ class FlowConfig:
     Defaults reproduce the paper's evaluation setup (Sec. V): ``f_max = 3
     f_nom``, monitors on 25 % of the pseudo-primary outputs with delay
     elements {0.05, 0.1, 0.15, 1/3}·clk, fault size δ = 6σ with σ = 20 % of
-    the nominal gate delay.
+    the nominal gate delay.  This class and the constants it reads are the
+    one place that declares, defaults and validates these parameters: the
+    job specs (:mod:`repro.core.spec`), the suite runner and the CLI all
+    build a ``FlowConfig`` to check theirs.
     """
 
     #: Maximum FAST frequency as a multiple of f_nom.
@@ -28,19 +32,12 @@ class FlowConfig:
     monitor_fraction: float = DEFAULT_COVERAGE_FRACTION
     #: Monitor delay elements as fractions of the nominal clock period.
     monitor_delay_fractions: tuple[float, ...] = PAPER_DELAY_FRACTIONS
-    #: Process-variation σ as a fraction of the nominal gate delay.
-    sigma_fraction: float = SIGMA_FRACTION
-    #: Fault size in σ units (δ = n_sigma · σ).
+    #: Fault size in σ units (δ = n_sigma · σ, σ = ``SIGMA_FRACTION`` of
+    #: the nominal gate delay).
     n_sigma: float = N_SIGMA
-    #: Inertial pulse-filter threshold in ps (simulation + glitch filtering).
-    inertial_ps: float = DEFAULT_INERTIAL_PS
-    #: Run the topological pre-analysis (Fig. 4 step 1) before simulation.
-    structural_prefilter: bool = True
     #: ATPG seed and an optional hard cap on the pattern-pair count.
-    atpg_seed: int = 7
+    atpg_seed: int = DEFAULT_ATPG_SEED
     pattern_cap: int | None = None
-    #: ILP wall-clock limit per covering instance, seconds.
-    ilp_time_limit: float = DEFAULT_TIME_LIMIT_S
     #: Coverage targets for Table III style relaxed schedules.
     coverage_targets: tuple[float, ...] = field(default=(0.99, 0.98, 0.95, 0.90))
 

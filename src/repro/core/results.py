@@ -26,7 +26,7 @@ class FlowResult:
     configs: MonitorConfigSet
     placement: MonitorPlacement
     universe_size: int
-    prefilter: StructuralFilterResult | None
+    prefilter: StructuralFilterResult
     atpg: AtpgResult | None
     test_set: TestSet
     data: DetectionData
@@ -117,9 +117,8 @@ class FlowResult:
 
     def summary(self) -> dict[str, object]:
         out: dict[str, object] = self.table1_row()
-        if self.prefilter is not None:
-            out["prefilter_at_speed"] = len(self.prefilter.at_speed)
-            out["prefilter_redundant"] = len(self.prefilter.redundant)
+        out["prefilter_at_speed"] = len(self.prefilter.at_speed)
+        out["prefilter_redundant"] = len(self.prefilter.redundant)
         if self.atpg is not None:
             out["atpg_coverage"] = round(self.atpg.coverage, 4)
         for name, sched in self.schedules.items():

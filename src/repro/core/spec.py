@@ -25,11 +25,19 @@ Two submissions with equal fingerprints are therefore interchangeable —
 the property the service orchestrator's dedupe relies on
 (:mod:`repro.service.orchestrator`).
 
-Import discipline: this module imports nothing from :mod:`repro.aging`
-(or any other heavy subsystem) at module level — the degradation/hazard
-model classes load lazily inside default factories and (de)serialisers —
-so the ``repro.aging.scenario`` re-export shim cannot create an import
-cycle regardless of which end is imported first.
+The flow parameters of :class:`FlowJob`, :class:`ReschedJob` (through
+their shared base :class:`CircuitFlowJob`) and :class:`SuiteJob` take
+their defaults from the constants of :mod:`repro.core.config` and are
+validated by building the :class:`~repro.core.config.FlowConfig`, whose
+``ValueError`` becomes a :class:`SpecError`.
+
+Import discipline: at module level this module imports only
+:mod:`repro.core.config` (and through it the monitor and timing
+constants), nothing from :mod:`repro.aging` or any other heavy
+subsystem — the degradation/hazard model classes load lazily inside
+default factories and (de)serialisers — so the ``repro.aging.scenario``
+re-export shim cannot create an import cycle regardless of which end is
+imported first.
 """
 
 from __future__ import annotations
@@ -40,6 +48,13 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, ClassVar, Mapping
+
+from repro.core.config import (
+    DEFAULT_ATPG_SEED,
+    DEFAULT_COVERAGE_FRACTION,
+    DEFAULT_FAST_RATIO,
+    FlowConfig,
+)
 
 #: Bumped when the canonical serialisation of any spec changes meaning,
 #: so stale fingerprints can never alias fresh ones.
@@ -287,44 +302,52 @@ class JobSpec:
             {"version": SPEC_VERSION, "spec": self.semantic_dict()})
 
 
+def _checked_flow_config(**params: Any) -> FlowConfig:
+    """``FlowConfig(**params)``, its checks reported as :class:`SpecError`."""
+    try:
+        return FlowConfig(**params)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
+
+
 @dataclass(frozen=True)
-class FlowJob(JobSpec):
-    """One complete HDF test flow on one circuit.
+class CircuitFlowJob(JobSpec):
+    """Base of the jobs that run the Fig. 4 flow on one circuit.
 
     ``circuit`` resolves like the CLI argument: a ``.bench``/``.v`` path,
-    an embedded name (``s27``, ``c17``) or a suite circuit name.
+    an embedded name (``s27``, ``c17``) or a suite circuit name.  The flow
+    parameters take their defaults and checks from :class:`FlowConfig`.
     """
 
-    kind: ClassVar[str] = "flow"
-
     circuit: str = ""
-    fast_ratio: float = 3.0
-    monitor_fraction: float = 0.25
+    fast_ratio: float = DEFAULT_FAST_RATIO
+    monitor_fraction: float = DEFAULT_COVERAGE_FRACTION
     pattern_cap: int | None = None
-    atpg_seed: int = 7
-    with_schedules: bool = True
-    with_coverage_schedules: bool = False
+    atpg_seed: int = DEFAULT_ATPG_SEED
 
     def __post_init__(self) -> None:
         if not self.circuit:
-            raise SpecError("flow job needs a non-empty 'circuit'")
-        if self.fast_ratio < 1.0:
-            raise SpecError("fast_ratio must be >= 1")
-        if not 0.0 <= self.monitor_fraction <= 1.0:
-            raise SpecError("monitor_fraction must lie in [0, 1]")
-        if self.pattern_cap is not None and self.pattern_cap < 1:
-            raise SpecError("pattern_cap must be positive when given")
+            raise SpecError(f"{self.kind} job needs a non-empty 'circuit'")
+        self.flow_config()
 
-    def flow_config(self):
+    def flow_config(self) -> FlowConfig:
         """The :class:`FlowConfig` this job runs under."""
-        from repro.core.config import FlowConfig
-
-        return FlowConfig(
+        return _checked_flow_config(
             fast_ratio=self.fast_ratio,
             monitor_fraction=self.monitor_fraction,
             pattern_cap=self.pattern_cap,
             atpg_seed=self.atpg_seed,
         )
+
+
+@dataclass(frozen=True)
+class FlowJob(CircuitFlowJob):
+    """One complete HDF test flow on one circuit."""
+
+    kind: ClassVar[str] = "flow"
+
+    with_schedules: bool = True
+    with_coverage_schedules: bool = False
 
 
 @dataclass(frozen=True)
@@ -343,9 +366,9 @@ class SuiteJob(JobSpec):
     scale: float = 1.0
     with_schedules: bool = True
     with_coverage_schedules: bool = False
-    fast_ratio: float = 3.0
-    monitor_fraction: float = 0.25
-    atpg_seed: int = 7
+    fast_ratio: float = DEFAULT_FAST_RATIO
+    monitor_fraction: float = DEFAULT_COVERAGE_FRACTION
+    atpg_seed: int = DEFAULT_ATPG_SEED
     #: Worker processes draining the stage work units.
     workers: int = 1
 
@@ -357,6 +380,9 @@ class SuiteJob(JobSpec):
             raise SpecError("scale must be positive")
         if self.workers < 1:
             raise SpecError("workers must be >= 1")
+        _checked_flow_config(fast_ratio=self.fast_ratio,
+                             monitor_fraction=self.monitor_fraction,
+                             atpg_seed=self.atpg_seed)
 
     @classmethod
     def _coerce(cls, payload: dict) -> dict:
@@ -465,7 +491,7 @@ def _canonical_alerts(alerts: Any) -> tuple[tuple[tuple[int, float], ...],
 
 
 @dataclass(frozen=True)
-class ReschedJob(JobSpec):
+class ReschedJob(CircuitFlowJob):
     """One in-field alert-stream replay through the warm re-solver.
 
     ``alerts`` is an explicit stream — ordered events, each a tuple of
@@ -477,25 +503,13 @@ class ReschedJob(JobSpec):
 
     kind: ClassVar[str] = "resched"
 
-    circuit: str = ""
-    fast_ratio: float = 3.0
-    monitor_fraction: float = 0.25
-    pattern_cap: int | None = None
-    atpg_seed: int = 7
     alerts: tuple[tuple[tuple[int, float], ...], ...] = ()
     scenario: ScenarioSpec | None = None
     #: Synthetic-generator granularity: gates per alert event.
     max_gates: int = 1
 
     def __post_init__(self) -> None:
-        if not self.circuit:
-            raise SpecError("resched job needs a non-empty 'circuit'")
-        if self.fast_ratio < 1.0:
-            raise SpecError("fast_ratio must be >= 1")
-        if not 0.0 <= self.monitor_fraction <= 1.0:
-            raise SpecError("monitor_fraction must lie in [0, 1]")
-        if self.pattern_cap is not None and self.pattern_cap < 1:
-            raise SpecError("pattern_cap must be positive when given")
+        super().__post_init__()
         if self.max_gates < 1:
             raise SpecError("max_gates must be >= 1")
         object.__setattr__(self, "alerts",
@@ -522,16 +536,6 @@ class ReschedJob(JobSpec):
 
         return [AlertDelta.from_mapping(dict(pairs))
                 for pairs in self.alerts]
-
-    def flow_config(self):
-        from repro.core.config import FlowConfig
-
-        return FlowConfig(
-            fast_ratio=self.fast_ratio,
-            monitor_fraction=self.monitor_fraction,
-            pattern_cap=self.pattern_cap,
-            atpg_seed=self.atpg_seed,
-        )
 
 
 #: Registry of serialized job kinds (the ``"kind"`` document field).

@@ -14,10 +14,15 @@ Stage DAG (deps point left)::
     atpg ─────────────────────^              sta ────────^
     (sta, atpg also feed simulation; sta feeds classify/schedule)
 
-Each stage calls its one production implementation directly; the
-retained alternatives (the incremental detection engine, the per-device
-fleet loop) are reached through the functions' own ``engine=``
-parameters, never through the flow.
+Each stage calls its one production implementation directly.  The
+retained oracles (the incremental detection path, the per-device fleet
+loop) are separate functions that only tests call by name; the
+incremental path also serves as wordwave's input-driven fallback inside
+:func:`~repro.faults.detection.compute_detection_data`.  What the
+paper fixes (σ = 20 % of the gate delay, the inertial threshold, the ILP
+time limit) is not in the config: the stages leave those arguments at
+their defaults, the constants ``SIGMA_FRACTION``, ``DEFAULT_INERTIAL_PS``
+and ``DEFAULT_TIME_LIMIT_S``.
 """
 
 from __future__ import annotations
@@ -105,7 +110,7 @@ class FaultSetArtifact:
     """Step 1: fault universe after the topological screening."""
 
     universe_size: int
-    prefilter: StructuralFilterResult | None
+    prefilter: StructuralFilterResult
     faults: list[SmallDelayFault]
 
 
@@ -208,26 +213,21 @@ class FaultsStage(Stage):
     name = "faults"
     deps = ("sta",)
     artifact_type = FaultSetArtifact
-    config_fields = ("sigma_fraction", "n_sigma", "structural_prefilter")
+    config_fields = ("n_sigma",)
 
     def run(self, ctx: StageContext,
             inputs: dict[str, Any]) -> FaultSetArtifact:
-        cfg = ctx.config
         timing: TimingArtifact = inputs["sta"]
         ctx.note("fault universe")
-        universe = small_delay_fault_universe(
-            ctx.circuit, sigma_fraction=cfg.sigma_fraction,
-            n_sigma=cfg.n_sigma)
-        prefilter = None
-        faults = universe
-        if cfg.structural_prefilter:
-            ctx.note("structural prefilter")
-            prefilter = structural_prefilter(
-                ctx.circuit, timing.sta, universe, timing.clock,
-                timing.configs, timing.placement.monitored_gates)
-            faults = prefilter.remaining
+        universe = small_delay_fault_universe(ctx.circuit,
+                                              n_sigma=ctx.config.n_sigma)
+        ctx.note("structural prefilter")
+        prefilter = structural_prefilter(
+            ctx.circuit, timing.sta, universe, timing.clock,
+            timing.configs, timing.placement.monitored_gates)
         return FaultSetArtifact(universe_size=len(universe),
-                                prefilter=prefilter, faults=faults)
+                                prefilter=prefilter,
+                                faults=prefilter.remaining)
 
 
 class AtpgStage(Stage):
@@ -271,7 +271,7 @@ class SimulationStage(Stage):
     name = "simulation"
     deps = ("sta", "faults", "atpg")
     artifact_type = DetectionArtifact
-    config_fields = ("inertial_ps",)
+    config_fields = ()
     # v2: DetectionData._sched_cache became a bounded LruCache — older
     # pickled artifacts carry a plain dict there.
     # v3: the per-fault union memos gave way to the unpickled range table
@@ -282,7 +282,6 @@ class SimulationStage(Stage):
 
     def run(self, ctx: StageContext,
             inputs: dict[str, Any]) -> DetectionArtifact:
-        cfg = ctx.config
         timing: TimingArtifact = inputs["sta"]
         faults: FaultSetArtifact = inputs["faults"]
         patterns: PatternsArtifact = inputs["atpg"]
@@ -292,7 +291,7 @@ class SimulationStage(Stage):
             ctx.circuit, faults.faults, patterns.test_set,
             horizon=timing.clock.t_nom,
             monitored_gates=timing.placement.monitored_gates,
-            inertial=cfg.inertial_ps, timer=ctx.timer)
+            timer=ctx.timer)
         return DetectionArtifact(data=data)
 
 
@@ -316,11 +315,10 @@ class ScheduleStage(Stage):
     name = "schedule"
     deps = ("sta", "simulation", "classify")
     artifact_type = ScheduleArtifact
-    config_fields = ("ilp_time_limit", "coverage_targets")
+    config_fields = ("coverage_targets",)
 
     def run(self, ctx: StageContext,
             inputs: dict[str, Any]) -> ScheduleArtifact:
-        cfg = ctx.config
         timing: TimingArtifact = inputs["sta"]
         data = inputs["simulation"].data
         classification = inputs["classify"].classification
@@ -329,21 +327,19 @@ class ScheduleStage(Stage):
         if ctx.with_schedules:
             ctx.note("schedule optimization (conv/heur/prop)")
             schedules["conv"] = conventional_schedule(
-                data, classification, timing.clock,
-                time_limit=cfg.ilp_time_limit, timer=ctx.timer)
+                data, classification, timing.clock, timer=ctx.timer)
             schedules["heur"] = heuristic_schedule(
                 data, classification, timing.clock, timing.configs,
                 timer=ctx.timer)
             schedules["prop"] = proposed_schedule(
                 data, classification, timing.clock, timing.configs,
-                time_limit=cfg.ilp_time_limit, timer=ctx.timer)
+                timer=ctx.timer)
         if ctx.with_coverage_schedules:
-            for cov in cfg.coverage_targets:
+            for cov in ctx.config.coverage_targets:
                 ctx.note(f"schedule optimization (cov >= {cov:.0%})")
                 coverage_schedules[cov] = proposed_schedule(
                     data, classification, timing.clock, timing.configs,
-                    coverage=cov, time_limit=cfg.ilp_time_limit,
-                    timer=ctx.timer)
+                    coverage=cov, timer=ctx.timer)
         return ScheduleArtifact(schedules=schedules,
                                 coverage_schedules=coverage_schedules)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuits.library import paper_suite, suite_circuit
-from repro.core.config import FlowConfig
+from repro.core.config import DEFAULT_ATPG_SEED, FlowConfig
 from repro.core.flow import HdfTestFlow
 
 
@@ -66,7 +66,7 @@ def fault_size_sweep(circuit_name: str = "s13207", *,
                      n_sigmas: tuple[float, ...] = (2.0, 4.0, 6.0, 8.0, 12.0),
                      scale: float = 0.5,
                      pattern_cap: int | None = None,
-                     seed: int = 7) -> list[FaultSizePoint]:
+                     seed: int = DEFAULT_ATPG_SEED) -> list[FaultSizePoint]:
     """Run the flow at each fault size on the same circuit and patterns."""
     entry = paper_suite([circuit_name])[0]
     cap = (pattern_cap if pattern_cap is not None
@@ -80,8 +80,7 @@ def fault_size_sweep(circuit_name: str = "s13207", *,
         points.append(FaultSizePoint(
             n_sigma=n_sigma,
             universe=result.universe_size,
-            at_speed_structural=(len(result.prefilter.at_speed)
-                                 if result.prefilter else 0),
+            at_speed_structural=len(result.prefilter.at_speed),
             at_speed_simulated=len(cls.at_speed),
             conv_detected=result.conv_hdf_detected,
             prop_detected=result.prop_hdf_detected,

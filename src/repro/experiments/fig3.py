@@ -56,8 +56,7 @@ def fig3_series(result: FlowResult,
     t_nom = clock.t_nom
     shift = monitor_delay_fraction * t_nom
 
-    n_at_speed_structural = (len(result.prefilter.at_speed)
-                             if result.prefilter is not None else 0)
+    n_at_speed_structural = len(result.prefilter.at_speed)
     if denominator == "all_hdf":
         denom = (result.universe_size - n_at_speed_structural
                  - len(cls.at_speed))

@@ -21,7 +21,7 @@ from repro.aging.scenario import ScenarioSpec
 from repro.core.config import FlowConfig
 from repro.core.pipeline import Pipeline
 from repro.core.stages import AgingStage, FleetArtifact, StaStage, StageContext
-from repro.experiments.artifact_cache import StageCache, cache_enabled
+from repro.experiments.artifact_cache import StageCache
 from repro.netlist.circuit import Circuit
 
 #: The sta -> aging sub-pipeline; sharing StaStage with the Fig. 4 flow
@@ -95,22 +95,17 @@ def run_fleet_study(circuit: Circuit, *,
                     devices: int = 1024,
                     jobs: int = 1,
                     config: FlowConfig | None = None,
-                    cache: StageCache | None = None,
-                    use_cache: bool | None = None) -> FleetStudy:
-    """Run (or replay from cache) one fleet Monte Carlo study.
+                    cache: StageCache | None = None) -> FleetStudy:
+    """Run (or replay from ``cache``) one fleet Monte Carlo study.
 
     ``jobs`` shards the population over worker processes (bit-identical);
-    ``use_cache`` defaults to the ``REPRO_FLOW_CACHE`` environment toggle.
+    ``cache=None`` runs without a stage store.
     """
     ctx = StageContext(circuit=circuit, config=config or FlowConfig(),
                        fleet_spec=spec, fleet_devices=devices,
                        fleet_jobs=jobs)
-    if use_cache is None:
-        use_cache = cache_enabled()
-    store = cache if cache is not None else (
-        StageCache() if use_cache else None)
     pipeline = Pipeline(tuple(s() for s in FLEET_PIPELINE_STAGES))
-    artifacts, meta = pipeline.run(ctx, cache=store)
+    artifacts, meta = pipeline.run(ctx, cache=cache)
     artifact: FleetArtifact = artifacts["aging"]
     return FleetStudy(circuit=circuit.name, devices=devices,
                       artifact=artifact, meta=meta)

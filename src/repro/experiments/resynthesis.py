@@ -18,7 +18,7 @@ the experimental knob a DfT engineer actually controls.
 from __future__ import annotations
 
 from repro.circuits.library import paper_suite, suite_circuit
-from repro.core.config import FlowConfig
+from repro.core.config import DEFAULT_ATPG_SEED, FlowConfig
 from repro.core.flow import HdfTestFlow
 from repro.netlist.circuit import Circuit
 from repro.netlist.techmap import buffer_fanouts, decompose_wide_gates
@@ -37,7 +37,8 @@ def _run(circuit: Circuit, pattern_cap: int, seed: int) -> dict[str, object]:
 def resynthesis_comparison(circuit_name: str = "s13207", *,
                            scale: float = 0.5,
                            pattern_cap: int | None = None,
-                           seed: int = 7) -> list[dict[str, object]]:
+                           seed: int = DEFAULT_ATPG_SEED
+                           ) -> list[dict[str, object]]:
     """Table-I rows for the original, decomposed and buffered variants."""
     entry = paper_suite([circuit_name])[0]
     cap = (pattern_cap if pattern_cap is not None

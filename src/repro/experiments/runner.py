@@ -9,8 +9,10 @@ the shard scheduler (:func:`repro.experiments.shard.run_plan`) with
 (:meth:`~repro.core.flow.HdfTestFlow.cached_result`).  Results are reused
 at two levels:
 
-* **in-process** — keyed by the semantic :class:`SuiteRunConfig` alone;
-  the worker count is not part of it, results are bit-identical for any;
+* **in-process** — keyed by the semantic :class:`SuiteRunConfig` alone
+  (the worker count is not part of it, results are bit-identical for
+  any), in a lock-guarded LRU memo of the last :data:`SUITE_MEMO_SIZE`
+  configs, since the service's worker threads share it;
 * **stage store** — the shared on-disk
   :class:`~repro.experiments.artifact_cache.StageCache` when the disk
   cache is enabled, so repeated invocations skip completed stages across
@@ -27,6 +29,7 @@ registered stages.
 from __future__ import annotations
 
 import tempfile
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Iterator, Mapping
@@ -38,14 +41,26 @@ from repro.circuits.library import (
     suite_entry,
     synthetic_suite,
 )
-from repro.core.config import FlowConfig
+from repro.core.config import (
+    DEFAULT_ATPG_SEED,
+    DEFAULT_COVERAGE_FRACTION,
+    DEFAULT_FAST_RATIO,
+    FlowConfig,
+)
 from repro.core.flow import HdfTestFlow
 from repro.core.pipeline import DEFAULT_PIPELINE
 from repro.core.results import FlowResult
 from repro.core.stages import StageContext
 from repro.experiments.artifact_cache import StageCache, cache_enabled
 from repro.experiments.shard import ShardPlan, ShardStats, WorkUnit, run_plan
+from repro.utils.cache import LruCache
 from repro.utils.profiling import StageTimer
+
+#: Suite configs whose results the in-process memo keeps.  ``repro
+#: tables`` and the benchmark session each replay one config several
+#: times; a few entries cover that while bounding what a long-lived
+#: service accumulates over the suite jobs it runs.
+SUITE_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -56,9 +71,9 @@ class SuiteRunConfig:
     scale: float = 1.0
     with_schedules: bool = True
     with_coverage_schedules: bool = False
-    fast_ratio: float = 3.0
-    monitor_fraction: float = 0.25
-    atpg_seed: int = 7
+    fast_ratio: float = DEFAULT_FAST_RATIO
+    monitor_fraction: float = DEFAULT_COVERAGE_FRACTION
+    atpg_seed: int = DEFAULT_ATPG_SEED
 
     @classmethod
     def quick(cls, **overrides: object) -> "SuiteRunConfig":
@@ -80,11 +95,14 @@ class SuiteRunConfig:
         return replace(base, **overrides)  # type: ignore[arg-type]
 
 
-_CACHE: dict[SuiteRunConfig, dict[str, FlowResult]] = {}
+#: SuiteRunConfig -> {circuit name -> FlowResult}.
+_CACHE = LruCache(maxsize=SUITE_MEMO_SIZE)
+_CACHE_LOCK = threading.Lock()
 
 
 def clear_cache() -> None:
-    _CACHE.clear()
+    with _CACHE_LOCK:
+        _CACHE.clear()
 
 
 def suite_flow(name: str, cfg: SuiteRunConfig) -> HdfTestFlow:
@@ -172,7 +190,10 @@ def run_suite(config: SuiteRunConfig | None = None, *,
     cfg = config or SuiteRunConfig()
     forced = (DEFAULT_PIPELINE.descendants(recompute_from)
               if recompute_from else set())
-    memo = _CACHE.setdefault(cfg, {})
+    with _CACHE_LOCK:
+        memo = _CACHE.get(cfg)
+        if memo is None:
+            memo = _CACHE[cfg] = {}
     pending = tuple(n for n in cfg.names if forced or n not in memo)
     if pending:
         flows = {name: suite_flow(name, cfg) for name in pending}

@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.circuits.library import synthetic_suite
 from repro.core.pipeline import DEFAULT_PIPELINE
 from repro.experiments.artifact_cache import StageCache
 from repro.utils.profiling import StageTimer
@@ -168,77 +167,35 @@ class TimedStage:
     cost: float
 
 
-#: Relative duration model of the six pipeline stages (measured shape of
-#: the real flow: ATPG and simulation dominate, schedule is the mid cost).
-STAGE_COST_WEIGHTS = {"sta": 0.05, "faults": 0.04, "atpg": 0.30,
-                      "simulation": 0.40, "classify": 0.04,
-                      "schedule": 0.17}
-
-
-def suite_timed_specs(count: int, *,
-                      serial_s: float = 12.0) -> list[TimedStage]:
-    """Modeled stage durations for a ``count``-circuit synthetic matrix.
-
-    Per-circuit cost tracks the structural size of the deterministic
-    synthetic entries (gates x patterns), split across stages by
-    :data:`STAGE_COST_WEIGHTS` and normalized so the serial total is
-    ``serial_s``.  This is the workload of the suite scaling guard in
-    ``tests/test_perf_smoke.py``.
-    """
-    entries = synthetic_suite(count)
-    raw = {e.name: float(e.gates) * max(1, e.patterns) for e in entries}
-    norm = serial_s / sum(raw.values())
-    return [TimedStage(e.name, stage, raw[e.name] * norm * weight)
-            for e in entries
-            for stage, weight in STAGE_COST_WEIGHTS.items()]
-
-
-def timed_plan(specs: Sequence[TimedStage], *, nonce: str,
-               granularity: str = "stage",
-               order: str = "lpt") -> ShardPlan:
+def timed_plan(specs: Sequence[TimedStage], *, nonce: str) -> ShardPlan:
     """A plan whose units sleep for their cost instead of running stages.
 
     This benchmarks the *scheduler* (claims, readiness, packing) with
     modeled stage durations, independent of host core count.  ``nonce``
     salts the unit keys so repeated benchmark runs never hit stale
-    artifacts.  ``granularity="circuit"`` collapses each circuit into a
-    single unit of summed cost and ``order="given"`` keeps spec order —
-    together they model whole-circuit dispatch (one unit per circuit, in
-    submission order) for the granularity ablation.
+    artifacts.  Units follow the pipeline's stage DAG within each circuit
+    and the LPT priority order across circuits, like a real suite plan.
     """
-    if granularity not in ("stage", "circuit"):
-        raise ValueError(f"unknown granularity {granularity!r}")
-    if order not in ("lpt", "given"):
-        raise ValueError(f"unknown order {order!r}")
-
     def key_of(circuit: str, stage: str) -> str:
         blob = f"timed|{nonce}|{circuit}|{stage}"
         return hashlib.sha256(blob.encode()).hexdigest()
 
+    per_circuit: dict[str, dict[str, TimedStage]] = {}
+    for s in specs:
+        per_circuit.setdefault(s.circuit, {})[s.stage] = s
     units: list[WorkUnit] = []
-    if granularity == "circuit":
-        totals: dict[str, float] = {}
-        for s in specs:
-            totals[s.circuit] = totals.get(s.circuit, 0.0) + s.cost
-        units = [WorkUnit(circuit=name, stage="flow",
-                          key=key_of(name, "flow"), deps=(), cost=cost)
-                 for name, cost in totals.items()]
-    else:
-        per_circuit: dict[str, dict[str, TimedStage]] = {}
-        for s in specs:
-            per_circuit.setdefault(s.circuit, {})[s.stage] = s
-        for name, stages in per_circuit.items():
-            for stage_name in DEFAULT_PIPELINE.stages():
-                spec = stages.get(stage_name)
-                if spec is None:
-                    continue
-                deps = tuple(
-                    (d, key_of(name, d))
-                    for d in DEFAULT_PIPELINE.get(stage_name).deps
-                    if d in stages)
-                units.append(WorkUnit(circuit=name, stage=stage_name,
-                                      key=key_of(name, stage_name),
-                                      deps=deps, cost=spec.cost))
+    for name, stages in per_circuit.items():
+        for stage_name in DEFAULT_PIPELINE.stages():
+            spec = stages.get(stage_name)
+            if spec is None:
+                continue
+            deps = tuple(
+                (d, key_of(name, d))
+                for d in DEFAULT_PIPELINE.get(stage_name).deps
+                if d in stages)
+            units.append(WorkUnit(circuit=name, stage=stage_name,
+                                  key=key_of(name, stage_name),
+                                  deps=deps, cost=spec.cost))
 
     def execute(unit: WorkUnit, _inputs: dict[str, Any],
                 _timer: StageTimer) -> Any:
@@ -246,9 +203,7 @@ def timed_plan(specs: Sequence[TimedStage], *, nonce: str,
         return {"circuit": unit.circuit, "stage": unit.stage,
                 "cost": unit.cost}
 
-    if order == "lpt":
-        units = ShardPlan.order_units(units)
-    return ShardPlan(units, execute)
+    return ShardPlan(ShardPlan.order_units(units), execute)
 
 
 # ----------------------------------------------------------------------

@@ -24,14 +24,16 @@ hand their raw per-observation-point pieces to
 :meth:`RangeTable.from_pieces`; :attr:`DetectionData.ranges` is a
 read-only ``fault -> {pattern -> FaultPatternRange}`` view built on demand.
 
-Engine: the default ``"wordwave"`` engine runs the whole fault universe
-through batched NumPy array kernels (:mod:`repro.simulation.word_wave`) —
-flat event arrays merged in levelized order, with activation, injection and
-interval extraction all vectorized across (fault, pattern) instances.  The
-``"incremental"`` engine combines a bit-parallel activation pre-grading pass
-with the change-driven cone-schedule fault simulator
-(:meth:`WaveformSimulator.simulate_fault`) and doubles as the fallback for
-workloads outside the array kernels' envelope.  Both produce
+Engines: :func:`compute_detection_data` runs the whole fault universe
+through the wordwave engine's batched NumPy array kernels
+(:mod:`repro.simulation.word_wave`) — flat event arrays merged in
+levelized order, with activation, injection and interval extraction all
+vectorized across (fault, pattern) instances.  Its one fallback,
+selected by the input (:func:`~repro.simulation.word_wave.wordwave_fallback_reason`),
+is :func:`incremental_detection_data`: a bit-parallel activation
+pre-grading pass plus the change-driven cone-schedule fault simulator
+(:meth:`WaveformSimulator.simulate_fault`), which the tests also call by
+name as the oracle.  Both produce
 bit-identical :class:`DetectionData` (``tests/test_wordwave_golden.py``),
 pinned by ``tests/test_detection_golden.py`` and checked against the
 definition above by ``tests/test_detection_rule.py``.
@@ -59,9 +61,6 @@ from repro.utils.intervals import (
     _interval_unchecked,
 )
 from repro.utils.profiling import StageTimer
-
-#: Recognized values of the ``engine`` parameter.
-ENGINES = ("wordwave", "incremental")
 
 #: Bound of the per-data schedule-candidate memo (``_sched_cache``): one
 #: flow run queries at most a handful of distinct (targets, configs,
@@ -602,64 +601,71 @@ def compute_detection_data(
     inertial: float = DEFAULT_INERTIAL_PS,
     glitch_threshold: float | None = None,
     progress: Callable[[int, int], None] | None = None,
-    engine: str = "wordwave",
     timer: StageTimer | None = None,
 ) -> DetectionData:
     """Simulate every pattern against every (activated) fault.
 
     ``monitored_gates`` are the driving-gate indices of observation points
     that carry a delay monitor.  ``glitch_threshold`` defaults to the
-    inertial threshold.  ``progress(done, total)`` is called once per pattern
-    when provided; ``done`` counts patterns in pattern order, so
-    ``done - 1`` is always the index of the pattern just finished.  The
-    ``wordwave`` engine simulates all patterns in one batched sweep and
-    reports ``progress(total, total)`` once at the end.
-
-    ``engine`` selects ``"wordwave"`` (batched NumPy array kernels over flat
-    event storage; default) or ``"incremental"`` (bit-parallel pre-grading
-    + change-driven cone-schedule propagation).  Both return bit-identical
-    data; ``wordwave`` falls back to ``incremental`` for workloads outside
-    its envelope (don't-care patterns, fan-in above the kernel limit, or
-    a degenerate inertial threshold).  ``timer``, when given, accumulates
-    the per-stage wall-clock split (``pregrade`` / ``base_sim`` /
-    ``site_inject`` / ``faulty_sim`` / ``intervals``).
+    inertial threshold.  The wordwave engine (batched NumPy array kernels
+    over flat event storage) simulates all patterns in one sweep and
+    reports ``progress(total, total)`` once at the end.  Workloads outside
+    its envelope (don't-care patterns, fan-in above the kernel limit, a
+    degenerate inertial threshold, fault sites off combinational gates)
+    fall back to :func:`incremental_detection_data`, which returns the
+    bit-identical data.  ``timer``, when given, accumulates the per-stage
+    wall-clock split (``pregrade`` / ``base_sim`` / ``site_inject`` /
+    ``faulty_sim`` / ``intervals``).
     """
+    from repro.simulation.word_wave import (run_wordwave,
+                                            wordwave_fallback_reason)
+
     if glitch_threshold is None:
         glitch_threshold = inertial
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    monitored = frozenset(monitored_gates)
     faults = list(faults)
+    monitored = frozenset(monitored_gates)
     table = None
-    if engine == "wordwave":
-        from repro.simulation.word_wave import (run_wordwave,
-                                                wordwave_fallback_reason)
-        if wordwave_fallback_reason(circuit, patterns, inertial) is None:
-            table = run_wordwave(
-                circuit, faults, patterns, horizon=horizon,
-                monitored=monitored, inertial=inertial,
-                glitch_threshold=glitch_threshold, timer=timer)
-        if table is not None and progress is not None:
-            progress(len(patterns), len(patterns))
+    if wordwave_fallback_reason(circuit, patterns, inertial) is None:
+        table = run_wordwave(
+            circuit, faults, patterns, horizon=horizon,
+            monitored=monitored, inertial=inertial,
+            glitch_threshold=glitch_threshold, timer=timer)
     if table is None:
-        # The incremental engine, or a workload outside the array kernels'
-        # envelope (don't-cares, wide gates, fault sites off combinational
-        # gates, degenerate inertial): the identical table, just
-        # event-driven.
-        table = _run_incremental(
-            circuit, faults, patterns, horizon=horizon, monitored=monitored,
-            inertial=inertial, glitch_threshold=glitch_threshold,
-            progress=progress, timer=timer)
+        return incremental_detection_data(
+            circuit, faults, patterns, horizon=horizon,
+            monitored_gates=monitored, inertial=inertial,
+            glitch_threshold=glitch_threshold, progress=progress,
+            timer=timer)
+    if progress is not None:
+        progress(len(patterns), len(patterns))
     return DetectionData(faults=faults, patterns=patterns, table=table)
 
 
-def _run_incremental(circuit: Circuit, faults: Sequence[SmallDelayFault],
-                     patterns: TestSet, *, horizon: float,
-                     monitored: frozenset[int], inertial: float,
-                     glitch_threshold: float,
-                     progress: Callable[[int, int], None] | None,
-                     timer: StageTimer | None) -> RangeTable:
-    """The range table by the event-driven engine, one pattern at a time."""
+def incremental_detection_data(
+    circuit: Circuit,
+    faults: Sequence[SmallDelayFault],
+    patterns: TestSet,
+    *,
+    horizon: float,
+    monitored_gates: Iterable[int] = (),
+    inertial: float = DEFAULT_INERTIAL_PS,
+    glitch_threshold: float | None = None,
+    progress: Callable[[int, int], None] | None = None,
+    timer: StageTimer | None = None,
+) -> DetectionData:
+    """The detection data by the event-driven engine, one pattern at a time.
+
+    Bit-parallel activation pre-grading plus the change-driven
+    cone-schedule fault simulator.  It is wordwave's fallback inside
+    :func:`compute_detection_data` and the oracle the tests compare
+    wordwave against.  ``progress(done, total)`` is called once per
+    pattern, in pattern order; the other arguments are those of
+    :func:`compute_detection_data`.
+    """
+    if glitch_threshold is None:
+        glitch_threshold = inertial
+    monitored = frozenset(monitored_gates)
+    faults = list(faults)
     # Per-fault reachable observation gates: only the event-driven engine
     # walks explicit cone lists (wordwave decides eligibility on its plan's
     # reachability bitmap instead).
@@ -689,4 +695,4 @@ def _run_incremental(circuit: Circuit, faults: Sequence[SmallDelayFault],
     if timer is not None:
         # Joins the per-instance interval time without counting an instance.
         timer.add("intervals", time.perf_counter() - t0, count=0)
-    return table
+    return DetectionData(faults=faults, patterns=patterns, table=table)

@@ -200,8 +200,7 @@ def _execute_fleet(job: FleetJob, store, recompute_from, progress,
 
     circuit = resolve_circuit(job.circuit)
     study = run_fleet_study(circuit, spec=job.scenario,
-                            devices=job.devices, jobs=job.jobs, cache=store,
-                            use_cache=store is not None)
+                            devices=job.devices, jobs=job.jobs, cache=store)
     _emit_stage_events(study.meta, progress)
     payload = {
         "scenario": job.scenario.fingerprint(),

@@ -10,9 +10,10 @@
 * :mod:`repro.simulation.event_sim` — event-driven reference engine used to
   cross-check the topological simulator in tests,
 * :mod:`repro.simulation.word_wave` — batched array-kernel timed waveform
-  engine (flat event arrays, levelized merge kernels); the default
-  ``engine="wordwave"`` of the detection stage, parity-checked against the
-  incremental engine built on :mod:`repro.simulation.wave_sim`.
+  engine (flat event arrays, levelized merge kernels); the detection
+  stage's engine, parity-checked against the incremental path
+  (:func:`repro.faults.detection.incremental_detection_data`) built on
+  :mod:`repro.simulation.wave_sim`.
 """
 
 from repro.simulation.waveform import Waveform

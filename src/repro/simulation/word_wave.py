@@ -1,4 +1,4 @@
-"""Word-parallel timed waveform simulation (``engine="wordwave"``).
+"""Word-parallel timed waveform simulation (the wordwave engine).
 
 The per-pattern Python engine in :mod:`repro.simulation.wave_sim` walks one
 ``Waveform`` object per (gate, pattern) through the topological order; at
@@ -48,7 +48,8 @@ kernels, batched over *all* patterns (fault-free sweep) and *all* activated
   vectorized glitch filter; the surviving pieces go straight into the
   flat :class:`~repro.faults.detection.RangeTable` arrays.
 
-The engine is bit-identical to ``engine="incremental"`` (guarded by the
+The engine is bit-identical to the incremental path,
+:func:`repro.faults.detection.incremental_detection_data` (guarded by the
 randomized golden suite in ``tests/test_wordwave_golden.py``) whenever it
 is applicable; :func:`wordwave_fallback_reason` names the cases where the
 caller must fall back to the incremental engine (don't-care patterns,
@@ -958,7 +959,8 @@ def run_wordwave(circuit: Circuit, faults, patterns, *, horizon: float,
     :func:`wordwave_fallback_reason`.  Fault eligibility (site reaches an
     observation point) is decided on the cached plan's reachability
     bitmap — no per-fault cone sets are materialized.  Results are
-    bit-identical to ``engine="incremental"``.
+    bit-identical to
+    :func:`~repro.faults.detection.incremental_detection_data`.
 
     Returns None when a fault site sits on a non-combinational gate — the
     default universe never produces one, but custom site lists can; the

@@ -8,8 +8,9 @@ the dict forever.  :class:`LruCache` bounds those memos to the most
 recently used entries and counts hits/misses/evictions so ``repro flow
 --verbose`` can show how well the memoization works on a given workload.
 
-Deliberately minimal: not thread-safe (all users are per-process,
-per-object memos), no TTL, plain ``OrderedDict`` recency bookkeeping.
+Deliberately minimal: not thread-safe (a memo shared by threads, like
+the suite runner's, is guarded by its owner's lock), no TTL, plain
+``OrderedDict`` recency bookkeeping.
 """
 
 from __future__ import annotations

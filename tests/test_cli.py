@@ -55,6 +55,19 @@ class TestCommands:
         with pytest.raises(SystemExit, match="cannot resolve"):
             main(["flow", "not_a_circuit"])
 
+    @pytest.mark.parametrize("verb", ["flow", "fig3", "resched"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fast-ratio", "0.5", "fast_ratio must be >= 1"),
+        ("--monitor-fraction", "7", "monitor_fraction must lie in [0, 1]"),
+        ("--pattern-cap", "0", "pattern_cap must be positive when given"),
+    ])
+    def test_invalid_flow_parameter_is_an_error_not_a_traceback(
+            self, capsys, verb, flag, value, message):
+        assert main([verb, "s27", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_fig3(self, capsys):
         assert main(["fig3", "s27", "--pattern-cap", "6"]) == 0
         out = capsys.readouterr().out

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.atpg.patterns import PatternPair, TestSet
-from repro.faults.detection import FaultPatternRange, compute_detection_data
+from repro.faults.detection import (
+    FaultPatternRange,
+    compute_detection_data,
+    incremental_detection_data,
+)
 from repro.faults.models import FaultSite, SmallDelayFault
 from repro.faults.universe import small_delay_fault_universe
 from repro.netlist.bench import parse_bench
@@ -128,9 +132,9 @@ class TestProgress:
         c, ts = chain_setup
         seen = []
         faults = small_delay_fault_universe(c, delta=40.0)
-        compute_detection_data(c, faults, ts, horizon=500.0,
-                               engine="incremental",
-                               progress=lambda done, total: seen.append((done, total)))
+        incremental_detection_data(
+            c, faults, ts, horizon=500.0,
+            progress=lambda done, total: seen.append((done, total)))
         assert seen == [(1, 2), (2, 2)]
 
 

@@ -4,7 +4,8 @@
 canonical (fault, pattern, ``i_all``, ``i_mon``) table of a flow-like
 detection workload plus its entry counts.  The file was generated from the
 seed full-cone resweep engine before that engine was retired; the batched
-``"wordwave"`` and the event-driven ``"incremental"`` engine must both
+wordwave engine (:func:`compute_detection_data`) and the event-driven
+incremental path (:func:`incremental_detection_data`) must both
 reproduce it exactly, on real ISCAS circuits and seeded generated ones.
 ``tests/test_detection_rule.py`` checks the ranges against the paper's
 definition on independent random workloads.
@@ -30,10 +31,10 @@ from repro.atpg.transition import generate_transition_tests
 from repro.circuits.generators import CircuitProfile, generate_circuit
 from repro.circuits.library import embedded_circuit
 from repro.faults.detection import (
-    ENGINES,
     _pregrade_activation,
     _prepare_reach,
     compute_detection_data,
+    incremental_detection_data,
 )
 from repro.faults.universe import small_delay_fault_universe
 from repro.timing.sta import run_sta
@@ -76,10 +77,10 @@ def _workload(circuit, *, seed=3, cap=12, fill=True):
     return faults, test_set, monitored, horizon
 
 
-def _run(circuit, faults, test_set, monitored, horizon, **kw):
-    return compute_detection_data(
-        circuit, faults, test_set, horizon=horizon,
-        monitored_gates=monitored, **kw)
+def _run(circuit, faults, test_set, monitored, horizon,
+         detect=compute_detection_data):
+    return detect(circuit, faults, test_set, horizon=horizon,
+                  monitored_gates=monitored)
 
 
 def _assert_identical(a, b):
@@ -141,19 +142,16 @@ class TestGoldenEquivalence:
         faults, ts, monitored, horizon = _workload(circuit)
         results = {
             engine: _run(circuit, faults, ts, monitored, horizon,
-                         engine=engine)
-            for engine in ENGINES
+                         detect=detect)
+            for engine, detect in (
+                ("wordwave", compute_detection_data),
+                ("incremental", incremental_detection_data))
         }
         assert results["incremental"].ranges, "workload detected nothing"
         _assert_identical(results["wordwave"], results["incremental"])
         for engine, data in results.items():
             assert detection_fingerprint(data) == \
                 golden["circuits"][name], engine
-
-    def test_unknown_engine_rejected(self, s27):
-        faults, ts, monitored, horizon = _workload(s27, cap=2)
-        with pytest.raises(ValueError, match="unknown engine"):
-            _run(s27, faults, ts, monitored, horizon, engine="bogus")
 
 
 class TestPregradeSoundness:

@@ -1,4 +1,4 @@
-"""Removed ``FlowConfig`` engine keywords stay removed."""
+"""Removed ``FlowConfig`` knobs and engine selectors stay removed."""
 
 from __future__ import annotations
 
@@ -17,6 +17,29 @@ class TestShimsRemoved:
             FlowConfig(atpg_engine="matrix")
         with pytest.raises(TypeError, match="simulation_engine"):
             FlowConfig(simulation_engine="wordwave")
+
+    @pytest.mark.parametrize("name", ["sigma_fraction", "inertial_ps",
+                                      "structural_prefilter",
+                                      "ilp_time_limit"])
+    def test_removed_fields_rejected(self, name):
+        """Knobs only tests ever set are gone; the stages use the
+        paper's constants instead."""
+        with pytest.raises(TypeError, match=name):
+            FlowConfig(**{name: 1})
+
+    def test_engine_keywords_rejected(self):
+        """Detection and the fleet sweep each have one production engine;
+        the oracles are separate functions called by name."""
+        import repro.aging.fleet as fleet
+        from repro.faults.detection import compute_detection_data
+
+        with pytest.raises(TypeError, match="engine"):
+            compute_detection_data(None, [], None, horizon=1.0,
+                                   engine="incremental")
+        with pytest.raises(TypeError, match="jobs"):
+            fleet.simulate_fleet_reference(None, None, None, jobs=2)
+        assert not hasattr(fleet, "simulate_fleet")
+        assert not hasattr(fleet, "FLEET_ENGINES")
 
     def test_no_legacy_attributes(self):
         cfg = FlowConfig()

@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from repro.aging.fleet import (
-    FLEET_ENGINES,
     sample_population,
-    simulate_fleet,
     simulate_fleet_reference,
     simulate_fleet_vectorized,
 )
@@ -126,14 +124,6 @@ class TestFleetBehavior:
         mask = ~np.isnan(expected)
         assert np.array_equal(expected[mask], got[mask])
 
-    def test_engine_dispatch_and_validation(self, s27):
-        with pytest.raises(ValueError, match="unknown fleet engine"):
-            simulate_fleet(s27, SPEC, 8, engine="quantum")
-        pop = sample_population(s27, SPEC, 8)
-        with pytest.raises(ValueError, match="does not match"):
-            simulate_fleet(s27, SPEC, 16, population=pop)
-        assert set(FLEET_ENGINES) == {"reference", "vectorized"}
-
     def test_prediction_metrics_sane(self, reference_result):
         preds = predict_fleet(reference_result)
         m = preds.metrics()
@@ -164,7 +154,7 @@ class TestFleetStudy:
         assert large.artifact.result.slack.shape[0] == 64
 
     def test_summary_shape(self, s27):
-        study = run_fleet_study(s27, spec=SPEC, devices=32, use_cache=False)
+        study = run_fleet_study(s27, spec=SPEC, devices=32)
         summary = study.summary()
         assert summary["devices"] == 32
         assert set(summary["distributions"]) >= {

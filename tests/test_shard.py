@@ -32,7 +32,6 @@ from repro.experiments.shard import (
     WorkUnit,
     drain_units,
     run_plan,
-    suite_timed_specs,
     timed_plan,
 )
 
@@ -132,27 +131,6 @@ class TestPlans:
         # Topological (insertion) order within a circuit is preserved.
         assert [u.stage for u in ordered[1:]] == ["sta", "faults"]
 
-    def test_timed_plan_validates_arguments(self):
-        specs = [TimedStage("c0", "sta", 0.01)]
-        with pytest.raises(ValueError, match="granularity"):
-            timed_plan(specs, nonce="x", granularity="nope")
-        with pytest.raises(ValueError, match="order"):
-            timed_plan(specs, nonce="x", order="nope")
-
-    def test_timed_plan_circuit_granularity_sums_costs(self):
-        specs = [TimedStage("c0", s, 0.01) for s in STAGES]
-        plan = timed_plan(specs, nonce="x", granularity="circuit",
-                          order="given")
-        assert len(plan.units) == 1
-        assert plan.units[0].cost == pytest.approx(0.06)
-        assert plan.units[0].deps == ()
-
-    def test_suite_timed_specs_deterministic_and_normalized(self):
-        a = suite_timed_specs(10, serial_s=2.0)
-        b = suite_timed_specs(10, serial_s=2.0)
-        assert a == b
-        assert len(a) == 10 * len(STAGES)
-        assert sum(s.cost for s in a) == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------

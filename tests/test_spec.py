@@ -230,6 +230,27 @@ class TestValidation:
         with pytest.raises(SpecError, match="known: quick, paper, synth"):
             SuiteJob.from_profile("huge")
 
+    @pytest.mark.parametrize("kind", ["flow", "suite", "resched"])
+    @pytest.mark.parametrize("field_, value, message", [
+        ("fast_ratio", 0.5, "fast_ratio must be >= 1"),
+        ("monitor_fraction", 7, r"monitor_fraction must lie in \[0, 1\]"),
+        ("monitor_fraction", -0.5, r"monitor_fraction must lie in \[0, 1\]"),
+    ])
+    def test_invalid_flow_parameter_rejected(self, kind, field_, value,
+                                             message):
+        # Every job kind with flow parameters checks them as FlowConfig
+        # does, so a bad document is refused before it is queued.
+        target = {"names": ["s27"]} if kind == "suite" else {
+            "circuit": "s27"}
+        with pytest.raises(SpecError, match=message):
+            job_from_dict({"kind": kind, **target, field_: value})
+
+    @pytest.mark.parametrize("kind", ["flow", "resched"])
+    def test_invalid_pattern_cap_rejected(self, kind):
+        with pytest.raises(SpecError, match="pattern_cap must be positive"):
+            job_from_dict({"kind": kind, "circuit": "s27",
+                           "pattern_cap": 0})
+
     def test_type_error_becomes_spec_error(self):
         with pytest.raises(SpecError, match="invalid flow job"):
             job_from_dict({"kind": "flow", "circuit": "s27",

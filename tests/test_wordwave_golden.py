@@ -1,9 +1,10 @@
 """Randomized golden parity of the wordwave array-kernel engine.
 
 Fifty seeded synthetic circuits across sizes, depths and fanout shapes,
-each simulated with the batched ``"wordwave"`` engine and its reference,
-the event-driven ``"incremental"`` engine (its fallback, which shares no
-kernel code with it); the resulting ``DetectionData`` must be
+each simulated with the batched wordwave engine
+(``compute_detection_data``) and its reference, the event-driven
+``incremental_detection_data`` (its fallback, which shares no kernel code
+with it); the resulting ``DetectionData`` must be
 bit-identical (same (fault, pattern) keys, exactly equal interval sets).
 ``tests/test_detection_golden.py`` pins both to fixed outputs and
 ``tests/test_detection_rule.py`` checks them against the definition.
@@ -20,11 +21,13 @@ import pytest
 
 from repro.atpg.patterns import random_test_set
 from repro.circuits.generators import CircuitProfile, generate_circuit
-from repro.core.config import FlowConfig
-from repro.faults.detection import compute_detection_data
+from repro.faults.detection import (
+    compute_detection_data,
+    incremental_detection_data,
+)
 from repro.faults.universe import small_delay_fault_universe
 from repro.netlist.circuit import Circuit
-from repro.simulation.wave_sim import WaveformSimulator
+from repro.simulation.wave_sim import DEFAULT_INERTIAL_PS, WaveformSimulator
 from repro.simulation.word_wave import wordwave_fallback_reason
 from repro.timing.sta import run_sta
 from repro.utils.intervals import EPS
@@ -84,15 +87,16 @@ def _assert_identical(a, b, ctx=""):
 def test_wordwave_matches_reference(seed):
     circuit = generate_circuit(_profile(seed))
     faults, patterns, monitored, horizon = _workload(circuit, seed)
-    inertial = FlowConfig().inertial_ps
+    inertial = DEFAULT_INERTIAL_PS
     # The suite must exercise the array kernels, not the fallback path.
     assert wordwave_fallback_reason(circuit, patterns, inertial) is None
 
     results = {}
-    for engine in ("wordwave", "incremental"):
-        results[engine] = compute_detection_data(
+    for engine, detect in (("wordwave", compute_detection_data),
+                           ("incremental", incremental_detection_data)):
+        results[engine] = detect(
             circuit, faults, patterns, horizon=horizon,
-            monitored_gates=monitored, inertial=inertial, engine=engine)
+            monitored_gates=monitored, inertial=inertial)
     _assert_identical(results["wordwave"], results["incremental"],
                       ctx=f"seed={seed}")
 
@@ -146,10 +150,10 @@ def test_inertial_boundary_pulse_exactly_at_threshold():
                      0.5 * width, 2.0 * width):
         assert wordwave_fallback_reason(circuit, patterns, inertial) is None
         got = {}
-        for engine in ("wordwave", "incremental"):
-            got[engine] = compute_detection_data(
+        for engine, detect in (("wordwave", compute_detection_data),
+                               ("incremental", incremental_detection_data)):
+            got[engine] = detect(
                 circuit, faults, patterns, horizon=horizon,
-                monitored_gates=frozenset(obs), inertial=inertial,
-                engine=engine)
+                monitored_gates=frozenset(obs), inertial=inertial)
         _assert_identical(got["wordwave"], got["incremental"],
                           ctx=f"inertial={inertial}")

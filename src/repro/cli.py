@@ -87,6 +87,19 @@ def _flow_job(cls, args: argparse.Namespace, **fields):
         return None
 
 
+def _load_scenario(path: str):
+    """``ScenarioSpec.load(path)``; a missing or invalid file prints
+    ``error: …`` and gives ``None``, on which the verb exits with status 2.
+    """
+    from repro.core.spec import ScenarioSpec
+
+    try:
+        return ScenarioSpec.load(path)
+    except (OSError, ValueError) as exc:   # SpecError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _run_job(job, **options):
     """Execute one job through the service facade, SystemExit on spec
     errors (the CLI's error convention)."""
@@ -227,9 +240,9 @@ def cmd_aging(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args.circuit)
     spec = None
     if args.scenario:
-        from repro.aging.scenario import ScenarioSpec
-
-        spec = ScenarioSpec.load(args.scenario)
+        spec = _load_scenario(args.scenario)
+        if spec is None:
+            return 2
     sta = run_sta(circuit)
     margin = spec.clock_margin if spec is not None else args.margin
     clock = ClockSpec(margin * sta.critical_path)
@@ -263,8 +276,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_table
     from repro.service.orchestrator import ENV_STORE
 
-    spec = (ScenarioSpec.load(args.scenario) if args.scenario
-            else ScenarioSpec())
+    spec = _load_scenario(args.scenario) if args.scenario else ScenarioSpec()
+    if spec is None:
+        return 2
     if args.seed is not None:
         spec = spec.with_seed(args.seed)
     job = FleetJob(circuit=args.circuit, scenario=spec,

@@ -32,7 +32,8 @@ Pipeline of one incremental re-solve (:func:`apply_alert`):
 3. **Warm presolve** — :func:`~repro.scheduling.setcover.presolve_cover_warm`
    replays the previous reduction's dominance witnesses (row values,
    each re-verified against the new rows — unconditionally lossless)
-   before running the normal fixpoint.
+   before running the normal fixpoint, and passes the ones that held on
+   to the next alert beside the fixpoint's own.
 4. **Warm step 1** — when the merged candidate matrix is bit-identical to
    the previous solve (a *structure hit*: the delta moved segment times
    but not fault sets), the previous chosen rows are reused outright.
@@ -40,8 +41,10 @@ Pipeline of one incremental re-solve (:func:`apply_alert`):
    with step 2) accepts the repaired previous optimum or the greedy
    cover when it meets :func:`independent_rows_bound_matrix`, and else
    solves the reduced components with lossless cuts: a greedy incumbent
-   bounds the ILP (``Σx ≤ ub``) and components whose incumbent matches
-   the covering lower bound skip the ILP entirely.
+   bounds the ILP (``Σx ≤ ub``), the ILP keeps one constraint per
+   minimal element (an element whose covering columns contain another
+   element's is implied), and components whose incumbent matches the
+   covering lower bound skip the ILP entirely.
 5. **Step-2 memo** — per-period covers are cached by
    ``(period, fault set, per-fault shifts)``; on a miss the same ladder
    runs with the period's previous optimum as its first rung and
@@ -527,9 +530,9 @@ def _step1_warm(state: ScheduleState, stats: dict) -> list[int]:
     The ladder of :func:`_certified_cover` with the previous optimum
     repaired into the new rows (:func:`_repair_previous`).  Its exact rung
     is presolve — replaying the previous reduction's dominance witnesses
-    when it recorded any (the patch path skips dominance pruning, so rule
-    1 has real work) — and the component ILPs with the lossless incumbent
-    cut (``solve_reduction(cuts=True)``).
+    when it holds any (the patch path skips dominance pruning, so rule
+    1 has real work) — and the component ILPs over the minimal elements
+    with the lossless incumbent cut (``solve_reduction(cuts=True)``).
     """
     matrix = state.cand_set.matrix
     if not matrix.any():
@@ -537,7 +540,7 @@ def _step1_warm(state: ScheduleState, stats: dict) -> list[int]:
 
     def exact(greedy: list[int]) -> list[int]:
         problem = _step1_problem(state)
-        if state.reduction is not None and state.reduction.dominators:
+        if state.reduction is not None and state.reduction.witnesses:
             stats["step1_path"] = "warm-presolve-ilp"
             red = presolve_cover_warm(problem, state.reduction)
             stats["warm_dropped_columns"] = red.stats.get(

@@ -35,7 +35,7 @@ ILP when its size meets it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import AbstractSet, Hashable, Sequence
 
@@ -233,17 +233,26 @@ class PresolveReduction:
     the dominance *witnesses* ``(dropped, keeper)`` recorded the first
     time rule 1 ran, each a row's bytes without trailing zero bytes
     (values, not indices, so they survive column renumbering between
-    re-solves).  It defaults empty so hand-built reductions stay valid.
+    re-solves).  ``replayed`` holds the witnesses a warm presolve
+    replayed that held on its rows.  Both default empty so hand-built
+    reductions stay valid.
     """
 
     forced: tuple[int, ...]
     components: tuple[tuple[tuple[int, ...], np.ndarray, np.ndarray], ...]
     stats: dict[str, int]
     dominators: tuple[tuple[bytes, bytes], ...] = ()
+    replayed: tuple[tuple[bytes, bytes], ...] = ()
 
     @property
     def solved(self) -> bool:
         return not self.components
+
+    @property
+    def witnesses(self) -> tuple[tuple[bytes, bytes], ...]:
+        """What the next warm presolve replays: ``dominators``, then
+        ``replayed``, without repeats."""
+        return tuple(dict.fromkeys(self.dominators + self.replayed))
 
 
 def _row_values(matrix: np.ndarray) -> list[bytes]:
@@ -389,32 +398,65 @@ def presolve_cover_warm(problem: CoverProblem,
     against a stale or mismatched witness list.  Columns untouched by the
     delta typically re-verify wholesale, skipping most of the quadratic
     rule-1 scan; the normal fixpoint then runs on the survivors and picks
-    up any dominance the delta newly created.
+    up any dominance the delta newly created.  The witnesses that held
+    are returned as ``replayed``, so the next re-solve replays them
+    beside the fixpoint's own (:attr:`PresolveReduction.witnesses`).
     """
     matrix = problem.matrix
     cols_by_value: dict[bytes, list[int]] = {}
     for j, value in enumerate(_row_values(matrix)):
         if value:
             cols_by_value.setdefault(value, []).append(j)
+    witnesses = prev.witnesses
     skip: set[int] = set()
-    pairs: list[tuple[list[int], int]] = []
-    for dropped, keeper in prev.dominators:
+    held: set[tuple[bytes, bytes]] = set()
+    pairs: list[tuple[tuple[bytes, bytes], list[int], int]] = []
+    for witness in witnesses:
+        dropped, keeper = witness
         keepers = cols_by_value.get(keeper)
         if not keepers:
             continue
         if dropped == keeper:
             # Duplicate-column witness: keep the lowest index of the value.
-            skip.update(keepers[1:])
+            if len(keepers) > 1:
+                skip.update(keepers[1:])
+                held.add(witness)
         elif dropped in cols_by_value:
-            pairs.append((cols_by_value[dropped], keepers[0]))
+            pairs.append((witness, cols_by_value[dropped], keepers[0]))
     if pairs:
-        holds = ~(matrix[[cols[0] for cols, _k in pairs]]
-                  & ~matrix[[k for _cols, k in pairs]]).any(axis=1)
-        for (cols, _k), ok in zip(pairs, holds.tolist()):
+        holds = ~(matrix[[cols[0] for _w, cols, _k in pairs]]
+                  & ~matrix[[k for _w, _cols, k in pairs]]).any(axis=1)
+        for (witness, cols, _k), ok in zip(pairs, holds.tolist()):
             if ok:
                 skip.update(cols)
-    return _presolve_packed(problem, skip=frozenset(skip),
-                            warm_dropped=len(skip))
+                held.add(witness)
+    red = _presolve_packed(problem, skip=frozenset(skip),
+                           warm_dropped=len(skip))
+    # The fixpoint never sees the columns these witnesses dropped, so
+    # they go on to the next re-solve beside its own.
+    return replace(red, replayed=tuple(w for w in witnesses if w in held))
+
+
+def minimal_elements(rows: np.ndarray, covered: np.ndarray) -> np.ndarray:
+    """The element row ``covered`` restricted to its minimal elements.
+
+    An element's signature is the set of ``rows`` covering it.  Element
+    ``e`` is dropped when another element's signature is a subset of
+    ``e``'s, and one element stays per group of equal signatures (rule 1
+    of the presolve on the transposed matrix).  Every cover of the kept
+    elements covers the dropped ones, so the feasible covers and the LP
+    polytope stay the same.  :func:`dominated_rows` scans the
+    complemented signatures, masked to the component's columns, with the
+    fewest covering columns first, then the lowest bit.
+    """
+    elements = row_bits(covered)
+    n_sub = rows.shape[0]
+    sigs = pack_bits(unpack_bits(rows, rows.shape[1] * 64)[:, elements].T)
+    complement = ~sigs & pack_bits(np.ones((1, n_sub), dtype=bool))
+    order = np.lexsort((np.arange(elements.size), popcount(sigs)))
+    kept = np.zeros(covered.size * 64, dtype=bool)
+    kept[elements[dominated_rows(complement, order)]] = True
+    return pack_bits(kept[None, :])[0]
 
 
 def _milp_component(cols: Sequence[int], rows: np.ndarray,
@@ -477,10 +519,13 @@ def solve_reduction(red: PresolveReduction,
     lower bound ``⌈|elements| / max column popcount⌉``; when they meet,
     the greedy picks are returned without invoking the ILP (exact — the
     incumbent matches a valid lower bound), otherwise the incumbent's
-    cardinality is passed to :func:`_milp_component` as a cut.  Both uses
-    of the incumbent are lossless, so ``cuts`` never changes the cost.
-    Returns None when any component times out without an incumbent
-    (caller falls back to greedy, matching :func:`ilp_cover`).
+    cardinality is passed to :func:`_milp_component` as a cut and the
+    model keeps only the component's :func:`minimal_elements` (the drops
+    are counted in ``stats["dominated_rows"]``).  All three are lossless,
+    so ``cuts`` never changes the cost; without it HiGHS receives the
+    cold model unchanged.  Returns None when any component times out
+    without an incumbent (caller falls back to greedy, matching
+    :func:`ilp_cover`).
     """
     chosen = list(red.forced)
     for cols, rows, covered in red.components:
@@ -495,6 +540,10 @@ def solve_reduction(red: PresolveReduction,
                 chosen.extend(cols[c] for c in g_local)
                 continue
             ub = len(g_local)
+            covered = minimal_elements(rows, covered)
+            red.stats["dominated_rows"] = (
+                red.stats.get("dominated_rows", 0) + n_el
+                - int(popcount(covered)))
         picks = _milp_component(cols, rows, covered, time_limit,
                                 red.stats, ub=ub)
         if picks is None:

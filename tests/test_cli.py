@@ -195,6 +195,22 @@ class TestFleetCommands:
         out = capsys.readouterr().out
         assert ScenarioSpec.load(path).fingerprint() in out
 
+    @pytest.mark.parametrize("verb", ["fleet", "aging", "resched"])
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ('{"seed": 1, "bogus": 2}', "unknown scenario fields: bogus"),
+    ], ids=["missing", "unknown-field"])
+    def test_bad_scenario_file_is_an_error_not_a_traceback(
+            self, tmp_path, capsys, verb, text, message):
+        path = tmp_path / "spec.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([verb, "s27", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_fleet_seed_override(self, capsys):
         import json
         outs = []

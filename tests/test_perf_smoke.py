@@ -6,7 +6,8 @@ it (with an absolute slack so a loaded CI machine cannot produce
 spurious failures); the resched and service guards assert their
 absolute acceptance bounds instead.  The recorded seconds are module
 constants, measured on the s9234 quick-profile workloads (the PODEM and
-step-1 presolve guards use p89k, where those kernels have real work).
+step-1 presolve guards use p89k, and the warm step-1 guard s9234 at
+scale 1.0, where those kernels have real work).
 End-to-end performance is measured by ``bench/run.py`` (see
 ``bench/README.md``).  Run explicitly with ``pytest -m perf``.
 """
@@ -75,6 +76,17 @@ RANGE_LAYER_S = 0.334
 RANGE_CIRCUIT = "p89k"
 RANGE_SCALE = 4.0
 RANGE_PATTERNS = 64
+#: Recorded seconds of the rescheduler's warm exact rung
+#: (``solve_reduction(cuts=True)``) over the reductions that the s9234
+#: alert streams of the ``resched-alerts`` benchmark scenarios send to it
+#: (scale 1.0, 32 seeded random patterns, scenario seeds 7-11; 74
+#: reductions), best of three.  The MILP over every element signature
+#: that this rung sent HiGHS before it kept only the minimal elements
+#: took 1.66 s.
+WARM_STEP1_S = 0.19
+WARM_STEP1_CIRCUIT = "s9234"
+WARM_STEP1_PATTERNS = 32
+WARM_STEP1_SCENARIO_SEEDS = (7, 8, 9, 10, 11)
 #: Job document and repeat count of the service replay guard.
 SERVICE_JOB = {"kind": "flow", "circuit": "s27", "with_schedules": True}
 SERVICE_REPEATS = 15
@@ -369,3 +381,47 @@ def test_step1_presolve_has_not_regressed():
         f"step-1 presolve on {STEP1_CIRCUIT} took {elapsed:.3f}s, budget "
         f"{budget:.3f}s (recorded {STEP1_PRESOLVE_S:.3f}s x {MAX_SLOWDOWN} "
         f"+ {ABS_SLACK_S}s)")
+
+
+@pytest.mark.perf
+def test_warm_step1_has_not_regressed():
+    """Time the rescheduler's warm exact rung on the presolved step-1
+    reductions of a fixed alert stream, each with a component that the
+    greedy early exit leaves to HiGHS (best of three runs)."""
+    from dataclasses import replace
+
+    from repro.atpg.patterns import random_test_set
+    from repro.circuits.library import suite_circuit, suite_entry
+    from repro.core.flow import HdfTestFlow
+    from repro.experiments.resched import DEFAULT_SPEC, alert_stream_for_state
+    from repro.scheduling.resched import apply_alert, prepare_state_for_result
+    from repro.scheduling.setcover import solve_reduction
+
+    budget = _budget(WARM_STEP1_S)
+    circuit = suite_circuit(WARM_STEP1_CIRCUIT, scale=1.0)
+    test_set = random_test_set(circuit, WARM_STEP1_PATTERNS,
+                               seed=suite_entry(WARM_STEP1_CIRCUIT).seed)
+    res = HdfTestFlow(circuit, FlowConfig()).run(test_set=test_set,
+                                                 with_schedules=False)
+    reductions = []
+    for seed in WARM_STEP1_SCENARIO_SEEDS:
+        state = prepare_state_for_result(res)
+        spec = replace(DEFAULT_SPEC, seed=seed, gate_seed=seed)
+        for delta in alert_stream_for_state(res.circuit, state, spec=spec):
+            step = apply_alert(state, delta)
+            if (not step.fast_path and step.stats.get("step1_path")
+                    in ("warm-presolve-ilp", "presolve-ilp")):
+                reductions.append(state.reduction)
+    assert any(len(red.components)
+               > red.stats.get("early_exit_components", 0)
+               for red in reductions), "no component reaches HiGHS"
+    elapsed = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for red in reductions:
+            solve_reduction(red, cuts=True)
+        elapsed = min(elapsed, time.perf_counter() - t0)
+    assert elapsed <= budget, (
+        f"warm step-1 rung on {WARM_STEP1_CIRCUIT} took {elapsed:.3f}s, "
+        f"budget {budget:.3f}s (recorded {WARM_STEP1_S:.3f}s x "
+        f"{MAX_SLOWDOWN} + {ABS_SLACK_S}s)")

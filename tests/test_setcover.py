@@ -12,10 +12,19 @@ from repro.scheduling.setcover import (
     greedy_cover,
     greedy_cover_rows,
     ilp_cover,
+    minimal_elements,
     presolve_cover,
+    presolve_cover_warm,
+    solve_reduction,
 )
 from repro.utils import bitset
-from repro.utils.bitset import masks_to_matrix, pack_bits, unpack_bits
+from repro.utils.bitset import (
+    masks_to_matrix,
+    pack_bits,
+    row_bits,
+    union_row,
+    unpack_bits,
+)
 
 
 def problem(*subsets):
@@ -351,32 +360,98 @@ def test_property_warm_presolve_lossless_even_when_stale(p_prev, p_new):
     The rescheduling engine replays dominance witnesses from the previous
     delta; the warm presolve re-verifies each on the new masks, so even a
     deliberately mismatched witness list (here: from an independently
-    drawn problem) must leave the reduction lossless.
+    drawn problem) must leave the reduction lossless — also after it has
+    passed through a second warm presolve, which forwards the witnesses
+    that held beside its own.
     """
-    from repro.scheduling.setcover import (
-        presolve_cover,
-        presolve_cover_warm,
-        solve_reduction,
-    )
-
-    prev = presolve_cover(p_prev)
-    warm = presolve_cover_warm(p_new, prev)
-    chosen = solve_reduction(warm)
-    assert p_new.covered_by(chosen) >= p_new.universe
-    assert len(chosen) == len(branch_and_bound_cover(p_new))
+    red = presolve_cover(p_prev)
+    for p in (p_new, p_prev):
+        red = presolve_cover_warm(p, red)
+        chosen = solve_reduction(red)
+        assert p.covered_by(chosen) >= p.universe
+        assert len(chosen) == len(branch_and_bound_cover(p))
+        assert set(red.replayed) <= set(red.witnesses)
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_problems())
 def test_property_warm_presolve_self_witness_matches_cold(p):
     """Replaying a problem's own witnesses reproduces the cold reduction's
-    optimum (the steady-state path of an unchanged delta)."""
-    from repro.scheduling.setcover import (
-        presolve_cover,
-        presolve_cover_warm,
-        solve_reduction,
-    )
-
+    optimum (the steady-state path of an unchanged delta), and every
+    witness holds, so all of them go on to the next re-solve."""
     cold = presolve_cover(p)
     warm = presolve_cover_warm(p, cold)
     assert len(solve_reduction(warm)) == len(solve_reduction(cold))
+    assert warm.dominators == ()
+    assert warm.witnesses == cold.witnesses
+    assert warm.forced == cold.forced
+    assert warm.stats["warm_dropped_columns"] == (
+        cold.stats["dominated_columns"] - warm.stats["dominated_columns"])
+
+
+# ----------------------------------------------------------------------
+# Element dominance of the warm exact rung
+# ----------------------------------------------------------------------
+def _minimal_reference(subsets, elements) -> set[int]:
+    """Minimal elements by definition: ``e`` stays unless another
+    element's covering set is a proper subset of ``e``'s, or equals it
+    at a lower element."""
+    sig = {e: frozenset(j for j, s in enumerate(subsets) if e in s)
+           for e in elements}
+    return {e for e in elements
+            if not any(sig[f] < sig[e] or (sig[f] == sig[e] and f < e)
+                       for f in elements)}
+
+
+def _minimal_of(subsets, n_elements) -> set[int]:
+    incidence = np.zeros((len(subsets), n_elements), dtype=bool)
+    for j, s in enumerate(subsets):
+        incidence[j, sorted(s)] = True
+    rows = pack_bits(incidence)
+    covered = union_row(rows)
+    kept = minimal_elements(rows, covered)
+    assert not (kept & ~covered).any()
+    return set(row_bits(kept).tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_subsets())
+def test_property_minimal_elements_match_definition(drawn):
+    n_elements, subsets = drawn
+    covered = set().union(*subsets)
+    assert (_minimal_of(subsets, n_elements)
+            == _minimal_reference(subsets, covered))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimal_elements_over_several_words(seed):
+    """70 columns and 150 elements: signatures and their complements
+    span two words, and most elements extend a few shared signatures."""
+    rng = np.random.default_rng(seed)
+    n_cols, n_elements = 70, 150
+    bases = rng.random((12, n_cols)) < 0.08
+    incidence = (bases[rng.integers(12, size=n_elements)]
+                 | (rng.random((n_elements, n_cols)) < 0.02)).T
+    subsets = [frozenset(np.flatnonzero(col).tolist()) for col in incidence]
+    covered = set().union(*subsets)
+    want = _minimal_reference(subsets, covered)
+    assert 0 < len(want) < len(covered)
+    assert _minimal_of(subsets, n_elements) == want
+    # The warm exact rung reaches HiGHS here, with the smaller model.
+    p = CoverProblem.from_sets([s for s in subsets if s])
+    red = presolve_cover(p)
+    chosen = solve_reduction(red, cuts=True)
+    assert red.stats["dominated_rows"] > 0
+    assert p.covered_by(chosen) >= p.universe
+    assert len(chosen) == len(ilp_cover(p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_problems())
+def test_property_warm_exact_rung_is_exact(p):
+    """The rung with the incumbent cut and element dominance returns a
+    cover of the universe of the optimal cardinality."""
+    red = presolve_cover(p)
+    chosen = solve_reduction(red, cuts=True)
+    assert p.covered_by(chosen) >= p.universe
+    assert len(chosen) == len(branch_and_bound_cover(p))

@@ -10,8 +10,6 @@ remaining-margin estimates.
 
 from repro.aging.api import (
     DegradationModel,
-    ScalarModelAdapter,
-    as_degradation_model,
     combined_delay_factors,
 )
 from repro.aging.core import active_models, aged_circuit, sample_workload
@@ -47,8 +45,6 @@ from repro.aging.scenario import ScenarioSpec, VariationSpec
 
 __all__ = [
     "DegradationModel",
-    "ScalarModelAdapter",
-    "as_degradation_model",
     "combined_delay_factors",
     "active_models",
     "aged_circuit",

@@ -12,9 +12,7 @@ contract instead:
     returning one multiplicative delay factor per gate (length
     ``len(circuit.gates)``, ``1.0`` for sequential gates and gates the
     model does not touch).  :class:`~repro.aging.degradation.AgingScenario`
-    and :class:`~repro.aging.marginal.MarginalDeviceModel` implement it
-    natively; legacy scalar objects are wrapped by
-    :func:`as_degradation_model`.
+    and :class:`~repro.aging.marginal.MarginalDeviceModel` implement it.
 
 Model composition is element-wise multiplication
 (:func:`combined_delay_factors`), matching the historical semantics of the
@@ -23,14 +21,13 @@ lifetime simulators (wear-out factors times marginal-defect factors).
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol
 
 import numpy as np
 
 from repro.netlist.circuit import Circuit
 
 
-@runtime_checkable
 class DegradationModel(Protocol):
     """Vectorized degradation contract shared by every aging model."""
 
@@ -44,44 +41,6 @@ class DegradationModel(Protocol):
         deterministic models ignore it.
         """
         ...  # pragma: no cover
-
-
-class ScalarModelAdapter:
-    """Generic adapter lifting a per-gate scalar model into the protocol.
-
-    Wraps any object exposing ``delay_factor(gate, t) -> float`` (the
-    pre-redesign surface) and evaluates it gate by gate — the slow but
-    always-correct reference twin of a natively vectorized model.
-    """
-
-    def __init__(self, model: object) -> None:
-        if not hasattr(model, "delay_factor"):
-            raise TypeError(
-                f"{type(model).__name__} has no delay_factor(gate, t) "
-                f"method to adapt")
-        self._model = model
-
-    def delay_factors(self, circuit: Circuit, t: float, *,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-        factors = np.ones(len(circuit.gates))
-        for gate in circuit.combinational_gates():
-            factors[gate] = self._model.delay_factor(gate, t)
-        return factors
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ScalarModelAdapter({self._model!r})"
-
-
-def as_degradation_model(model: object) -> DegradationModel:
-    """Coerce ``model`` to the :class:`DegradationModel` protocol.
-
-    Objects already implementing the vectorized contract pass through;
-    scalar models with a ``delay_factor(gate, t)`` method get a
-    :class:`ScalarModelAdapter`.
-    """
-    if isinstance(model, DegradationModel):
-        return model
-    return ScalarModelAdapter(model)
 
 
 def combined_delay_factors(models: Iterable[DegradationModel],

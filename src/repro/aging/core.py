@@ -19,7 +19,7 @@ import copy
 import random
 from typing import Iterable, Sequence
 
-from repro.aging.api import as_degradation_model, combined_delay_factors
+from repro.aging.api import DegradationModel, combined_delay_factors
 from repro.netlist.circuit import Circuit
 
 #: One (launch, capture) functional vector pair.
@@ -38,20 +38,19 @@ def sample_workload(circuit: Circuit, patterns: int,
     ]
 
 
-def aged_circuit(circuit: Circuit, models: Iterable[object], t: float,
-                 *, name_suffix: str | None = None) -> Circuit:
+def aged_circuit(circuit: Circuit, models: Iterable[DegradationModel | None],
+                 t: float, *, name_suffix: str | None = None) -> Circuit:
     """Deep-copied circuit degraded to lifetime point ``t``.
 
-    ``models`` may mix vectorized :class:`~repro.aging.api.DegradationModel`
-    implementations with legacy scalar objects (coerced via
-    :func:`~repro.aging.api.as_degradation_model`); their factor arrays
-    compose multiplicatively.  The original circuit is never mutated.
+    The factor arrays of the :class:`~repro.aging.api.DegradationModel`
+    ``models`` (``None`` entries skipped) compose multiplicatively.  The
+    original circuit is never mutated.
     """
-    coerced = [as_degradation_model(m) for m in models if m is not None]
     aged = copy.deepcopy(circuit)
     if name_suffix is not None:
         aged.name = f"{circuit.name}{name_suffix}"
-    aged.scale_gate_delays(combined_delay_factors(coerced, aged, t))
+    aged.scale_gate_delays(combined_delay_factors(
+        [m for m in models if m is not None], aged, t))
     return aged
 
 

@@ -50,6 +50,16 @@ from repro.simulation.logic import X, controlling_value, inversion_parity
 from repro.simulation.parallel_sim import BitParallelSimulator
 from repro.utils.profiling import StageTimer
 
+#: Random pattern pairs graded per batch of the random phase.
+RANDOM_BATCH = 32
+#: Most random batches before the deterministic phase takes over.
+MAX_RANDOM_BATCHES = 20
+#: Consecutive batches without a new detection that end the random phase.
+STALE_BATCHES = 3
+#: PODEM backtrack limit per fault before the search aborts.
+MAX_BACKTRACKS = 512
+
+
 @dataclass
 class AtpgResult:
     """Outcome of transition-fault test generation."""
@@ -225,10 +235,6 @@ def generate_transition_tests(
     *,
     seed: int = 0,
     faults: list[TransitionFault] | None = None,
-    random_batch: int = 32,
-    max_random_batches: int = 20,
-    stale_batches: int = 3,
-    max_backtracks: int = 512,
     compact: bool = True,
     timer: StageTimer | None = None,
 ) -> AtpgResult:
@@ -255,14 +261,14 @@ def generate_transition_tests(
     # ------------------------------------------------------------------
     t0 = time.perf_counter() if timer is not None else 0.0
     stale = 0
-    for _ in range(max_random_batches):
-        if not undetected or stale >= stale_batches:
+    for _ in range(MAX_RANDOM_BATCHES):
+        if not undetected or stale >= STALE_BATCHES:
             break
         batch = TestSet(circuit, (
             PatternPair(
                 tuple(rng.randint(0, 1) for _ in range(width)),
                 tuple(rng.randint(0, 1) for _ in range(width)))
-            for _ in range(random_batch)))
+            for _ in range(RANDOM_BATCH)))
         masks = _grade(sim, batch.patterns, rows, undetected)
         useful_bits = 0
         still: list[int] = []
@@ -288,7 +294,7 @@ def generate_transition_tests(
     # ------------------------------------------------------------------
     result = AtpgResult(test_set=test_set, faults=list(fault_list),
                         detected=detected)
-    podem = Podem(circuit, max_backtracks=max_backtracks)
+    podem = Podem(circuit, max_backtracks=MAX_BACKTRACKS)
     sources = circuit.sources()
     _phase2_incremental(sim, podem, sources, rng, ranked, rows,
                         _untestable_implications(circuit, rows),

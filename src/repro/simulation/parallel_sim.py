@@ -4,30 +4,22 @@ Packs one test pattern per bit, so a single topological sweep evaluates
 *all* patterns of a test set at once.  Used by the ATPG for random-pattern
 fault grading, fault dropping and static compaction.
 
-Two representations share one :class:`BitParallelSimulator` instance:
+The packed patterns of a gate are one arbitrary-width Python integer
+(:meth:`BitParallelSimulator.pack_vectors`,
+:meth:`BitParallelSimulator.simulate`).  Stuck-at grading runs on these,
+either one fault at a time (:meth:`~BitParallelSimulator.stuck_at_detect_mask`,
+the seed's single-fault propagation) or through the *packed fault×pattern
+kernel* (:meth:`~BitParallelSimulator.stuck_at_detect_masks`): candidate
+faults are sorted by site position and laid side by side in one Python int
+per chunk of :data:`CHUNK_BITS` bits, each fault in its own byte-aligned
+block of pattern bits.  The fault-free words are replicated into every
+block by a repunit multiply, each fault's site is forced by set/clear masks
+on its own block, and one sweep over the union of the chunk's fanout cones
+evaluates every fault against every pattern at once.  Bitwise gate
+operations never carry between bits, so the blocks are independent
+single-fault simulations.
 
-* **big-int words** — the packed patterns of a gate as one arbitrary-width
-  Python integer (:meth:`pack_vectors`, :meth:`simulate`).  Stuck-at
-  grading runs on these, either one fault at a time
-  (:meth:`stuck_at_detect_mask`, the seed's single-fault propagation) or
-  through the *packed fault×pattern kernel*
-  (:meth:`stuck_at_detect_masks`): candidate faults are sorted by site
-  position and laid side by side in one Python int per chunk of
-  :data:`CHUNK_BITS` bits, each fault in its own byte-aligned block of
-  pattern bits.  The fault-free words are replicated into every block by a
-  repunit multiply, each fault's site is forced by set/clear masks on its
-  own block, and one sweep over the union of the chunk's fanout cones
-  evaluates every fault against every pattern at once.  Bitwise gate
-  operations never carry between bits, so the blocks are independent
-  single-fault simulations;
-* the **word-matrix** — a ``(gates × W)`` ``uint64`` matrix
-  (``W = ceil(patterns / 64)`` words, same little-endian word convention as
-  :mod:`repro.utils.bitset`) evaluated in *levelized per-kind batches*,
-  one vectorized numpy reduction per (level, kind, arity) group
-  (:meth:`pack_vectors_words`, :meth:`simulate_words`); the fault-free
-  sweep of the wordwave timing simulator.
-
-All paths produce bit-identical values and detect masks (guarded by
+Both grading paths produce bit-identical detect masks (guarded by
 ``tests/test_parallel_sim_matrix.py`` and the ATPG golden tests).
 """
 
@@ -38,34 +30,14 @@ from heapq import heappop, heappush
 from operator import and_, or_, xor
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.faults.models import StuckAtFault
 from repro.netlist.circuit import Circuit, GateKind
-
-#: Bits per packed word of the matrix engine.
-WORD_BITS = 64
 
 #: Bits per Python int of one packed fault×pattern grading chunk.  Large
 #: enough that the per-gate interpreter overhead of a sweep is spread over
 #: thousands of fault×pattern bits, small enough that a chunk's faults stay
 #: close together in the circuit (short union cone).
 CHUNK_BITS = 2 ** 14
-
-_FULL_WORD = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: Gate kind → (numpy reduction ufunc or None for unary, invert output).
-_KIND_KERNELS = {
-    GateKind.AND: (np.bitwise_and, False),
-    GateKind.NAND: (np.bitwise_and, True),
-    GateKind.OR: (np.bitwise_or, False),
-    GateKind.NOR: (np.bitwise_or, True),
-    GateKind.XOR: (np.bitwise_xor, False),
-    GateKind.XNOR: (np.bitwise_xor, True),
-    GateKind.BUF: (None, False),
-    GateKind.NOT: (None, True),
-}
-
 
 #: Gate kind → (big-int reduction operator or None for unary, invert).
 _INT_OPS = {
@@ -104,21 +76,6 @@ def _eval_word(kind: str, words: Sequence[int], mask: int) -> int:
     raise ValueError(f"cannot evaluate gate kind {kind!r}")
 
 
-def num_words(width: int) -> int:
-    """uint64 words needed for ``width`` packed patterns (at least one)."""
-    return max(1, (width + WORD_BITS - 1) // WORD_BITS)
-
-
-def mask_row(width: int) -> np.ndarray:
-    """``(W,)`` uint64 row with the low ``width`` bits set."""
-    row = np.zeros(num_words(width), dtype=np.uint64)
-    full, rem = divmod(width, WORD_BITS)
-    row[:full] = _FULL_WORD
-    if rem:
-        row[full] = np.uint64((1 << rem) - 1)
-    return row
-
-
 class BitParallelSimulator:
     """Packed-pattern logic simulation of a finalized circuit."""
 
@@ -135,10 +92,8 @@ class BitParallelSimulator:
                         if g.kind == GateKind.CONST0]
         self._const1 = [g.index for g in circuit.gates
                         if g.kind == GateKind.CONST1]
-        # Big-int and matrix-engine structures, built lazily on first use.
+        # Big-int plan, built lazily on first use.
         self._plan: list[tuple] | None = None
-        self._level_batches: list[tuple] | None = None
-        self._sources_np: np.ndarray | None = None
 
     def _build_int_plan(self) -> None:
         """Big-int plan: ``(gate, operator, invert, fanin)`` per
@@ -166,7 +121,7 @@ class BitParallelSimulator:
         self._plan = plan
 
     # ------------------------------------------------------------------
-    # Fault-free simulation (reference engine: Python big-int words)
+    # Fault-free simulation (Python big-int words)
     # ------------------------------------------------------------------
     def simulate(self, source_words: Mapping[int, int], width: int) -> list[int]:
         """Fault-free packed values for every gate.
@@ -287,83 +242,6 @@ class BitParallelSimulator:
         for og in self._obs_gates:
             detect |= word_of(og) ^ good_words[og]
         return detect & mask
-
-    # ------------------------------------------------------------------
-    # Word-matrix engine: levelized vectorized evaluation
-    # ------------------------------------------------------------------
-    def _build_matrix_plan(self) -> None:
-        """Group the topological order into (level, kind, arity) batches.
-
-        Every fanin of a gate at level L sits at a level < L, so gates of
-        one level are mutually independent and any batch order inside a
-        level is sound.  One numpy reduction then evaluates a whole batch.
-        """
-        circuit = self.circuit
-        groups: dict[tuple[int, str, int], list[int]] = {}
-        for idx in self._order:
-            g = circuit.gates[idx]
-            groups.setdefault((circuit.level(idx), g.kind, g.arity),
-                              []).append(idx)
-        batches = []
-        for (_lvl, kind, _arity), idxs in sorted(groups.items()):
-            op, invert = _KIND_KERNELS[kind]
-            out_idx = np.asarray(idxs, dtype=np.intp)
-            fanin = np.asarray([circuit.gates[i].fanin for i in idxs],
-                               dtype=np.intp)
-            batches.append((op, invert, out_idx, fanin))
-        self._level_batches = batches
-        self._sources_np = np.asarray(self.circuit.sources(), dtype=np.intp)
-
-    def pack_vectors_words(self, vectors: Sequence[Sequence[int]]
-                           ) -> tuple[np.ndarray, int]:
-        """Pack per-pattern source vectors into a ``(gates, W)`` matrix.
-
-        Bit ``p`` of word ``p >> 6`` in row ``g`` is pattern ``p``'s value
-        at source ``g`` (little-endian, the :mod:`repro.utils.bitset`
-        convention).  Non-source and CONST0 rows are zero; CONST1 rows carry
-        the full pattern mask.  Returns ``(matrix, width)``.
-        """
-        if self._level_batches is None:
-            self._build_matrix_plan()
-        sources = self._sources_np
-        width = len(vectors)
-        w = num_words(width)
-        matrix = np.zeros((len(self.circuit.gates), w), dtype=np.uint64)
-        if width:
-            arr = np.asarray(vectors, dtype=np.uint8)
-            if arr.ndim != 2 or arr.shape[1] != len(sources):
-                raise ValueError(
-                    f"vectors must all have {len(sources)} values")
-            if arr.max(initial=0) > 1:
-                raise ValueError("pack_vectors needs fully-specified vectors")
-            packed = np.packbits(arr.T, axis=1, bitorder="little")
-            padded = np.zeros((len(sources), w * 8), dtype=np.uint8)
-            padded[:, :packed.shape[1]] = packed
-            matrix[sources] = padded.view(np.uint64)
-        matrix[self._const0] = 0
-        matrix[self._const1] = mask_row(width)
-        return matrix, width
-
-    def simulate_words(self, matrix: np.ndarray, width: int) -> np.ndarray:
-        """Fault-free simulation of a packed ``(gates, W)`` matrix.
-
-        ``matrix`` must carry the source rows (see
-        :meth:`pack_vectors_words`); the combinational rows are filled in
-        place, one vectorized kernel per (level, kind, arity) batch, and
-        the same array is returned.
-        """
-        if self._level_batches is None:
-            self._build_matrix_plan()
-        mrow = mask_row(width)
-        for op, invert, out_idx, fanin in self._level_batches:
-            if op is None:
-                vals = matrix[fanin[:, 0]]
-            else:
-                vals = op.reduce(matrix[fanin], axis=1)
-            if invert:
-                vals = vals ^ mrow
-            matrix[out_idx] = vals
-        return matrix
 
     # ------------------------------------------------------------------
     # Packed fault×pattern grading (big-int words)

@@ -12,15 +12,15 @@ kernels, batched over *all* patterns (fault-free sweep) and *all* activated
   count and an initial value.  Canonical waveforms strictly alternate, so
   event *values* are implicit — event ``j`` carries ``init ^ ((j + 1) & 1)``
   — and only times are stored.  Fault-free rows are indexed ``gate * P +
-  pattern`` (the word-matrix layout of
-  :class:`~repro.simulation.parallel_sim.BitParallelSimulator` transposed
-  onto the time axis).
+  pattern``.
 
-* **Two-valued planes**: initial values for every (gate, pattern) come from
-  one :meth:`BitParallelSimulator.simulate_words` sweep over the packed
-  launch vectors; a second OR-propagation over the launch^capture toggle
-  words yields the *activity* planes that select which (gate, pattern)
-  instances can have events at all — everything else stays a constant row.
+* **Two-valued planes**: uint8 ``(gate, pattern)`` bit planes over the
+  same level plan.  The initial plane evaluates each gate's truth-table
+  LUT (the one the merge kernel reads) on its fanin launch values; the
+  *activity* plane OR-propagates the sources' launch^capture toggles and
+  selects which (gate, pattern) instances can have events at all —
+  everything else stays a constant row.  Constant generators hold their
+  value whatever their pattern bit says.
 
 * **Levelized merge kernel** (:meth:`_WordWave._merge_eval`): per level one
   vectorized kernel merges the fanin event timelines of every active
@@ -59,13 +59,11 @@ degenerate inertial thresholds, gate arities above the LUT limit).
 from __future__ import annotations
 
 import time as _time
-import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.netlist.circuit import Circuit, GateKind
-from repro.simulation.parallel_sim import BitParallelSimulator
 from repro.utils.intervals import EPS
 
 if TYPE_CHECKING:  # avoid repro.faults <-> repro.simulation import cycle
@@ -214,23 +212,6 @@ class _ChangedStore:
         self.keys = all_keys[order]
         self.rows = all_rows[order]
 
-#: circuit -> {inertial: plan}.  The plan (fanin/LUT/level/fanout arrays)
-#: is a pure function of the frozen circuit structure, so it is shared
-#: across runs exactly like the repo's cone / bit-parallel caches; per-run
-#: state (the event stores) is rebuilt by every sweep.
-_PLAN_CACHE: "weakref.WeakKeyDictionary[Circuit, dict[float, _WordWave]]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _plan_for(circuit: Circuit, inertial: float) -> "_WordWave":
-    per = _PLAN_CACHE.get(circuit)
-    if per is None:
-        per = _PLAN_CACHE[circuit] = {}
-    plan = per.get(inertial)
-    if plan is None:
-        plan = per[inertial] = _WordWave(circuit, inertial)
-    return plan
-
 
 class _WordWave:
     """One wordwave plan: static circuit arrays + per-run stores."""
@@ -309,7 +290,9 @@ class _WordWave:
         self._pinbit = np.uint64(1) << np.arange(a_max, dtype=np.uint64)
         self._ar = np.arange(1024)
 
-        self.bp = BitParallelSimulator(circuit)
+        self.sources = np.asarray(circuit.sources(), dtype=np.int64)
+        self.const0 = [g.index for g in gates if g.kind == GateKind.CONST0]
+        self.const1 = [g.index for g in gates if g.kind == GateKind.CONST1]
         self.base: _WaveStore | None = None
         self.p_n = 0
 
@@ -533,44 +516,43 @@ class _WordWave:
     # ------------------------------------------------------------------
     # Fault-free sweep
     # ------------------------------------------------------------------
-    @staticmethod
-    def _unpack_bits(words: np.ndarray, width: int) -> np.ndarray:
-        """``(rows, W)`` uint64 planes -> ``(rows, width)`` uint8 bits."""
-        return np.unpackbits(words.view(np.uint8), axis=1,
-                             bitorder="little")[:, :width]
-
     def base_sweep(self, patterns) -> None:
         """Compute the fault-free event store for every (gate, pattern)."""
-        circuit = self.circuit
         p_n = len(patterns)
         self.p_n = p_n
-        launch_m, width = self.bp.pack_vectors_words(
-            [p.launch for p in patterns])
-        capture_m, _ = self.bp.pack_vectors_words(
-            [p.capture for p in patterns])
-        sources = np.asarray(circuit.sources(), dtype=np.int64)
-        toggles = launch_m[sources] ^ capture_m[sources]
+        src = self.sources
+        # Two-valued (gate, pattern) planes plus the virtual constant row.
+        # ``act`` first holds the sources' capture values, then their
+        # launch^capture toggles; constant generators never toggle.
+        init = np.zeros((self.g_n + 1, p_n), dtype=np.uint8)
+        act = np.zeros((self.g_n + 1, p_n), dtype=np.uint8)
+        init[src] = np.asarray([p.launch for p in patterns], dtype=np.uint8).T
+        act[src] = np.asarray([p.capture for p in patterns], dtype=np.uint8).T
+        for plane in (init, act):
+            plane[self.const0] = 0
+            plane[self.const1] = 1
+        act[src] ^= init[src]
 
-        # Activity planes: OR-propagated source toggles (plus the virtual
-        # constant row).  A clear bit proves the waveform is constant.
-        act = np.zeros((self.g_n + 1, launch_m.shape[1]), dtype=np.uint64)
-        act[sources] = toggles
+        # Initial values: each gate's LUT over its fanin initial values.
+        # Activity: OR-propagated source toggles — a clear bit proves the
+        # waveform is constant.
         for _lvl, idxs in self.levels:
-            act[idxs] = np.bitwise_or.reduce(act[self.fanin_pad[idxs]],
-                                             axis=1)
-        self.act_bits = self._unpack_bits(act, p_n)
-
-        sim_m = self.bp.simulate_words(launch_m, width)
-        init_bits = np.zeros((self.g_n + 1, p_n), dtype=np.uint8)
-        init_bits[:self.g_n] = self._unpack_bits(sim_m, p_n)
+            fan = self.fanin_pad[idxs]
+            a = act[fan[:, 0]]
+            idx = init[fan[:, 0]].astype(np.uint64)
+            for pin in range(1, self.a_max):
+                a |= act[fan[:, pin]]
+                idx |= init[fan[:, pin]].astype(np.uint64) << np.uint64(pin)
+            act[idxs] = a
+            init[idxs] = (self.luts[idxs, None] >> idx) & np.uint64(1)
+        self.act_bits = act
 
         k0 = 4
         base = _WaveStore((self.g_n + 1) * p_n, k0)
-        base.i = init_bits.reshape(-1)
+        base.i = init.reshape(-1)
         # Source events: one launch transition at t=0 where launch!=capture.
-        tog_bits = self._unpack_bits(toggles, p_n)
-        si, pi = np.nonzero(tog_bits)
-        rows = sources[si] * p_n + pi
+        si, pi = np.nonzero(act[src])
+        rows = src[si] * p_n + pi
         base.t[rows, 0] = 0.0
         base.c[rows] = 1
         self.base = base
@@ -860,6 +842,8 @@ class _WordWave:
         shorter than the glitch threshold.  Returns flat ``(entry_row, lo,
         hi)`` arrays sorted by (row, lo) — canonical per entry.
         """
+        from repro.faults.detection import merge_pieces
+
         ne = b_t.shape[0]
         samples = np.concatenate(
             [b_t, f_t, np.zeros((ne, 1)), np.full((ne, 1), horizon)], axis=1)
@@ -893,15 +877,8 @@ class _WordWave:
                                 axis=1)
         ro, co = np.nonzero(s_d & ~d_prev)
         rc, cc = np.nonzero(~s_d & d_prev)
-        row = ro
-        lo = s_t[ro, co]
-        hi = s_t[rc, cc]
-        keep = hi - lo > EPS  # the constructor drops degenerate pieces
-        if not keep.all():
-            row = row[keep]
-            lo = lo[keep]
-            hi = hi[keep]
-        row, lo, hi = _merge_pieces(row, lo, hi)
+        merged = merge_pieces(ro, s_t[ro, co], s_t[rc, cc])
+        row, lo, hi = merged.fault, merged.lo, merged.hi
         if glitch_threshold > 0.0:
             keep = (hi - lo) + EPS >= glitch_threshold
             if not keep.all():
@@ -911,45 +888,6 @@ class _WordWave:
         return row, lo, hi
 
 
-def _merge_pieces(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge pieces with gaps ``<= EPS`` within each segment (vectorized).
-
-    ``seg`` must be non-decreasing with ``lo`` ascending inside each
-    segment and every piece longer than EPS.  Reproduces the
-    ``IntervalSet`` constructor's merge: a piece joins the current group
-    when its ``lo`` is within EPS of the group's running-max ``hi`` (with
-    sorted los the running max over the whole segment equals the current
-    group's max — a new group's first piece always raises it).
-    """
-    n = seg.size
-    if n <= 1:
-        return seg, lo, hi
-    seg_change = seg[1:] != seg[:-1]
-    # Longest segment bounds the doubling passes of the prefix max.
-    bnd = np.nonzero(seg_change)[0]
-    if bnd.size:
-        ends = np.concatenate([bnd, [n - 1]])
-        starts = np.concatenate([[-1], bnd])
-        max_len = int((ends - starts).max())
-    else:
-        max_len = n
-    pm = hi.copy()
-    step = 1
-    while step < max_len:
-        same = seg[step:] == seg[:-step]
-        np.maximum(pm[step:], np.where(same, pm[:-step], -np.inf),
-                   out=pm[step:])
-        step *= 2
-    new_start = np.empty(n, dtype=bool)
-    new_start[0] = True
-    new_start[1:] = seg_change | (lo[1:] > pm[:-1] + EPS)
-    if new_start.all():
-        return seg, lo, hi
-    g_starts = np.nonzero(new_start)[0]
-    return seg[g_starts], lo[g_starts], np.maximum.reduceat(hi, g_starts)
-
-
 def run_wordwave(circuit: Circuit, faults, patterns, *, horizon: float,
                  monitored: frozenset[int], inertial: float,
                  glitch_threshold: float, timer=None) -> "RangeTable | None":
@@ -957,7 +895,7 @@ def run_wordwave(circuit: Circuit, faults, patterns, *, horizon: float,
 
     The caller has validated applicability via
     :func:`wordwave_fallback_reason`.  Fault eligibility (site reaches an
-    observation point) is decided on the cached plan's reachability
+    observation point) is decided on the plan's reachability
     bitmap — no per-fault cone sets are materialized.  Results are
     bit-identical to
     :func:`~repro.faults.detection.incremental_detection_data`.
@@ -972,7 +910,7 @@ def run_wordwave(circuit: Circuit, faults, patterns, *, horizon: float,
         return RangeTable.empty()
 
     t0 = _time.perf_counter()
-    ww = _plan_for(circuit, inertial)
+    ww = _WordWave(circuit, inertial)
     sites = [f.site for f in faults]
     site_gate = np.asarray([s.gate for s in sites], dtype=np.int64)
     site_pin = np.asarray([s.pin for s in sites], dtype=np.int64)

@@ -1,16 +1,12 @@
-"""Packed kernels of BitParallelSimulator vs the seed big-int API.
+"""The packed fault×pattern kernel of BitParallelSimulator vs the seed walk.
 
-The word-matrix layer (``pack_vectors_words`` / ``simulate_words``) must
-reproduce the big-int fault-free sweep bit for bit — same little-endian
-word convention as :mod:`repro.utils.bitset` — and the packed
-fault×pattern kernel (``stuck_at_detect_masks``) must reproduce the
+The packed kernel (``stuck_at_detect_masks``) must reproduce the
 single-fault walk ``stuck_at_detect_mask`` for every fault, across word
 and byte boundaries, chunk boundaries and care masks.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,12 +14,7 @@ from repro.atpg.patterns import random_test_set
 from repro.atpg.transition import transition_fault_list
 from repro.circuits.generators import CircuitProfile, generate_circuit
 from repro.simulation import parallel_sim
-from repro.simulation.parallel_sim import (
-    BitParallelSimulator,
-    mask_row,
-    num_words,
-)
-from repro.utils.bitset import matrix_to_masks
+from repro.simulation.parallel_sim import BitParallelSimulator
 
 
 def _workload(circuit, count, seed=3):
@@ -50,30 +41,7 @@ def _graded(circuit, count, seed=3, care=None):
     return got, want
 
 
-class TestWordHelpers:
-    def test_num_words(self):
-        assert [num_words(w) for w in (1, 64, 65, 128, 129)] == [1, 1, 2, 2, 3]
-
-    @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
-    def test_mask_row_roundtrip(self, width):
-        row = mask_row(width)
-        assert row.dtype == np.uint64
-        assert matrix_to_masks(row[None]) == [(1 << width) - 1]
-
-
 class TestMatrixVsBigInt:
-    @pytest.mark.parametrize("count", [1, 7, 70])  # 70 → two words
-    def test_pack_and_simulate_match(self, s27, count):
-        sim, vectors, _ = _workload(s27, count)
-        words, width = sim.pack_vectors(vectors)
-        good = sim.simulate(words, width)
-        matrix, mwidth = sim.pack_vectors_words(vectors)
-        assert mwidth == width
-        good_m = sim.simulate_words(matrix, width)
-        masks = matrix_to_masks(good_m)
-        for g in range(len(good)):
-            assert masks[g] == good[g], g
-
     @pytest.mark.parametrize("count", [3, 70])
     def test_stuck_at_detection_matches(self, s27, count):
         got, want = _graded(s27, count)

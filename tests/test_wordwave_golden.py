@@ -11,6 +11,8 @@ bit-identical (same (fault, pattern) keys, exactly equal interval sets).
 A deterministic skewed-path circuit additionally pins the inertial-filter
 boundary: a pulse whose width is *exactly* the threshold survives, while
 one narrower by more than ``EPS`` is cancelled — in both engines alike.
+Two more cases pin a second run after an in-place delay edit and
+constant sources whose pattern bits oppose their values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 
 import pytest
 
-from repro.atpg.patterns import random_test_set
+from repro.atpg.patterns import PatternPair, TestSet, random_test_set
 from repro.circuits.generators import CircuitProfile, generate_circuit
 from repro.faults.detection import (
     compute_detection_data,
@@ -30,6 +32,7 @@ from repro.netlist.circuit import Circuit
 from repro.simulation.wave_sim import DEFAULT_INERTIAL_PS, WaveformSimulator
 from repro.simulation.word_wave import wordwave_fallback_reason
 from repro.timing.sta import run_sta
+from repro.timing.variation import apply_process_variation
 from repro.utils.intervals import EPS
 
 #: (n_gates, n_ffs, depth) shapes cycled over the 50 seeds; fanout and
@@ -157,3 +160,73 @@ def test_inertial_boundary_pulse_exactly_at_threshold():
                 monitored_gates=frozenset(obs), inertial=inertial)
         _assert_identical(got["wordwave"], got["incremental"],
                           ctx=f"inertial={inertial}")
+
+
+# ----------------------------------------------------------------------
+# In-place delay edits and constant sources
+# ----------------------------------------------------------------------
+
+def test_in_place_delay_edit_is_simulated():
+    """A second run after a public in-place delay edit sees the new
+    delays: no plan state survives from the first run."""
+    circuit = generate_circuit(_profile(3))
+    faults, patterns, monitored, horizon = _workload(circuit, 3)
+    kw = dict(horizon=horizon, monitored_gates=monitored)
+    before = compute_detection_data(circuit, faults, patterns, **kw)
+    apply_process_variation(circuit, seed=5, sigma_fraction=0.2)
+    after = compute_detection_data(circuit, faults, patterns, **kw)
+    _assert_identical(after, incremental_detection_data(
+        circuit, faults, patterns, **kw), ctx="variation")
+    # The edit moved some range, so a stale plan would be caught.
+    assert before.table.all_lo.tolist() != after.table.all_lo.tolist()
+
+    circuit.scale_gate_delays({g: 1.5 for g in circuit.combinational_gates()})
+    _assert_identical(
+        compute_detection_data(circuit, faults, patterns, **kw),
+        incremental_detection_data(circuit, faults, patterns, **kw),
+        ctx="scaled")
+
+
+def _constant_circuit():
+    """Constants on both polarities feeding reconvergent logic."""
+    c = Circuit("consts")
+    a = c.add_input("a")
+    b = c.add_input("b")
+    d = c.add_input("d")
+    z0 = c.add_const("z0", 0)
+    z1 = c.add_const("z1", 1)
+    o = c.add_gate("o", "OR", [a, z0])
+    n = c.add_gate("n", "AND", [b, z1])
+    x = c.add_gate("x", "XOR", [o, n])
+    y = c.add_gate("y", "NAND", [x, d, z1])
+    w = c.add_gate("w", "NOR", [n, z0])
+    c.mark_output(y)
+    c.mark_output(w)
+    c.finalize()
+    return c, {z0: 0, z1: 1}
+
+
+def test_constant_sources_ignore_opposing_pattern_bits():
+    circuit, consts = _constant_circuit()
+    sources = circuit.sources()
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(12):
+        # Every pattern drives each constant's bit opposite to its value.
+        launch, capture = ([1 - consts[s] if s in consts
+                            else rng.randint(0, 1) for s in sources]
+                           for _ in range(2))
+        pairs.append(PatternPair(tuple(launch), tuple(capture)))
+    patterns = TestSet(circuit, pairs)
+    faults = small_delay_fault_universe(circuit)
+    obs = frozenset(op.gate for op in circuit.observation_points())
+    horizon = run_sta(circuit).clock_period
+    assert wordwave_fallback_reason(circuit, patterns,
+                                    DEFAULT_INERTIAL_PS) is None
+    got = {}
+    for engine, detect in (("wordwave", compute_detection_data),
+                           ("incremental", incremental_detection_data)):
+        got[engine] = detect(circuit, faults, patterns, horizon=horizon,
+                             monitored_gates=obs)
+    _assert_identical(got["wordwave"], got["incremental"], ctx="consts")
+    assert got["wordwave"].ranges  # the workload detects something

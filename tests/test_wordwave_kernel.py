@@ -19,12 +19,13 @@ import pytest
 from repro.atpg.patterns import random_test_set
 from repro.circuits.generators import CircuitProfile, generate_circuit
 from repro.netlist.circuit import GateKind
+from repro.simulation.parallel_sim import BitParallelSimulator
 from repro.simulation.wave_sim import WaveformSimulator
 from repro.simulation.waveform import Waveform, sequential_schedule
 from repro.simulation.word_wave import (
     MAX_ARITY,
     _kind_lut,
-    _plan_for,
+    _WordWave,
     wordwave_fallback_reason,
 )
 from repro.utils.intervals import EPS
@@ -73,7 +74,7 @@ def _plan(inertial=5.0):
     profile = CircuitProfile(name="kern", n_gates=60, n_ffs=10,
                              n_inputs=8, n_outputs=4, depth=6, seed=11)
     circuit = generate_circuit(profile)
-    return circuit, _plan_for(circuit, inertial)
+    return circuit, _WordWave(circuit, inertial)
 
 
 class TestScheduleKernel:
@@ -137,6 +138,30 @@ class TestBaseSweep:
                 for got_e, want_e in zip(events, want.events):
                     assert got_e[1] == want_e[1], (g, pi)
                     assert got_e[0] == pytest.approx(want_e[0]), (g, pi)
+
+    @pytest.mark.parametrize("count", [1, 7, 70])
+    def test_planes_match_bit_parallel_simulator(self, s27, count):
+        """The uint8 initial and activity planes equal the big-int sweeps
+        of ``BitParallelSimulator`` bit for bit."""
+        patterns = random_test_set(s27, count, seed=count)
+        plan = _WordWave(s27, 5.0)
+        with np.errstate(invalid="ignore"):
+            plan.base_sweep(patterns)
+        sim = BitParallelSimulator(s27)
+        launch, width = sim.pack_vectors([p.launch for p in patterns])
+        capture, _ = sim.pack_vectors([p.capture for p in patterns])
+        good = sim.simulate(launch, width)
+        active = sim.activity_words(
+            {s: launch[s] ^ capture[s] for s in launch}, width)
+        init = plan.base.i.reshape(-1, count)
+        for g in range(len(s27.gates)):
+            assert _packed(init[g]) == good[g], g
+            assert _packed(plan.act_bits[g]) == active[g], g
+
+
+def _packed(bits) -> int:
+    """Pattern ``p``'s bit at position ``p`` of one int."""
+    return sum(int(b) << p for p, b in enumerate(bits))
 
 
 class TestExtractPieces:
